@@ -18,7 +18,6 @@ from .errors import (
     GradcertError,
     MissingGroundTruthError,
     NotPositiveDefiniteError,
-    ScheduleContractError,
 )
 from .generate import (
     LAYOUTS,
@@ -60,18 +59,10 @@ from .problems import (
 from .rng import SplitMix64, substream_seed
 from .solvers import (
     METHODS,
-    ScheduleParams,
-    SolverState,
     Trace,
-    ag_schedule,
-    ag_step,
-    cg_schedule,
-    cg_step,
     conjugacy_drift,
-    initial_state,
     momentum_coefficient,
     run,
-    unified_step,
 )
 from .traces import TRACE_HEADER, read_trace_csv, write_trace_csv
 
@@ -94,18 +85,11 @@ __all__ = [
     "Objective",
     "ProblemSpec",
     "QuadraticObjective",
-    "ScheduleContractError",
-    "ScheduleParams",
-    "SolverState",
     "SpectrumSpec",
     "SplitMix64",
     "TRACE_HEADER",
     "Trace",
-    "ag_schedule",
-    "ag_step",
     "certify",
-    "cg_schedule",
-    "cg_step",
     "check_descent_lemma",
     "conjugacy_drift",
     "contraction_constant",
@@ -116,7 +100,6 @@ __all__ = [
     "generate",
     "generate_with_start",
     "hs_identity_battery",
-    "initial_state",
     "load_problem",
     "make_logistic_problem",
     "make_quadratic_problem",
@@ -132,7 +115,6 @@ __all__ = [
     "run",
     "substream_seed",
     "sweep",
-    "unified_step",
     "validate_sandwich",
     "write_trace_csv",
 ]

@@ -26,8 +26,8 @@ from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
 from .perturb import sweep
 from .potential import (
+    _check_chain,
     certify,
-    contraction_constant,
     default_cert_tolerance,
     hs_identity_battery,
     rho_optimality_check,
@@ -228,21 +228,10 @@ def cmd_certify(args) -> int:
         family = "ag" if args.method.startswith("ag") else "cg"
     else:
         family = "cg" if any(c is not None for c in columns["alpha"]) else "ag"
-    degenerate = family == "ag" and obj.lip == obj.ell
-    c_common = contraction_constant("cg", obj.ell, obj.lip)
-    c_value = c_common if degenerate else contraction_constant(family, obj.ell, obj.lip)
     tol = default_cert_tolerance(obj) if args.tol_cert is None else args.tol_cert
-
-    slack = 1.0 + tol
-    ok0 = n < 2 or psis[1] <= psis[0] * slack
-    tail = psis[2:] * c_value <= psis[1:-1] * slack
-    first_violation = None
-    if not ok0:
-        first_violation = 0
-    else:
-        bad = np.flatnonzero(~tail)
-        if bad.size:
-            first_violation = int(bad[0]) + 1
+    c0 = 0.5 * obj.ell * float(d0 @ d0) + f_gap0
+    chain = _check_chain(psis, f_gaps, family, obj.ell, obj.lip, tol, c0)
+    first_violation = chain.first_violation
 
     # CG rows carry enough to re-check the per-step gap identity; a row
     # whose scalars were not produced by the recurrence breaks it against
@@ -266,31 +255,23 @@ def cmd_certify(args) -> int:
     ):
         first_violation = first_telescope
 
-    ks = np.arange(n, dtype=float)
-    c0 = 0.5 * obj.ell * float(d0 @ d0) + f_gap0
-    theorem1_ok = bool(np.all(f_gaps <= c0 * c_common ** (-(ks - 1.0)) * (1.0 + 1e-9)))
-    daniel_ok = None
-    if family == "cg" and obj.lip > obj.ell:
-        q = (1.0 - math.sqrt(obj.ell / obj.lip)) / (1.0 + math.sqrt(obj.ell / obj.lip))
-        daniel_ok = bool(np.all(f_gaps <= 4.0 * f_gap0 * q ** (2.0 * ks) * (1.0 + 1e-9)))
-
     doc = {
         "trace": args.trace,
         "problem": args.problem,
         "method": family,
         "iterates": n,
-        "C": c_value,
+        "C": chain.c_value,
         "tol_cert": tol,
         "first_violation": first_violation,
         "first_telescope_violation": first_telescope,
-        "theorem1_ok": theorem1_ok,
-        "daniel_ok": daniel_ok,
+        "theorem1_ok": chain.theorem1_ok,
+        "daniel_ok": chain.daniel_ok,
     }
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(render_json(doc) + "\n")
     if first_violation is None:
-        print(f"certificate chain holds over {n - 1} steps (C={c_value:.12g})")
+        print(f"certificate chain holds over {n - 1} steps (C={chain.c_value:.12g})")
         return 0
     print(f"certificate chain violated at step {first_violation}")
     return 1

@@ -17,15 +17,6 @@ class DegenerateRatioError(GradcertError):
     """lip == ell, so a quantity involving sqrt(lip/ell) - 1 is undefined."""
 
 
-class ScheduleContractError(GradcertError):
-    """Step-size parameters violate the sign constraints the analysis relies on.
-
-    Every step must satisfy nu_k >= theta_k >= 0 and pi_k > 0, with nu_k > 0
-    from the second step on (a degenerate gradient-descent schedule is the one
-    sanctioned exception).
-    """
-
-
 class EigenEstimateError(GradcertError):
     """Power iteration did not converge; carries the best estimates so far."""
 

@@ -99,6 +99,8 @@ class DetectionReport:
             "seed": self.seed,
             "first_violation": self.first_violation,
             "iterations_run": self.iterations_run,
+            "stop_reason": self.stop_reason,
+            "max_drift": self.max_drift,
             "psi": [float(v) for v in self.psis],
         }
 

@@ -15,7 +15,8 @@ certify() checks the chain
     psi_1 <= psi_0,    C psi_{k+1} <= psi_k   for k >= 1
 
 at the method's contraction constant C (no contraction is claimed for the
-very first step), plus two closed-form envelopes on f(x_k) - f*. The
+very first step), plus two closed-form envelopes on f(x_k) - f*; the
+CLI's audit of a trace CSV runs the same check (_check_chain). The
 identity battery replays the sharper per-step equalities that hold for CG
 on a quadratic; those fail loudly under inexact arithmetic or a perturbed
 operator, which is what makes them usable as a self-test.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,6 +279,80 @@ def _exact_gaps(obj, xs, d):
     return obj.f_gap_many(xs)
 
 
+class _Chain(NamedTuple):
+    c_value: float
+    c_common: float
+    ratios: np.ndarray
+    step_passes: np.ndarray
+    first_violation: int | None
+    common_first_violation: int | None
+    theorem1_bounds: np.ndarray
+    theorem1_ok: bool
+    daniel_bounds: np.ndarray | None
+    daniel_ok: bool | None
+    degenerate: bool
+
+
+def _check_chain(psis, f_gaps, family, ell, lip, tol, c0) -> _Chain:
+    """Contraction chain and gap envelopes over a potential sequence.
+
+    The one checker behind certify() and the CLI's audit of a trace CSV.
+    Step k compares C psi_{k+1} against psi_k with multiplicative slack
+    1 + tol (step 0 claims descent only); the chain is also replayed at the
+    common constant 1 + sqrt(l/L). c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f*
+    scales the Theorem-1 envelope; the Daniel envelope (CG only) scales
+    with f_gaps[0]. lip == ell certifies accelerated runs, which have
+    collapsed to gradient descent, at the common constant.
+    """
+    degenerate = lip <= ell
+    c_common = 1.0 + math.sqrt(ell / lip)
+    if family == "ag" and degenerate:
+        c_value = c_common
+    else:
+        c_value = contraction_constant(family, ell, lip)
+    slack = 1.0 + tol
+
+    # A single iterate leaves these arrays empty: no step, no violation.
+    lhs = psis[1:].copy()
+    lhs[1:] *= c_value
+    step_passes = lhs <= psis[:-1] * slack
+    common_lhs = psis[1:].copy()
+    common_lhs[1:] *= c_common
+    common_passes = common_lhs <= psis[:-1] * slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = psis[:-1] / psis[1:]
+
+    def first_fail(passes):
+        bad = np.flatnonzero(~passes)
+        return int(bad[0]) if bad.size else None
+
+    ks = np.arange(psis.shape[0])
+    theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
+    theorem1_ok = bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK)))
+
+    daniel_bounds = None
+    daniel_ok = None
+    if family == "cg" and not degenerate:
+        root = math.sqrt(ell / lip)
+        q = (1.0 - root) / (1.0 + root)
+        daniel_bounds = 4.0 * f_gaps[0] * q ** (2.0 * ks)
+        daniel_ok = bool(np.all(f_gaps <= daniel_bounds * (1.0 + ENVELOPE_SLACK)))
+
+    return _Chain(
+        c_value=c_value,
+        c_common=c_common,
+        ratios=ratios,
+        step_passes=step_passes,
+        first_violation=first_fail(step_passes),
+        common_first_violation=first_fail(common_passes),
+        theorem1_bounds=theorem1_bounds,
+        theorem1_ok=theorem1_ok,
+        daniel_bounds=daniel_bounds,
+        daniel_ok=daniel_ok,
+        degenerate=degenerate,
+    )
+
+
 def certify(
     trace,
     obj,
@@ -325,7 +401,6 @@ def certify(
         flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
         f_gaps = np.maximum(f_gaps, 0.0)
 
-    degenerate = obj.lip <= obj.ell
     if family == "ag":
         rhos = np.full(n, rho_ag(obj.ell, obj.lip, 1))
         rhos[0] = 0.0
@@ -339,47 +414,11 @@ def certify(
     w_norm_sqs = np.einsum("ij,ij->i", w, w)
     psis = w_norm_sqs + (2.0 / obj.ell) * f_gaps
 
-    c_common = 1.0 + math.sqrt(obj.ell / obj.lip)
-    if family == "ag" and degenerate:
-        c_value = c_common
-        flags.append("lip == ell: gradient-descent fallback certified at the common constant")
-    else:
-        c_value = contraction_constant(family, obj.ell, obj.lip)
-
     tol = default_cert_tolerance(obj) if tol_cert is None else tol_cert
-    slack = 1.0 + tol
-
-    if n >= 2:
-        # Step k compares C psi_{k+1} against psi_k; step 0 claims descent only.
-        lhs = psis[1:].copy()
-        lhs[1:] *= c_value
-        step_passes = lhs <= psis[:-1] * slack
-        common_lhs = psis[1:].copy()
-        common_lhs[1:] *= c_common
-        common_passes = common_lhs <= psis[:-1] * slack
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = psis[:-1] / psis[1:]
-    else:
-        step_passes = np.zeros(0, dtype=bool)
-        common_passes = step_passes
-        ratios = np.zeros(0)
-
-    def first_fail(passes):
-        bad = np.flatnonzero(~passes)
-        return int(bad[0]) if bad.size else None
-
     c0 = 0.5 * obj.ell * dist_sqs[0] + f_gaps[0]
-    ks = np.arange(n)
-    theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
-    theorem1_ok = bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK)))
-
-    daniel_bounds = None
-    daniel_ok = None
-    if family == "cg" and not degenerate:
-        root = math.sqrt(obj.ell / obj.lip)
-        q = (1.0 - root) / (1.0 + root)
-        daniel_bounds = 4.0 * f_gaps[0] * q ** (2.0 * ks)
-        daniel_ok = bool(np.all(f_gaps <= daniel_bounds * (1.0 + ENVELOPE_SLACK)))
+    chain = _check_chain(psis, f_gaps, family, obj.ell, obj.lip, tol, c0)
+    if family == "ag" and chain.degenerate:
+        flags.append("lip == ell: gradient-descent fallback certified at the common constant")
 
     if check_tightness and isinstance(obj, QuadraticObjective):
         from .generate import extreme_eigenvalues
@@ -398,8 +437,6 @@ def certify(
     return CertificateReport(
         method=family,
         variant=trace.method,
-        c_value=c_value,
-        c_common=c_common,
         tol_cert=tol,
         ell=obj.ell,
         lip=obj.lip,
@@ -408,16 +445,8 @@ def certify(
         w_norm_sqs=w_norm_sqs,
         dist_sqs=dist_sqs,
         rhos=rhos,
-        ratios=ratios,
-        step_passes=step_passes,
-        first_violation=first_fail(step_passes),
-        common_first_violation=first_fail(common_passes),
-        theorem1_bounds=theorem1_bounds,
-        theorem1_ok=theorem1_ok,
-        daniel_bounds=daniel_bounds,
-        daniel_ok=daniel_ok,
-        degenerate=degenerate,
         flags=flags,
+        **chain._asdict(),
     )
 
 

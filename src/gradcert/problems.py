@@ -159,6 +159,14 @@ class ProblemSpec:
             fh.write(self.to_json())
 
 
+def _number_field(doc, name, cast):
+    value = doc[name]
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"problem file field {name!r} is not a number: {value!r}") from None
+
+
 def load_problem(path) -> ProblemSpec:
     """Read and validate a problem JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -167,10 +175,10 @@ def load_problem(path) -> ProblemSpec:
         raise ValueError("problem file must contain a JSON object")
     try:
         kind = doc["kind"]
-        dim = int(doc["dim"])
+        dim = _number_field(doc, "dim", int)
         x0 = doc["x0"]
-        ell = float(doc["ell"])
-        lip = float(doc["L"])
+        ell = _number_field(doc, "ell", float)
+        lip = _number_field(doc, "L", float)
     except KeyError as exc:
         raise ValueError(f"problem file missing field {exc.args[0]!r}") from None
     spec = ProblemSpec(

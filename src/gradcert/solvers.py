@@ -1,6 +1,6 @@
 """First-order iterations for smooth strongly convex minimization.
 
-Three interchangeable iterations over a shared per-step state:
+Three interchangeable iterations:
 
 * accelerated gradient with the constant momentum coefficient
   (sqrt(L) - sqrt(l)) / (sqrt(L) + sqrt(l)) (Nesterov's method for known
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, ScheduleContractError
 from .objective import QuadraticObjective
 
 METHODS = ("ag", "cg_classic", "cg_unified", "ag_unified")
@@ -44,207 +43,8 @@ METHODS = ("ag", "cg_classic", "cg_unified", "ag_unified")
 CG_CONVERGED_REL = 1e-15
 
 
-@dataclass
-class SolverState:
-    """One iterate with everything the step that produced it computed.
-
-    Index-k conventions: s = x_k - x_{k-1} (None at k=0); y and grad_y are
-    the extrapolation point that produced x_k and its gradient (None at k=0
-    and on CG paths, where y_k = x_{k-1}); r, p, alpha, beta, prev_res_sq
-    are the CG residual, direction, and scalars (prev_res_sq = ||r_{k-1}||^2),
-    None where not applicable. r0_norm is carried along for the convergence
-    threshold.
-    """
-
-    k: int
-    x: np.ndarray
-    s: np.ndarray | None = None
-    y: np.ndarray | None = None
-    grad_y: np.ndarray | None = None
-    r: np.ndarray | None = None
-    p: np.ndarray | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    prev_res_sq: float | None = None
-    r0_norm: float | None = None
-
-
-def initial_state(obj, x0, *, cg: bool = False) -> SolverState:
-    """State at k = 0. CG paths compute r_0 = b - A x_0 here."""
-    x0 = obj._check_vector(x0, "x0")
-    if cg:
-        r0 = obj.residual(x0)
-        return SolverState(k=0, x=x0.copy(), r=r0, r0_norm=float(np.linalg.norm(r0)))
-    return SolverState(k=0, x=x0.copy())
-
-
-@dataclass
-class ScheduleParams:
-    """Per-step parameters of the two-parameter scheme.
-
-    rho_next is the potential weight rho_{k+1} when the schedule knows it
-    (the accelerated schedule does; the CG weight depends on run quantities
-    and is left to the potential engine). degenerate marks the sanctioned
-    gradient-descent fallback for lip == ell.
-    """
-
-    theta: float
-    nu: float
-    pi: float
-    rho_next: float | None = None
-    degenerate: bool = False
-
-    def validate(self, k: int) -> None:
-        ok = self.nu >= self.theta >= 0.0 and self.pi > 0.0
-        if ok and k >= 1 and not self.degenerate:
-            ok = self.nu > 0.0
-        if not ok:
-            raise ScheduleContractError(
-                f"step {k}: schedule (theta={self.theta}, nu={self.nu}, pi={self.pi}) "
-                "violates nu >= theta >= 0, pi > 0 (nu > 0 for k >= 1)"
-            )
-
-
 def momentum_coefficient(ell: float, lip: float) -> float:
     return (math.sqrt(lip) - math.sqrt(ell)) / (math.sqrt(lip) + math.sqrt(ell))
-
-
-def ag_schedule(obj, k: int) -> ScheduleParams:
-    """Accelerated-gradient schedule at step k.
-
-    theta = nu = (sqrt(L) - sqrt(l)) / (sqrt(L) + sqrt(l)) from step 1 on
-    (zero at step 0), pi = 1/L always. lip == ell collapses to gradient
-    descent with unit-over-L steps, flagged degenerate.
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if obj.lip == obj.ell:
-        return ScheduleParams(theta=0.0, nu=0.0, pi=1.0 / obj.lip, rho_next=0.0, degenerate=True)
-    coeff = 0.0 if k == 0 else momentum_coefficient(obj.ell, obj.lip)
-    rho_next = math.sqrt(obj.lip / obj.ell) - 1.0
-    return ScheduleParams(theta=coeff, nu=coeff, pi=1.0 / obj.lip, rho_next=rho_next)
-
-
-def _cg_advance(obj, state: SolverState):
-    """CG scalars and direction for the step leaving `state`.
-
-    Returns (beta_next, p_next, ap, pap, alpha_next), or None when the
-    residual is already at the convergence floor. One matvec.
-    """
-    r = state.r
-    res_sq = float(r @ r)
-    threshold = (CG_CONVERGED_REL * state.r0_norm) ** 2
-    if res_sq <= threshold:
-        return None
-    if state.k == 0:
-        beta_next = 0.0
-        p_next = r.copy()
-    else:
-        if state.prev_res_sq is None or state.p is None:
-            raise ValueError(f"state at k={state.k} lacks CG bookkeeping (p, prev_res_sq)")
-        beta_next = res_sq / state.prev_res_sq
-        p_next = beta_next * state.p + r
-    ap = obj.matrix @ p_next
-    pap = float(p_next @ ap)
-    if pap <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"direction curvature p'Ap = {pap:g} is not positive at step {state.k}"
-        )
-    alpha_next = res_sq / pap
-    return beta_next, p_next, ap, pap, alpha_next
-
-
-def cg_step(obj, state: SolverState) -> SolverState | None:
-    """One Hestenes-Stiefel CG step; None signals convergence (no step).
-
-    beta_{k+1} = ||r_k||^2 / ||r_{k-1}||^2 (beta_1 = 0),
-    p_{k+1} = beta_{k+1} p_k + r_k,
-    alpha_{k+1} = ||r_k||^2 / p_{k+1}' A p_{k+1},
-    x_{k+1} = x_k + alpha_{k+1} p_{k+1},
-    r_{k+1} = r_k - alpha_{k+1} A p_{k+1}.
-
-    A state holds no residual history, so this step does not
-    reorthogonalize; it matches `run` only to roundoff, and the two drift
-    apart once plain recurrences lose orthogonality.
-    """
-    if not isinstance(obj, QuadraticObjective):
-        raise TypeError("cg_step applies to quadratic objectives only")
-    if state.r is None:
-        raise ValueError("state has no residual; was it created with initial_state(..., cg=True)?")
-    adv = _cg_advance(obj, state)
-    if adv is None:
-        return None
-    beta_next, p_next, ap, _, alpha_next = adv
-    res_sq = float(state.r @ state.r)
-    x_next = state.x + alpha_next * p_next
-    s_next = x_next - state.x
-    r_next = state.r - alpha_next * ap
-    return SolverState(
-        k=state.k + 1,
-        x=x_next,
-        s=s_next,
-        r=r_next,
-        p=p_next,
-        alpha=alpha_next,
-        beta=beta_next,
-        prev_res_sq=res_sq,
-        r0_norm=state.r0_norm,
-    )
-
-
-def cg_schedule(obj, state: SolverState) -> ScheduleParams:
-    """CG expressed in the two-parameter scheme, at the step leaving `state`.
-
-    theta_k = 0, pi_k = alpha_{k+1}, nu_k = alpha_{k+1} beta_{k+1} / alpha_k
-    (nu_0 = 0). rho_next is left to the potential engine. Costs the step's
-    matvec; returns None at the convergence floor.
-    """
-    adv = _cg_advance(obj, state)
-    if adv is None:
-        return None
-    beta_next, _, _, _, alpha_next = adv
-    nu = 0.0 if state.k == 0 else alpha_next * beta_next / state.alpha
-    return ScheduleParams(theta=0.0, nu=nu, pi=alpha_next)
-
-
-def ag_step(obj, state: SolverState) -> SolverState:
-    """One accelerated-gradient step in its direct form.
-
-    y_{k+1} = x_k + theta_k s_k (y_1 = x_0), then a 1/L gradient step from
-    y_{k+1}.
-    """
-    params = ag_schedule(obj, state.k)
-    if state.k == 0 or state.s is None:
-        y = state.x.copy()
-    else:
-        y = state.x + params.theta * state.s
-    g = obj.grad(y)
-    x_next = y - g / obj.lip
-    s_next = x_next - state.x
-    return SolverState(k=state.k + 1, x=x_next, s=s_next, y=y, grad_y=g)
-
-
-def unified_step(obj, state: SolverState, params: ScheduleParams, grad_y=None) -> SolverState:
-    """One step of the two-parameter scheme under explicit parameters.
-
-    Enforces the sign constraints (nu >= theta >= 0, pi > 0, nu > 0 past
-    step 0) before moving. grad_y overrides the gradient at the
-    extrapolation point; CG passes its recurred -r_k here so the update is
-    the algorithm's own quantity rather than a fresh evaluation.
-    """
-    params.validate(state.k)
-    if state.k == 0 or state.s is None:
-        if params.theta != 0.0 or params.nu != 0.0:
-            raise ScheduleContractError("step 0 requires theta = nu = 0 (no displacement yet)")
-        y = state.x.copy()
-        g = obj.grad(y) if grad_y is None else grad_y
-        x_next = state.x - params.pi * g
-    else:
-        y = state.x + params.theta * state.s
-        g = obj.grad(y) if grad_y is None else grad_y
-        x_next = state.x + params.nu * state.s - params.pi * g
-    s_next = x_next - state.x
-    return SolverState(k=state.k + 1, x=x_next, s=s_next, y=y, grad_y=g)
 
 
 @dataclass
@@ -257,8 +57,7 @@ class Trace:
     them; per-row gaps inside a present column are nan. f_gaps holds the
     stop check's f(x_k) - f* (nan without ground truth; on CG paths it is
     computed from the recurred residual, see drift_checks for how far that
-    residual strayed from the true one). state(k) rebuilds the SolverState
-    view of row k.
+    residual strayed from the true one).
     """
 
     method: str
@@ -278,36 +77,6 @@ class Trace:
 
     def __len__(self):
         return self.xs.shape[0]
-
-    def _row(self, col, k, vector=False):
-        if col is None:
-            return None
-        v = col[k]
-        if vector:
-            return None if np.all(np.isnan(v)) else v
-        return None if np.isnan(v) else float(v)
-
-    def state(self, k: int) -> SolverState:
-        n = len(self)
-        if not -n <= k < n:
-            raise IndexError(f"state index {k} out of range for trace of length {n}")
-        k = k % n
-        return SolverState(
-            k=k,
-            x=self.xs[k],
-            s=None if k == 0 else self.ss[k],
-            y=self._row(self.ys, k, vector=True),
-            grad_y=self._row(self.grad_ys, k, vector=True),
-            r=self._row(self.rs, k, vector=True),
-            p=self._row(self.ps, k, vector=True),
-            alpha=self._row(self.alphas, k),
-            beta=self._row(self.betas, k),
-            prev_res_sq=self._row(self.prev_res_sqs, k),
-            r0_norm=self.r0_norm,
-        )
-
-    def __iter__(self):
-        return (self.state(k) for k in range(len(self)))
 
 
 def conjugacy_drift(trace: Trace, obj) -> float:
@@ -384,10 +153,8 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
 
 def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
-    theta_params = ag_schedule(obj, 1)
-    theta = theta_params.theta
-    nu = theta_params.nu
-    pi = theta_params.pi
+    # lip == ell gives momentum 0: plain gradient descent with 1/L steps.
+    momentum = momentum_coefficient(obj.ell, obj.lip)
     inv_lip = 1.0 / obj.lip
     unified = method == "ag_unified"
 
@@ -404,10 +171,10 @@ def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
         stop_reason = "gap"
     else:
         for _ in range(max_iters):
-            y = x.copy() if s is None else x + theta * s
+            y = x.copy() if s is None else x + momentum * s
             g = obj.grad(y)
             if unified:
-                x_next = x - pi * g if s is None else x + nu * s - pi * g
+                x_next = x - inv_lip * g if s is None else x + momentum * s - inv_lip * g
             else:
                 x_next = y - g * inv_lip
             s = x_next - x

@@ -149,7 +149,8 @@ def read_trace_csv(path) -> dict:
             for name, cell in zip(_COLUMNS, row):
                 columns[name].append(_parse_cell(cell))
     ks = columns["k"]
-    if any(k is None or int(k) != j for j, k in enumerate(ks)):
+    # Cells parse to None, bool or float; only the floats 0.0, 1.0, ... are k.
+    if any(not isinstance(k, float) or k != j for j, k in enumerate(ks)):
         raise ValueError("k column must count 0,1,2,... in order")
     columns["k"] = [int(k) for k in ks]
     return columns

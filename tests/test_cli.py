@@ -177,6 +177,58 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     assert abs(doc["first_violation"] - k) <= 1
 
 
+def test_certify_cli_agrees_with_certify(workdir, problem_file):
+    # the CLI replays the chain and envelopes with the same checker as certify()
+    spec = load_problem(problem_file)
+    obj = spec.objective()
+    for method, name in (("cg", "cg_classic"), ("cg-unified", "cg_unified"),
+                         ("ag", "ag"), ("ag-unified", "ag_unified")):
+        csv_path = workdir / f"agree_{method}.csv"
+        json_path = workdir / f"agree_{method}.json"
+        argv = ["run", "--problem", str(problem_file), "--method", method]
+        assert main(argv + ["--out", str(csv_path)]) == 0
+        main(["certify", str(csv_path), "--problem", str(problem_file), "--out", str(json_path)])
+        doc = json.loads(json_path.read_text())
+        trace = run(obj, name, spec.x0, 1000, 1e-12 * obj.f_gap(spec.x0))
+        report = certify(trace, obj)
+        assert doc["first_violation"] == report.first_violation
+        assert doc["theorem1_ok"] == report.theorem1_ok
+        assert doc["daniel_ok"] == report.daniel_ok
+    # one f_gap cell past the Theorem-1 envelope; psi and row 0 stay intact
+    lines = csv_path.read_text().splitlines()
+    k = len(lines) // 2
+    cells = lines[k].split(",")
+    cells[1] = repr(10.0 * float(lines[1].split(",")[1]))
+    lines[k] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    main(["certify", str(csv_path), "--problem", str(problem_file), "--out", str(json_path)])
+    assert json.loads(json_path.read_text())["theorem1_ok"] is False
+
+
+def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
+    src = workdir / "badk_src.csv"
+    argv = ["run", "--problem", str(problem_file), "--method", "ag", "--out", str(src)]
+    assert main(argv) == 0
+    lines = src.read_text().splitlines()
+    lines[2] = "inf" + lines[2][1:]
+    bad = workdir / "badk.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["certify", str(bad), "--problem", str(problem_file)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["dim", "ell", "L"])
+def test_null_problem_field_exits_1(workdir, problem_file, capsys, field):
+    doc = json.loads(problem_file.read_text())
+    doc[field] = None
+    path = workdir / f"null_{field}.json"
+    path.write_text(json.dumps(doc))
+    out = workdir / f"null_{field}.csv"
+    assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err
+
+
 def test_certify_rejects_foreign_problem(workdir, problem_file, capsys):
     other = workdir / "other.json"
     assert main(["gen", "--dim", "12", "--ell", "1", "--lip", "50", "--seed", "9", "--out", str(other)]) == 0
@@ -278,7 +330,12 @@ def test_perturb_command(workdir, problem_file, capsys):
     doc = json.loads(out.read_text())
     assert [entry["eta"] for entry in doc] == [0.0, 1e-2]
     assert doc[0]["first_violation"] is None
-    assert set(doc[0]) == {"eta", "seed", "first_violation", "iterations_run", "psi"}
+    assert set(doc[0]) == {
+        "eta", "seed", "first_violation", "iterations_run", "stop_reason", "max_drift", "psi"
+    }
+    # why each run stopped and how far its recurrence drifted
+    assert all(isinstance(entry["stop_reason"], str) for entry in doc)
+    assert all(entry["max_drift"] >= 0.0 for entry in doc)
     assert "first_violation=none" in capsys.readouterr().out
 
 

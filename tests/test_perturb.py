@@ -91,8 +91,12 @@ def test_detection_report_dict_shape():
     obj, truth, x0 = _problem(10, 20.0)
     report = detect_inexactness(obj, truth, NoiseModel(magnitude=0.0), 15, x0=x0)
     payload = report.to_dict()
-    assert set(payload) == {"eta", "seed", "first_violation", "iterations_run", "psi"}
+    assert set(payload) == {
+        "eta", "seed", "first_violation", "iterations_run", "stop_reason", "max_drift", "psi"
+    }
     assert payload["iterations_run"] == report.iterations_run
+    assert payload["stop_reason"] == report.stop_reason
+    assert payload["max_drift"] == report.max_drift
     assert len(payload["psi"]) == report.iterations_run + 1
     assert report.to_json().startswith("{")
 

@@ -1,4 +1,4 @@
-"""Solver steps, schedules, the unified update, and run-level invariants."""
+"""Solver runs: oracle iterates, the unified variants, and run-level invariants."""
 
 import math
 
@@ -8,21 +8,13 @@ import pytest
 import oracle
 from conftest import assert_close
 from gradcert import (
-    NotPositiveDefiniteError,
     QuadraticObjective,
-    ScheduleContractError,
     SpectrumSpec,
-    ag_schedule,
-    cg_schedule,
-    cg_step,
     conjugacy_drift,
     generate_with_start,
-    initial_state,
     momentum_coefficient,
     run,
-    unified_step,
 )
-from gradcert.solvers import ScheduleParams
 
 
 def oracle_cg(steps=3):
@@ -58,51 +50,6 @@ def test_momentum_coefficient_value():
     assert m == pytest.approx((math.sqrt(3) - 1) / (math.sqrt(3) + 1), abs=1e-15)
     assert m == pytest.approx(2 - math.sqrt(3), abs=1e-15)
     assert momentum_coefficient(2.0, 2.0) == 0.0
-
-
-def test_ag_schedule_contract(dim2):
-    p0 = ag_schedule(dim2.obj, 0)
-    assert p0.theta == 0.0 and p0.nu == 0.0
-    assert p0.pi == pytest.approx(1.0 / 3.0)
-    p1 = ag_schedule(dim2.obj, 1)
-    m = momentum_coefficient(1.0, 3.0)
-    assert p1.theta == pytest.approx(m) and p1.nu == pytest.approx(m)
-    # nu >= theta >= 0 and pi > 0 hold by construction
-    p1.validate(1)
-
-
-def test_schedule_sign_constraints():
-    with pytest.raises(ScheduleContractError):
-        ScheduleParams(theta=0.5, nu=0.2, pi=0.1).validate(1)  # nu < theta
-    with pytest.raises(ScheduleContractError):
-        ScheduleParams(theta=-0.1, nu=0.2, pi=0.1).validate(1)
-    with pytest.raises(ScheduleContractError):
-        ScheduleParams(theta=0.0, nu=0.0, pi=0.1).validate(1)  # nu must be > 0 at k >= 1
-    with pytest.raises(ScheduleContractError):
-        ScheduleParams(theta=0.0, nu=0.0, pi=0.0).validate(0)  # pi > 0 always
-    # degenerate L = ell waives the strict-positivity clause
-    ScheduleParams(theta=0.0, nu=0.0, pi=0.1, degenerate=True).validate(5)
-
-
-def test_cg_schedule_values(dim2):
-    state = initial_state(dim2.obj, dim2.x0, cg=True)
-    exact = oracle_cg()
-    params0 = cg_schedule(dim2.obj, state)
-    assert params0.theta == 0.0 and params0.nu == 0.0
-    assert params0.pi == pytest.approx(float(exact[1]["alpha"]), abs=1e-15)
-    state1 = cg_step(dim2.obj, state)
-    params1 = cg_schedule(dim2.obj, state1)
-    nu_expected = float(exact[2]["alpha"] * exact[2]["beta"] / exact[1]["alpha"])
-    assert params1.nu == pytest.approx(nu_expected, abs=1e-15)
-    assert params1.pi == pytest.approx(float(exact[2]["alpha"]), abs=1e-15)
-    assert params1.theta == 0.0
-
-
-def test_unified_step_requires_zero_momentum_at_start(dim2):
-    state = initial_state(dim2.obj, dim2.x0)
-    bad = ScheduleParams(theta=0.1, nu=0.2, pi=0.5)
-    with pytest.raises(ScheduleContractError):
-        unified_step(dim2.obj, state, bad)
 
 
 def test_unified_cg_tracks_classic():
@@ -173,9 +120,6 @@ def test_degenerate_ag_is_gradient_descent():
     trace = run(obj, "ag", x0, 5, -math.inf)
     # theta = nu = 0 makes every step x - grad/L, which lands exactly here
     assert_close(trace.xs[1], x_star)
-    params = ag_schedule(obj, 3)
-    assert params.degenerate
-    assert params.theta == 0.0 and params.nu == 0.0
 
 
 def test_not_positive_definite_detected():
@@ -183,9 +127,9 @@ def test_not_positive_definite_detected():
     obj = QuadraticObjective(a, np.zeros(2), 1.0, 1.0)
     # sabotage after construction: indefinite operator reached through matvec
     obj.matrix = np.diag([1.0, -1.0])
-    state = initial_state(obj, np.array([0.3, 0.9]), cg=True)
-    with pytest.raises(NotPositiveDefiniteError):
-        cg_step(obj, state)
+    trace = run(obj, "cg_classic", np.array([0.3, 0.9]), 5, 1e-12)
+    assert trace.stop_reason == "not_positive_definite"
+    assert len(trace) == 1
 
 
 def test_stop_reasons(tiny_problem):
@@ -210,11 +154,11 @@ def test_stop_without_ground_truth_uses_gradient():
 
 
 def test_first_iteration_state_shape(dim2):
-    state = initial_state(dim2.obj, dim2.x0, cg=True)
-    assert state.k == 0
-    assert state.s is None
-    nxt = cg_step(dim2.obj, state)
-    assert nxt.k == 1
-    assert nxt.s is not None
+    trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
+    # row 0 has no step and no predecessor residual yet
+    assert np.isnan(trace.prev_res_sqs[0])
+    assert not np.any(trace.ss[0])
     # ||r_0||^2 with r_0 = -A x_0 = (-1, -3)
-    assert nxt.prev_res_sq == pytest.approx(10.0)
+    assert trace.prev_res_sqs[1] == pytest.approx(10.0)
+    assert_close(trace.ss[1], trace.xs[1] - trace.xs[0])
+    assert np.any(trace.ss[1])
