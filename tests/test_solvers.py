@@ -15,6 +15,8 @@ from gradcert import (
     momentum_coefficient,
     run,
 )
+from gradcert.potential import certify
+from gradcert.traces import read_trace_csv, write_trace_csv
 
 
 def oracle_cg(steps=3):
@@ -50,6 +52,22 @@ def test_momentum_coefficient_value():
     assert m == pytest.approx((math.sqrt(3) - 1) / (math.sqrt(3) + 1), abs=1e-15)
     assert m == pytest.approx(2 - math.sqrt(3), abs=1e-15)
     assert momentum_coefficient(2.0, 2.0) == 0.0
+
+
+def test_cg_schedule_values(dim2, tmp_path):
+    trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
+    path = tmp_path / "dim2.csv"
+    write_trace_csv(path, trace, dim2.obj, certify(trace, dim2.obj))
+    cols = read_trace_csv(path)
+    exact = oracle_cg()
+    # schedule leaving x_0: no momentum, pi_0 = alpha_1
+    assert cols["theta"][0] == 0.0 and cols["nu"][0] == 0.0
+    assert cols["pi"][0] == pytest.approx(float(exact[1]["alpha"]), abs=1e-15)
+    # schedule leaving x_1: nu_1 = alpha_2 beta_2 / alpha_1, pi_1 = alpha_2
+    nu_expected = float(exact[2]["alpha"] * exact[2]["beta"] / exact[1]["alpha"])
+    assert cols["nu"][1] == pytest.approx(nu_expected, abs=1e-15)
+    assert cols["pi"][1] == pytest.approx(float(exact[2]["alpha"]), abs=1e-15)
+    assert cols["theta"][1] == 0.0
 
 
 def test_unified_cg_tracks_classic():
