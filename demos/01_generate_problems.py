@@ -19,8 +19,6 @@ from gradcert import (
     make_quadratic_problem,
 )
 
-out_dir = tempfile.mkdtemp(prefix="gradcert_demo_")
-
 print("== quadratic instances ==")
 for layout in ("log_uniform", "two_cluster"):
     spec = SpectrumSpec(dim=40, ell=1.0, lip=500.0, layout=layout, seed=3)
@@ -33,12 +31,13 @@ for layout in ("log_uniform", "two_cluster"):
 
 print("\n== JSON round trip ==")
 problem = make_quadratic_problem(SpectrumSpec(dim=12, ell=1.0, lip=50.0, layout="log_uniform", seed=7))
-path = os.path.join(out_dir, "quad12.json")
-with open(path, "w", encoding="utf-8") as fh:
-    fh.write(problem.to_json() + "\n")
-loaded = load_problem(path)
+with tempfile.TemporaryDirectory(prefix="gradcert_demo_") as out_dir:
+    path = os.path.join(out_dir, "quad12.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(problem.to_json() + "\n")
+    loaded = load_problem(path)
+    print(f"wrote {path} ({os.path.getsize(path)} bytes)")
 obj = loaded.objective()
-print(f"wrote {path} ({os.path.getsize(path)} bytes)")
 print(f"matrices byte-identical after reload: {np.array_equal(problem.matrix, loaded.matrix)}")
 # the loader refuses a stored minimizer whose gradient is not tiny, so an
 # attached obj.minimizer is always trustworthy

@@ -26,11 +26,12 @@ print(f"\nmax |x_k(cg_classic) - x_k(cg_unified)| = {dev:.2e}")
 dev = np.max(np.linalg.norm(traces["ag"].xs - traces["ag_unified"].xs, axis=1))
 print(f"max |x_k(ag)         - x_k(ag_unified)| = {dev:.2e}")
 
-out = os.path.join(tempfile.mkdtemp(prefix="gradcert_demo_"), "cg.csv")
 trace = traces["cg_classic"]
-write_trace_csv(out, trace, obj, certify(trace, obj))
-cols = read_trace_csv(out)
-print(f"\nwrote {out}")
+with tempfile.TemporaryDirectory(prefix="gradcert_demo_") as out_dir:
+    out = os.path.join(out_dir, "cg.csv")
+    write_trace_csv(out, trace, obj, certify(trace, obj))
+    cols = read_trace_csv(out)
+    print(f"\nwrote {out}")
 print("columns:", ", ".join(cols))
 
 # Row alignment: alpha/beta on row k produced x_k (blank at k=0); the

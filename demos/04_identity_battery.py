@@ -17,12 +17,11 @@ for name, value in report.max_violations.items():
 drift, ok = rho_optimality_check(trace, obj)
 print(f"rho optimality (w_k . s_k = 0): max drift {drift:.3e}, ok={ok}")
 
-# Nudge one iterate by 0.1% and recompute its displacement; every identity
-# that touches step k now disagrees with the recurrence scalars.
+# Nudge one iterate by 0.1%; the displacements s_k and s_{k+1} follow from
+# the iterates, so every identity that touches step k now disagrees with the
+# recurrence scalars.
 k = len(trace) // 2
 trace.xs[k] *= 1.001
-trace.ss[k] = trace.xs[k] - trace.xs[k - 1]
-trace.ss[k + 1] = trace.xs[k + 1] - trace.xs[k]
 poisoned = hs_identity_battery(trace, obj)
 print(f"\nafter a 0.1% nudge of x_{k}: battery ok={poisoned.ok}")
 for name, first in poisoned.first_failures.items():

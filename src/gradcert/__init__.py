@@ -45,9 +45,6 @@ from .potential import (
     contraction_constant,
     default_cert_tolerance,
     hs_identity_battery,
-    potential_point,
-    rho_ag,
-    rho_cg,
     rho_optimality_check,
 )
 from .problems import (
@@ -107,10 +104,7 @@ __all__ = [
     "momentum_coefficient",
     "newton_reference_minimizer",
     "noisy_matvec",
-    "potential_point",
     "read_trace_csv",
-    "rho_ag",
-    "rho_cg",
     "rho_optimality_check",
     "run",
     "substream_seed",

@@ -11,6 +11,7 @@ for all x, y, which is everything the solvers and certificates assume.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,11 @@ class QuadraticObjective(Objective):
         return float((g @ g) / self.lip - (g @ (self.matrix @ g)) / (2.0 * self.lip**2))
 
     def with_minimizer(self, x_star, f_star):
-        return QuadraticObjective(self.matrix, self.rhs, self.ell, self.lip, x_star, f_star)
+        # matrix and rhs are validated and read-only: share them rather than
+        # re-checking symmetry and factoring A again.
+        obj = copy.copy(self)
+        Objective.__init__(obj, self.dim, self.ell, self.lip, x_star, f_star)
+        return obj
 
 
 class LogisticRidgeObjective(Objective):

@@ -4,11 +4,14 @@ The certified quantity is
 
     psi_k = ||w_k||^2 + (2/l) (f(x_k) - f*),   w_k = x_k + rho_k s_k - x*
 
-with rho_0 = 0. For the accelerated schedule rho_k = sqrt(L/l) - 1 for all
-k >= 1; for conjugate gradient rho_k is assembled from the run's own
-scalars, rho_k = 2 (f(x_k) - f*) / (alpha_k ||r_{k-1}||^2), and is exactly
-the weight minimizing ||w_k|| over rho (so w_k is orthogonal to the step,
-which rho_optimality_check verifies).
+with s_k = x_k - x_{k-1} and rho_0 = 0. For the accelerated schedule
+rho_k = sqrt(L/l) - 1 for all k >= 1 (0 when L = l, where the schedule is
+gradient descent); for conjugate gradient rho_k is assembled from the run's
+own scalars, rho_k = 2 (f(x_k) - f*) / (alpha_k ||r_{k-1}||^2) (0 at exact
+convergence), and is exactly the weight minimizing ||w_k|| over rho (so w_k
+is orthogonal to the step, which rho_optimality_check verifies). certify()
+is the one place that evaluates rho, w and psi, vectorized over a trace;
+its report carries them per iterate.
 
 certify() checks the chain
 
@@ -63,38 +66,6 @@ def default_cert_tolerance(obj) -> float:
     return 1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim)
 
 
-def rho_ag(ell: float, lip: float, k: int) -> float:
-    """Constant potential weight of the accelerated schedule.
-
-    0 at k = 0, sqrt(L/l) - 1 after. lip == ell gives 0 (the schedule has
-    collapsed to gradient descent; callers that need to know get the
-    degenerate flag from the schedule itself).
-    """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0 or lip <= ell:
-        return 0.0
-    return math.sqrt(lip / ell) - 1.0
-
-
-def rho_cg(f_gap_doubled: float, alpha: float, res_prev_sq: float, k: int) -> float:
-    """CG potential weight at step k from the run's own scalars.
-
-    rho_k = F_k / (alpha_k ||r_{k-1}||^2) with F_k = 2 (f(x_k) - f*);
-    0 at k = 0 and at exact convergence (F_k = 0, where any weight works).
-    A vanishing denominator with F_k > 0 means the scalars do not belong
-    to a live CG step.
-    """
-    if k == 0 or f_gap_doubled == 0.0:
-        return 0.0
-    denom = alpha * res_prev_sq
-    if denom <= 0.0:
-        raise DegenerateRatioError(
-            f"weight denominator alpha * ||r||^2 = {denom!r} with F = {f_gap_doubled!r} at k={k}"
-        )
-    return f_gap_doubled / denom
-
-
 def contraction_constant(method: str, ell: float, lip: float) -> float:
     """Certified per-step contraction: cg -> 1 + sqrt(l/L), ag -> 1 + 1/(sqrt(L/l) - 1)."""
     family = _METHOD_FAMILY.get(method, method)
@@ -107,42 +78,6 @@ def contraction_constant(method: str, ell: float, lip: float) -> float:
             )
         return 1.0 + 1.0 / (math.sqrt(lip / ell) - 1.0)
     raise ValueError(f"unknown method {method!r}")
-
-
-@dataclass
-class PotentialPoint:
-    k: int
-    rho: float
-    w: np.ndarray
-    w_norm_sq: float
-    f_gap: float
-    psi: float
-
-    @property
-    def f_gap_doubled(self) -> float:
-        return 2.0 * self.f_gap
-
-
-def potential_point(obj, x, s, rho: float, k: int = 0) -> PotentialPoint:
-    """psi at a single iterate. s may be None at k = 0 (rho is forced to 0)."""
-    if obj.minimizer is None or obj.min_value is None:
-        raise MissingGroundTruthError("potential evaluation needs minimizer and min_value")
-    x = obj._check_vector(x, "x")
-    if s is None or k == 0:
-        rho = 0.0
-        w = x - obj.minimizer
-    else:
-        w = x + rho * s - obj.minimizer
-    w_norm_sq = float(w @ w)
-    gap = obj.f_gap(x)
-    return PotentialPoint(
-        k=k,
-        rho=rho,
-        w=w,
-        w_norm_sq=w_norm_sq,
-        f_gap=gap,
-        psi=w_norm_sq + 2.0 * gap / obj.ell,
-    )
 
 
 @dataclass
@@ -382,7 +317,6 @@ def certify(
         raise ValueError(f"method {method!r} does not match trace method {trace.method!r}")
 
     xs = trace.xs
-    ss = trace.ss
     n = xs.shape[0]
     if n < 1:
         raise ValueError("empty trace")
@@ -402,7 +336,8 @@ def certify(
         f_gaps = np.maximum(f_gaps, 0.0)
 
     if family == "ag":
-        rhos = np.full(n, rho_ag(obj.ell, obj.lip, 1))
+        # lip == ell collapses the schedule to gradient descent: weight 0.
+        rhos = np.full(n, 0.0 if obj.lip <= obj.ell else math.sqrt(obj.lip / obj.ell) - 1.0)
         rhos[0] = 0.0
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -410,7 +345,7 @@ def certify(
         rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
         rhos[0] = 0.0
 
-    w = d + rhos[:, None] * ss
+    w = d + rhos[:, None] * trace.ss
     w_norm_sqs = np.einsum("ij,ij->i", w, w)
     psis = w_norm_sqs + (2.0 / obj.ell) * f_gaps
 

@@ -161,10 +161,17 @@ class ProblemSpec:
 
 def _number_field(doc, name, cast):
     value = doc[name]
+    kind = "an integer" if cast is int else "a number"
     try:
-        return cast(value)
+        # JSON true/false are not numbers, and int() would truncate 1.5.
+        if isinstance(value, bool):
+            raise TypeError
+        number = cast(value)
+        if cast is int and number != float(value):
+            raise ValueError
+        return number
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"problem file field {name!r} is not a number: {value!r}") from None
+        raise ValueError(f"problem file field {name!r} is not {kind}: {value!r}") from None
 
 
 def load_problem(path) -> ProblemSpec:

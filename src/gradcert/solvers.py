@@ -24,7 +24,8 @@ Three interchangeable iterations:
 
 Runs record every iterate together with the scalars the algorithm itself
 computed (CG step sizes, residual norms), which is what the certificate and
-identity machinery downstream consumes.
+identity machinery downstream consumes. The displacements s_k are not
+stored: they follow from consecutive iterates.
 """
 
 from __future__ import annotations
@@ -51,25 +52,21 @@ def momentum_coefficient(ell: float, lip: float) -> float:
 class Trace:
     """Column-stacked record of a run.
 
-    xs[k], ss[k] are x_k and s_k (ss[0] is a zero row standing in for the
-    undefined s_0). CG columns (alphas, betas, prev_res_sqs, rs, ps) and
-    transient columns (ys, grad_ys) are None on paths that do not produce
-    them; per-row gaps inside a present column are nan. f_gaps holds the
-    stop check's f(x_k) - f* (nan without ground truth; on CG paths it is
+    xs[k] is x_k; the displacements ss are derived from it. CG columns
+    (alphas, betas, prev_res_sqs, rs, ps) are None on accelerated runs;
+    per-row gaps inside a present column are nan. f_gaps holds the stop
+    check's f(x_k) - f* (nan without ground truth; on CG paths it is
     computed from the recurred residual, see drift_checks for how far that
     residual strayed from the true one).
     """
 
     method: str
     xs: np.ndarray
-    ss: np.ndarray
     alphas: np.ndarray | None = None
     betas: np.ndarray | None = None
     prev_res_sqs: np.ndarray | None = None
     rs: np.ndarray | None = None
     ps: np.ndarray | None = None
-    ys: np.ndarray | None = None
-    grad_ys: np.ndarray | None = None
     f_gaps: np.ndarray | None = None
     r0_norm: float | None = None
     stop_reason: str = "max_iters"
@@ -77,6 +74,11 @@ class Trace:
 
     def __len__(self):
         return self.xs.shape[0]
+
+    @property
+    def ss(self) -> np.ndarray:
+        """s_k = x_k - x_{k-1}, with a zero row standing in for the undefined s_0."""
+        return np.diff(self.xs, axis=0, prepend=self.xs[:1])
 
 
 def conjugacy_drift(trace: Trace, obj) -> float:
@@ -106,9 +108,10 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     (when ground truth is attached; otherwise ||grad f(x_k)|| <=
     stop_gap * ||grad f(x_0)||); the CG convergence floor. Breakdown inside
     a step truncates the trace and is recorded in stop_reason rather than
-    raised. record_transients=False drops the ys/grad_ys columns of
-    accelerated runs (long runs, memory). CG runs keep their recurred
-    residuals mutually orthogonal, as described in the module docstring.
+    raised. CG runs keep their recurred residuals mutually orthogonal, as
+    described in the module docstring. record_transients has no effect
+    (traces no longer keep y_k or grad f(y_k)); it is accepted only because
+    the benchmark's workloads still pass it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -149,10 +152,10 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
     if is_cg:
         return _run_cg(obj, method, x0, max_iters, stopped)
-    return _run_ag(obj, method, x0, max_iters, stopped, record_transients)
+    return _run_ag(obj, method, x0, max_iters, stopped)
 
 
-def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
+def _run_ag(obj, method, x0, max_iters, stopped):
     # lip == ell gives momentum 0: plain gradient descent with 1/L steps.
     momentum = momentum_coefficient(obj.ell, obj.lip)
     inv_lip = 1.0 / obj.lip
@@ -161,9 +164,6 @@ def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
     x = x0.copy()
     s = None
     xs = [x]
-    ss = [np.zeros_like(x)]
-    ys = [None]
-    gys = [None]
     stop_reason = "max_iters"
     done, gap = stopped(x)
     gaps = [gap]
@@ -171,7 +171,7 @@ def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
         stop_reason = "gap"
     else:
         for _ in range(max_iters):
-            y = x.copy() if s is None else x + momentum * s
+            y = x if s is None else x + momentum * s
             g = obj.grad(y)
             if unified:
                 x_next = x - inv_lip * g if s is None else x + momentum * s - inv_lip * g
@@ -180,34 +180,13 @@ def _run_ag(obj, method, x0, max_iters, stopped, record_transients):
             s = x_next - x
             x = x_next
             xs.append(x)
-            ss.append(s)
-            if record_transients:
-                ys.append(y)
-                gys.append(g)
             done, gap = stopped(x)
             gaps.append(gap)
             if done:
                 stop_reason = "gap"
                 break
 
-    n = len(xs)
-    dim = x0.shape[0]
-    trace = Trace(
-        method=method,
-        xs=np.vstack(xs),
-        ss=np.vstack(ss),
-        f_gaps=np.array(gaps),
-        stop_reason=stop_reason,
-    )
-    if record_transients:
-        y_col = np.full((n, dim), np.nan)
-        g_col = np.full((n, dim), np.nan)
-        for k in range(1, n):
-            y_col[k] = ys[k]
-            g_col[k] = gys[k]
-        trace.ys = y_col
-        trace.grad_ys = g_col
-    return trace
+    return Trace(method=method, xs=np.vstack(xs), f_gaps=np.array(gaps), stop_reason=stop_reason)
 
 
 def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
@@ -234,7 +213,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
         kept = 1
 
     xs = [x]
-    ss = [np.zeros_like(x)]
     rs = [r]
     ps = [None]
     alphas = [np.nan]
@@ -296,7 +274,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
             x = x_next
 
             xs.append(x)
-            ss.append(s)
             rs.append(r)
             ps.append(p)
             alphas.append(alpha_next)
@@ -318,7 +295,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     return Trace(
         method=method,
         xs=np.vstack(xs),
-        ss=np.vstack(ss),
         rs=np.vstack(rs),
         ps=p_col,
         alphas=np.array(alphas),

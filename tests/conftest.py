@@ -98,7 +98,7 @@ def acceptance_grid(grid_problems):
         f_gap0 = obj.f_gap(x0)
         stop = 1e-10 * f_gap0
         for method, cap in (("cg_classic", CG_MAX_ITERS), ("ag", AG_MAX_ITERS)):
-            trace = run(obj, method, x0, cap, stop, record_transients=False)
+            trace = run(obj, method, x0, cap, stop)
             report = certify(trace, obj)
             records.append(
                 GridRun(

@@ -159,10 +159,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     k = len(trace) // 2
     xs = trace.xs.copy()
     xs[k] = 1.1 * xs[k]
-    ss = xs.copy()
-    ss[1:] = xs[1:] - xs[:-1]
-    ss[0] = 0.0
-    tampered = dataclasses.replace(trace, xs=xs, ss=ss)
+    tampered = dataclasses.replace(trace, xs=xs)
     report = certify(tampered, obj, recompute_gaps=True)
     path = workdir / "tampered.csv"
     write_trace_csv(path, tampered, obj, report)
@@ -217,13 +214,26 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["dim", "ell", "L"])
-def test_null_problem_field_exits_1(workdir, problem_file, capsys, field):
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("dim", None, id="dim"),
+        pytest.param("ell", None, id="ell"),
+        pytest.param("L", None, id="L"),
+        # int() would truncate 1.5 to 1 and fail later on a shape mismatch
+        pytest.param("dim", 1.5, id="dim-fractional"),
+        # JSON booleans would otherwise read as 1 / 1.0
+        pytest.param("dim", True, id="dim-true"),
+        pytest.param("ell", True, id="ell-true"),
+        pytest.param("L", False, id="L-false"),
+    ],
+)
+def test_null_problem_field_exits_1(workdir, problem_file, capsys, field, value):
     doc = json.loads(problem_file.read_text())
-    doc[field] = None
-    path = workdir / f"null_{field}.json"
+    doc[field] = value
+    path = workdir / f"bad_{field}.json"
     path.write_text(json.dumps(doc))
-    out = workdir / f"null_{field}.csv"
+    out = workdir / f"bad_{field}.csv"
     assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and field in err

@@ -17,7 +17,7 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    # demos write their files under tempfile.mkdtemp(); keep them in tmp_path
+    # demos write their files under tempfile's directory; keep it in tmp_path
     env["TMPDIR"] = str(tmp_path)
     proc = subprocess.run(
         [sys.executable, str(demo)],
@@ -28,3 +28,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # and clean up after themselves
+    assert not list(tmp_path.glob("gradcert_demo_*"))

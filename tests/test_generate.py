@@ -5,13 +5,14 @@ import pytest
 
 from gradcert import (
     EigenEstimateError,
+    QuadraticObjective,
     SpectrumSpec,
     extreme_eigenvalues,
     generate,
     generate_with_start,
     materialize_orthogonal,
 )
-from gradcert.generate import eigenvalue_layout
+from gradcert.generate import eigenvalue_layout, generate_arrays, reference_minimizer
 
 
 def test_layout_endpoints_are_exact():
@@ -123,3 +124,21 @@ def test_extreme_eigenvalues_flat_spectrum_error_path():
     else:
         assert hi == pytest.approx(2.0, rel=1e-6)
         assert lo == pytest.approx(2.0, rel=1e-6)
+
+
+def test_with_minimizer_shares_the_validated_arrays():
+    spec = SpectrumSpec(12, 1.0, 100.0, "log_uniform", 3)
+    a, b, _ = generate_arrays(spec)
+    bare = QuadraticObjective(a, b, spec.ell, spec.lip)
+    x_star = reference_minimizer(bare)
+    obj = bare.with_minimizer(x_star, bare.value(x_star))
+    # no second copy, symmetry check or factorization of A
+    assert obj.matrix is bare.matrix and obj.rhs is bare.rhs
+    assert bare.minimizer is None and bare.min_value is None
+    assert np.array_equal(obj.minimizer, x_star) and not obj.minimizer.flags.writeable
+    with pytest.raises(ValueError):
+        bare.with_minimizer(np.zeros(spec.dim - 1), 0.0)
+    # generation attaches exactly the reference solve's bits
+    gen_obj, truth, _ = generate_with_start(spec)
+    assert np.array_equal(truth.x_star, x_star) and truth.f_star == bare.value(x_star)
+    assert np.array_equal(gen_obj.minimizer, x_star) and gen_obj.min_value == truth.f_star

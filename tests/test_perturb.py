@@ -11,7 +11,6 @@ from gradcert.perturb import (
     noisy_matvec,
     sweep,
 )
-from gradcert.potential import potential_point
 
 
 def _problem(dim, kappa, seed=0, layout="log_uniform"):
@@ -73,9 +72,8 @@ def test_exact_run_never_violates():
     assert report.first_violation is None
     assert not report.detected
     assert report.eta == 0.0
-    assert report.psis[0] == pytest.approx(
-        potential_point(obj, x0, None, 0.0).psi, rel=1e-12
-    )
+    d0 = x0 - truth.x_star
+    assert report.psis[0] == pytest.approx(float(d0 @ d0) + 2.0 * obj.f_gap(x0) / obj.ell, rel=1e-12)
 
 
 def test_visible_noise_is_detected():

@@ -18,9 +18,6 @@ from gradcert import (
     generate_with_start,
     hs_identity_battery,
     materialize_orthogonal,
-    potential_point,
-    rho_ag,
-    rho_cg,
     rho_optimality_check,
     run,
 )
@@ -41,39 +38,46 @@ def test_contraction_constants():
 
 
 def test_rho_values(dim2):
-    assert rho_ag(1.0, 3.0, 0) == 0.0
-    assert rho_ag(1.0, 3.0, 1) == pytest.approx(math.sqrt(3) - 1, abs=1e-15)
+    ag = certify(run(dim2.obj, "ag", dim2.x0, 2, -math.inf), dim2.obj)
+    assert ag.rhos[0] == 0.0  # rho_0 is pinned at zero
+    assert_close(ag.rhos[1:], [math.sqrt(3) - 1] * 2, tol=1e-15)
     exact = oracle.cg_exact([[1, 0], [0, 3]], [0, 0], [1, 1], 3, 1)
-    rec = exact[1]  # F is the doubled gap already
-    rho1 = rho_cg(float(rec["F"]), float(rec["alpha"]), float(rec["prev_res_sq"]), 1)
-    assert rho1 == pytest.approx(3 / 25, abs=1e-14)
-    assert rho_cg(0.0, 0.5, 1.0, 4) == 0.0  # terminated run
-    assert rho_cg(1.0, 0.5, 1.0, 0) == 0.0  # rho_0 is pinned at zero
-    with pytest.raises(DegenerateRatioError):
-        rho_cg(1.0, 0.0, 1.0, 2)
+    cg = certify(run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf), dim2.obj)
+    assert cg.rhos[0] == 0.0
+    assert float(exact[1]["rho"]) == pytest.approx(3 / 25, abs=1e-14)
+    assert cg.rhos[1] == pytest.approx(3 / 25, abs=1e-14)
+    # from an eigenvector CG terminates exactly in one step; there any
+    # weight works and the certificate takes 0
+    done = certify(run(dim2.obj, "cg_classic", np.array([1.0, 0.0]), 5, -math.inf), dim2.obj)
+    assert len(done) == 2 and done.f_gaps[-1] == 0.0
+    assert done.rhos[-1] == 0.0
 
 
 def test_potential_point_matches_oracle(dim2):
     exact = oracle.cg_exact([[1, 0], [0, 3]], [0, 0], [1, 1], 3, 1)
     trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
-    rec = exact[1]
-    pt = potential_point(dim2.obj, trace.xs[1], trace.xs[1] - trace.xs[0], 3 / 25, k=1)
-    assert_close(pt.w, [float(v) for v in rec["w"]])  # (3/5, -1/5)
-    assert pt.psi == pytest.approx(29 / 35, abs=1e-12)
-    pt0 = potential_point(dim2.obj, dim2.x0, None, 0.0, k=0)
-    assert pt0.psi == pytest.approx(6.0, abs=1e-12)
+    report = certify(trace, dim2.obj)
+    w = [float(v) for v in exact[1]["w"]]  # (3/5, -1/5)
+    assert_close(trace.xs[1] + report.rhos[1] * trace.ss[1] - dim2.obj.minimizer, w)
+    assert report.w_norm_sqs[1] == pytest.approx(2 / 5, abs=1e-12)
+    assert_close(report.psis[:2], [6.0, 29 / 35])
 
 
 def test_rho_is_the_norm_minimizer(dim2):
     # perturbing rho away from the closed form can only grow ||w||
-    exact = oracle.cg_exact([[1, 0], [0, 3]], [0, 0], [1, 1], 3, 1)
     trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
-    s1 = trace.xs[1] - trace.xs[0]
-    rho1 = 3 / 25
-    base = potential_point(dim2.obj, trace.xs[1], s1, rho1, k=1).w_norm_sq
+    report = certify(trace, dim2.obj)
+    d1 = trace.xs[1] - dim2.obj.minimizer
+    s1 = trace.ss[1]
+
+    def w_norm_sq(rho):
+        w = d1 + rho * s1
+        return float(w @ w)
+
+    base = w_norm_sq(report.rhos[1])
+    assert base == pytest.approx(report.w_norm_sqs[1], abs=1e-15)
     for bump in (-0.05, -0.01, 0.01, 0.05):
-        moved = potential_point(dim2.obj, trace.xs[1], s1, rho1 + bump, k=1).w_norm_sq
-        assert moved > base
+        assert w_norm_sq(report.rhos[1] + bump) > base
 
 
 def test_certify_frozen_values(dim2):
@@ -175,7 +179,7 @@ def test_potential_is_basis_invariant():
     x_star_rot = q.T @ truth.x_star
     rot = rot.with_minimizer(x_star_rot, rot.value(x_star_rot))
     trace = run(obj, "cg_classic", x0, 40, 1e-9 * obj.f_gap(x0))
-    rotated = dataclasses.replace(trace, xs=trace.xs @ q, ss=trace.ss @ q)
+    rotated = dataclasses.replace(trace, xs=trace.xs @ q)
     r1 = certify(trace, obj, recompute_gaps=True)
     r2 = certify(rotated, rot, recompute_gaps=True)
     assert np.allclose(r2.psis, r1.psis, rtol=1e-9, atol=1e-9 * r1.psis[0])

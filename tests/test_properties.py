@@ -4,14 +4,15 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcert.objective import QuadraticObjective
-from gradcert.potential import contraction_constant, potential_point
+from gradcert.potential import certify, contraction_constant
 from gradcert.rng import SplitMix64, substream_seed
 from gradcert.serialize import fmt_float, render_json
-from gradcert.solvers import momentum_coefficient
+from gradcert.solvers import Trace, momentum_coefficient
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -91,13 +92,17 @@ def test_momentum_stays_in_unit_interval(ell, kappa):
     st.floats(min_value=0.0, max_value=10.0),
 )
 def test_potential_is_nonnegative(x, s, rho):
+    # declaring L = (1 + rho)^2 l makes rho the accelerated weight sqrt(L/l) - 1
     diag = np.array([1.0, 2.0, 5.0, 9.0])
-    obj = QuadraticObjective(np.diag(diag), np.zeros(4), 1.0, 9.0)
+    obj = QuadraticObjective(np.diag(diag), np.zeros(4), 1.0, (1.0 + rho) ** 2)
     obj = obj.with_minimizer(np.zeros(4), 0.0)
-    point = potential_point(obj, np.asarray(x), np.asarray(s), rho, k=1)
-    assert point.psi >= 0.0
-    assert point.w_norm_sq >= 0.0
-    assert point.psi >= 2.0 / obj.ell * point.f_gap * (1.0 - 1e-15)
+    x = np.asarray(x)
+    trace = Trace(method="ag", xs=np.vstack([x - np.asarray(s), x]))
+    report = certify(trace, obj)
+    assert report.rhos[1] == pytest.approx(rho, abs=1e-12)
+    assert np.all(report.psis >= 0.0)
+    assert np.all(report.w_norm_sqs >= 0.0)
+    assert np.all(report.psis >= 2.0 / obj.ell * report.f_gaps * (1.0 - 1e-15))
 
 
 @given(seeds, st.integers(min_value=1, max_value=64))

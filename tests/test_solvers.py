@@ -8,6 +8,7 @@ import pytest
 import oracle
 from conftest import assert_close
 from gradcert import (
+    METHODS,
     QuadraticObjective,
     SpectrumSpec,
     conjugacy_drift,
@@ -43,8 +44,9 @@ def test_ag_iterates_match_oracle(dim2):
     exact = oracle_ag()
     for k, rec in enumerate(exact):
         assert_close(trace.xs[k], [float(v) for v in rec["x"]])
-    # transient y_2 = (sqrt(3)/3, sqrt(3)-2)
-    assert_close(trace.ys[2], [math.sqrt(3) / 3, math.sqrt(3) - 2.0])
+    # transient y_2 = x_1 + m s_1 = (sqrt(3)/3, sqrt(3)-2)
+    y2 = trace.xs[1] + momentum_coefficient(1.0, 3.0) * trace.ss[1]
+    assert_close(y2, [math.sqrt(3) / 3, math.sqrt(3) - 2.0])
 
 
 def test_momentum_coefficient_value():
@@ -180,3 +182,13 @@ def test_first_iteration_state_shape(dim2):
     assert trace.prev_res_sqs[1] == pytest.approx(10.0)
     assert_close(trace.ss[1], trace.xs[1] - trace.xs[0])
     assert np.any(trace.ss[1])
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_displacements_follow_from_iterates(method):
+    spec = SpectrumSpec(dim=10, ell=1.0, lip=100.0, layout="log_uniform", seed=4)
+    obj, _, x0 = generate_with_start(spec)
+    trace = run(obj, method, x0, 50, -math.inf)
+    assert trace.ss.shape == trace.xs.shape
+    assert not np.any(trace.ss[0])
+    assert np.array_equal(trace.ss[1:], np.diff(trace.xs, axis=0))
