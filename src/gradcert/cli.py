@@ -33,7 +33,7 @@ from .potential import (
     rho_optimality_check,
 )
 from .problems import ProblemSpec, load_problem, make_quadratic_problem
-from .serialize import render_json
+from .serialize import write_json
 from .solvers import run
 from .traces import read_trace_csv, write_trace_csv
 
@@ -268,8 +268,7 @@ def cmd_certify(args) -> int:
         "daniel_ok": chain.daniel_ok,
     }
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(doc) + "\n")
+        write_json(args.out, doc)
     if first_violation is None:
         print(f"certificate chain holds over {n - 1} steps (C={chain.c_value:.12g})")
         return 0
@@ -287,13 +286,18 @@ def cmd_identities(args) -> int:
     battery = hs_identity_battery(trace, obj, tol_id=args.tol_id)
     rho_misalignment, rho_ok = rho_optimality_check(trace, obj)
     ok = battery.ok and rho_ok
-    doc = battery.summary()
-    doc["rho_alignment"] = rho_misalignment
-    doc["rho_ok"] = rho_ok
-    doc["ok"] = ok
+    doc = {
+        "iterates": battery.n,
+        "tol_id": battery.tol_id,
+        "ok": ok,
+        "max_violations": battery.max_violations,
+        "first_failures": battery.first_failures,
+        "min_weighted_bound_slack": battery.min_weighted_bound_slack,
+        "rho_alignment": rho_misalignment,
+        "rho_ok": rho_ok,
+    }
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_json(doc) + "\n")
+        write_json(args.out, doc)
     worst = max(battery.max_violations.values())
     print(
         f"{len(trace) - 1} CG steps: worst identity residual {worst:.3e} "
@@ -328,8 +332,7 @@ def cmd_perturb(args) -> int:
         x0=spec.x0,
         tol_cert=args.tol_cert,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(render_json([r.to_dict() for r in reports]) + "\n")
+    write_json(args.out, [r.to_dict() for r in reports])
     for r in reports:
         where = "none" if r.first_violation is None else str(r.first_violation)
         print(

@@ -21,10 +21,7 @@ import numpy as np
 from .objective import QuadraticObjective
 from .potential import CertificateReport, certify
 from .rng import SplitMix64, substream_seed
-from .serialize import render_json
 from .solvers import _run_cg
-
-NOISE_KINDS = ("relative_sphere",)
 
 
 @dataclass(frozen=True)
@@ -32,14 +29,11 @@ class NoiseModel:
     """Relative perturbation applied to each matvec; magnitude 0 disables it."""
 
     magnitude: float
-    kind: str = "relative_sphere"
     seed: int = 0
 
     def __post_init__(self):
         if self.magnitude < 0.0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
 
 
 def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int = 0) -> np.ndarray:
@@ -103,9 +97,6 @@ class DetectionReport:
             "max_drift": self.max_drift,
             "psi": [float(v) for v in self.psis],
         }
-
-    def to_json(self) -> str:
-        return render_json(self.to_dict())
 
 
 def detect_inexactness(

@@ -22,7 +22,12 @@ very first step), plus two closed-form envelopes on f(x_k) - f*; the
 CLI's audit of a trace CSV runs the same check (_check_chain). The
 identity battery replays the sharper per-step equalities that hold for CG
 on a quadratic; those fail loudly under inexact arithmetic or a perturbed
-operator, which is what makes them usable as a self-test.
+operator, which is what makes them usable as a self-test; it is one table
+of checks, each a normalized residual per step against its tolerance.
+
+The reports are plain in-memory records with no file format of their own:
+the trace CSV belongs to the traces module and every JSON document the CLI
+writes is assembled by the CLI.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import numpy as np
 
 from .errors import DegenerateRatioError, EigenEstimateError, MissingGroundTruthError
 from .objective import QuadraticObjective
-from .serialize import fmt_float, render_json
 
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
@@ -51,8 +55,6 @@ RQ_SLACK = 1e-9
 WEIGHTED_BOUND_SLACK = 1e-10
 
 _METHOD_FAMILY = {"ag": "ag", "ag_unified": "ag", "cg_classic": "cg", "cg_unified": "cg"}
-
-REPORT_CSV_HEADER = "k,psi,ratio,C,pass,f_gap,theorem1_bound,daniel_bound,dist_to_opt,w_norm_sq,rho"
 
 
 def default_cert_tolerance(obj) -> float:
@@ -90,11 +92,10 @@ class CertificateReport:
     termination). first_violation is the smallest failing step index or
     None. Accelerated runs are re-checked at the weaker common constant
     1 + sqrt(l/L); common_first_violation reports that chain (equal to the
-    main one on CG runs).
+    main one on CG runs). method is the family, "ag" or "cg".
     """
 
     method: str
-    variant: str
     c_value: float
     c_common: float
     tol_cert: float
@@ -130,74 +131,6 @@ class CertificateReport:
     def __len__(self):
         return self.psis.shape[0]
 
-    @property
-    def steps(self) -> list:
-        """Per-iterate dict rows, keyed like the report CSV columns."""
-        n = len(self)
-        rows = []
-        for k in range(n):
-            last = k == n - 1
-            rows.append(
-                {
-                    "k": k,
-                    "psi": float(self.psis[k]),
-                    "ratio": None if last else float(self.ratios[k]),
-                    "C": self.c_value,
-                    "pass": None if last else bool(self.step_passes[k]),
-                    "f_gap": float(self.f_gaps[k]),
-                    "theorem1_bound": float(self.theorem1_bounds[k]),
-                    "daniel_bound": None if self.daniel_bounds is None else float(self.daniel_bounds[k]),
-                    "dist_to_opt": math.sqrt(float(self.dist_sqs[k])),
-                    "w_norm_sq": float(self.w_norm_sqs[k]),
-                    "rho": float(self.rhos[k]),
-                }
-            )
-        return rows
-
-    def summary(self) -> dict:
-        return {
-            "method": self.method,
-            "variant": self.variant,
-            "iterates": len(self),
-            "C": self.c_value,
-            "C_common": self.c_common,
-            "tol_cert": self.tol_cert,
-            "chain_ok": self.chain_ok,
-            "first_violation": self.first_violation,
-            "common_first_violation": self.common_first_violation,
-            "theorem1_ok": self.theorem1_ok,
-            "daniel_ok": self.daniel_ok,
-            "degenerate": self.degenerate,
-            "flags": list(self.flags),
-            "final_f_gap": float(self.f_gaps[-1]),
-            "final_psi": float(self.psis[-1]),
-        }
-
-    def to_json(self) -> str:
-        return render_json({"summary": self.summary(), "steps": self.steps})
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
-
-    def write_csv(self, path) -> None:
-        names = REPORT_CSV_HEADER.split(",")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(REPORT_CSV_HEADER + "\n")
-            for row in self.steps:
-                cells = []
-                for name in names:
-                    v = row[name]
-                    if v is None or (isinstance(v, float) and math.isnan(v)):
-                        cells.append("")
-                    elif isinstance(v, bool):
-                        cells.append("true" if v else "false")
-                    elif isinstance(v, int):
-                        cells.append(str(v))
-                    else:
-                        cells.append(fmt_float(v))
-                fh.write(",".join(cells) + "\n")
-
 
 def _with_truth(obj, truth):
     """Objective carrying ground truth, attaching it from `truth` if needed."""
@@ -206,12 +139,6 @@ def _with_truth(obj, truth):
     if truth is not None:
         return obj.with_minimizer(truth.x_star, truth.f_star)
     raise MissingGroundTruthError("needs minimizer and min_value (attach them or pass truth)")
-
-
-def _exact_gaps(obj, xs, d):
-    if isinstance(obj, QuadraticObjective):
-        return 0.5 * np.einsum("ij,ij->i", d, d @ obj.matrix)
-    return obj.f_gap_many(xs)
 
 
 class _Chain(NamedTuple):
@@ -325,7 +252,7 @@ def certify(
 
     flags = []
     if recompute_gaps or trace.f_gaps is None or not np.all(np.isfinite(trace.f_gaps)):
-        f_gaps = _exact_gaps(obj, xs, d)
+        f_gaps = obj.f_gap_many(xs)
     else:
         f_gaps = trace.f_gaps
     neg = f_gaps < 0.0
@@ -371,7 +298,6 @@ def certify(
 
     return CertificateReport(
         method=family,
-        variant=trace.method,
         tol_cert=tol,
         ell=obj.ell,
         lip=obj.lip,
@@ -391,8 +317,9 @@ class IdentityReport:
 
     max_violations maps check name to its worst normalized residual;
     first_failures to the first step index exceeding that check's
-    tolerance (None when it never fails). min_weighted_bound_slack is the
-    signed minimum of 2 f_gap / l - ||w||^2, nonnegative for exact CG.
+    tolerance (None when it never fails); ok holds when no check exceeds
+    its tolerance. min_weighted_bound_slack is the signed minimum of
+    2 f_gap / l - ||w||^2, nonnegative for exact CG.
     """
 
     tol_id: float
@@ -401,23 +328,6 @@ class IdentityReport:
     first_failures: dict
     min_weighted_bound_slack: float
     ok: bool
-
-    def summary(self) -> dict:
-        return {
-            "iterates": self.n,
-            "tol_id": self.tol_id,
-            "ok": self.ok,
-            "max_violations": {k: float(v) for k, v in self.max_violations.items()},
-            "first_failures": dict(self.first_failures),
-            "min_weighted_bound_slack": self.min_weighted_bound_slack,
-        }
-
-    def to_json(self) -> str:
-        return render_json(self.summary())
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
 
 
 def hs_identity_battery(trace, obj, truth=None, *, tol_id: float = 1e-8) -> IdentityReport:
@@ -464,8 +374,6 @@ def hs_identity_battery(trace, obj, truth=None, *, tol_id: float = 1e-8) -> Iden
     if at_floor.size:
         n = int(at_floor[0]) + 1
         f2 = f2[:n]
-    alphas = trace.alphas[:n]
-    prev_sqs = trace.prev_res_sqs[:n]
     ss = trace.ss[:n]
     d = trace.xs[:n] - obj.minimizer[None, :]
     w = d + report.rhos[:n, None] * ss
@@ -476,89 +384,49 @@ def hs_identity_battery(trace, obj, truth=None, *, tol_id: float = 1e-8) -> Iden
     floor_f = eps * max(f2[0], 1e-300)
     floor_d = eps * max(report.dist_sqs[0], 1e-300)
 
+    def rel(lhs, rhs, floor):
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+        return np.abs(lhs - rhs) / scale
+
+    a_next = trace.alphas[1:n]
+    res_sqs = trace.prev_res_sqs[1:n]
+    dist_drop = -np.einsum("ij,ij->i", ss[1:], d[:-1] + d[1:])
+    dist_split = np.einsum("ij,ij->i", d[1:] - w[1:], d[1:] + w[1:])
+    w_drop = np.einsum("ij,ij->i", w[2:] - w[1:-1], w[2:] + w[1:-1])
+    slack = f2 / obj.ell - np.einsum("ij,ij->i", w, w)
+    pr = np.abs(np.einsum("ij,ij->i", p_clean[1:], trace.rs[1:n]))
+    inv_alpha = 1.0 / a_next
+    below = np.maximum(0.0, (obj.ell * (1.0 - RQ_SLACK) - inv_alpha) / obj.ell)
+    above = np.maximum(0.0, (inv_alpha - obj.lip * (1.0 + RQ_SLACK)) / obj.lip)
+    # name -> (normalized residual per entry, tolerance, state of entry 0).
+    # A trace too short for a check leaves its slice empty: 0.0, no failure.
+    checks = {
+        "gap_drop": (rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), tol_id, 0),
+        "dist_drop": (
+            rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), tol_id, 0
+        ),
+        "dist_split": (rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), tol_id, 1),
+        "potential_drop": (rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), tol_id, 1),
+        # A literal 0.0 where the bound holds; np.maximum can return -0.0.
+        "weighted_bound": (np.where(slack < 0.0, -slack, 0.0), WEIGHTED_BOUND_SLACK, 0),
+        "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
+        "step_rayleigh": (np.maximum(below, above), 0.0, 1),
+    }
+
     max_violations = {}
     first_failures = {}
-
-    def record(name, lhs, rhs, floor, offset):
-        lhs = np.asarray(lhs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-        v = np.abs(lhs - rhs) / scale
+    ok = True
+    for name, (v, tol, offset) in checks.items():
         max_violations[name] = float(v.max()) if v.size else 0.0
-        bad = np.flatnonzero(v > tol_id)
+        bad = np.flatnonzero(v > tol)
         first_failures[name] = int(bad[0]) + offset if bad.size else None
-
-    if n >= 2:
-        a_next = alphas[1:]
-        res_sq = prev_sqs[1:]
-        record("gap_drop", f2[:-1] - f2[1:], a_next * res_sq, floor_f, 0)
-        lhs_dist = -np.einsum("ij,ij->i", ss[1:], d[:-1] + d[1:])
-        record("dist_drop", lhs_dist, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sq, floor_d, 0)
-
-        dk = d[1:]
-        wk = w[1:]
-        lhs_split = np.einsum("ij,ij->i", dk - wk, dk + wk)
-        record("dist_split", lhs_split, f2[1:] ** 2 * p_sqs[1:] / prev_sqs[1:] ** 2, floor_d, 1)
-    else:
-        for name in ("gap_drop", "dist_drop", "dist_split"):
-            max_violations[name] = 0.0
-            first_failures[name] = None
-
-    if n >= 3:
-        wk = w[1:-1]
-        wn = w[2:]
-        lhs_drop = np.einsum("ij,ij->i", wn - wk, wn + wk)
-        record("potential_drop", lhs_drop, -(f2[1:-1] ** 2) / prev_sqs[2:], floor_d, 1)
-    else:
-        max_violations["potential_drop"] = 0.0
-        first_failures["potential_drop"] = None
-
-    w_sqs = np.einsum("ij,ij->i", w, w)
-    slack = f2 / obj.ell - w_sqs
-    min_slack = float(slack.min()) if slack.size else 0.0
-    max_violations["weighted_bound"] = max(0.0, -min_slack)
-    bad = np.flatnonzero(slack < -WEIGHTED_BOUND_SLACK)
-    first_failures["weighted_bound"] = int(bad[0]) if bad.size else None
-
-    if n >= 2 and trace.rs is not None:
-        pr = np.abs(np.einsum("ij,ij->i", p_clean[1:], trace.rs[1:n]))
-        limit = np.sqrt(p_sqs[1:]) * trace.r0_norm
-        v = pr / np.maximum(limit, 1e-300)
-        max_violations["orth"] = float(v.max()) if v.size else 0.0
-        bad = np.flatnonzero(v > ORTH_TOL)
-        first_failures["orth"] = int(bad[0]) + 1 if bad.size else None
-    else:
-        max_violations["orth"] = 0.0
-        first_failures["orth"] = None
-
-    if n >= 2:
-        inv_alpha = 1.0 / alphas[1:]
-        out_low = np.maximum(0.0, (obj.ell * (1.0 - RQ_SLACK) - inv_alpha) / obj.ell)
-        out_high = np.maximum(0.0, (inv_alpha - obj.lip * (1.0 + RQ_SLACK)) / obj.lip)
-        v = np.maximum(out_low, out_high)
-        max_violations["step_rayleigh"] = float(v.max()) if v.size else 0.0
-        bad = np.flatnonzero(v > 0.0)
-        first_failures["step_rayleigh"] = int(bad[0]) + 1 if bad.size else None
-    else:
-        max_violations["step_rayleigh"] = 0.0
-        first_failures["step_rayleigh"] = None
-
-    tolerated = {
-        "gap_drop": tol_id,
-        "dist_drop": tol_id,
-        "dist_split": tol_id,
-        "potential_drop": tol_id,
-        "weighted_bound": WEIGHTED_BOUND_SLACK,
-        "orth": ORTH_TOL,
-        "step_rayleigh": 0.0,
-    }
-    ok = all(max_violations[name] <= tolerated[name] for name in tolerated)
+        ok = ok and max_violations[name] <= tol
     return IdentityReport(
         tol_id=tol_id,
         n=n,
         max_violations=max_violations,
         first_failures=first_failures,
-        min_weighted_bound_slack=min_slack,
+        min_weighted_bound_slack=float(slack.min()),
         ok=ok,
     )
 

@@ -163,8 +163,9 @@ def _number_field(doc, name, cast):
     value = doc[name]
     kind = "an integer" if cast is int else "a number"
     try:
-        # JSON true/false are not numbers, and int() would truncate 1.5.
-        if isinstance(value, bool):
+        # JSON true/false and strings are not numbers, and int() would
+        # truncate 1.5.
+        if isinstance(value, (bool, str)):
             raise TypeError
         number = cast(value)
         if cast is int and number != float(value):
@@ -172,6 +173,24 @@ def _number_field(doc, name, cast):
         return number
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"problem file field {name!r} is not {kind}: {value!r}") from None
+
+
+def _array_field(value, name):
+    """A numeric array read from the file (None passes through).
+
+    Strings, booleans and nulls are rejected rather than cast to float.
+    """
+    if value is None:
+        return None
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(float)  # integers beyond int64
+    except (ValueError, OverflowError):  # ragged nesting, integers beyond float
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"problem file field {name!r} is not a numeric array")
+    return arr
 
 
 def load_problem(path) -> ProblemSpec:
@@ -183,7 +202,7 @@ def load_problem(path) -> ProblemSpec:
     try:
         kind = doc["kind"]
         dim = _number_field(doc, "dim", int)
-        x0 = doc["x0"]
+        x0 = _array_field(doc["x0"], "x0")
         ell = _number_field(doc, "ell", float)
         lip = _number_field(doc, "L", float)
     except KeyError as exc:
@@ -194,11 +213,11 @@ def load_problem(path) -> ProblemSpec:
         x0=x0,
         ell=ell,
         lip=lip,
-        matrix=doc.get("matrix"),
-        rhs=doc.get("rhs"),
-        data_matrix=doc.get("data_matrix"),
-        ridge=doc.get("ridge"),
-        x_star=doc.get("x_star"),
+        matrix=_array_field(doc.get("matrix"), "matrix"),
+        rhs=_array_field(doc.get("rhs"), "rhs"),
+        data_matrix=_array_field(doc.get("data_matrix"), "data_matrix"),
+        ridge=None if doc.get("ridge") is None else _number_field(doc, "ridge", float),
+        x_star=_array_field(doc.get("x_star"), "x_star"),
         seed=doc.get("seed"),
     )
     # Fail fast on a bogus stored minimizer rather than at certify time.

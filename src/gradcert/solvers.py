@@ -52,8 +52,9 @@ def momentum_coefficient(ell: float, lip: float) -> float:
 class Trace:
     """Column-stacked record of a run.
 
-    xs[k] is x_k; the displacements ss are derived from it. CG columns
-    (alphas, betas, prev_res_sqs, rs, ps) are None on accelerated runs;
+    xs[k] is x_k; the displacements ss, and on CG runs the betas and
+    r0_norm, are derived from the stored columns. CG columns
+    (alphas, prev_res_sqs, rs, ps) are None on accelerated runs;
     per-row gaps inside a present column are nan. f_gaps holds the stop
     check's f(x_k) - f* (nan without ground truth; on CG paths it is
     computed from the recurred residual, see drift_checks for how far that
@@ -63,12 +64,10 @@ class Trace:
     method: str
     xs: np.ndarray
     alphas: np.ndarray | None = None
-    betas: np.ndarray | None = None
     prev_res_sqs: np.ndarray | None = None
     rs: np.ndarray | None = None
     ps: np.ndarray | None = None
     f_gaps: np.ndarray | None = None
-    r0_norm: float | None = None
     stop_reason: str = "max_iters"
     drift_checks: list = field(default_factory=list)
 
@@ -79,6 +78,19 @@ class Trace:
     def ss(self) -> np.ndarray:
         """s_k = x_k - x_{k-1}, with a zero row standing in for the undefined s_0."""
         return np.diff(self.xs, axis=0, prepend=self.xs[:1])
+
+    @property
+    def betas(self) -> np.ndarray | None:
+        """beta_k = ||r_{k-1}||^2 / ||r_{k-2}||^2: nan at row 0, 0 at row 1 (p_1 = r_0)."""
+        sqs = self.prev_res_sqs
+        if sqs is None:
+            return None
+        return np.concatenate(([np.nan, 0.0], sqs[2:] / sqs[1:-1]))[: len(sqs)]
+
+    @property
+    def r0_norm(self) -> float | None:
+        """||r_0||, the exact initial residual norm of a CG run."""
+        return None if self.rs is None else float(np.linalg.norm(self.rs[0]))
 
 
 def conjugacy_drift(trace: Trace, obj) -> float:
@@ -216,7 +228,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     rs = [r]
     ps = [None]
     alphas = [np.nan]
-    betas = [np.nan]
     prev_sqs = [np.nan]
     drift_checks = []
     stop_reason = "max_iters"
@@ -277,7 +288,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
             rs.append(r)
             ps.append(p)
             alphas.append(alpha_next)
-            betas.append(beta_next)
             prev_sqs.append(prev_sqs_last)
             if (k + 1) % 10 == 0:
                 true_r = obj.rhs - obj.matrix @ x
@@ -298,10 +308,8 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
         rs=np.vstack(rs),
         ps=p_col,
         alphas=np.array(alphas),
-        betas=np.array(betas),
         prev_res_sqs=np.array(prev_sqs),
         f_gaps=np.array(gaps[: n]),
-        r0_norm=r0_norm,
         stop_reason=stop_reason,
         drift_checks=drift_checks,
     )

@@ -92,7 +92,8 @@ def write_trace_csv(path, trace, obj, report) -> None:
         )
     grad_norms = _gradient_norms(trace, obj)
     theta, nu, pi = _schedule_columns(trace, report)
-    cg = trace.alphas is not None
+    alphas, betas = trace.alphas, trace.betas
+    cg = alphas is not None
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
@@ -107,8 +108,8 @@ def write_trace_csv(path, trace, obj, report) -> None:
                     _cell(report.psis[k]),
                     "" if last else _cell(report.ratios[k]),
                     "" if last else _cell(bool(report.step_passes[k])),
-                    _cell(trace.alphas[k]) if cg else "",
-                    _cell(trace.betas[k]) if cg else "",
+                    _cell(alphas[k]) if cg else "",
+                    _cell(betas[k]) if cg else "",
                     _cell(report.rhos[k]),
                     _cell(theta[k]),
                     _cell(nu[k]),

@@ -226,6 +226,12 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
         pytest.param("dim", True, id="dim-true"),
         pytest.param("ell", True, id="ell-true"),
         pytest.param("L", False, id="L-false"),
+        # numbers spelled as strings are not numbers
+        pytest.param("dim", "12", id="dim-string"),
+        pytest.param("ell", "1", id="ell-string"),
+        pytest.param("L", "50", id="L-string"),
+        pytest.param("x0", ["0"] * 12, id="x0-string"),
+        pytest.param("rhs", [True] * 12, id="rhs-bool"),
     ],
 )
 def test_null_problem_field_exits_1(workdir, problem_file, capsys, field, value):

@@ -22,8 +22,6 @@ def test_noise_model_validation():
     NoiseModel(magnitude=0.0)
     with pytest.raises(ValueError):
         NoiseModel(magnitude=-1e-3)
-    with pytest.raises(ValueError):
-        NoiseModel(magnitude=0.1, kind="gaussian_blob")
 
 
 def test_eta_zero_is_bitwise_passthrough():
@@ -96,7 +94,6 @@ def test_detection_report_dict_shape():
     assert payload["stop_reason"] == report.stop_reason
     assert payload["max_drift"] == report.max_drift
     assert len(payload["psi"]) == report.iterations_run + 1
-    assert report.to_json().startswith("{")
 
 
 def test_detection_rejects_bad_inputs():

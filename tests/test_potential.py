@@ -1,6 +1,5 @@
 """Potential evaluation, certification, envelopes, and the identity battery."""
 
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,6 @@ from gradcert import (
     run,
 )
 from gradcert.generate import generate_arrays
-from gradcert.potential import REPORT_CSV_HEADER
 
 
 def test_contraction_constants():
@@ -152,6 +150,28 @@ def test_battery_flags_a_nudge_above_the_floor_at_high_kappa():
     assert report.first_failures["gap_drop"] is not None
 
 
+IDENTITY_CHECKS = {
+    "gap_drop", "dist_drop", "dist_split", "potential_drop", "weighted_bound", "orth", "step_rayleigh"
+}
+
+
+@pytest.mark.parametrize("iterates", [1, 2, 3])
+def test_battery_on_short_traces(tiny_problem, iterates):
+    obj = tiny_problem.obj
+    if iterates == 1:
+        # from x* the gap is exactly 0, so the run stops before any step
+        trace = run(obj, "cg_classic", obj.minimizer, 1, 0.0)
+    else:
+        trace = run(obj, "cg_classic", tiny_problem.x0, iterates - 1, -math.inf)
+    assert len(trace) == iterates
+    report = hs_identity_battery(trace, obj)
+    assert set(report.max_violations) == set(report.first_failures) == IDENTITY_CHECKS
+    assert report.ok and report.n == iterates
+    assert all(first is None for first in report.first_failures.values())
+    # a held bound reads +0.0; -0.0 would be written to JSON as -0
+    assert math.copysign(1.0, report.max_violations["weighted_bound"]) == 1.0
+
+
 def test_battery_on_ag_trace_rejected(dim2):
     trace = run(dim2.obj, "ag", dim2.x0, 2, -math.inf)
     with pytest.raises(ValueError):
@@ -221,26 +241,6 @@ def test_loose_declared_constants_flagged():
     report = certify(trace, loose, check_tightness=True)
     assert report.first_violation is None
     assert any("loose" in flag for flag in report.flags)
-
-
-def test_report_csv_and_json(tmp_path, tiny_problem):
-    obj, x0 = tiny_problem.obj, tiny_problem.x0
-    report = certify(run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0)), obj)
-    csv_path = tmp_path / "report.csv"
-    report.write_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == REPORT_CSV_HEADER
-    assert lines[0] == "k,psi,ratio,C,pass,f_gap,theorem1_bound,daniel_bound,dist_to_opt,w_norm_sq,rho"
-    assert len(lines) == 1 + len(report.psis)
-    # final row leaves the forward-looking cells empty
-    last = lines[-1].split(",")
-    assert last[2] == "" and last[4] == ""
-    json_path = tmp_path / "report.json"
-    report.write_json(json_path)
-    doc = json.loads(json_path.read_text())
-    assert doc["summary"]["first_violation"] is None
-    assert doc["summary"]["C"] == report.c_value
-    assert len(doc["steps"]) == len(report.psis)
 
 
 def test_certify_without_ground_truth_raises(tiny_problem):
