@@ -26,16 +26,12 @@ from .generate import (
     extreme_eigenvalues,
     generate,
     generate_with_start,
-    materialize_orthogonal,
 )
 from .objective import (
     LogisticRidgeObjective,
     Objective,
     QuadraticObjective,
-    check_descent_lemma,
-    finite_difference_gradient,
     newton_reference_minimizer,
-    validate_sandwich,
 )
 from .perturb import DetectionReport, NoiseModel, detect_inexactness, noisy_matvec, sweep
 from .potential import (
@@ -87,20 +83,17 @@ __all__ = [
     "TRACE_HEADER",
     "Trace",
     "certify",
-    "check_descent_lemma",
     "conjugacy_drift",
     "contraction_constant",
     "default_cert_tolerance",
     "detect_inexactness",
     "extreme_eigenvalues",
-    "finite_difference_gradient",
     "generate",
     "generate_with_start",
     "hs_identity_battery",
     "load_problem",
     "make_logistic_problem",
     "make_quadratic_problem",
-    "materialize_orthogonal",
     "momentum_coefficient",
     "newton_reference_minimizer",
     "noisy_matvec",
@@ -109,6 +102,5 @@ __all__ = [
     "run",
     "substream_seed",
     "sweep",
-    "validate_sandwich",
     "write_trace_csv",
 ]

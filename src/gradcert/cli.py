@@ -4,7 +4,7 @@ Subcommands:
 
 * ``gen``        write a synthetic quadratic problem file
 * ``run``        run a solver on a problem file, write a certified trace CSV
-* ``certify``    re-verify the certificate chain of an existing trace CSV
+* ``certify``    re-certify a trace from the iterates its run stored
 * ``identities`` run CG on a problem and check the exact-arithmetic identities
 * ``perturb``    sweep noise magnitudes and report where certification breaks
 
@@ -25,17 +25,11 @@ import numpy as np
 from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
 from .perturb import sweep
-from .potential import (
-    _check_chain,
-    certify,
-    default_cert_tolerance,
-    hs_identity_battery,
-    rho_optimality_check,
-)
+from .potential import certify, hs_identity_battery, rho_optimality_check
 from .problems import ProblemSpec, load_problem, make_quadratic_problem
 from .serialize import write_json
 from .solvers import run
-from .traces import read_trace_csv, write_trace_csv
+from .traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 METHOD_NAMES = {
     "ag": "ag",
@@ -44,13 +38,12 @@ METHOD_NAMES = {
     "cg-unified": "cg_unified",
 }
 
-# Tolerance for re-deriving row 0 of a trace CSV from the problem file.
-ROW0_TOL = 1e-9
-
-# Cross-row gap telescoping in a CG trace CSV: f_gap_k - f_gap_{k+1} must
-# equal alpha_{k+1} grad_norm_k^2 / 2. The CSV stores recurred-residual
-# quantities, so the comparison is floored well above their allowed drift
-# and the tolerance stays far below the gross errors it exists to catch.
+# Cross-row gap telescoping on a CG trace: f_gap_k - f_gap_{k+1} must
+# equal alpha_{k+1} ||r_k||^2 / 2. The scalars are the recurrence's own,
+# so the comparison is floored well above their allowed drift and the
+# tolerance stays far below the gross errors it exists to catch. It stays
+# beside certify() because CG's chain has slack: an iterate the recurrence
+# cannot have produced can still contract.
 TELESCOPE_TOL = 1e-3
 TELESCOPE_FLOOR = 1e-6
 
@@ -114,10 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol-cert", type=_positive_float, default=None)
     p_run.add_argument("--out", default="trace.csv")
 
-    p_cert = sub.add_parser("certify", help="re-verify the chain in a trace CSV")
-    p_cert.add_argument("trace", help="trace CSV written by `run`")
+    p_cert = sub.add_parser("certify", help="re-certify a trace from its stored iterates")
+    p_cert.add_argument("trace", help="trace CSV written by `run`, its iterates file beside it")
     p_cert.add_argument("--problem", required=True)
-    p_cert.add_argument("--method", choices=sorted(METHOD_NAMES), default=None)
     p_cert.add_argument("--tol-cert", type=_positive_float, default=None)
     p_cert.add_argument("--out", default=None, help="optional JSON report path")
 
@@ -141,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_with_truth(path) -> tuple:
+def _load_certifiable(path) -> tuple:
     spec = load_problem(path)
     obj = spec.objective()
     if obj.minimizer is None:
@@ -165,7 +157,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec, obj = _load_with_truth(args.problem)
+    spec, obj = _load_certifiable(args.problem)
     method = METHOD_NAMES[args.method]
     if method in ("ag", "ag_unified") and obj.lip == obj.ell:
         print(
@@ -195,59 +187,53 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _column_floats(columns, name) -> np.ndarray:
-    cells = columns[name]
-    if any(c is None or isinstance(c, bool) for c in cells):
-        raise GradcertError(f"trace column {name!r} has missing cells")
-    return np.asarray(cells, dtype=float)
-
-
 def cmd_certify(args) -> int:
-    spec, obj = _load_with_truth(args.problem)
+    spec, obj = _load_certifiable(args.problem)
     columns = read_trace_csv(args.trace)
     n = len(columns["k"])
     if n == 0:
         raise GradcertError(f"{args.trace} has no data rows")
-    psis = _column_floats(columns, "psi")
-    f_gaps = _column_floats(columns, "f_gap")
-
-    # Row 0 is re-derivable from the problem file alone; a mismatch means
-    # the trace and the problem do not belong together.
-    d0 = spec.x0 - obj.minimizer
-    f_gap0 = obj.f_gap(spec.x0)
-    psi0 = float(d0 @ d0) + 2.0 / obj.ell * f_gap0
-    if abs(psis[0] - psi0) > ROW0_TOL * max(1.0, abs(psi0)) or abs(
-        f_gaps[0] - f_gap0
-    ) > ROW0_TOL * max(1.0, abs(f_gap0)):
+    trace = read_trace_iterates(args.trace)
+    if trace.xs.shape != (n, spec.dim):
         raise GradcertError(
-            f"row 0 of {args.trace} disagrees with {args.problem} "
-            f"(psi {psis[0]:.17g} vs {psi0:.17g})"
+            f"iterates of {args.trace} have shape {trace.xs.shape}, "
+            f"expected ({n}, {spec.dim}) for its rows and {args.problem}"
         )
+    if not np.array_equal(trace.xs[0], spec.x0):
+        raise GradcertError(f"row 0 of {args.trace} does not start at the x0 of {args.problem}")
 
-    if args.method is not None:
-        family = "ag" if args.method.startswith("ag") else "cg"
-    else:
-        family = "cg" if any(c is not None for c in columns["alpha"]) else "ag"
-    tol = default_cert_tolerance(obj) if args.tol_cert is None else args.tol_cert
-    c0 = 0.5 * obj.ell * float(d0 @ d0) + f_gap0
-    chain = _check_chain(psis, f_gaps, family, obj.ell, obj.lip, tol, c0)
-    first_violation = chain.first_violation
+    # The certifier recomputes everything from the iterates; the CSV's
+    # cells are the run's claims and must agree with it.
+    report = certify(trace, obj, tol_cert=args.tol_cert)
+    bound = report.tol_cert * report.psis[0]
+    for name, scale, values in (
+        ("psi", 1.0, report.psis),
+        ("f_gap", 2.0 / obj.ell, report.f_gaps),
+    ):
+        cells = columns[name]
+        claims = np.array([c if type(c) is float else np.nan for c in cells])
+        bad = np.flatnonzero(~(scale * np.abs(claims - values) <= bound))
+        if bad.size:
+            k = int(bad[0])
+            raise GradcertError(
+                f"row {k} of {args.trace}: {name} claim {cells[k]} disagrees with "
+                f"{values[k]:.17g} recomputed from the iterates"
+            )
 
-    # CG rows carry enough to re-check the per-step gap identity; a row
-    # whose scalars were not produced by the recurrence breaks it against
-    # both neighbors even where the psi chain has slack.
+    # CG iterates must also be the ones the recurrence produced; a row it
+    # cannot have produced breaks the per-step gap identity against both
+    # neighbors even where the psi chain has slack.
+    first_violation = report.first_violation
     first_telescope = None
-    if family == "cg" and n >= 2:
-        alphas = np.array(
-            [np.nan if c is None else c for c in columns["alpha"]], dtype=float
-        )
-        grad_norms = _column_floats(columns, "grad_norm")
+    if report.method == "cg":
+        f_gaps = report.f_gaps
         lhs = f_gaps[:-1] - f_gaps[1:]
-        rhs = 0.5 * alphas[1:] * grad_norms[:-1] ** 2
+        rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
         scale = np.maximum(
             np.maximum(np.abs(lhs), np.abs(rhs)), TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
         )
-        bad = np.flatnonzero(np.abs(lhs - rhs) / scale > TELESCOPE_TOL)
+        # Negated so that a nan scalar, which nothing can check, fails.
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= TELESCOPE_TOL * scale))
         if bad.size:
             first_telescope = int(bad[0])
     if first_telescope is not None and (
@@ -258,26 +244,26 @@ def cmd_certify(args) -> int:
     doc = {
         "trace": args.trace,
         "problem": args.problem,
-        "method": family,
+        "method": report.method,
         "iterates": n,
-        "C": chain.c_value,
-        "tol_cert": tol,
+        "C": report.c_value,
+        "tol_cert": report.tol_cert,
         "first_violation": first_violation,
         "first_telescope_violation": first_telescope,
-        "theorem1_ok": chain.theorem1_ok,
-        "daniel_ok": chain.daniel_ok,
+        "theorem1_ok": report.theorem1_ok,
+        "daniel_ok": report.daniel_ok,
     }
     if args.out is not None:
         write_json(args.out, doc)
     if first_violation is None:
-        print(f"certificate chain holds over {n - 1} steps (C={chain.c_value:.12g})")
+        print(f"certificate chain holds over {n - 1} steps (C={report.c_value:.12g})")
         return 0
     print(f"certificate chain violated at step {first_violation}")
     return 1
 
 
 def cmd_identities(args) -> int:
-    spec, obj = _load_with_truth(args.problem)
+    spec, obj = _load_certifiable(args.problem)
     if spec.kind != "quadratic":
         raise GradcertError("identity checks apply to quadratic problems only")
     method = METHOD_NAMES[args.method]
@@ -318,7 +304,7 @@ def _parse_etas(text: str) -> list:
 
 
 def cmd_perturb(args) -> int:
-    spec, obj = _load_with_truth(args.problem)
+    spec, obj = _load_certifiable(args.problem)
     if spec.kind != "quadratic":
         raise GradcertError("noise injection applies to quadratic problems only")
     etas = _parse_etas(args.eta)

@@ -99,18 +99,6 @@ def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, np.ndarray, np.ndar
     return a, b, x0
 
 
-def materialize_orthogonal(spec: SpectrumSpec) -> np.ndarray:
-    """The orthogonal factor Q as a dense matrix (testing aid, O(dim^3))."""
-    stream = SplitMix64(spec.seed)
-    vs = _reflectors(spec, stream)
-    q = np.eye(spec.dim)
-    # Q = H_1 ... H_dim applied to the identity from the right-most factor
-    for v in reversed(vs):
-        c = 2.0 / float(v @ v)
-        q = q - np.outer(q @ v, v * c)
-    return q
-
-
 def reference_minimizer(obj: QuadraticObjective) -> np.ndarray:
     """Solve A x = b by Cholesky with one step of iterative refinement.
 

@@ -1,4 +1,4 @@
-"""Smooth strongly convex objectives and their analytic sanity checks.
+"""Smooth strongly convex objectives.
 
 Two concrete families: convex quadratics f(x) = x'Ax/2 - b'x with symmetric
 positive definite A, and l2-regularized logistic loss. Both expose curvature
@@ -12,7 +12,6 @@ for all x, y, which is everything the solvers and certificates assume.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -61,11 +60,6 @@ class Objective:
             raise MissingGroundTruthError("objective has no min_value attached")
         xs = np.asarray(xs, dtype=float)
         return np.array([self.value(x) for x in xs]) - self.min_value
-
-    def descent_amount(self, y):
-        """f(y) - f(y - grad f(y)/lip), the progress of one gradient step."""
-        g = self.grad(y)
-        return float(self.value(y) - self.value(y - g / self.lip))
 
     def with_minimizer(self, x_star, f_star):
         raise NotImplementedError
@@ -140,11 +134,6 @@ class QuadraticObjective(Objective):
             return super().f_gap_many(xs)
         d = np.asarray(xs, dtype=float) - self.minimizer
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
-
-    def descent_amount(self, y):
-        # Exact quadratic expansion; no cancellation for small gradients.
-        g = self.grad(y)
-        return float((g @ g) / self.lip - (g @ (self.matrix @ g)) / (2.0 * self.lip**2))
 
     def with_minimizer(self, x_star, f_star):
         # matrix and rhs are validated and read-only: share them rather than
@@ -239,61 +228,6 @@ class LogisticRidgeObjective(Objective):
         # keep the already-computed lip rather than re-running power iteration
         obj.lip = self.lip
         return obj
-
-
-@dataclass
-class SandwichCheck:
-    lower: float
-    middle: float
-    upper: float
-    passed: bool
-
-
-def validate_sandwich(obj, x, y, *, slack=1e-9):
-    """Check the two-sided curvature inequality between a pair of points.
-
-    lower = ell/2 ||x-y||^2, middle = f(y) - f(x) - grad f(x)'(y-x),
-    upper = lip/2 ||x-y||^2; passes when lower <= middle <= upper up to
-    `slack` relative to the largest of the three magnitudes.
-    """
-    x = obj._check_vector(x, "x")
-    y = obj._check_vector(y, "y")
-    diff = y - x
-    dist_sq = float(diff @ diff)
-    lower = 0.5 * obj.ell * dist_sq
-    upper = 0.5 * obj.lip * dist_sq
-    middle = float(obj.value(y) - obj.value(x) - obj.grad(x) @ diff)
-    scale = max(abs(lower), abs(middle), abs(upper), 1e-300)
-    passed = (lower - middle) <= slack * scale and (middle - upper) <= slack * scale
-    return SandwichCheck(lower=lower, middle=middle, upper=upper, passed=passed)
-
-
-@dataclass
-class DescentCheck:
-    decrease: float
-    bound: float
-    passed: bool
-
-
-def check_descent_lemma(obj, y, *, slack=1e-9):
-    """Verify f(y) - f(y - grad f(y)/lip) >= ||grad f(y)||^2 / (2 lip)."""
-    y = obj._check_vector(y, "y")
-    g = obj.grad(y)
-    bound = float(g @ g) / (2.0 * obj.lip)
-    decrease = obj.descent_amount(y)
-    passed = (bound - decrease) <= slack * max(bound, abs(decrease), 1e-300)
-    return DescentCheck(decrease=decrease, bound=bound, passed=passed)
-
-
-def finite_difference_gradient(func, x, h=1e-6):
-    """Central-difference gradient of a scalar function at x."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (func(x + e) - func(x - e)) / (2.0 * h)
-    return g
 
 
 def newton_reference_minimizer(obj, x0=None, *, tol_rel=1e-13, max_iters=100):

@@ -18,8 +18,9 @@ certify() checks the chain
     psi_1 <= psi_0,    C psi_{k+1} <= psi_k   for k >= 1
 
 at the method's contraction constant C (no contraction is claimed for the
-very first step), plus two closed-form envelopes on f(x_k) - f*; the
-CLI's audit of a trace CSV runs the same check (_check_chain). The
+very first step), plus two closed-form envelopes on f(x_k) - f*. It is
+the one certifier: the CLI's audit of a trace runs it on the iterates the
+run stored, and reads the CSV's columns only as claims to compare. The
 identity battery replays the sharper per-step equalities that hold for CG
 on a quadratic; those fail loudly under inexact arithmetic or a perturbed
 operator, which is what makes them usable as a self-test; it is one table
@@ -34,12 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateRatioError, EigenEstimateError, MissingGroundTruthError
-from .objective import QuadraticObjective
+from .errors import DegenerateRatioError, MissingGroundTruthError
 
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
@@ -132,116 +131,31 @@ class CertificateReport:
         return self.psis.shape[0]
 
 
-def _with_truth(obj, truth):
-    """Objective carrying ground truth, attaching it from `truth` if needed."""
-    if obj.minimizer is not None and obj.min_value is not None:
-        return obj
-    if truth is not None:
-        return obj.with_minimizer(truth.x_star, truth.f_star)
-    raise MissingGroundTruthError("needs minimizer and min_value (attach them or pass truth)")
-
-
-class _Chain(NamedTuple):
-    c_value: float
-    c_common: float
-    ratios: np.ndarray
-    step_passes: np.ndarray
-    first_violation: int | None
-    common_first_violation: int | None
-    theorem1_bounds: np.ndarray
-    theorem1_ok: bool
-    daniel_bounds: np.ndarray | None
-    daniel_ok: bool | None
-    degenerate: bool
-
-
-def _check_chain(psis, f_gaps, family, ell, lip, tol, c0) -> _Chain:
-    """Contraction chain and gap envelopes over a potential sequence.
-
-    The one checker behind certify() and the CLI's audit of a trace CSV.
-    Step k compares C psi_{k+1} against psi_k with multiplicative slack
-    1 + tol (step 0 claims descent only); the chain is also replayed at the
-    common constant 1 + sqrt(l/L). c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f*
-    scales the Theorem-1 envelope; the Daniel envelope (CG only) scales
-    with f_gaps[0]. lip == ell certifies accelerated runs, which have
-    collapsed to gradient descent, at the common constant.
-    """
-    degenerate = lip <= ell
-    c_common = 1.0 + math.sqrt(ell / lip)
-    if family == "ag" and degenerate:
-        c_value = c_common
-    else:
-        c_value = contraction_constant(family, ell, lip)
-    slack = 1.0 + tol
-
-    # A single iterate leaves these arrays empty: no step, no violation.
-    lhs = psis[1:].copy()
-    lhs[1:] *= c_value
-    step_passes = lhs <= psis[:-1] * slack
-    common_lhs = psis[1:].copy()
-    common_lhs[1:] *= c_common
-    common_passes = common_lhs <= psis[:-1] * slack
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = psis[:-1] / psis[1:]
-
-    def first_fail(passes):
-        bad = np.flatnonzero(~passes)
-        return int(bad[0]) if bad.size else None
-
-    ks = np.arange(psis.shape[0])
-    theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
-    theorem1_ok = bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK)))
-
-    daniel_bounds = None
-    daniel_ok = None
-    if family == "cg" and not degenerate:
-        root = math.sqrt(ell / lip)
-        q = (1.0 - root) / (1.0 + root)
-        daniel_bounds = 4.0 * f_gaps[0] * q ** (2.0 * ks)
-        daniel_ok = bool(np.all(f_gaps <= daniel_bounds * (1.0 + ENVELOPE_SLACK)))
-
-    return _Chain(
-        c_value=c_value,
-        c_common=c_common,
-        ratios=ratios,
-        step_passes=step_passes,
-        first_violation=first_fail(step_passes),
-        common_first_violation=first_fail(common_passes),
-        theorem1_bounds=theorem1_bounds,
-        theorem1_ok=theorem1_ok,
-        daniel_bounds=daniel_bounds,
-        daniel_ok=daniel_ok,
-        degenerate=degenerate,
-    )
-
-
 def certify(
     trace,
     obj,
-    method: str | None = None,
     *,
-    truth=None,
     tol_cert: float | None = None,
     recompute_gaps: bool = False,
-    check_tightness: bool = False,
 ) -> CertificateReport:
     """Certificate chain plus envelope bounds for a finished run.
 
-    method defaults to the trace's own; passing "ag" or "cg" asserts the
-    family instead. Gaps recorded by the run are reused unless
-    recompute_gaps is set; pass it when the trace came from a perturbed
+    Gaps recorded by the run are reused unless recompute_gaps is set or the
+    trace records none; pass it when the trace came from a perturbed
     operator, where the recurred residual no longer measures the true
-    objective. check_tightness compares declared ell/lip against power
-    iteration estimates and flags disagreement beyond 1% (the certificate
-    itself stays valid for loose declared constants; the flag explains why
-    observed ratios may be far from C).
+    objective. Step k compares C psi_{k+1} against psi_k with
+    multiplicative slack 1 + tol_cert (step 0 claims descent only); the
+    chain is also replayed at the common constant 1 + sqrt(l/L).
+    c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope;
+    the Daniel envelope (CG only) scales with the initial gap. lip == ell
+    certifies accelerated runs, which have collapsed to gradient descent,
+    at the common constant.
     """
-    obj = _with_truth(obj, truth)
+    if obj.minimizer is None or obj.min_value is None:
+        raise MissingGroundTruthError("certify needs the objective's minimizer and min_value")
     family = _METHOD_FAMILY.get(trace.method)
     if family is None:
         raise ValueError(f"trace method {trace.method!r} is not certifiable")
-    if method is not None and _METHOD_FAMILY.get(method, method) != family:
-        raise ValueError(f"method {method!r} does not match trace method {trace.method!r}")
 
     xs = trace.xs
     n = xs.shape[0]
@@ -262,9 +176,11 @@ def certify(
         flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
         f_gaps = np.maximum(f_gaps, 0.0)
 
+    ell, lip = obj.ell, obj.lip
+    degenerate = lip <= ell
     if family == "ag":
         # lip == ell collapses the schedule to gradient descent: weight 0.
-        rhos = np.full(n, 0.0 if obj.lip <= obj.ell else math.sqrt(obj.lip / obj.ell) - 1.0)
+        rhos = np.full(n, 0.0 if degenerate else math.sqrt(lip / ell) - 1.0)
         rhos[0] = 0.0
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -274,40 +190,64 @@ def certify(
 
     w = d + rhos[:, None] * trace.ss
     w_norm_sqs = np.einsum("ij,ij->i", w, w)
-    psis = w_norm_sqs + (2.0 / obj.ell) * f_gaps
+    psis = w_norm_sqs + (2.0 / ell) * f_gaps
 
     tol = default_cert_tolerance(obj) if tol_cert is None else tol_cert
-    c0 = 0.5 * obj.ell * dist_sqs[0] + f_gaps[0]
-    chain = _check_chain(psis, f_gaps, family, obj.ell, obj.lip, tol, c0)
-    if family == "ag" and chain.degenerate:
+    c_common = 1.0 + math.sqrt(ell / lip)
+    if family == "ag" and degenerate:
+        c_value = c_common
         flags.append("lip == ell: gradient-descent fallback certified at the common constant")
+    else:
+        c_value = contraction_constant(family, ell, lip)
+    slack = 1.0 + tol
 
-    if check_tightness and isinstance(obj, QuadraticObjective):
-        from .generate import extreme_eigenvalues
+    # A single iterate leaves these arrays empty: no step, no violation.
+    lhs = psis[1:].copy()
+    lhs[1:] *= c_value
+    step_passes = lhs <= psis[:-1] * slack
+    common_lhs = psis[1:].copy()
+    common_lhs[1:] *= c_common
+    common_passes = common_lhs <= psis[:-1] * slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = psis[:-1] / psis[1:]
 
-        try:
-            lo, hi = extreme_eigenvalues(obj)
-        except EigenEstimateError as exc:
-            flags.append(f"tightness check inconclusive: {exc}")
-        else:
-            if abs(lo - obj.ell) > 0.01 * obj.ell or abs(hi - obj.lip) > 0.01 * obj.lip:
-                flags.append(
-                    f"declared ell/lip loose: spectrum spans [{lo:.6g}, {hi:.6g}], "
-                    f"declared [{obj.ell:.6g}, {obj.lip:.6g}]"
-                )
+    def first_fail(passes):
+        bad = np.flatnonzero(~passes)
+        return int(bad[0]) if bad.size else None
+
+    ks = np.arange(n)
+    c0 = 0.5 * ell * dist_sqs[0] + f_gaps[0]
+    theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
+    daniel_bounds = None
+    daniel_ok = None
+    if family == "cg" and not degenerate:
+        root = math.sqrt(ell / lip)
+        q = (1.0 - root) / (1.0 + root)
+        daniel_bounds = 4.0 * f_gaps[0] * q ** (2.0 * ks)
+        daniel_ok = bool(np.all(f_gaps <= daniel_bounds * (1.0 + ENVELOPE_SLACK)))
 
     return CertificateReport(
         method=family,
+        c_value=c_value,
+        c_common=c_common,
         tol_cert=tol,
-        ell=obj.ell,
-        lip=obj.lip,
+        ell=ell,
+        lip=lip,
         psis=psis,
         f_gaps=np.asarray(f_gaps, dtype=float),
         w_norm_sqs=w_norm_sqs,
         dist_sqs=dist_sqs,
         rhos=rhos,
+        ratios=ratios,
+        step_passes=step_passes,
+        first_violation=first_fail(step_passes),
+        common_first_violation=first_fail(common_passes),
+        theorem1_bounds=theorem1_bounds,
+        theorem1_ok=bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK))),
+        daniel_bounds=daniel_bounds,
+        daniel_ok=daniel_ok,
+        degenerate=degenerate,
         flags=flags,
-        **chain._asdict(),
     )
 
 
@@ -330,7 +270,7 @@ class IdentityReport:
     ok: bool
 
 
-def hs_identity_battery(trace, obj, truth=None, *, tol_id: float = 1e-8) -> IdentityReport:
+def hs_identity_battery(trace, obj, *, tol_id: float = 1e-8) -> IdentityReport:
     """Exact-arithmetic CG identities, checked in floating point.
 
     Per step (F_k = 2 (f(x_k) - f*); scalars from the trace itself):
@@ -362,7 +302,6 @@ def hs_identity_battery(trace, obj, truth=None, *, tol_id: float = 1e-8) -> Iden
     """
     if _METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
-    obj = _with_truth(obj, truth)
 
     # Exact gaps here: the equalities are tight enough that the recurred
     # residual's drift would register as spurious violations.

@@ -176,21 +176,21 @@ def _number_field(doc, name, cast):
 
 
 def _array_field(value, name):
-    """A numeric array read from the file (None passes through).
+    """A float array read from the file (None passes through).
 
-    Strings, booleans and nulls are rejected rather than cast to float.
+    Every cell must be a JSON number: strings, booleans (also mixed in
+    among numbers), nulls and ragged nesting are rejected rather than cast
+    to float.
     """
     if value is None:
         return None
     try:
-        arr = np.asarray(value)
-        if arr.dtype.kind == "O" and all(type(v) in (int, float) for v in arr.flat):
-            arr = arr.astype(float)  # integers beyond int64
+        cells = np.array(value, dtype=object)
+        if set(map(type, cells.flat)) <= {int, float}:
+            return cells.astype(float)
     except (ValueError, OverflowError):  # ragged nesting, integers beyond float
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf":
-        raise ValueError(f"problem file field {name!r} is not a numeric array")
-    return arr
+        pass
+    raise ValueError(f"problem file field {name!r} is not a numeric array")
 
 
 def load_problem(path) -> ProblemSpec:

@@ -16,17 +16,25 @@ Alignment rules:
 
 Floats are written with 17 significant digits and booleans as
 ``true``/``false``, so identical runs serialize byte-identically.
+
+Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
+bit for bit: the method, the iterates ``xs`` and, on CG runs, the
+``alphas`` and ``prev_res_sqs`` that fix the weight rho. That file, not
+the CSV's derived columns, is what a later audit re-certifies.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import tokenize
+import zipfile
 
 import numpy as np
 
 from .objective import QuadraticObjective
 from .serialize import fmt_float
-from .solvers import momentum_coefficient
+from .solvers import METHODS, Trace, momentum_coefficient
 
 TRACE_HEADER = "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta,rho,theta,nu,pi"
 
@@ -79,8 +87,13 @@ def _schedule_columns(trace, report):
     return theta, nu, pi
 
 
+def iterates_path(csv_path) -> str:
+    """Path of the iterates file that accompanies a trace CSV."""
+    return os.fspath(csv_path) + ".npz"
+
+
 def write_trace_csv(path, trace, obj, report) -> None:
-    """Write the per-iterate CSV for a certified run.
+    """Write the per-iterate CSV for a certified run, and its iterates file.
 
     ``report`` must come from certifying exactly this trace; its psi,
     rho, and pass columns are copied out as-is.
@@ -116,6 +129,11 @@ def write_trace_csv(path, trace, obj, report) -> None:
                     _cell(pi[k]),
                 ]
             )
+    arrays = {"method": np.array(trace.method), "xs": trace.xs}
+    if cg:
+        arrays.update(alphas=alphas, prev_res_sqs=trace.prev_res_sqs)
+    with open(iterates_path(path), "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _parse_cell(text: str):
@@ -155,3 +173,58 @@ def read_trace_csv(path) -> dict:
         raise ValueError("k column must count 0,1,2,... in order")
     columns["k"] = [int(k) for k in ks]
     return columns
+
+
+def read_trace_iterates(csv_path) -> Trace:
+    """Load the iterates file written beside a trace CSV, strictly.
+
+    Accepts only a method in METHODS, ``xs`` as a finite 2-D float64 array
+    and, on CG traces, ``alphas`` and ``prev_res_sqs`` as float64 with one
+    entry per iterate. Anything else, an unreadable archive included,
+    raises ValueError. The Trace carries no gaps, so certify() recomputes
+    them from the iterates.
+    """
+    path = iterates_path(csv_path)
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz archive")
+        with data:
+            arrays = {key: data[key] for key in data.files}
+    # A damaged archive surfaces as any of these: zipfile raises
+    # NotImplementedError and RuntimeError for entries flagged as
+    # compressed or encrypted in ways it cannot read, and numpy's header
+    # parser lets SyntaxError and tokenize.TokenError escape.
+    except (
+        ValueError,
+        EOFError,
+        zipfile.BadZipFile,
+        NotImplementedError,
+        RuntimeError,
+        SyntaxError,
+        tokenize.TokenError,
+    ) as exc:
+        raise ValueError(f"unreadable iterates file {path}: {exc}") from None
+
+    def field(name):
+        if name not in arrays:
+            raise ValueError(f"iterates file {path} lacks {name!r}")
+        return arrays[name]
+
+    method = field("method")
+    if method.dtype.kind != "U" or method.shape != () or str(method) not in METHODS:
+        raise ValueError(f"iterates file {path}: unknown method {method!r}")
+    method = str(method)
+    xs = field("xs")
+    if xs.dtype != np.float64 or xs.ndim != 2 or not np.all(np.isfinite(xs)):
+        raise ValueError(f"iterates file {path}: xs must be a finite 2-D float64 array")
+    scalars = {}
+    if method.startswith("cg"):
+        for name in ("alphas", "prev_res_sqs"):
+            arr = field(name)
+            if arr.dtype != np.float64 or arr.shape != (xs.shape[0],):
+                raise ValueError(
+                    f"iterates file {path}: {name!r} must be float64, one entry per iterate"
+                )
+            scalars[name] = arr
+    return Trace(method=method, xs=xs, **scalars)

@@ -1,0 +1,91 @@
+"""Numerical checks used only by the tests.
+
+Unlike oracle.py these use the package: they probe its objectives and
+generator from outside, with plain floating-point arithmetic.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gradcert.generate import _reflectors
+from gradcert.objective import QuadraticObjective
+from gradcert.rng import SplitMix64
+
+
+@dataclass
+class SandwichCheck:
+    lower: float
+    middle: float
+    upper: float
+    passed: bool
+
+
+def validate_sandwich(obj, x, y, *, slack=1e-9):
+    """Check the two-sided curvature inequality between a pair of points.
+
+    lower = ell/2 ||x-y||^2, middle = f(y) - f(x) - grad f(x)'(y-x),
+    upper = lip/2 ||x-y||^2; passes when lower <= middle <= upper up to
+    `slack` relative to the largest of the three magnitudes.
+    """
+    x = obj._check_vector(x, "x")
+    y = obj._check_vector(y, "y")
+    diff = y - x
+    dist_sq = float(diff @ diff)
+    lower = 0.5 * obj.ell * dist_sq
+    upper = 0.5 * obj.lip * dist_sq
+    middle = float(obj.value(y) - obj.value(x) - obj.grad(x) @ diff)
+    scale = max(abs(lower), abs(middle), abs(upper), 1e-300)
+    passed = (lower - middle) <= slack * scale and (middle - upper) <= slack * scale
+    return SandwichCheck(lower=lower, middle=middle, upper=upper, passed=passed)
+
+
+def descent_amount(obj, y):
+    """f(y) - f(y - grad f(y)/lip), the progress of one gradient step."""
+    g = obj.grad(y)
+    if isinstance(obj, QuadraticObjective):
+        # Exact quadratic expansion; no cancellation for small gradients.
+        return float((g @ g) / obj.lip - (g @ (obj.matrix @ g)) / (2.0 * obj.lip**2))
+    return float(obj.value(y) - obj.value(y - g / obj.lip))
+
+
+@dataclass
+class DescentCheck:
+    decrease: float
+    bound: float
+    passed: bool
+
+
+def check_descent_lemma(obj, y, *, slack=1e-9):
+    """Verify f(y) - f(y - grad f(y)/lip) >= ||grad f(y)||^2 / (2 lip)."""
+    y = obj._check_vector(y, "y")
+    g = obj.grad(y)
+    bound = float(g @ g) / (2.0 * obj.lip)
+    decrease = descent_amount(obj, y)
+    passed = (bound - decrease) <= slack * max(bound, abs(decrease), 1e-300)
+    return DescentCheck(decrease=decrease, bound=bound, passed=passed)
+
+
+def finite_difference_gradient(func, x, h=1e-6):
+    """Central-difference gradient of a scalar function at x."""
+    x = np.asarray(x, dtype=float)
+    g = np.empty_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        g[i] = (func(x + e) - func(x - e)) / (2.0 * h)
+    return g
+
+
+def materialize_orthogonal(spec):
+    """The generator's orthogonal factor Q as a dense matrix (O(dim^3))."""
+    stream = SplitMix64(spec.seed)
+    vs = _reflectors(spec, stream)
+    q = np.eye(spec.dim)
+    # Q = H_1 ... H_dim applied to the identity from the right-most factor
+    for v in reversed(vs):
+        c = 2.0 / float(v @ v)
+        q = q - np.outer(q @ v, v * c)
+    return q

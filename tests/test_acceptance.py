@@ -13,13 +13,13 @@ import time
 
 import numpy as np
 
+from aids import finite_difference_gradient
 from conftest import record_criterion
 from gradcert import (
     NoiseModel,
     SpectrumSpec,
     certify,
     detect_inexactness,
-    finite_difference_gradient,
     generate_with_start,
     hs_identity_battery,
     make_logistic_problem,

@@ -24,20 +24,17 @@ PUBLIC_NAMES = [
     "TRACE_HEADER",
     "Trace",
     "certify",
-    "check_descent_lemma",
     "conjugacy_drift",
     "contraction_constant",
     "default_cert_tolerance",
     "detect_inexactness",
     "extreme_eigenvalues",
-    "finite_difference_gradient",
     "generate",
     "generate_with_start",
     "hs_identity_battery",
     "load_problem",
     "make_logistic_problem",
     "make_quadratic_problem",
-    "materialize_orthogonal",
     "momentum_coefficient",
     "newton_reference_minimizer",
     "noisy_matvec",
@@ -46,13 +43,12 @@ PUBLIC_NAMES = [
     "run",
     "substream_seed",
     "sweep",
-    "validate_sandwich",
     "write_trace_csv",
 ]
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(gradcert.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gradcert, name) is not None, name

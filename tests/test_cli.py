@@ -1,16 +1,20 @@
 """End-to-end CLI behavior: exit codes, file outputs, exact cells."""
 
 import dataclasses
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcert.cli import main
 from gradcert.potential import certify
 from gradcert.problems import ProblemSpec, load_problem, make_logistic_problem
 from gradcert.solvers import run
-from gradcert.traces import read_trace_csv, write_trace_csv
+from gradcert.traces import iterates_path, read_trace_csv, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +178,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     assert abs(doc["first_violation"] - k) <= 1
 
 
-def test_certify_cli_agrees_with_certify(workdir, problem_file):
+def test_certify_cli_agrees_with_certify(workdir, problem_file, capsys):
     # the CLI replays the chain and envelopes with the same checker as certify()
     spec = load_problem(problem_file)
     obj = spec.objective()
@@ -191,15 +195,16 @@ def test_certify_cli_agrees_with_certify(workdir, problem_file):
         assert doc["first_violation"] == report.first_violation
         assert doc["theorem1_ok"] == report.theorem1_ok
         assert doc["daniel_ok"] == report.daniel_ok
-    # one f_gap cell past the Theorem-1 envelope; psi and row 0 stay intact
+    # an f_gap cell past the Theorem-1 envelope is a claim the iterates refute
     lines = csv_path.read_text().splitlines()
     k = len(lines) // 2
     cells = lines[k].split(",")
     cells[1] = repr(10.0 * float(lines[1].split(",")[1]))
     lines[k] = ",".join(cells)
     csv_path.write_text("\n".join(lines) + "\n")
-    main(["certify", str(csv_path), "--problem", str(problem_file), "--out", str(json_path)])
-    assert json.loads(json_path.read_text())["theorem1_ok"] is False
+    assert main(["certify", str(csv_path), "--problem", str(problem_file)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: row {k - 1} " in err and "f_gap" in err
 
 
 def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
@@ -232,6 +237,7 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
         pytest.param("L", "50", id="L-string"),
         pytest.param("x0", ["0"] * 12, id="x0-string"),
         pytest.param("rhs", [True] * 12, id="rhs-bool"),
+        pytest.param("x0", [1, True] + [0.0] * 10, id="x0-mixed-bool"),
     ],
 )
 def test_null_problem_field_exits_1(workdir, problem_file, capsys, field, value):
@@ -260,6 +266,155 @@ def test_certify_empty_trace_exits_1(workdir, problem_file, capsys):
     path.write_text(TRACE_HEADER + "\n")
     assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
     assert "no data rows" in capsys.readouterr().err
+
+
+def test_certify_refutes_forged_claims(workdir, capsys):
+    # a halving psi column over vanishing gaps contracts at any C; the audit
+    # recomputes both from the stored iterates and names the first lie
+    prob = workdir / "forge.json"
+    gen = ["gen", "--dim", "20", "--ell", "1", "--lip", "100", "--seed", "0"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    path = workdir / "forge.csv"
+    assert main(["run", "--problem", str(prob), "--method", "ag", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    psi0 = float(lines[1].split(",")[4])
+    for k in range(len(lines) - 1):
+        cells = lines[k + 1].split(",")
+        cells[1] = "1e-30"
+        cells[4] = repr(psi0 / 2.0**k)
+        lines[k + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(prob)]) == 1
+    err = capsys.readouterr().err
+    assert "error: row 1 " in err and "psi" in err
+
+
+@pytest.mark.parametrize("method", ["ag", "cg"])
+def test_certify_detects_edited_iterates_file(workdir, problem_file, capsys, method):
+    path = workdir / f"edited_{method}.csv"
+    argv = ["run", "--problem", str(problem_file), "--method", method, "--out", str(path)]
+    assert main(argv) == 0
+    with np.load(iterates_path(path)) as data:
+        arrays = dict(data)
+    k = len(arrays["xs"]) // 2
+    arrays["xs"] = arrays["xs"].copy()
+    arrays["xs"][k] *= 1.1
+    np.savez(iterates_path(path), **arrays)
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
+    assert f"error: row {k} " in capsys.readouterr().err
+
+
+def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file):
+    # nan step sizes zero rho and would silence the gap identity; with
+    # claims written to match, only counting each step the identity cannot
+    # check as a violation refuses the trace
+    spec = load_problem(problem_file)
+    obj = spec.objective()
+    trace = run(obj, "cg_classic", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
+    forged = dataclasses.replace(trace, alphas=np.full_like(trace.alphas, np.nan))
+    path = workdir / "nan_alphas.csv"
+    write_trace_csv(path, forged, obj, certify(forged, obj, recompute_gaps=True))
+    out = workdir / "nan_alphas.json"
+    assert main(["certify", str(path), "--problem", str(problem_file), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["first_telescope_violation"] == 0
+
+
+@pytest.fixture(scope="module")
+def cg_iterates(workdir, problem_file):
+    path = workdir / "iterates_src.csv"
+    argv = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(path)]
+    assert main(argv) == 0
+    with np.load(iterates_path(path)) as data:
+        return path, dict(data)
+
+
+def _npz(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _npy(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _set_byte(blob, marker, offset, value) -> bytes:
+    blob = bytearray(blob)
+    blob[blob.index(marker) + offset] = value
+    return bytes(blob)
+
+
+def _broken_header(old, new) -> bytes:
+    # numpy parses the damaged header before zipfile reaches the end of a
+    # member this long and checks its CRC
+    return _npz(xs=np.zeros((600, 12))).replace(old, new, 1)
+
+
+def _nan_at_1(xs):
+    xs = xs.copy()
+    xs[1, 0] = np.nan
+    return xs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda a: None, id="missing"),
+        pytest.param(lambda a: b"", id="empty"),
+        pytest.param(lambda a: b"not an archive at all", id="garbage"),
+        pytest.param(lambda a: _npz(**a)[:-40], id="truncated"),
+        pytest.param(lambda a: _npy(a["xs"]), id="bare-npy"),
+        # the first central-directory entry claims a compression method or
+        # an encryption that zipfile cannot read
+        pytest.param(lambda a: _set_byte(_npz(**a), b"PK\x01\x02", 10, 99), id="zip-method"),
+        pytest.param(lambda a: _set_byte(_npz(**a), b"PK\x01\x02", 8, 1), id="zip-encrypted"),
+        # the xs header's length field cut from 118 to 54 bytes, mid-tuple
+        pytest.param(lambda a: _broken_header(b"NUMPY\x01\x00v", b"NUMPY\x01\x006"),
+                     id="npy-header-cut"),
+        pytest.param(lambda a: _broken_header(b"'<f8'", b"',f8'"), id="npy-header-descr"),
+        pytest.param(lambda a: _npz(**{**a, "xs": a["xs"].astype(object)}), id="object-array"),
+        pytest.param(lambda a: _npz(**{k: v for k, v in a.items() if k != "alphas"}),
+                     id="missing-key"),
+        pytest.param(lambda a: _npz(**{**a, "method": np.array("newton")}), id="unknown-method"),
+        pytest.param(lambda a: _npz(**{**a, "xs": a["xs"].astype(np.int64)}), id="int-xs"),
+        pytest.param(lambda a: _npz(**{**a, "xs": _nan_at_1(a["xs"])}), id="nan-xs"),
+        pytest.param(lambda a: _npz(**{**a, "xs": a["xs"][0]}), id="1d-xs"),
+        # one iterate fewer than the CSV has rows
+        pytest.param(lambda a: _npz(**{k: v[:-1] if v.ndim else v for k, v in a.items()}),
+                     id="row-count"),
+    ],
+)
+def test_certify_malformed_iterates_file_exits_1(workdir, problem_file, cg_iterates, capsys, make):
+    src, arrays = cg_iterates
+    path = workdir / "malformed.csv"
+    path.write_bytes(src.read_bytes())
+    iterates_file = Path(iterates_path(path))
+    iterates_file.unlink(missing_ok=True)
+    content = make(arrays)
+    if content is not None:
+        iterates_file.write_bytes(content)
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), min_size=1, max_size=4))
+def test_certify_survives_flipped_iterates_bytes(workdir, problem_file, cg_iterates, flips):
+    # damage the audit reads is an exit 1; damage it never reads (zip
+    # timestamps, header padding) may pass; neither raises
+    src, arrays = cg_iterates
+    blob = bytearray(_npz(**arrays))
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    path = workdir / "flipped.csv"
+    path.write_bytes(src.read_bytes())
+    Path(iterates_path(path)).write_bytes(bytes(blob))
+    assert main(["certify", str(path), "--problem", str(problem_file)]) in (0, 1)
 
 
 def test_ag_from_minimizer_start_reports_zero_gap(workdir):

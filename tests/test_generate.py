@@ -10,8 +10,8 @@ from gradcert import (
     extreme_eigenvalues,
     generate,
     generate_with_start,
-    materialize_orthogonal,
 )
+from aids import materialize_orthogonal
 from gradcert.generate import eigenvalue_layout, generate_arrays, reference_minimizer
 
 

@@ -7,11 +7,9 @@ from gradcert import (
     LogisticRidgeObjective,
     NotPositiveDefiniteError,
     QuadraticObjective,
-    check_descent_lemma,
-    finite_difference_gradient,
     newton_reference_minimizer,
-    validate_sandwich,
 )
+from aids import check_descent_lemma, finite_difference_gradient, validate_sandwich
 from gradcert.rng import SplitMix64
 
 
