@@ -75,11 +75,12 @@ def eigenvalue_layout(spec: SpectrumSpec) -> np.ndarray:
     return lams
 
 
-def _reflectors(spec: SpectrumSpec, stream: SplitMix64) -> list[np.ndarray]:
-    return [stream.gaussian_vector(spec.dim) for _ in range(spec.dim)]
+def _reflectors(spec: SpectrumSpec, stream: SplitMix64) -> np.ndarray:
+    """Row i is v_{i+1}: the dim reflector vectors drawn as one block."""
+    return stream.gaussian_vector(spec.dim * spec.dim).reshape(spec.dim, spec.dim)
 
 
-def _apply_two_sided(b: np.ndarray, vs: list[np.ndarray]) -> np.ndarray:
+def _apply_two_sided(b: np.ndarray, vs: np.ndarray) -> np.ndarray:
     # B <- H_i B H_i for i = dim .. 1 turns diag(lams) into Q diag(lams) Q'
     for v in reversed(vs):
         c = 2.0 / float(v @ v)

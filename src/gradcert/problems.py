@@ -255,9 +255,7 @@ def make_logistic_problem(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     stream = SplitMix64(seed)
-    data = np.empty((n_samples, dim))
-    for i in range(n_samples):
-        data[i] = stream.gaussian_vector(dim)
+    data = stream.gaussian_vector(n_samples * dim).reshape(n_samples, dim)
     x0 = stream.gaussian_vector(dim)
     obj = LogisticRidgeObjective(data, ridge)
     x_star = newton_reference_minimizer(obj, x0)

@@ -24,6 +24,20 @@ Derived draws, each consuming outputs in order:
 
 No Box-Muller spare is cached: every gaussian consumes exactly two outputs,
 so positions in the stream are a pure function of the draw count.
+
+Bulk draws
+----------
+The stream is counter-based: output i (from 1) of a stream whose state is s
+is mix64 of s + i * 0x9E3779B97F4A7C15 mod 2^64. ``gaussian_vector`` uses
+this to make all 2n words of n gaussians at once in numpy ``uint64``
+arithmetic, which wraps mod 2^64 like the definition, and forms u1 and u2
+exactly in float64. ``ln`` and ``cos`` are still applied per element with
+``math.log`` and ``math.cos``: numpy's vectorised ``log`` differs from the
+C library's in the last bit on about 0.35% of inputs, and its ``cos`` is not
+guaranteed to match either, which would move generated problems and noise
+off the contract. ``sqrt`` and the products are correctly rounded in both
+libraries, so a bulk draw is bit for bit the sequence of scalar ``gaussian``
+draws, and ``gaussian`` stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -70,7 +84,20 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def gaussian_vector(self, n: int) -> np.ndarray:
-        return np.array([self.gaussian() for _ in range(n)], dtype=float)
+        """n gaussian draws, equal bit for bit to n calls of ``gaussian``."""
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
+        z = steps * np.uint64(_GAMMA) + np.uint64(self._state)
+        self._state = (self._state + 2 * n * _GAMMA) & _MASK
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        words = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
+        u1 = (words[0::2] + np.uint64(1)).astype(float) * 2.0**-53
+        u2 = words[1::2].astype(float) * 2.0**-53
+        lg = np.fromiter(map(math.log, u1.tolist()), float, n)
+        cs = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, n)
+        return np.sqrt(-2.0 * lg) * cs
 
     def unit_vector(self, n: int) -> np.ndarray:
         """Uniform direction on the unit sphere (normalized gaussian draw)."""

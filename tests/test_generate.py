@@ -12,7 +12,15 @@ from gradcert import (
     generate_with_start,
 )
 from aids import materialize_orthogonal
-from gradcert.generate import eigenvalue_layout, generate_arrays, reference_minimizer
+from gradcert.generate import (
+    _apply_two_sided,
+    eigenvalue_layout,
+    generate_arrays,
+    reference_minimizer,
+)
+from gradcert.perturb import NoiseModel, noisy_matvec
+from gradcert.problems import make_logistic_problem
+from gradcert.rng import SplitMix64, substream_seed
 
 
 def test_layout_endpoints_are_exact():
@@ -142,3 +150,59 @@ def test_with_minimizer_shares_the_validated_arrays():
     gen_obj, truth, _ = generate_with_start(spec)
     assert np.array_equal(truth.x_star, x_star) and truth.f_star == bare.value(x_star)
     assert np.array_equal(gen_obj.minimizer, x_star) and gen_obj.min_value == truth.f_star
+
+
+# The draw contract, pinned against scalar ``gaussian()`` draws. Each
+# reference feeds byte-identical inputs through the same assembly code as
+# the generator, so a mismatch means the draws moved, whatever the BLAS.
+CONTRACT_SEEDS = (0, 2**64 - 1)
+
+
+def _scalar_gaussians(stream, n):
+    return np.array([stream.gaussian() for _ in range(n)], dtype=float)
+
+
+def _same_bytes(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
+@pytest.mark.parametrize("dim", [1, 10, 200])
+def test_generate_arrays_match_scalar_draws(dim, layout):
+    for seed in CONTRACT_SEEDS:
+        spec = SpectrumSpec(dim, 1.0, 1.0 if dim == 1 else 1e4, layout, seed)
+        stream = SplitMix64(seed)
+        vs = _scalar_gaussians(stream, dim * dim).reshape(dim, dim)
+        b = _scalar_gaussians(stream, dim)
+        x0 = _scalar_gaussians(stream, dim)
+        a = _apply_two_sided(np.diag(eigenvalue_layout(spec)), vs)
+        a = (a + a.T) / 2.0
+        got = generate_arrays(spec)
+        for name, want, have in zip(("A", "b", "x0"), (a, b, x0), got):
+            assert _same_bytes(have, want), (name, seed)
+
+
+@pytest.mark.parametrize("dim, n_samples", [(1, 1), (5, 30)])
+def test_logistic_problem_matches_scalar_draws(dim, n_samples):
+    for seed in CONTRACT_SEEDS:
+        stream = SplitMix64(seed)
+        data = _scalar_gaussians(stream, n_samples * dim).reshape(n_samples, dim)
+        x0 = _scalar_gaussians(stream, dim)
+        spec = make_logistic_problem(dim, n_samples, 1e-3, seed)
+        assert _same_bytes(spec.data_matrix, data), seed
+        assert _same_bytes(spec.x0, x0), seed
+
+
+def test_noisy_matvec_matches_scalar_draws():
+    dim = 100
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, 1e4, "log_uniform", 0))
+    for seed in CONTRACT_SEEDS:
+        # magnitude 1, so a 1-ulp change in a draw survives the sum with A p
+        noise = NoiseModel(1.0, seed)
+        for k in range(4):
+            stream = SplitMix64(substream_seed(seed, k))
+            g = _scalar_gaussians(stream, dim)  # nonzero, so no redraw
+            u = g / float(np.linalg.norm(g))
+            out = obj.matrix @ x0
+            want = out + noise.magnitude * float(np.linalg.norm(out)) * u
+            assert _same_bytes(noisy_matvec(obj, noise, x0, k), want), (seed, k)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_splitmix_streams_are_deterministic(seed):
     a = SplitMix64(seed)
     b = SplitMix64(seed)
     assert [a.next_uint64() for _ in range(8)] == [b.next_uint64() for _ in range(8)]
+
+
+@given(seeds, st.integers(min_value=0, max_value=300))
+def test_gaussian_vector_equals_scalar_gaussians(seed, n):
+    a = SplitMix64(seed)
+    b = SplitMix64(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = a.gaussian_vector(n)
+    assert v.tobytes() == np.array([b.gaussian() for _ in range(n)], dtype=float).tobytes()
+    assert a.next_uint64() == b.next_uint64()
 
 
 @given(seeds, st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))

@@ -1,4 +1,7 @@
+import warnings
+
 import numpy as np
+import pytest
 
 from gradcert.rng import _GAMMA, SplitMix64, mix64, substream_seed
 
@@ -33,11 +36,22 @@ def test_gaussian_moments():
 
 
 def test_gaussian_vector_matches_scalar_draws():
-    a = SplitMix64(3)
-    b = SplitMix64(3)
-    v = a.gaussian_vector(17)
-    w = np.array([b.gaussian() for _ in range(17)])
-    assert np.array_equal(v, w)
+    # the bulk path must equal the scalar reference byte for byte and leave
+    # the stream where n scalar draws leave it; warnings are errors, so a
+    # numpy scalar overflow on uint64 wraparound (seed 2^64 - 1) fails here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 3, 2**63, 2**64 - 1):
+            for n in (0, 1, 17, 1000):
+                a = SplitMix64(seed)
+                b = SplitMix64(seed)
+                v = a.gaussian_vector(n)
+                w = np.array([b.gaussian() for _ in range(n)], dtype=float)
+                assert v.shape == (n,) and v.dtype == np.float64
+                assert v.tobytes() == w.tobytes(), (seed, n)
+                assert a.next_uint64() == b.next_uint64(), (seed, n)
+    with pytest.raises(ValueError):
+        SplitMix64(0).gaussian_vector(-1)
 
 
 def test_unit_vector_has_unit_norm():
