@@ -318,7 +318,21 @@ def cmd_perturb(args) -> int:
         x0=spec.x0,
         tol_cert=args.tol_cert,
     )
-    write_json(args.out, [r.to_dict() for r in reports])
+    write_json(
+        args.out,
+        [
+            {
+                "eta": r.eta,
+                "seed": r.seed,
+                "first_violation": r.first_violation,
+                "iterations_run": r.iterations_run,
+                "stop_reason": r.stop_reason,
+                "max_drift": r.max_drift,
+                "psi": r.psis,
+            }
+            for r in reports
+        ],
+    )
     for r in reports:
         where = "none" if r.first_violation is None else str(r.first_violation)
         print(

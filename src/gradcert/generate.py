@@ -133,12 +133,9 @@ def generate(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundTruth]:
 
 
 def extreme_eigenvalues(
-    obj: QuadraticObjective,
-    *,
-    rtol: float = 1e-8,
-    max_iters: int = 100_000,
+    obj: QuadraticObjective, *, max_iters: int = 100_000
 ) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of A by power iteration, each to rtol.
+    """(lambda_min, lambda_max) of A by power iteration, each to 1e-8 relative.
 
     lambda_max comes from power iteration on A; lambda_min from power
     iteration on sigma I - A with sigma = lambda_max (1 + 1e-3), with the
@@ -150,13 +147,13 @@ def extreme_eigenvalues(
     """
     a = obj.matrix
     lam_max, _, _, ok_max = power_method(
-        lambda v: a @ v, obj.dim, rtol=rtol, max_iters=max_iters
+        lambda v: a @ v, obj.dim, rtol=1e-8, max_iters=max_iters
     )
     sigma = lam_max * (1.0 + 1e-3)
     lam_shift, _, _, ok_min = power_method(
         lambda v: sigma * v - a @ v,
         obj.dim,
-        rtol=rtol,
+        rtol=1e-8,
         max_iters=max_iters,
         shift_origin=sigma,
     )

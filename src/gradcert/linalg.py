@@ -18,7 +18,6 @@ def power_method(
     *,
     rtol: float = 1e-8,
     max_iters: int = 100_000,
-    seed: int = _START_SEED,
     shift_origin: float | None = None,
 ) -> tuple[float, np.ndarray, int, bool]:
     """Dominant eigenvalue of a symmetric PSD operator by power iteration.
@@ -34,7 +33,7 @@ def power_method(
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    v = SplitMix64(seed).gaussian_vector(dim)
+    v = SplitMix64(_START_SEED).gaussian_vector(dim)
     v /= np.linalg.norm(v)
     theta = 0.0
     for it in range(1, max_iters + 1):
@@ -52,25 +51,24 @@ def power_method(
     return theta, v, max_iters, False
 
 
-def spectral_norm_sq(
-    matrix: np.ndarray, *, rtol: float = 1e-10, max_iters: int = 10_000
-) -> float:
+def spectral_norm_sq(matrix: np.ndarray) -> float:
     """Largest eigenvalue of matrix^T matrix (squared spectral norm).
 
-    Certified to rtol relative error; raises if the certificate is not
-    reached, since callers use this as a smoothness upper bound.
+    Certified to 1e-10 relative error within 10,000 power iterations;
+    raises if the certificate is not reached, since callers use this as a
+    smoothness upper bound.
     """
     m = np.asarray(matrix, dtype=float)
 
     def gram(v: np.ndarray) -> np.ndarray:
         return m.T @ (m @ v)
 
-    lam, _, _, converged = power_method(gram, m.shape[1], rtol=rtol, max_iters=max_iters)
+    lam, _, iters, converged = power_method(gram, m.shape[1], rtol=1e-10, max_iters=10_000)
     if not converged:
         from .errors import EigenEstimateError
 
         raise EigenEstimateError(
-            f"spectral norm estimate did not certify within {max_iters} iterations",
+            f"spectral norm estimate did not certify within {iters} iterations",
             lambda_max=lam,
         )
     return lam

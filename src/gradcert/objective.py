@@ -23,8 +23,11 @@ from .linalg import spectral_norm_sq
 class Objective:
     """Base class: curvature bounds plus optional ground truth.
 
-    minimizer / min_value are None until attached; with_minimizer returns a
-    copy carrying them. Instances are treated as immutable after construction.
+    Ground truth is the pair minimizer / min_value: both None until
+    attached, never one without the other; with_minimizer returns a copy
+    carrying them. f(x) - f* is computed from the minimizer, never as
+    value(x) - min_value, which cancels catastrophically near x*. Instances
+    are treated as immutable after construction.
     """
 
     def __init__(self, dim, ell, lip, minimizer=None, min_value=None):
@@ -32,6 +35,8 @@ class Objective:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if not (0.0 < ell <= lip):
             raise ValueError(f"need 0 < ell <= lip, got ell={ell}, lip={lip}")
+        if (minimizer is None) != (min_value is None):
+            raise ValueError("ground truth needs both minimizer and min_value, or neither")
         self.dim = int(dim)
         self.ell = float(ell)
         self.lip = float(lip)
@@ -50,16 +55,11 @@ class Objective:
 
     def f_gap(self, x):
         """f(x) - f(x*); requires ground truth."""
-        if self.min_value is None:
-            raise MissingGroundTruthError("objective has no min_value attached")
-        return float(self.value(x) - self.min_value)
+        raise NotImplementedError
 
     def f_gap_many(self, xs):
         """f_gap row-wise over an (n, dim) array of points."""
-        if self.min_value is None:
-            raise MissingGroundTruthError("objective has no min_value attached")
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.value(x) for x in xs]) - self.min_value
+        raise NotImplementedError
 
     def with_minimizer(self, x_star, f_star):
         raise NotImplementedError
@@ -69,6 +69,11 @@ class Objective:
         if x.shape != (self.dim,):
             raise ValueError(f"{name} has shape {x.shape}, expected ({self.dim},)")
         return x
+
+    def _x_star(self):
+        if self.minimizer is None:
+            raise MissingGroundTruthError("objective has no minimizer attached")
+        return self.minimizer
 
 
 class QuadraticObjective(Objective):
@@ -121,18 +126,13 @@ class QuadraticObjective(Objective):
         return self.matrix
 
     def f_gap(self, x):
-        # With the minimizer in hand, 0.5 d'Ad (d = x - x*) equals f(x) - f*
-        # up to the reference solve's residual and does not cancel
-        # catastrophically near x*.
-        if self.minimizer is None:
-            return super().f_gap(x)
-        d = self._check_vector(x) - self.minimizer
+        # 0.5 d'Ad (d = x - x*) equals f(x) - f* up to the reference solve's
+        # residual and does not cancel catastrophically near x*.
+        d = self._check_vector(x) - self._x_star()
         return float(0.5 * d @ (self.matrix @ d))
 
     def f_gap_many(self, xs):
-        if self.minimizer is None:
-            return super().f_gap_many(xs)
-        d = np.asarray(xs, dtype=float) - self.minimizer
+        d = np.asarray(xs, dtype=float) - self._x_star()
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
 
     def with_minimizer(self, x_star, f_star):
@@ -147,9 +147,9 @@ class LogisticRidgeObjective(Objective):
     """f(x) = ridge/2 ||x||^2 + sum_i log(1 + exp(a_i'x)).
 
     Curvature bounds: ell = ridge exactly; lip = ridge + ||A||_2^2 / 4 with
-    the squared spectral norm from power iteration (200 iterations or 1e-12
-    relative change), inflated by 1e-9 relative so the estimate cannot
-    undershoot the true Lipschitz constant.
+    the squared spectral norm from power iteration (certified to 1e-10
+    relative), inflated by 1e-9 relative so the estimate cannot undershoot
+    the true Lipschitz constant.
     """
 
     def __init__(self, data_matrix, ridge, minimizer=None, min_value=None):
@@ -191,7 +191,7 @@ class LogisticRidgeObjective(Objective):
         # driven by d = data (x - x*): sp(v+d) - sp(v) = log1p(sig(v)
         # expm1(d)). Every term scales with d, so the result keeps relative
         # accuracy near x* where value(x) - min_value loses all its digits.
-        diff = xs - self.minimizer
+        diff = xs - self._x_star()
         d = diff @ self.data_matrix.T
         sig = np.broadcast_to(self._sig_star, d.shape)
         t_star = np.broadcast_to(self._t_star, d.shape)
@@ -208,20 +208,11 @@ class LogisticRidgeObjective(Objective):
         return np.sum(terms, axis=1) + ridge_part
 
     def f_gap(self, x):
-        if self.minimizer is None:
-            return super().f_gap(x)
         x = self._check_vector(x)
         return float(self._gap_rows(x[None, :])[0])
 
     def f_gap_many(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        if self.minimizer is not None:
-            return self._gap_rows(xs)
-        if self.min_value is None:
-            raise MissingGroundTruthError("objective has no min_value attached")
-        t = xs @ self.data_matrix.T
-        values = 0.5 * self.ridge * np.einsum("ij,ij->i", xs, xs) + np.sum(np.logaddexp(0.0, t), axis=1)
-        return values - self.min_value
+        return self._gap_rows(np.asarray(xs, dtype=float))
 
     def with_minimizer(self, x_star, f_star):
         obj = LogisticRidgeObjective(self.data_matrix, self.ridge, x_star, f_star)
@@ -230,18 +221,18 @@ class LogisticRidgeObjective(Objective):
         return obj
 
 
-def newton_reference_minimizer(obj, x0=None, *, tol_rel=1e-13, max_iters=100):
+def newton_reference_minimizer(obj, x0=None):
     """High-accuracy minimizer by damped Newton with dense solves.
 
-    Runs until ||grad f(x)|| <= tol_rel * max(1, ||grad f(x0)||). Requires
-    obj.hessian. Used as the reference run that defines ground truth for the
-    non-quadratic family.
+    Runs until ||grad f(x)|| <= 1e-13 * max(1, ||grad f(x0)||), for at most
+    100 Newton steps. Requires obj.hessian. Used as the reference run that
+    defines ground truth for the non-quadratic family.
     """
     x = np.zeros(obj.dim) if x0 is None else obj._check_vector(x0, "x0").copy()
     g = obj.grad(x)
-    target = tol_rel * max(1.0, float(np.linalg.norm(g)))
+    target = 1e-13 * max(1.0, float(np.linalg.norm(g)))
     fx = obj.value(x)
-    for _ in range(max_iters):
+    for _ in range(100):
         if float(np.linalg.norm(g)) <= target:
             break
         h = obj.hessian(x)

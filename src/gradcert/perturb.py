@@ -14,6 +14,7 @@ call by call and eta = 0 is a bitwise pass-through.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,20 +51,6 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
     return out + noise.magnitude * float(np.linalg.norm(out)) * u
 
 
-class _CountingNoisyMatvec:
-    """Callable for the run loop; advances the call index once per product."""
-
-    def __init__(self, obj, noise):
-        self.obj = obj
-        self.noise = noise
-        self.calls = 0
-
-    def __call__(self, p):
-        out = noisy_matvec(self.obj, self.noise, p, self.calls)
-        self.calls += 1
-        return out
-
-
 @dataclass
 class DetectionReport:
     """Outcome of one monitored noisy run.
@@ -87,17 +74,6 @@ class DetectionReport:
     def detected(self) -> bool:
         return self.first_violation is not None
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "seed": self.seed,
-            "first_violation": self.first_violation,
-            "iterations_run": self.iterations_run,
-            "stop_reason": self.stop_reason,
-            "max_drift": self.max_drift,
-            "psi": [float(v) for v in self.psis],
-        }
-
 
 def detect_inexactness(
     obj: QuadraticObjective,
@@ -106,15 +82,14 @@ def detect_inexactness(
     max_iters: int,
     *,
     x0=None,
-    stop_gap: float | None = None,
     tol_cert: float | None = None,
 ) -> DetectionReport:
     """Run classic CG under the noise model and certify every step.
 
     Starts from x0 (zeros when omitted). The run ends at the first of:
-    max_iters steps; the exact gap dropping to stop_gap, by default 1e-12
-    of the starting gap (an exact run stops there); or the recurred
-    residual reaching CG's convergence floor. A noisy run plateaus far
+    max_iters steps; the exact gap dropping to 1e-12 of the starting gap
+    (an exact run stops there); or the recurred residual reaching CG's
+    convergence floor. A noisy run plateaus far
     above the gap threshold, but the reorthogonalized recurrence still
     drives its own residual to the floor, so noisy runs usually end with
     stop_reason "converged" within a few times dim steps while the true
@@ -128,18 +103,26 @@ def detect_inexactness(
     monitored = obj.with_minimizer(truth.x_star, truth.f_star)
     x0 = np.zeros(obj.dim) if x0 is None else monitored._check_vector(x0, "x0")
 
-    threshold = 1e-12 * monitored.f_gap(x0) if stop_gap is None else stop_gap
+    threshold = 1e-12 * monitored.f_gap(x0)
 
     def stopped(x, r=None):
         # Exact gap on purpose: the recurred residual drifts under noise and
         # can cross zero, which would fake convergence and end the run
-        # before the chain gets a chance to break.
-        gap = float(monitored.f_gap(x))
-        return gap <= threshold, gap
+        # before the chain gets a chance to break. CG records no gap.
+        return monitored.f_gap(x) <= threshold, None
 
-    operator = _CountingNoisyMatvec(monitored, noise)
-    trace = _run_cg(monitored, "cg_classic", x0, max_iters, stopped, matvec=operator)
-    report = certify(trace, monitored, tol_cert=tol_cert, recompute_gaps=True)
+    # One call index per product. The lambda looks noisy_matvec up at each
+    # call, so a wrapper installed on this module sees every product.
+    calls = itertools.count()
+    trace = _run_cg(
+        monitored,
+        "cg_classic",
+        x0,
+        max_iters,
+        stopped,
+        matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
+    )
+    report = certify(trace, monitored, tol_cert=tol_cert)
     max_drift = max((d for _, d in trace.drift_checks), default=0.0)
     return DetectionReport(
         eta=noise.magnitude,
@@ -161,7 +144,6 @@ def sweep(
     max_iters: int,
     *,
     x0=None,
-    stop_gap: float | None = None,
     tol_cert: float | None = None,
 ) -> list:
     """Detection reports for every (eta, seed) pair, ordered by (eta, seed)."""
@@ -170,8 +152,6 @@ def sweep(
         for seed in sorted(set(int(s) for s in seeds)):
             noise = NoiseModel(magnitude=eta, seed=seed)
             out.append(
-                detect_inexactness(
-                    obj, truth, noise, max_iters, x0=x0, stop_gap=stop_gap, tol_cert=tol_cert
-                )
+                detect_inexactness(obj, truth, noise, max_iters, x0=x0, tol_cert=tol_cert)
             )
     return out

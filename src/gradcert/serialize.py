@@ -15,13 +15,11 @@ import numpy as np
 
 
 def fmt_float(x) -> str:
-    """17-significant-digit decimal form; always round-trips float64 exactly."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    """17-significant-digit decimal form; always round-trips float64 exactly.
+
+    Non-finite values come out as nan, inf and -inf.
+    """
+    return format(float(x), ".17g")
 
 
 def render_json(value, indent: int = 0) -> str:

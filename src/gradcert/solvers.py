@@ -25,7 +25,10 @@ Three interchangeable iterations:
 Runs record every iterate together with the scalars the algorithm itself
 computed (CG step sizes, residual norms), which is what the certificate and
 identity machinery downstream consumes. The displacements s_k are not
-stored: they follow from consecutive iterates.
+stored: they follow from consecutive iterates. CG stops on its recurred
+residual's estimate of f(x_k) - f*, which drifts from the true gap in
+floating point, so it records no gaps; certify() computes them from the
+iterates.
 """
 
 from __future__ import annotations
@@ -55,10 +58,11 @@ class Trace:
     xs[k] is x_k; the displacements ss, and on CG runs the betas and
     r0_norm, are derived from the stored columns. CG columns
     (alphas, prev_res_sqs, rs, ps) are None on accelerated runs;
-    per-row gaps inside a present column are nan. f_gaps holds the stop
-    check's f(x_k) - f* (nan without ground truth; on CG paths it is
-    computed from the recurred residual, see drift_checks for how far that
-    residual strayed from the true one).
+    per-row gaps inside a present column are nan. f_gaps holds the exact
+    f(x_k) - f*, from the minimizer, that the stop check of an accelerated
+    run with ground truth computed; it is None on CG runs, whose stop check
+    uses the recurred residual's drifting estimate, and on runs without
+    ground truth.
     """
 
     method: str
@@ -134,12 +138,12 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     if is_cg and not isinstance(obj, QuadraticObjective):
         raise TypeError(f"{method} applies to quadratic objectives only")
 
-    # The stop check returns (done, gap). gap is recorded in the trace so
-    # certification can reuse it instead of re-evaluating the objective on
-    # every stored iterate; it is nan when no ground truth is attached and
-    # stopping falls back to the relative gradient norm.
-    have_truth = obj.min_value is not None and obj.minimizer is not None
-    if have_truth:
+    # The stop check returns (done, gap). An accelerated run records gap,
+    # which is exact, so certification can reuse it instead of
+    # re-evaluating the objective on every stored iterate; gap is None when
+    # no ground truth is attached and stopping falls back to the relative
+    # gradient norm.
+    if obj.minimizer is not None:
         x_star = obj.minimizer
         if isinstance(obj, QuadraticObjective):
             a_mat = obj.matrix
@@ -147,7 +151,8 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
             def stopped(x, r=None):
                 d = x - x_star
                 # With the recurred residual, A(x - x*) = -r up to drift,
-                # so the gap -d'r/2 costs no extra matvec.
+                # so the estimate -d'r/2 costs no extra matvec; CG stops on
+                # it but does not record it.
                 gap = -0.5 * float(d @ r) if r is not None else 0.5 * float(d @ (a_mat @ d))
                 return gap <= stop_gap, gap
         else:
@@ -160,7 +165,7 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
         def stopped(x, r=None):
             g = -r if r is not None else obj.grad(x)
-            return float(np.linalg.norm(g)) <= stop_gap * g0_norm, math.nan
+            return float(np.linalg.norm(g)) <= stop_gap * g0_norm, None
 
     if is_cg:
         return _run_cg(obj, method, x0, max_iters, stopped)
@@ -198,7 +203,8 @@ def _run_ag(obj, method, x0, max_iters, stopped):
                 stop_reason = "gap"
                 break
 
-    return Trace(method=method, xs=np.vstack(xs), f_gaps=np.array(gaps), stop_reason=stop_reason)
+    f_gaps = None if gaps[0] is None else np.array(gaps)
+    return Trace(method=method, xs=np.vstack(xs), f_gaps=f_gaps, stop_reason=stop_reason)
 
 
 def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
@@ -235,9 +241,7 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     alpha = None
     s = None
 
-    done, gap = stopped(x, r)
-    gaps = [gap]
-    if done:
+    if stopped(x, r)[0]:
         stop_reason = "gap"
     else:
         for k in range(max_iters):
@@ -292,9 +296,7 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
             if (k + 1) % 10 == 0:
                 true_r = obj.rhs - obj.matrix @ x
                 drift_checks.append((k + 1, float(np.linalg.norm(r - true_r))))
-            done, gap = stopped(x, r)
-            gaps.append(gap)
-            if done:
+            if stopped(x, r)[0]:
                 stop_reason = "gap"
                 break
 
@@ -309,7 +311,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
         ps=p_col,
         alphas=np.array(alphas),
         prev_res_sqs=np.array(prev_sqs),
-        f_gaps=np.array(gaps[: n]),
         stop_reason=stop_reason,
         drift_checks=drift_checks,
     )

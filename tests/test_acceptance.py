@@ -254,7 +254,7 @@ def test_criterion_09_logistic_chain():
     fd_ok = fd_worst <= 1e-5
 
     trace = run(obj, "ag", spec.x0, 200, -math.inf)
-    report = certify(trace, obj, recompute_gaps=True)
+    report = certify(trace, obj)
     chain_ok = report.first_violation is None and len(trace) == 201
 
     ok = gate_ok and fd_ok and chain_ok

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcert.cli import main
+from gradcert.perturb import sweep
 from gradcert.potential import certify
 from gradcert.problems import ProblemSpec, load_problem, make_logistic_problem
 from gradcert.solvers import run
-from gradcert.traces import iterates_path, read_trace_csv, write_trace_csv
+from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates, write_trace_csv
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     xs = trace.xs.copy()
     xs[k] = 1.1 * xs[k]
     tampered = dataclasses.replace(trace, xs=xs)
-    report = certify(tampered, obj, recompute_gaps=True)
+    report = certify(tampered, obj)
     path = workdir / "tampered.csv"
     write_trace_csv(path, tampered, obj, report)
     out = workdir / "tampered.json"
@@ -205,6 +206,22 @@ def test_certify_cli_agrees_with_certify(workdir, problem_file, capsys):
     assert main(["certify", str(csv_path), "--problem", str(problem_file)]) == 1
     err = capsys.readouterr().err
     assert f"error: row {k - 1} " in err and "f_gap" in err
+
+
+@pytest.mark.parametrize("method", ["cg", "cg-unified"])
+def test_run_cg_cells_equal_certify_on_stored_iterates(workdir, method):
+    # the run certifies CG with the exact gaps the audit recomputes, so the
+    # cells it writes are the audit's values bit for bit, not values from
+    # the recurred residual that drifts from b - A x
+    prob = workdir / "exact_cells.json"
+    gen = ["gen", "--dim", "50", "--ell", "1", "--lip", "1e4", "--seed", "1"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    path = workdir / f"exact_cells_{method}.csv"
+    assert main(["run", "--problem", str(prob), "--method", method, "--out", str(path)]) == 0
+    cols = read_trace_csv(path)
+    report = certify(read_trace_iterates(path), load_problem(prob).objective())
+    for name, values in (("psi", report.psis), ("f_gap", report.f_gaps), ("rho", report.rhos)):
+        assert np.array_equal(np.array(cols[name]), values), name
 
 
 def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
@@ -315,7 +332,7 @@ def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file):
     trace = run(obj, "cg_classic", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
     forged = dataclasses.replace(trace, alphas=np.full_like(trace.alphas, np.nan))
     path = workdir / "nan_alphas.csv"
-    write_trace_csv(path, forged, obj, certify(forged, obj, recompute_gaps=True))
+    write_trace_csv(path, forged, obj, certify(forged, obj))
     out = workdir / "nan_alphas.json"
     assert main(["certify", str(path), "--problem", str(problem_file), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["first_telescope_violation"] == 0
@@ -501,13 +518,24 @@ def test_perturb_command(workdir, problem_file, capsys):
     doc = json.loads(out.read_text())
     assert [entry["eta"] for entry in doc] == [0.0, 1e-2]
     assert doc[0]["first_violation"] is None
-    assert set(doc[0]) == {
-        "eta", "seed", "first_violation", "iterations_run", "stop_reason", "max_drift", "psi"
-    }
     # why each run stopped and how far its recurrence drifted
     assert all(isinstance(entry["stop_reason"], str) for entry in doc)
     assert all(entry["max_drift"] >= 0.0 for entry in doc)
     assert "first_violation=none" in capsys.readouterr().out
+    # each entry is its detection report, psi included value for value
+    spec = load_problem(problem_file)
+    reports = sweep(spec.objective(), spec.ground_truth(), [0.0, 1e-2], [0], 40, x0=spec.x0)
+    for entry, r in zip(doc, reports, strict=True):
+        assert entry == {
+            "eta": r.eta,
+            "seed": r.seed,
+            "first_violation": r.first_violation,
+            "iterations_run": r.iterations_run,
+            "stop_reason": r.stop_reason,
+            "max_drift": r.max_drift,
+            "psi": r.psis.tolist(),
+        }
+        assert len(entry["psi"]) == entry["iterations_run"] + 1
 
 
 def test_perturb_bad_eta_exits_1(workdir, problem_file, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from gradcert import (
     LogisticRidgeObjective,
+    MissingGroundTruthError,
     NotPositiveDefiniteError,
     QuadraticObjective,
     newton_reference_minimizer,
@@ -84,6 +85,22 @@ def test_f_gap_is_stable_near_the_minimizer():
     gap = obj.f_gap(x)
     d = x - x_star
     assert gap == pytest.approx(0.5 * d @ (obj.matrix @ d), rel=1e-10)
+
+
+@pytest.mark.parametrize("make", [_random_quadratic, _random_logistic])
+def test_ground_truth_is_a_pair(make):
+    # the gap comes from the minimizer alone, so a min_value without one
+    # (or the reverse) is refused, and no truth means no gap
+    obj = make()
+    x_star = newton_reference_minimizer(obj)
+    with pytest.raises(ValueError, match="both"):
+        obj.with_minimizer(x_star, None)
+    with pytest.raises(ValueError, match="both"):
+        obj.with_minimizer(None, obj.value(x_star))
+    with pytest.raises(MissingGroundTruthError):
+        obj.f_gap(np.zeros(obj.dim))
+    with pytest.raises(MissingGroundTruthError):
+        obj.f_gap_many(np.zeros((2, obj.dim)))
 
 
 def test_gradients_match_finite_differences():

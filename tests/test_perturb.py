@@ -83,19 +83,6 @@ def test_visible_noise_is_detected():
     assert report.max_drift > 0.0
 
 
-def test_detection_report_dict_shape():
-    obj, truth, x0 = _problem(10, 20.0)
-    report = detect_inexactness(obj, truth, NoiseModel(magnitude=0.0), 15, x0=x0)
-    payload = report.to_dict()
-    assert set(payload) == {
-        "eta", "seed", "first_violation", "iterations_run", "stop_reason", "max_drift", "psi"
-    }
-    assert payload["iterations_run"] == report.iterations_run
-    assert payload["stop_reason"] == report.stop_reason
-    assert payload["max_drift"] == report.max_drift
-    assert len(payload["psi"]) == report.iterations_run + 1
-
-
 def test_detection_rejects_bad_inputs():
     obj, truth, x0 = _problem(8, 10.0)
     with pytest.raises(ValueError):

@@ -108,7 +108,7 @@ def test_certify_flags_a_corrupted_trace(tiny_problem):
     # already-contracted neighbors, so the chain cannot absorb it
     k = len(trace) - 2
     trace.xs[k] += 0.1 * np.linalg.norm(trace.xs[k]) * np.ones(obj.dim) / math.sqrt(obj.dim)
-    poisoned = certify(trace, obj, recompute_gaps=True)
+    poisoned = certify(trace, obj)
     assert poisoned.first_violation is not None
 
 
@@ -199,8 +199,8 @@ def test_potential_is_basis_invariant():
     rot = rot.with_minimizer(x_star_rot, rot.value(x_star_rot))
     trace = run(obj, "cg_classic", x0, 40, 1e-9 * obj.f_gap(x0))
     rotated = dataclasses.replace(trace, xs=trace.xs @ q)
-    r1 = certify(trace, obj, recompute_gaps=True)
-    r2 = certify(rotated, rot, recompute_gaps=True)
+    r1 = certify(trace, obj)
+    r2 = certify(rotated, rot)
     assert np.allclose(r2.psis, r1.psis, rtol=1e-9, atol=1e-9 * r1.psis[0])
     assert np.allclose(r2.rhos, r1.rhos, rtol=1e-9, atol=1e-12)
 
