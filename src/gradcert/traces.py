@@ -15,7 +15,12 @@ Alignment rules:
   for the step leaving x_k.  Both are empty on the final row.
 
 Floats are written with 17 significant digits and booleans as
-``true``/``false``, so identical runs serialize byte-identically.
+``true``/``false``, so identical runs serialize byte-identically. The
+writer formats a whole column of a block of rows in one pass (see
+``serialize.fmt_floats``) and marks nan cells empty through a mask; the
+text is the same as formatting cell by cell. ``grad_norm`` is
+``||A x_k - b||`` (``||grad f(x_k)||`` off quadratics) from the stored
+iterates on every method, never CG's recurred residual.
 
 Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
 bit for bit: the method, the iterates ``xs`` and, on CG runs, the
@@ -33,29 +38,30 @@ import zipfile
 import numpy as np
 
 from .objective import QuadraticObjective
-from .serialize import fmt_float
+from .serialize import fmt_floats
 from .solvers import METHODS, Trace, momentum_coefficient
 
 TRACE_HEADER = "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta,rho,theta,nu,pi"
 
 _COLUMNS = TRACE_HEADER.split(",")
 
+# Rows formatted per write: bounds the cell strings held at once.
+_BLOCK_ROWS = 1024
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    value = float(value)
-    if np.isnan(value):
-        return ""
-    return fmt_float(value)
+
+def _csv_cells(values: np.ndarray) -> list[str]:
+    """Cells of a float column: fmt_float text, empty where nan."""
+    empty = np.isnan(values)
+    if empty.all():
+        return [""] * len(values)
+    cells = fmt_floats(values)
+    for i in np.flatnonzero(empty).tolist():
+        cells[i] = ""
+    return cells
 
 
 def _gradient_norms(trace, obj) -> np.ndarray:
-    if trace.rs is not None:
-        # CG's own view of the gradient is the recurred residual.
-        return np.linalg.norm(trace.rs, axis=1)
+    # From the iterates, like every audited cell, never from a recurrence.
     if isinstance(obj, QuadraticObjective):
         return np.linalg.norm(trace.xs @ obj.matrix - obj.rhs, axis=1)
     return np.array([np.linalg.norm(obj.grad(x)) for x in trace.xs])
@@ -103,32 +109,38 @@ def write_trace_csv(path, trace, obj, report) -> None:
         raise ValueError(
             f"trace has {n} iterates but report covers {len(report.psis)}"
         )
-    grad_norms = _gradient_norms(trace, obj)
     theta, nu, pi = _schedule_columns(trace, report)
     alphas, betas = trace.alphas, trace.betas
     cg = alphas is not None
+    if not cg:
+        alphas = betas = np.full(n, np.nan)
+    # The per-step cells (psi_ratio, cert_pass) are empty on the last row.
+    ratios = np.append(report.ratios, np.nan)
+    passes = np.append(np.where(report.step_passes, "true", "false"), "")
+    # Columns after k, in header order; each is a float column but cert_pass.
+    columns = [
+        report.f_gaps,
+        np.sqrt(report.dist_sqs),
+        _gradient_norms(trace, obj),
+        report.psis,
+        ratios,
+        passes,
+        alphas,
+        betas,
+        report.rhos,
+        theta,
+        nu,
+        pi,
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_COLUMNS)
-        for k in range(n):
-            last = k == n - 1
-            writer.writerow(
-                [
-                    str(k),
-                    _cell(report.f_gaps[k]),
-                    _cell(np.sqrt(report.dist_sqs[k])),
-                    _cell(grad_norms[k]),
-                    _cell(report.psis[k]),
-                    "" if last else _cell(report.ratios[k]),
-                    "" if last else _cell(bool(report.step_passes[k])),
-                    _cell(alphas[k]) if cg else "",
-                    _cell(betas[k]) if cg else "",
-                    _cell(report.rhos[k]),
-                    _cell(theta[k]),
-                    _cell(nu[k]),
-                    _cell(pi[k]),
-                ]
-            )
+        fh.write(TRACE_HEADER + "\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            cells = [list(map(str, range(lo, hi)))]
+            for column in columns:
+                block = column[lo:hi]
+                cells.append(block.tolist() if column is passes else _csv_cells(block))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     arrays = {"method": np.array(trace.method), "xs": trace.xs}
     if cg:
         arrays.update(alphas=alphas, prev_res_sqs=trace.prev_res_sqs)
@@ -146,13 +158,21 @@ def _parse_cell(text: str):
     return float(text)
 
 
-def read_trace_csv(path) -> dict:
+def read_trace_csv(path, names=None) -> dict:
     """Read a trace CSV back into {column: list-of-cells}.
 
     Empty cells become None, booleans become bool, everything else float
-    (including "inf"/"nan" spellings). Raises ValueError on a header or
-    row-shape mismatch.
+    (including "inf"/"nan" spellings). ``names`` picks the columns to
+    convert (default all); ``k`` is always read and checked. Raises
+    ValueError on a header or row-shape mismatch, or an unknown name.
     """
+    wanted = _COLUMNS if names is None else ["k"] + [nm for nm in names if nm != "k"]
+    unknown = sorted(set(wanted) - set(_COLUMNS))
+    if unknown:
+        raise ValueError(f"no trace column named {unknown[0]!r}")
+    width = len(_COLUMNS)
+    raw = {name: [] for name in wanted}
+    picks = [(raw[name].append, _COLUMNS.index(name)) for name in wanted]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -161,12 +181,12 @@ def read_trace_csv(path) -> dict:
             raise ValueError("trace file is empty") from None
         if header != _COLUMNS:
             raise ValueError(f"unexpected trace header {','.join(header)!r}")
-        columns = {name: [] for name in _COLUMNS}
         for i, row in enumerate(reader):
-            if len(row) != len(_COLUMNS):
-                raise ValueError(f"row {i} has {len(row)} cells, expected {len(_COLUMNS)}")
-            for name, cell in zip(_COLUMNS, row):
-                columns[name].append(_parse_cell(cell))
+            if len(row) != width:
+                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+            for append, j in picks:
+                append(row[j])
+    columns = {name: list(map(_parse_cell, cells)) for name, cells in raw.items()}
     ks = columns["k"]
     # Cells parse to None, bool or float; only the floats 0.0, 1.0, ... are k.
     if any(not isinstance(k, float) or k != j for j, k in enumerate(ks)):

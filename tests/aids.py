@@ -6,6 +6,7 @@ generator from outside, with plain floating-point arithmetic.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,8 @@ import numpy as np
 from gradcert.generate import _reflectors
 from gradcert.objective import QuadraticObjective
 from gradcert.rng import SplitMix64
+from gradcert.serialize import fmt_float
+from gradcert.traces import _COLUMNS, _gradient_norms, _schedule_columns
 
 
 @dataclass
@@ -89,3 +92,49 @@ def materialize_orthogonal(spec):
         c = 2.0 / float(v @ v)
         q = q - np.outer(q @ v, v * c)
     return q
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    value = float(value)
+    if np.isnan(value):
+        return ""
+    return fmt_float(value)
+
+
+def write_trace_csv_per_cell(path, trace, obj, report) -> None:
+    """The trace CSV of write_trace_csv, formatted one cell at a time.
+
+    The reference the column-wise writer must match byte for byte; it
+    writes no iterates file.
+    """
+    n = len(trace)
+    grad_norms = _gradient_norms(trace, obj)
+    theta, nu, pi = _schedule_columns(trace, report)
+    alphas, betas = trace.alphas, trace.betas
+    cg = alphas is not None
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        for k in range(n):
+            last = k == n - 1
+            writer.writerow(
+                [
+                    str(k),
+                    _cell(report.f_gaps[k]),
+                    _cell(np.sqrt(report.dist_sqs[k])),
+                    _cell(grad_norms[k]),
+                    _cell(report.psis[k]),
+                    "" if last else _cell(report.ratios[k]),
+                    "" if last else _cell(bool(report.step_passes[k])),
+                    _cell(alphas[k]) if cg else "",
+                    _cell(betas[k]) if cg else "",
+                    _cell(report.rhos[k]),
+                    _cell(theta[k]),
+                    _cell(nu[k]),
+                    _cell(pi[k]),
+                ]
+            )

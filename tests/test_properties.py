@@ -43,6 +43,32 @@ def test_render_json_round_trips_through_loads(doc):
     assert json.loads(render_json(doc)) == doc
 
 
+# nan, +-inf and subnormals come from st.floats(); the listed values pin
+# -0.0, the longest .17g cell (24 characters) and the far ends of float64.
+json_floats = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@given(
+    st.sampled_from([np.float64, np.float32]),
+    st.none() | st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=20),
+    st.data(),
+)
+def test_render_json_array_equals_its_list(dtype, rows, n, data):
+    shape = (n,) if rows is None else (rows, n)
+    size = n if rows is None else rows * n
+    values = data.draw(st.lists(json_floats, min_size=size, max_size=size))
+    with np.errstate(over="ignore"):
+        a = np.array(values, dtype=float).astype(dtype).reshape(shape)
+    assert render_json(a) == render_json(a.tolist())
+    doc = {"k": 1, "inner": {"a": a, "s": "x"}, "b": a}
+    listed = {"k": 1, "inner": {"a": a.tolist(), "s": "x"}, "b": a.tolist()}
+    assert render_json(doc) == render_json(listed)
+
+
 @given(seeds)
 def test_splitmix_streams_are_deterministic(seed):
     a = SplitMix64(seed)
