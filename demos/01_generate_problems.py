@@ -37,8 +37,8 @@ with tempfile.TemporaryDirectory(prefix="gradcert_demo_") as out_dir:
         fh.write(problem.to_json() + "\n")
     loaded = load_problem(path)
     print(f"wrote {path} ({os.path.getsize(path)} bytes)")
-obj = loaded.objective()
-print(f"matrices byte-identical after reload: {np.array_equal(problem.matrix, loaded.matrix)}")
+obj = loaded.objective
+print(f"matrices byte-identical after reload: {np.array_equal(problem.objective.matrix, obj.matrix)}")
 # the loader refuses a stored minimizer whose gradient is not tiny, so an
 # attached obj.minimizer is always trustworthy
 g_rel = np.linalg.norm(obj.grad(obj.minimizer)) / np.linalg.norm(obj.grad(loaded.x0))
@@ -46,6 +46,6 @@ print(f"minimizer attached, |grad(x*)|/|grad(x0)| = {g_rel:.2e}")
 
 print("\n== logistic-ridge instance (non-quadratic path) ==")
 logi = make_logistic_problem(8, 40, 0.5, seed=1)
-lobj = logi.objective()
-print(f"dim={logi.dim}  ell={lobj.ell}  L={lobj.lip:.3f}  kappa={lobj.lip / lobj.ell:.1f}")
+lobj = logi.objective
+print(f"dim={lobj.dim}  ell={lobj.ell}  L={lobj.lip:.3f}  kappa={lobj.lip / lobj.ell:.1f}")
 print(f"f(x*)={lobj.min_value:.6f}  f_gap(x0)={lobj.f_gap(logi.x0):.3f}")

@@ -24,7 +24,6 @@ from .generate import (
     GroundTruth,
     SpectrumSpec,
     extreme_eigenvalues,
-    generate,
     generate_with_start,
 )
 from .objective import (
@@ -88,7 +87,6 @@ __all__ = [
     "default_cert_tolerance",
     "detect_inexactness",
     "extreme_eigenvalues",
-    "generate",
     "generate_with_start",
     "hs_identity_battery",
     "load_problem",

@@ -23,10 +23,10 @@ import sys
 import numpy as np
 
 from .errors import GradcertError
-from .generate import LAYOUTS, SpectrumSpec
+from .generate import LAYOUTS, GroundTruth, SpectrumSpec
 from .perturb import sweep
 from .potential import certify, hs_identity_battery, rho_optimality_check
-from .problems import ProblemSpec, load_problem, make_quadratic_problem
+from .problems import load_problem, make_quadratic_problem
 from .serialize import write_json
 from .solvers import run
 from .traces import read_trace_csv, read_trace_iterates, write_trace_csv
@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_certifiable(path) -> tuple:
     spec = load_problem(path)
-    obj = spec.objective()
+    obj = spec.objective
     if obj.minimizer is None:
         raise GradcertError(
             f"{path} stores no x_star; certification needs the minimizer"
@@ -159,6 +159,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     spec, obj = _load_certifiable(args.problem)
     method = METHOD_NAMES[args.method]
+    if method.startswith("cg") and spec.kind != "quadratic":
+        raise GradcertError(f"--method {args.method} applies to quadratic problems only")
     if method in ("ag", "ag_unified") and obj.lip == obj.ell:
         print(
             "warning: L == ell, momentum degenerates; running plain gradient "
@@ -194,10 +196,10 @@ def cmd_certify(args) -> int:
     if n == 0:
         raise GradcertError(f"{args.trace} has no data rows")
     trace = read_trace_iterates(args.trace)
-    if trace.xs.shape != (n, spec.dim):
+    if trace.xs.shape != (n, obj.dim):
         raise GradcertError(
             f"iterates of {args.trace} have shape {trace.xs.shape}, "
-            f"expected ({n}, {spec.dim}) for its rows and {args.problem}"
+            f"expected ({n}, {obj.dim}) for its rows and {args.problem}"
         )
     if not np.array_equal(trace.xs[0], spec.x0):
         raise GradcertError(f"row 0 of {args.trace} does not start at the x0 of {args.problem}")
@@ -267,7 +269,7 @@ def cmd_identities(args) -> int:
     if spec.kind != "quadratic":
         raise GradcertError("identity checks apply to quadratic problems only")
     method = METHOD_NAMES[args.method]
-    iters = spec.dim if args.iters is None else args.iters
+    iters = obj.dim if args.iters is None else args.iters
     trace = run(obj, method, spec.x0, iters, -math.inf)
     battery = hs_identity_battery(trace, obj, tol_id=args.tol_id)
     rho_misalignment, rho_ok = rho_optimality_check(trace, obj)
@@ -308,10 +310,9 @@ def cmd_perturb(args) -> int:
     if spec.kind != "quadratic":
         raise GradcertError("noise injection applies to quadratic problems only")
     etas = _parse_etas(args.eta)
-    truth = spec.ground_truth()
     reports = sweep(
         obj,
-        truth,
+        GroundTruth(obj.minimizer, obj.min_value),
         etas,
         [args.seed],
         args.iters,

@@ -52,12 +52,14 @@ class SpectrumSpec:
 
 @dataclass
 class GroundTruth:
-    """Reference solution and exact spectrum endpoints of a generated problem."""
+    """Minimizer and optimal value as a separate record.
+
+    An objective carries the same pair as ``minimizer``/``min_value``; this
+    record is the form ``detect_inexactness`` and ``sweep`` take it in.
+    """
 
     x_star: np.ndarray
     f_star: float
-    lambda_min: float
-    lambda_max: float
 
 
 def eigenvalue_layout(spec: SpectrumSpec) -> np.ndarray:
@@ -123,13 +125,7 @@ def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundT
     obj = QuadraticObjective(a, b, spec.ell, spec.lip)
     x_star = reference_minimizer(obj)
     f_star = obj.value(x_star)
-    truth = GroundTruth(x_star=x_star, f_star=f_star, lambda_min=spec.ell, lambda_max=spec.lip)
-    return obj.with_minimizer(x_star, f_star), truth, x0
-
-
-def generate(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundTruth]:
-    obj, truth, _ = generate_with_start(spec)
-    return obj, truth
+    return obj.with_minimizer(x_star, f_star), GroundTruth(x_star, f_star), x0
 
 
 def extreme_eigenvalues(

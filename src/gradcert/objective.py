@@ -33,8 +33,8 @@ class Objective:
     def __init__(self, dim, ell, lip, minimizer=None, min_value=None):
         if int(dim) < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if not (0.0 < ell <= lip):
-            raise ValueError(f"need 0 < ell <= lip, got ell={ell}, lip={lip}")
+        if not (0.0 < ell <= lip < np.inf):
+            raise ValueError(f"need finite 0 < ell <= lip, got ell={ell}, lip={lip}")
         if (minimizer is None) != (min_value is None):
             raise ValueError("ground truth needs both minimizer and min_value, or neither")
         self.dim = int(dim)
@@ -42,6 +42,8 @@ class Objective:
         self.lip = float(lip)
         if minimizer is not None:
             minimizer = self._check_vector(minimizer, "minimizer")
+            if not np.all(np.isfinite(minimizer)):
+                raise ValueError("minimizer has non-finite entries")
             minimizer = minimizer.copy()
             minimizer.setflags(write=False)
         self.minimizer = minimizer
@@ -62,7 +64,15 @@ class Objective:
         raise NotImplementedError
 
     def with_minimizer(self, x_star, f_star):
-        raise NotImplementedError
+        """Copy carrying ground truth (x_star, f_star).
+
+        The data arrays are validated and read-only, and the curvature
+        bounds are already known: the copy shares them rather than checking,
+        factoring or estimating anything again.
+        """
+        obj = copy.copy(self)
+        Objective.__init__(obj, self.dim, self.ell, self.lip, x_star, f_star)
+        return obj
 
     def _check_vector(self, x, name="x"):
         x = np.asarray(x, dtype=float)
@@ -104,6 +114,8 @@ class QuadraticObjective(Objective):
             raise NotPositiveDefiniteError("matrix is not positive definite") from exc
         super().__init__(a.shape[0], ell, lip, minimizer, min_value)
         b = self._check_vector(rhs, "rhs").copy()
+        if not np.all(np.isfinite(b)):
+            raise ValueError("rhs has non-finite entries")
         a.setflags(write=False)
         b.setflags(write=False)
         self.matrix = a
@@ -135,13 +147,6 @@ class QuadraticObjective(Objective):
         d = np.asarray(xs, dtype=float) - self._x_star()
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
 
-    def with_minimizer(self, x_star, f_star):
-        # matrix and rhs are validated and read-only: share them rather than
-        # re-checking symmetry and factoring A again.
-        obj = copy.copy(self)
-        Objective.__init__(obj, self.dim, self.ell, self.lip, x_star, f_star)
-        return obj
-
 
 class LogisticRidgeObjective(Objective):
     """f(x) = ridge/2 ||x||^2 + sum_i log(1 + exp(a_i'x)).
@@ -159,15 +164,19 @@ class LogisticRidgeObjective(Objective):
         if not np.all(np.isfinite(data)):
             raise ValueError("data_matrix has non-finite entries")
         ridge = float(ridge)
-        if ridge <= 0.0:
+        if not ridge > 0.0:
             raise ValueError(f"ridge must be positive, got {ridge}")
         lip = ridge + spectral_norm_sq(data) * (1.0 + 1e-9) / 4.0
         super().__init__(data.shape[1], ridge, lip, minimizer, min_value)
         data.setflags(write=False)
         self.data_matrix = data
         self.ridge = ridge
+        self._cache_star()
+
+    def _cache_star(self):
+        # the data-space image of x* and its sigmoid, reused by every gap
         if self.minimizer is not None:
-            self._t_star = data @ self.minimizer
+            self._t_star = self.data_matrix @ self.minimizer
             self._sig_star = expit(self._t_star)
 
     def value(self, x):
@@ -215,9 +224,8 @@ class LogisticRidgeObjective(Objective):
         return self._gap_rows(np.asarray(xs, dtype=float))
 
     def with_minimizer(self, x_star, f_star):
-        obj = LogisticRidgeObjective(self.data_matrix, self.ridge, x_star, f_star)
-        # keep the already-computed lip rather than re-running power iteration
-        obj.lip = self.lip
+        obj = super().with_minimizer(x_star, f_star)
+        obj._cache_star()
         return obj
 
 

@@ -1,13 +1,18 @@
 """Problem instances as portable JSON files.
 
-A problem file fully determines an optimization instance: the objective
-data, the strong-convexity and smoothness constants, the start point, and
-(optionally) the minimizer and the generator seed.  Two kinds exist:
+A ``ProblemSpec`` is one instance: its objective, the start point ``x0``
+and, optionally, the generator seed. The objective holds everything else
+(the data, ``ell``, ``L`` and, when known, the minimizer), and it is
+validated and built once, by ``load_problem`` or by a ``make_*_problem``
+factory; callers read ``spec.objective``.
+
+A problem file fully determines an instance. Two kinds exist:
 
 * ``"quadratic"``: fields ``matrix`` (row-major, symmetric positive
   definite) and ``rhs``.
 * ``"logistic_ridge"``: fields ``data_matrix`` (rows are label-folded
-  samples) and ``ridge``.
+  samples) and ``ridge``; the declared ``ell`` and ``L`` must match the
+  ridge and the data-derived bound.
 
 Common fields: ``kind``, ``dim``, ``x0``, ``ell``, ``L``, plus optional
 ``x_star`` and ``seed``.  All floats are written with 17 significant
@@ -18,12 +23,12 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MissingGroundTruthError
-from .generate import GroundTruth, SpectrumSpec, generate_with_start
+from .generate import SpectrumSpec, generate_with_start
 from .objective import (
     LogisticRidgeObjective,
     Objective,
@@ -40,116 +45,42 @@ KINDS = ("quadratic", "logistic_ridge")
 GROUND_TRUTH_TOL = 1e-10
 
 
-def _as_vector(value, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated, serializable description of one problem instance."""
+    """One problem instance: objective, start point and generator seed."""
 
-    kind: str
-    dim: int
+    objective: Objective
     x0: np.ndarray
-    ell: float
-    lip: float
-    matrix: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    data_matrix: np.ndarray | None = None
-    ridge: float | None = None
-    x_star: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if not (0.0 < self.ell <= self.lip):
-            raise ValueError("need 0 < ell <= L")
-        object.__setattr__(self, "x0", _as_vector(self.x0, self.dim, "x0"))
-        if self.kind == "quadratic":
-            if self.matrix is None or self.rhs is None:
-                raise ValueError("quadratic problems need matrix and rhs")
-            mat = np.asarray(self.matrix, dtype=float)
-            if mat.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"matrix must have shape ({self.dim}, {self.dim}), got {mat.shape}"
-                )
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("matrix contains non-finite entries")
-            object.__setattr__(self, "matrix", mat)
-            object.__setattr__(self, "rhs", _as_vector(self.rhs, self.dim, "rhs"))
-        else:
-            if self.data_matrix is None or self.ridge is None:
-                raise ValueError("logistic_ridge problems need data_matrix and ridge")
-            data = np.asarray(self.data_matrix, dtype=float)
-            if data.ndim != 2 or data.shape[1] != self.dim:
-                raise ValueError(
-                    f"data_matrix must have {self.dim} columns, got shape {data.shape}"
-                )
-            if not np.all(np.isfinite(data)):
-                raise ValueError("data_matrix contains non-finite entries")
-            if not self.ridge > 0.0:
-                raise ValueError("ridge must be positive")
-            object.__setattr__(self, "data_matrix", data)
-            object.__setattr__(self, "ridge", float(self.ridge))
-        if self.x_star is not None:
-            object.__setattr__(
-                self, "x_star", _as_vector(self.x_star, self.dim, "x_star")
-            )
+        if not isinstance(self.objective, (QuadraticObjective, LogisticRidgeObjective)):
+            raise TypeError(f"no problem kind for {type(self.objective).__name__}")
+        x0 = self.objective._check_vector(self.x0, "x0")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("x0 contains non-finite entries")
+        object.__setattr__(self, "x0", x0)
 
-    def objective(self) -> Objective:
-        """Build the objective, with the minimizer attached when stored."""
-        if self.kind == "quadratic":
-            obj = QuadraticObjective(self.matrix, self.rhs, self.ell, self.lip)
-        else:
-            obj = LogisticRidgeObjective(self.data_matrix, self.ridge)
-            if not np.isclose(obj.lip, self.lip, rtol=1e-6):
-                raise ValueError(
-                    f"declared L={self.lip} disagrees with data-derived bound {obj.lip}"
-                )
-        if self.x_star is None:
-            return obj
-        g_star = float(np.linalg.norm(obj.grad(self.x_star)))
-        g_zero = float(np.linalg.norm(obj.grad(self.x0)))
-        if g_star > GROUND_TRUTH_TOL * max(1.0, g_zero):
-            raise MissingGroundTruthError(
-                f"stored x_star is not a minimizer: |grad| = {g_star:g} "
-                f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
-            )
-        return obj.with_minimizer(self.x_star, float(obj.value(self.x_star)))
-
-    def ground_truth(self) -> GroundTruth:
-        """Stored minimizer as a GroundTruth record; raises when absent."""
-        if self.x_star is None:
-            raise MissingGroundTruthError("problem has no stored x_star")
-        obj = self.objective()
-        return GroundTruth(
-            x_star=self.x_star,
-            f_star=float(obj.value(self.x_star)),
-            lambda_min=self.ell,
-            lambda_max=self.lip,
-        )
+    @property
+    def kind(self) -> str:
+        if isinstance(self.objective, LogisticRidgeObjective):
+            return "logistic_ridge"
+        return "quadratic"
 
     def to_json(self) -> str:
-        doc = {"kind": self.kind, "dim": self.dim}
+        obj = self.objective
+        doc = {"kind": self.kind, "dim": obj.dim}
         if self.kind == "quadratic":
-            doc["matrix"] = self.matrix
-            doc["rhs"] = self.rhs
+            doc["matrix"] = obj.matrix
+            doc["rhs"] = obj.rhs
         else:
-            doc["data_matrix"] = self.data_matrix
-            doc["ridge"] = self.ridge
+            doc["data_matrix"] = obj.data_matrix
+            doc["ridge"] = obj.ridge
         doc["x0"] = self.x0
-        doc["ell"] = self.ell
-        doc["L"] = self.lip
-        if self.x_star is not None:
-            doc["x_star"] = self.x_star
+        doc["ell"] = obj.ell
+        doc["L"] = obj.lip
+        if obj.minimizer is not None:
+            doc["x_star"] = obj.minimizer
         if self.seed is not None:
             doc["seed"] = int(self.seed)
         return render_json(doc) + "\n"
@@ -175,71 +106,75 @@ def _number_field(doc, name, cast):
         raise ValueError(f"problem file field {name!r} is not {kind}: {value!r}") from None
 
 
-def _array_field(value, name):
-    """A float array read from the file (None passes through).
+def _array_field(doc, name, dim, ndim=1):
+    """A vector of dim floats (ndim=2: a matrix with dim columns) from the file.
 
     Every cell must be a JSON number: strings, booleans (also mixed in
     among numbers), nulls and ragged nesting are rejected rather than cast
     to float.
     """
-    if value is None:
-        return None
     try:
-        cells = np.array(value, dtype=object)
-        if set(map(type, cells.flat)) <= {int, float}:
-            return cells.astype(float)
+        cells = np.array(doc[name], dtype=object)
+        numeric = set(map(type, cells.flat)) <= {int, float}
+        arr = cells.astype(float) if numeric else None
     except (ValueError, OverflowError):  # ragged nesting, integers beyond float
-        pass
-    raise ValueError(f"problem file field {name!r} is not a numeric array")
+        arr = None
+    if arr is None:
+        raise ValueError(f"problem file field {name!r} is not a numeric array")
+    if arr.ndim != ndim or arr.shape[-1] != dim:
+        want = f"shape ({dim},)" if ndim == 1 else f"{dim} columns"
+        raise ValueError(f"{name} must have {want}, got shape {arr.shape}")
+    return arr
 
 
 def load_problem(path) -> ProblemSpec:
-    """Read and validate a problem JSON file."""
+    """Read a problem JSON file and build its validated objective."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("problem file must contain a JSON object")
     try:
         kind = doc["kind"]
+        if kind not in KINDS:
+            raise ValueError(f"unknown problem kind {kind!r}")
         dim = _number_field(doc, "dim", int)
-        x0 = _array_field(doc["x0"], "x0")
+        x0 = _array_field(doc, "x0", dim)
         ell = _number_field(doc, "ell", float)
         lip = _number_field(doc, "L", float)
+        if kind == "quadratic":
+            matrix = _array_field(doc, "matrix", dim, ndim=2)
+            obj = QuadraticObjective(matrix, _array_field(doc, "rhs", dim), ell, lip)
+        else:
+            data = _array_field(doc, "data_matrix", dim, ndim=2)
+            obj = LogisticRidgeObjective(data, _number_field(doc, "ridge", float))
     except KeyError as exc:
         raise ValueError(f"problem file missing field {exc.args[0]!r}") from None
-    spec = ProblemSpec(
-        kind=kind,
-        dim=dim,
-        x0=x0,
-        ell=ell,
-        lip=lip,
-        matrix=_array_field(doc.get("matrix"), "matrix"),
-        rhs=_array_field(doc.get("rhs"), "rhs"),
-        data_matrix=_array_field(doc.get("data_matrix"), "data_matrix"),
-        ridge=None if doc.get("ridge") is None else _number_field(doc, "ridge", float),
-        x_star=_array_field(doc.get("x_star"), "x_star"),
-        seed=doc.get("seed"),
-    )
+    if kind == "logistic_ridge":
+        for name, declared, derived in (("ell", ell, obj.ell), ("L", lip, obj.lip)):
+            if not np.isclose(derived, declared, rtol=1e-6):
+                raise ValueError(
+                    f"declared {name}={declared} disagrees with data-derived bound {derived}"
+                )
+    seed = None if doc.get("seed") is None else _number_field(doc, "seed", int)
+    spec = ProblemSpec(obj, x0, seed)
+    if doc.get("x_star") is None:
+        return spec
     # Fail fast on a bogus stored minimizer rather than at certify time.
-    if spec.x_star is not None:
-        spec.objective()
-    return spec
+    x_star = _array_field(doc, "x_star", dim)
+    g_star = float(np.linalg.norm(obj.grad(x_star)))
+    g_zero = float(np.linalg.norm(obj.grad(spec.x0)))
+    if not g_star <= GROUND_TRUTH_TOL * max(1.0, g_zero):
+        raise MissingGroundTruthError(
+            f"stored x_star is not a minimizer: |grad| = {g_star:g} "
+            f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
+        )
+    return replace(spec, objective=obj.with_minimizer(x_star, obj.value(x_star)))
 
 
 def make_quadratic_problem(spectrum: SpectrumSpec) -> ProblemSpec:
-    """Deterministic quadratic instance with its exact minimizer stored."""
-    obj, truth, x0 = generate_with_start(spectrum)
-    return ProblemSpec(
-        kind="quadratic",
-        dim=spectrum.dim,
-        x0=x0,
-        ell=spectrum.ell,
-        lip=spectrum.lip,
-        matrix=obj.matrix,
-        rhs=obj.rhs,
-        x_star=truth.x_star,
-        seed=spectrum.seed,
-    )
+    """Deterministic quadratic instance with its exact minimizer attached."""
+    obj, _, x0 = generate_with_start(spectrum)
+    return ProblemSpec(obj, x0, spectrum.seed)
 
 
 def make_logistic_problem(
@@ -259,14 +194,4 @@ def make_logistic_problem(
     x0 = stream.gaussian_vector(dim)
     obj = LogisticRidgeObjective(data, ridge)
     x_star = newton_reference_minimizer(obj, x0)
-    return ProblemSpec(
-        kind="logistic_ridge",
-        dim=dim,
-        x0=x0,
-        ell=obj.ell,
-        lip=obj.lip,
-        data_matrix=data,
-        ridge=ridge,
-        x_star=x_star,
-        seed=seed,
-    )
+    return ProblemSpec(obj.with_minimizer(x_star, obj.value(x_star)), x0, seed)

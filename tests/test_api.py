@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "default_cert_tolerance",
     "detect_inexactness",
     "extreme_eigenvalues",
-    "generate",
     "generate_with_start",
     "hs_identity_battery",
     "load_problem",
@@ -48,7 +47,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(gradcert.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gradcert, name) is not None, name

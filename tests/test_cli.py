@@ -11,11 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcert.cli import main
+from gradcert.generate import GroundTruth
+from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
 from gradcert.potential import certify
 from gradcert.problems import ProblemSpec, load_problem, make_logistic_problem
 from gradcert.solvers import run
 from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates, write_trace_csv
+
+
+def _quadratic_spec(matrix, rhs, ell, lip, x0, x_star=None):
+    obj = QuadraticObjective(matrix, rhs, ell, lip)
+    if x_star is not None:
+        obj = obj.with_minimizer(x_star, obj.value(x_star))
+    return ProblemSpec(obj, x0)
 
 
 @pytest.fixture(scope="module")
@@ -36,15 +45,8 @@ def problem_file(workdir):
 @pytest.fixture(scope="module")
 def dim2_file(workdir):
     # the two-eigenvalue instance whose potential values are known closed-form
-    spec = ProblemSpec(
-        kind="quadratic",
-        dim=2,
-        x0=[1.0, 1.0],
-        ell=1.0,
-        lip=3.0,
-        matrix=[[1.0, 0.0], [0.0, 3.0]],
-        rhs=[0.0, 0.0],
-        x_star=[0.0, 0.0],
+    spec = _quadratic_spec(
+        [[1.0, 0.0], [0.0, 3.0]], [0.0, 0.0], 1.0, 3.0, x0=[1.0, 1.0], x_star=[0.0, 0.0]
     )
     path = workdir / "dim2.json"
     spec.save(path)
@@ -57,7 +59,7 @@ def test_gen_is_deterministic(workdir, problem_file):
     assert main(args + ["--out", str(other)]) == 0
     assert other.read_bytes() == problem_file.read_bytes()
     spec = load_problem(problem_file)
-    assert spec.dim == 12 and spec.seed == 1
+    assert spec.objective.dim == 12 and spec.seed == 1
 
 
 @pytest.mark.parametrize(
@@ -85,15 +87,7 @@ def test_run_missing_problem_exits_1(workdir, capsys):
 
 
 def test_run_requires_stored_minimizer(workdir, capsys):
-    spec = ProblemSpec(
-        kind="quadratic",
-        dim=2,
-        x0=[1.0, 0.0],
-        ell=1.0,
-        lip=2.0,
-        matrix=[[1.0, 0.0], [0.0, 2.0]],
-        rhs=[0.0, 0.0],
-    )
+    spec = _quadratic_spec([[1.0, 0.0], [0.0, 2.0]], [0.0, 0.0], 1.0, 2.0, x0=[1.0, 0.0])
     path = workdir / "nostar.json"
     spec.save(path)
     out = workdir / "nostar.csv"
@@ -159,7 +153,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     # recomputed from the fake point, yet the recurrence cannot have
     # produced it, so re-certification must refuse the trace
     spec = load_problem(problem_file)
-    obj = spec.objective()
+    obj = spec.objective
     trace = run(obj, "cg_classic", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
     k = len(trace) // 2
     xs = trace.xs.copy()
@@ -182,7 +176,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
 def test_certify_cli_agrees_with_certify(workdir, problem_file, capsys):
     # the CLI replays the chain and envelopes with the same checker as certify()
     spec = load_problem(problem_file)
-    obj = spec.objective()
+    obj = spec.objective
     for method, name in (("cg", "cg_classic"), ("cg-unified", "cg_unified"),
                          ("ag", "ag"), ("ag-unified", "ag_unified")):
         csv_path = workdir / f"agree_{method}.csv"
@@ -219,7 +213,7 @@ def test_run_cg_cells_equal_certify_on_stored_iterates(workdir, method):
     path = workdir / f"exact_cells_{method}.csv"
     assert main(["run", "--problem", str(prob), "--method", method, "--out", str(path)]) == 0
     cols = read_trace_csv(path)
-    report = certify(read_trace_iterates(path), load_problem(prob).objective())
+    report = certify(read_trace_iterates(path), load_problem(prob).objective)
     for name, values in (("psi", report.psis), ("f_gap", report.f_gaps), ("rho", report.rhos)):
         assert np.array_equal(np.array(cols[name]), values), name
 
@@ -328,7 +322,7 @@ def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file):
     # claims written to match, only counting each step the identity cannot
     # check as a violation refuses the trace
     spec = load_problem(problem_file)
-    obj = spec.objective()
+    obj = spec.objective
     trace = run(obj, "cg_classic", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
     forged = dataclasses.replace(trace, alphas=np.full_like(trace.alphas, np.nan))
     path = workdir / "nan_alphas.csv"
@@ -435,14 +429,12 @@ def test_certify_survives_flipped_iterates_bytes(workdir, problem_file, cg_itera
 
 
 def test_ag_from_minimizer_start_reports_zero_gap(workdir):
-    spec = ProblemSpec(
-        kind="quadratic",
-        dim=3,
+    spec = _quadratic_spec(
+        [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]],
+        [0.25, -1.0, 4.0],
+        1.0,
+        4.0,
         x0=[0.25, -0.5, 1.0],
-        ell=1.0,
-        lip=4.0,
-        matrix=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 4.0]],
-        rhs=[0.25, -1.0, 4.0],
         x_star=[0.25, -0.5, 1.0],
     )
     path = workdir / "atstar.json"
@@ -499,6 +491,57 @@ def test_identities_rejects_logistic(workdir, capsys):
     assert "quadratic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["cg", "cg-unified"])
+def test_run_cg_rejects_logistic(workdir, capsys, method):
+    path = workdir / "logistic_cg.json"
+    make_logistic_problem(4, 16, 0.1, seed=1).save(path)
+    out = workdir / "logistic_cg.csv"
+    assert main(["run", "--problem", str(path), "--method", method, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "quadratic" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [["L"], ["ell", "L"]], ids="-".join)
+def test_nonfinite_curvature_bound_exits_1(workdir, problem_file, capsys, fields):
+    doc = json.loads(problem_file.read_text())
+    doc.update(dict.fromkeys(fields, float("inf")))  # written as Infinity
+    path = workdir / "inf_bound.json"
+    path.write_text(json.dumps(doc))
+    out = workdir / "inf_bound.csv"
+    assert main(["run", "--problem", str(path), "--method", "ag", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_each_command_builds_the_objective_once(workdir, monkeypatch):
+    # one QuadraticObjective (one symmetry check and Cholesky factorization)
+    # per command: the loaded spec carries it to every consumer
+    builds = []
+    init = QuadraticObjective.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuadraticObjective, "__init__", counted)
+    prob, trace = str(workdir / "once.json"), str(workdir / "once.csv")
+    gen = ["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--seed", "4"]
+    commands = {
+        "gen": gen + ["--out", prob],
+        "run": ["run", "--problem", prob, "--method", "cg", "--out", trace],
+        "certify": ["certify", trace, "--problem", prob],
+        "identities": ["identities", "--problem", prob],
+        "perturb": ["perturb", "--problem", prob, "--eta", "0,1e-3", "--iters", "20",
+                    "--out", str(workdir / "once_perturb.json")],
+    }
+    counts = {}
+    for name, argv in commands.items():
+        builds.clear()
+        assert main(argv) == 0, name
+        counts[name] = len(builds)
+    assert counts == dict.fromkeys(commands, 1)
+
+
 def test_perturb_command(workdir, problem_file, capsys):
     out = workdir / "sweep.json"
     code = main(
@@ -524,7 +567,9 @@ def test_perturb_command(workdir, problem_file, capsys):
     assert "first_violation=none" in capsys.readouterr().out
     # each entry is its detection report, psi included value for value
     spec = load_problem(problem_file)
-    reports = sweep(spec.objective(), spec.ground_truth(), [0.0, 1e-2], [0], 40, x0=spec.x0)
+    obj = spec.objective
+    truth = GroundTruth(obj.minimizer, obj.min_value)
+    reports = sweep(obj, truth, [0.0, 1e-2], [0], 40, x0=spec.x0)
     for entry, r in zip(doc, reports, strict=True):
         assert entry == {
             "eta": r.eta,

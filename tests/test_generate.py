@@ -8,7 +8,6 @@ from gradcert import (
     QuadraticObjective,
     SpectrumSpec,
     extreme_eigenvalues,
-    generate,
     generate_with_start,
 )
 from aids import materialize_orthogonal
@@ -50,7 +49,7 @@ def test_unknown_layout_rejected():
 def test_dim_one_needs_flat_spectrum():
     with pytest.raises(ValueError):
         SpectrumSpec(1, 1.0, 2.0, "uniform", 0)
-    obj, truth = generate(SpectrumSpec(1, 3.0, 3.0, "uniform", 0))
+    obj, truth, _ = generate_with_start(SpectrumSpec(1, 3.0, 3.0, "uniform", 0))
     assert obj.matrix.shape == (1, 1)
     assert obj.matrix[0, 0] == pytest.approx(3.0)
 
@@ -68,8 +67,8 @@ def test_generation_is_deterministic():
 def test_different_seeds_differ():
     spec_a = SpectrumSpec(10, 1.0, 10.0, "uniform", 0)
     spec_b = SpectrumSpec(10, 1.0, 10.0, "uniform", 1)
-    a, _ = generate(spec_a)
-    b, _ = generate(spec_b)
+    a, _, _ = generate_with_start(spec_a)
+    b, _, _ = generate_with_start(spec_b)
     assert not np.array_equal(a.matrix, b.matrix)
 
 
@@ -83,7 +82,7 @@ def test_orthogonal_factor_quality():
 
 def test_matrix_matches_declared_spectrum():
     spec = SpectrumSpec(25, 0.5, 200.0, "two_cluster", 4)
-    obj, truth = generate(spec)
+    obj, truth, _ = generate_with_start(spec)
     eigs = np.linalg.eigvalsh(obj.matrix)
     assert eigs[0] == pytest.approx(0.5, rel=1e-10)
     assert eigs[-1] == pytest.approx(200.0, rel=1e-10)
@@ -106,7 +105,7 @@ def test_extreme_eigenvalues_agree_with_declaration():
         ("two_cluster", 60, 1e4),
         ("uniform", 40, 1000.0),
     ):
-        obj, _ = generate(SpectrumSpec(dim, 1.0, kappa, layout, 6))
+        obj, _, _ = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, 6))
         lo, hi = extreme_eigenvalues(obj)
         assert lo == pytest.approx(1.0, rel=1e-6)
         assert hi == pytest.approx(kappa, rel=1e-6)
@@ -124,7 +123,7 @@ def test_extreme_eigenvalues_diagonal_example():
 def test_extreme_eigenvalues_flat_spectrum_error_path():
     # power iteration cannot separate a flat deflated spectrum; the error
     # carries whatever estimates were reached
-    obj, _ = generate(SpectrumSpec(6, 2.0, 2.0, "uniform", 0))
+    obj, _, _ = generate_with_start(SpectrumSpec(6, 2.0, 2.0, "uniform", 0))
     try:
         lo, hi = extreme_eigenvalues(obj, max_iters=50)
     except EigenEstimateError as exc:
@@ -189,7 +188,7 @@ def test_logistic_problem_matches_scalar_draws(dim, n_samples):
         data = _scalar_gaussians(stream, n_samples * dim).reshape(n_samples, dim)
         x0 = _scalar_gaussians(stream, dim)
         spec = make_logistic_problem(dim, n_samples, 1e-3, seed)
-        assert _same_bytes(spec.data_matrix, data), seed
+        assert _same_bytes(spec.objective.data_matrix, data), seed
         assert _same_bytes(spec.x0, x0), seed
 
 

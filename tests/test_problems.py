@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from gradcert.errors import MissingGroundTruthError
-from gradcert.generate import SpectrumSpec
-from gradcert.objective import LogisticRidgeObjective
+from gradcert.generate import SpectrumSpec, generate_with_start
+from gradcert.objective import LogisticRidgeObjective, QuadraticObjective
 from gradcert.problems import (
     GROUND_TRUTH_TOL,
     ProblemSpec,
@@ -36,9 +36,9 @@ def test_round_trip_is_byte_identical(tmp_path, quad_spec):
     path2 = tmp_path / "p2.json"
     reloaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
-    assert np.array_equal(reloaded.matrix, quad_spec.matrix)
+    assert np.array_equal(reloaded.objective.matrix, quad_spec.objective.matrix)
     assert np.array_equal(reloaded.x0, quad_spec.x0)
-    assert np.array_equal(reloaded.x_star, quad_spec.x_star)
+    assert np.array_equal(reloaded.objective.minimizer, quad_spec.objective.minimizer)
 
 
 def test_json_key_order_quadratic(quad_spec):
@@ -57,35 +57,42 @@ def test_json_key_order_logistic(logistic_spec):
 
 def test_floats_survive_with_17_digits(quad_spec):
     doc = json.loads(quad_spec.to_json())
-    assert np.array_equal(np.asarray(doc["matrix"]), quad_spec.matrix)
-    assert np.array_equal(np.asarray(doc["rhs"]), quad_spec.rhs)
+    assert np.array_equal(np.asarray(doc["matrix"]), quad_spec.objective.matrix)
+    assert np.array_equal(np.asarray(doc["rhs"]), quad_spec.objective.rhs)
 
 
-def test_optional_fields_stay_optional(quad_spec):
-    bare = ProblemSpec(
-        kind="quadratic",
-        dim=quad_spec.dim,
-        x0=quad_spec.x0,
-        ell=quad_spec.ell,
-        lip=quad_spec.lip,
-        matrix=quad_spec.matrix,
-        rhs=quad_spec.rhs,
-    )
+def _bare(spec):
+    """spec's quadratic without its minimizer, as its own ProblemSpec."""
+    obj = spec.objective
+    return ProblemSpec(QuadraticObjective(obj.matrix, obj.rhs, obj.ell, obj.lip), spec.x0)
+
+
+def test_optional_fields_stay_optional(tmp_path, quad_spec):
+    bare = _bare(quad_spec)
     doc = json.loads(bare.to_json())
     assert "x_star" not in doc and "seed" not in doc
-    assert bare.objective().minimizer is None
+    path = tmp_path / "bare.json"
+    bare.save(path)
+    loaded = load_problem(path)
+    assert loaded.objective.minimizer is None and loaded.seed is None
     with pytest.raises(MissingGroundTruthError):
-        bare.ground_truth()
+        loaded.objective.f_gap(loaded.x0)
 
 
-def test_objective_attaches_minimizer(quad_spec):
-    obj = quad_spec.objective()
+def test_objective_attaches_minimizer(tmp_path, quad_spec):
+    obj = quad_spec.objective
     assert obj.minimizer is not None
-    assert obj.min_value == pytest.approx(obj.value(quad_spec.x_star), rel=1e-15)
-    truth = quad_spec.ground_truth()
-    assert truth.lambda_min == quad_spec.ell
-    assert truth.lambda_max == quad_spec.lip
-    assert truth.f_star == obj.min_value
+    assert obj.min_value == pytest.approx(obj.value(obj.minimizer), rel=1e-15)
+    # the generator's exact spectrum endpoints and reference solve, bit for bit
+    _, truth, _ = generate_with_start(SpectrumSpec(7, 1.0, 40.0, "log_uniform", 5))
+    assert (obj.ell, obj.lip) == (1.0, 40.0)
+    assert np.array_equal(obj.minimizer, truth.x_star) and obj.min_value == truth.f_star
+    # a load attaches f(x*) computed once from the stored x_star
+    path = tmp_path / "p.json"
+    quad_spec.save(path)
+    loaded = load_problem(path).objective
+    assert np.array_equal(loaded.minimizer, obj.minimizer)
+    assert loaded.min_value == loaded.value(obj.minimizer)
 
 
 def test_load_rejects_missing_field(tmp_path, quad_spec):
@@ -131,53 +138,58 @@ def test_load_rejects_corrupt_minimizer(tmp_path, quad_spec):
         load_problem(path)
 
 
-def test_stored_minimizer_gate_is_relative(quad_spec):
+def test_stored_minimizer_gate_is_relative(tmp_path, quad_spec):
     # a perturbation below the gate must still load
-    obj = quad_spec.objective()
+    obj = quad_spec.objective
     g0 = np.linalg.norm(obj.grad(quad_spec.x0))
-    tiny = quad_spec.x_star + 1e-14 * max(1.0, g0)
-    spec = ProblemSpec(
-        kind="quadratic",
-        dim=quad_spec.dim,
-        x0=quad_spec.x0,
-        ell=quad_spec.ell,
-        lip=quad_spec.lip,
-        matrix=quad_spec.matrix,
-        rhs=quad_spec.rhs,
-        x_star=tiny,
-    )
-    assert spec.objective().minimizer is not None
+    tiny = obj.minimizer + 1e-14 * max(1.0, g0)
+    doc = json.loads(quad_spec.to_json())
+    doc["x_star"] = tiny.tolist()
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    assert np.array_equal(load_problem(path).objective.minimizer, tiny)
     assert GROUND_TRUTH_TOL == 1e-10
 
 
-def test_constructor_validation():
+def test_constructor_validation(tmp_path):
+    # dim >= 1 and 0 < ell <= L are the objective's checks; x0 is the spec's
     with pytest.raises(ValueError):
-        ProblemSpec(kind="quadratic", dim=0, x0=[], ell=1.0, lip=2.0)
+        QuadraticObjective(np.zeros((0, 0)), [], 1.0, 2.0)
     with pytest.raises(ValueError):
-        ProblemSpec(kind="quadratic", dim=2, x0=[0.0, 0.0], ell=2.0, lip=1.0)
-    with pytest.raises(ValueError):
-        ProblemSpec(kind="quadratic", dim=2, x0=[0.0, 0.0], ell=1.0, lip=2.0)
+        QuadraticObjective(np.eye(2), np.zeros(2), 2.0, 1.0)
+    obj = QuadraticObjective(np.eye(2), np.zeros(2), 1.0, 2.0)
+    with pytest.raises(ValueError, match="x0"):
+        ProblemSpec(obj, [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="x0"):
+        ProblemSpec(obj, [0.0, np.nan])
+    with pytest.raises(TypeError):
+        ProblemSpec(None, [0.0, 0.0])
+    # a quadratic file without its payload is missing a field
+    path = tmp_path / "nomatrix.json"
+    path.write_text(json.dumps({"kind": "quadratic", "dim": 2, "x0": [0, 0], "ell": 1, "L": 2}))
+    with pytest.raises(ValueError, match="matrix"):
+        load_problem(path)
 
 
 def test_logistic_round_trip(tmp_path, logistic_spec):
     path = tmp_path / "log.json"
     logistic_spec.save(path)
     reloaded = load_problem(path)
-    obj = reloaded.objective()
-    assert isinstance(obj, LogisticRidgeObjective)
+    obj = reloaded.objective
+    assert isinstance(obj, LogisticRidgeObjective) and reloaded.kind == "logistic_ridge"
     assert obj.minimizer is not None
-    assert np.linalg.norm(obj.grad(reloaded.x_star)) <= GROUND_TRUTH_TOL
+    assert np.linalg.norm(obj.grad(obj.minimizer)) <= GROUND_TRUTH_TOL
+    assert reloaded.to_json() == logistic_spec.to_json()
 
 
 def test_logistic_declared_lip_must_match(tmp_path, logistic_spec):
     doc = json.loads(logistic_spec.to_json())
     doc["L"] = doc["L"] * 2.0
-    del doc["x_star"]  # isolate: the L check fires inside objective()
+    del doc["x_star"]  # isolate: the L check fires without a minimizer too
     path = tmp_path / "log.json"
     path.write_text(json.dumps(doc))
-    spec = load_problem(path)
     with pytest.raises(ValueError, match="declared L"):
-        spec.objective()
+        load_problem(path)
 
 
 def test_logistic_generator_is_deterministic():
@@ -186,13 +198,86 @@ def test_logistic_generator_is_deterministic():
     c = make_logistic_problem(5, 12, 0.2, seed=8)
     assert a.to_json() == b.to_json()
     assert a.to_json() != c.to_json()
-    assert a.ell == pytest.approx(0.2)
+    assert a.objective.ell == pytest.approx(0.2)
 
 
 def test_quadratic_factory_records_seed(quad_spec):
     assert quad_spec.seed == 5
     assert quad_spec.kind == "quadratic"
     # stored spectrum bounds are the generator's exact targets
-    eigs = np.linalg.eigvalsh(quad_spec.matrix)
-    assert eigs[0] == pytest.approx(quad_spec.ell, rel=1e-12)
-    assert eigs[-1] == pytest.approx(quad_spec.lip, rel=1e-12)
+    obj = quad_spec.objective
+    eigs = np.linalg.eigvalsh(obj.matrix)
+    assert eigs[0] == pytest.approx(obj.ell, rel=1e-12)
+    assert eigs[-1] == pytest.approx(obj.lip, rel=1e-12)
+
+
+def _load_edited(tmp_path, spec, **fields):
+    doc = json.loads(spec.to_json())
+    doc.update(fields)
+    path = tmp_path / "edited.json"
+    # json writes float("inf") as Infinity, which json.load reads back
+    path.write_text(json.dumps(doc))
+    return load_problem(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"L": float("inf")}, id="L-inf"),
+        pytest.param({"ell": float("inf"), "L": float("inf")}, id="ell-L-inf"),
+        pytest.param({"L": float("nan")}, id="L-nan"),
+        pytest.param({"ell": float("nan")}, id="ell-nan"),
+    ],
+)
+def test_load_rejects_nonfinite_curvature_bounds(tmp_path, quad_spec, logistic_spec, fields):
+    with pytest.raises(ValueError, match="finite 0 < ell <= lip"):
+        _load_edited(tmp_path, quad_spec, **fields)
+    # a logistic file's bounds must match the ridge and the data
+    with pytest.raises(ValueError, match="declared"):
+        _load_edited(tmp_path, logistic_spec, **fields)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "x", [5], float("inf")])
+def test_seed_must_be_an_integer(tmp_path, quad_spec, seed):
+    with pytest.raises(ValueError, match="seed"):
+        _load_edited(tmp_path, quad_spec, seed=seed)
+
+
+def test_seed_is_optional(tmp_path, quad_spec):
+    assert _load_edited(tmp_path, quad_spec, seed=None).seed is None
+    assert _load_edited(tmp_path, quad_spec, seed=2**70).seed == 2**70
+
+
+def test_logistic_declared_ell_must_match(tmp_path, logistic_spec):
+    with pytest.raises(ValueError, match="declared ell"):
+        _load_edited(tmp_path, logistic_spec, ell=logistic_spec.objective.ell / 2.0)
+
+
+def test_logistic_load_estimates_lip_once(tmp_path, logistic_spec, monkeypatch):
+    import gradcert.objective
+
+    calls = []
+    estimate = gradcert.objective.spectral_norm_sq
+
+    def counted(matrix):
+        calls.append(1)
+        return estimate(matrix)
+
+    monkeypatch.setattr(gradcert.objective, "spectral_norm_sq", counted)
+    path = tmp_path / "log.json"
+    logistic_spec.save(path)
+    obj = load_problem(path).objective
+    assert len(calls) == 1
+    # attaching the minimizer shares the bound instead of re-estimating it
+    assert obj.lip == logistic_spec.objective.lip
+    assert obj.data_matrix is obj.with_minimizer(obj.minimizer, obj.min_value).data_matrix
+    calls.clear()
+    fresh = make_logistic_problem(6, 30, 0.1, seed=2)
+    assert len(calls) == 1 and fresh.objective.lip == logistic_spec.objective.lip
+
+
+def test_hand_made_logistic_resaves_its_own_bound(tmp_path, logistic_spec):
+    # L within the declared-bound tolerance loads; the objective's own L is saved
+    lip = logistic_spec.objective.lip
+    spec = _load_edited(tmp_path, logistic_spec, L=lip * (1.0 + 1e-8))
+    assert json.loads(spec.to_json())["L"] == lip

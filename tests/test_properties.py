@@ -1,5 +1,9 @@
 """Property-based checks for the interface-level invariants."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
 import warnings
@@ -9,8 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcert import cli
+from gradcert.errors import GradcertError
+from gradcert.generate import SpectrumSpec
 from gradcert.objective import QuadraticObjective
 from gradcert.potential import certify, contraction_constant
+from gradcert.problems import load_problem, make_logistic_problem, make_quadratic_problem
 from gradcert.rng import SplitMix64, substream_seed
 from gradcert.serialize import fmt_float, render_json
 from gradcert.solvers import Trace, momentum_coefficient
@@ -147,3 +155,82 @@ def test_potential_is_nonnegative(x, s, rho):
 def test_unit_vectors_have_unit_norm(seed, dim):
     v = SplitMix64(seed).unit_vector(dim)
     assert math.isclose(float(np.linalg.norm(v)), 1.0, rel_tol=1e-12)
+
+
+# -- problem-file fuzz: one mutation of a valid document ------------------
+
+# Written as the bare literal 1e400, which json reads as inf.
+HUGE = "__1e400__"
+BAD_VALUES = [None, True, "x", math.nan, math.inf, HUGE]
+
+
+@functools.cache
+def valid_problem_docs():
+    quad = make_quadratic_problem(SpectrumSpec(3, 1.0, 10.0, "log_uniform", 0))
+    logistic = make_logistic_problem(3, 5, 0.5, seed=0)
+    return tuple(json.loads(spec.to_json()) for spec in (quad, logistic))
+
+
+def _write_doc(path, doc):
+    path.write_text(json.dumps(doc).replace(f'"{HUGE}"', "1e400"))
+
+
+def _run_cli(problem, out):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--problem", str(problem), "--method", "ag", "--out", str(out)])
+    return code, err.getvalue()
+
+
+@st.composite
+def mutated_problem_docs(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(valid_problem_docs())))
+    # dropping seed leaves a valid file; every other mutation breaks it
+    field = draw(st.sampled_from(sorted(set(doc) - {"seed"})))
+    action = draw(st.sampled_from(["drop", "replace", "ragged", "dim"]))
+    if action == "drop":
+        del doc[field]
+    elif action == "dim":
+        doc["dim"] = draw(st.sampled_from([-1, 0, 1, 2, 4, 7]))
+    elif not isinstance(doc[field], list):
+        doc[field] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        rows = doc[field]
+        i = draw(st.integers(0, len(rows) - 1))
+        if isinstance(rows[i], list):  # a matrix: edit one cell of row i
+            rows, i = rows[i], draw(st.integers(0, len(rows[i]) - 1))
+            if action == "ragged":
+                if draw(st.booleans()):
+                    rows.append(0.0)
+                else:
+                    rows.pop()
+                return doc
+        rows[i] = [rows[i]] if action == "ragged" else draw(st.sampled_from(BAD_VALUES))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_valid_problem_docs_run(fuzz_dir):
+    for doc in valid_problem_docs():
+        _write_doc(fuzz_dir / "valid.json", doc)
+        load_problem(fuzz_dir / "valid.json")
+        assert _run_cli(fuzz_dir / "valid.json", fuzz_dir / "valid.csv") == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_problem_docs())
+def test_mutated_problem_file_is_rejected(fuzz_dir, doc):
+    path = fuzz_dir / "mutated.json"
+    _write_doc(path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_problem(path)
+        except (ValueError, GradcertError):
+            pass
+        code, err = _run_cli(path, fuzz_dir / "mutated.csv")
+    assert code == 1 and err.startswith("error:"), (doc, err)
