@@ -13,7 +13,6 @@ stress it (`potential.hs_identity_battery`, `perturb.sweep`).
 """
 
 from .errors import (
-    DegenerateRatioError,
     EigenEstimateError,
     GradcertError,
     MissingGroundTruthError,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CertificateReport",
-    "DegenerateRatioError",
     "DetectionReport",
     "EigenEstimateError",
     "GradcertError",

@@ -5,7 +5,7 @@ Subcommands:
 * ``gen``        write a synthetic quadratic problem file
 * ``run``        run a solver on a problem file, write a certified trace CSV
 * ``certify``    re-certify a trace from the iterates its run stored
-* ``identities`` run CG on a problem and check the exact-arithmetic identities
+* ``identities`` run CG for dim steps and check the exact-arithmetic identities
 * ``perturb``    sweep noise magnitudes and report where certification breaks
 
 Exit status: 0 on success (for ``certify``/``identities``, success includes
@@ -97,29 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--method", choices=sorted(METHOD_NAMES), required=True)
     p_run.add_argument("--iters", type=_positive_int, default=1000)
-    p_run.add_argument(
-        "--stop-gap",
-        type=_positive_float,
-        default=None,
-        help="absolute f-gap stop threshold (default: 1e-12 of the initial gap, "
-        "which stays above double-precision stagnation)",
-    )
-    p_run.add_argument("--tol-cert", type=_positive_float, default=None)
     p_run.add_argument("--out", default="trace.csv")
 
     p_cert = sub.add_parser("certify", help="re-certify a trace from its stored iterates")
     p_cert.add_argument("trace", help="trace CSV written by `run`, its iterates file beside it")
     p_cert.add_argument("--problem", required=True)
-    p_cert.add_argument("--tol-cert", type=_positive_float, default=None)
     p_cert.add_argument("--out", default=None, help="optional JSON report path")
 
     p_id = sub.add_parser("identities", help="check CG conservation identities")
     p_id.add_argument("--problem", required=True)
-    p_id.add_argument("--method", choices=["cg", "cg-unified"], default="cg")
-    p_id.add_argument(
-        "--iters", type=_positive_int, default=None, help="default: problem dimension"
-    )
-    p_id.add_argument("--tol-id", type=_positive_float, default=1e-8)
     p_id.add_argument("--out", default=None, help="optional JSON report path")
 
     p_pb = sub.add_parser("perturb", help="noise sweep: where does the chain break")
@@ -127,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pb.add_argument("--eta", required=True, help="comma-separated noise magnitudes")
     p_pb.add_argument("--iters", type=_positive_int, default=600)
     p_pb.add_argument("--seed", type=_nonneg_int, default=0)
-    p_pb.add_argument("--tol-cert", type=_positive_float, default=None)
     p_pb.add_argument("--out", default="perturb.json")
 
     return parser
@@ -167,14 +152,15 @@ def cmd_run(args) -> int:
             "descent and certifying at the common constant",
             file=sys.stderr,
         )
-    if args.stop_gap is None:
-        # Past ~1e-12 of the initial gap the iterates stagnate in double
-        # precision and contraction checks report that, not a method bug.
-        stop_gap = 1e-12 * obj.f_gap(spec.x0)
-    else:
-        stop_gap = args.stop_gap
-    trace = run(obj, method, spec.x0, args.iters, stop_gap)
-    report = certify(trace, obj, tol_cert=args.tol_cert)
+    # Past ~1e-12 of the initial gap the iterates stagnate in double
+    # precision and contraction checks report that, not a method bug.
+    trace = run(obj, method, spec.x0, args.iters, 1e-12 * obj.f_gap(spec.x0))
+    if trace.stop_reason == "diverged":
+        raise GradcertError(
+            f"{args.method} diverged after {len(trace) - 1} iterations (f_gap no longer "
+            f"finite); is L = {obj.lip:g} below the largest curvature of {args.problem}?"
+        )
+    report = certify(trace, obj)
     write_trace_csv(args.out, trace, obj, report)
     n = len(trace)
     print(
@@ -206,7 +192,7 @@ def cmd_certify(args) -> int:
 
     # The certifier recomputes everything from the iterates; the CSV's
     # cells are the run's claims and must agree with it.
-    report = certify(trace, obj, tol_cert=args.tol_cert)
+    report = certify(trace, obj)
     bound = report.tol_cert * report.psis[0]
     for name, scale, values in (
         ("psi", 1.0, report.psis),
@@ -268,10 +254,8 @@ def cmd_identities(args) -> int:
     spec, obj = _load_certifiable(args.problem)
     if spec.kind != "quadratic":
         raise GradcertError("identity checks apply to quadratic problems only")
-    method = METHOD_NAMES[args.method]
-    iters = obj.dim if args.iters is None else args.iters
-    trace = run(obj, method, spec.x0, iters, -math.inf)
-    battery = hs_identity_battery(trace, obj, tol_id=args.tol_id)
+    trace = run(obj, "cg_classic", spec.x0, obj.dim, -math.inf)
+    battery = hs_identity_battery(trace, obj)
     rho_misalignment, rho_ok = rho_optimality_check(trace, obj)
     ok = battery.ok and rho_ok
     doc = {
@@ -289,7 +273,7 @@ def cmd_identities(args) -> int:
     worst = max(battery.max_violations.values())
     print(
         f"{len(trace) - 1} CG steps: worst identity residual {worst:.3e} "
-        f"(tol {args.tol_id:g}), rho alignment {rho_misalignment:.3e}"
+        f"(tol {battery.tol_id:g}), rho alignment {rho_misalignment:.3e}"
     )
     print("identities hold" if ok else "identity violation detected")
     return 0 if ok else 1
@@ -317,7 +301,6 @@ def cmd_perturb(args) -> int:
         [args.seed],
         args.iters,
         x0=spec.x0,
-        tol_cert=args.tol_cert,
     )
     write_json(
         args.out,

@@ -13,10 +13,6 @@ class MissingGroundTruthError(GradcertError):
     """An operation needs the minimizer / optimal value and none is available."""
 
 
-class DegenerateRatioError(GradcertError):
-    """lip == ell, so a quantity involving sqrt(lip/ell) - 1 is undefined."""
-
-
 class EigenEstimateError(GradcertError):
     """Power iteration did not converge; carries the best estimates so far."""
 

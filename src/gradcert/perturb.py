@@ -81,12 +81,11 @@ def detect_inexactness(
     noise: NoiseModel,
     max_iters: int,
     *,
-    x0=None,
-    tol_cert: float | None = None,
+    x0,
 ) -> DetectionReport:
     """Run classic CG under the noise model and certify every step.
 
-    Starts from x0 (zeros when omitted). The run ends at the first of:
+    Starts from x0. The run ends at the first of:
     max_iters steps; the exact gap dropping to 1e-12 of the starting gap
     (an exact run stops there); or the recurred residual reaching CG's
     convergence floor. A noisy run plateaus far
@@ -101,7 +100,7 @@ def detect_inexactness(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     monitored = obj.with_minimizer(truth.x_star, truth.f_star)
-    x0 = np.zeros(obj.dim) if x0 is None else monitored._check_vector(x0, "x0")
+    x0 = monitored._check_vector(x0, "x0")
 
     threshold = 1e-12 * monitored.f_gap(x0)
 
@@ -122,7 +121,7 @@ def detect_inexactness(
         stopped,
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
     )
-    report = certify(trace, monitored, tol_cert=tol_cert)
+    report = certify(trace, monitored)
     max_drift = max((d for _, d in trace.drift_checks), default=0.0)
     return DetectionReport(
         eta=noise.magnitude,
@@ -143,15 +142,12 @@ def sweep(
     seeds,
     max_iters: int,
     *,
-    x0=None,
-    tol_cert: float | None = None,
+    x0,
 ) -> list:
     """Detection reports for every (eta, seed) pair, ordered by (eta, seed)."""
     out = []
     for eta in sorted(set(float(e) for e in etas)):
         for seed in sorted(set(int(s) for s in seeds)):
             noise = NoiseModel(magnitude=eta, seed=seed)
-            out.append(
-                detect_inexactness(obj, truth, noise, max_iters, x0=x0, tol_cert=tol_cert)
-            )
+            out.append(detect_inexactness(obj, truth, noise, max_iters, x0=x0))
     return out

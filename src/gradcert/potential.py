@@ -38,11 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRatioError, MissingGroundTruthError
+from .errors import MissingGroundTruthError
 
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
 ENVELOPE_SLACK = 1e-9
+
+# Normalized residual above which an equality of the identity battery fails.
+TOL_ID = 1e-8
 
 # p'r orthogonality threshold, relative to ||p_k|| ||r_0||.
 ORTH_TOL = 1e-10
@@ -60,28 +63,27 @@ _METHOD_FAMILY = {"ag": "ag", "ag_unified": "ag", "cg_classic": "cg", "cg_unifie
 
 
 def default_cert_tolerance(obj) -> float:
-    """Chain tolerance scaled for conditioning and dimension.
+    """Chain tolerance scaled for conditioning and dimension; certify() uses no other.
 
     1e-9 covers the test grid comfortably; the kappa * eps * dim term keeps
-    the default meaningful when someone certifies a run at conditioning far
-    beyond it.
+    it meaningful at conditioning far beyond it.
     """
     kappa = obj.lip / obj.ell
     return 1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim)
 
 
 def contraction_constant(method: str, ell: float, lip: float) -> float:
-    """Certified per-step contraction: cg -> 1 + sqrt(l/L), ag -> 1 + 1/(sqrt(L/l) - 1)."""
+    """Certified per-step contraction: cg -> 1 + sqrt(l/L), ag -> 1 + 1/(sqrt(L/l) - 1).
+
+    At lip == ell the accelerated schedule has collapsed to gradient
+    descent, and its constant is the common one, 1 + sqrt(l/L) = 2.
+    """
     family = _METHOD_FAMILY.get(method, method)
-    if family == "cg":
-        return 1.0 + math.sqrt(ell / lip)
-    if family == "ag":
-        if lip <= ell:
-            raise DegenerateRatioError(
-                "accelerated contraction constant is unbounded at lip == ell"
-            )
+    if family not in ("ag", "cg"):
+        raise ValueError(f"unknown method {method!r}")
+    if family == "ag" and lip > ell:
         return 1.0 + 1.0 / (math.sqrt(lip / ell) - 1.0)
-    raise ValueError(f"unknown method {method!r}")
+    return 1.0 + math.sqrt(ell / lip)
 
 
 @dataclass
@@ -134,20 +136,19 @@ class CertificateReport:
         return self.psis.shape[0]
 
 
-def certify(trace, obj, *, tol_cert: float | None = None) -> CertificateReport:
+def certify(trace, obj) -> CertificateReport:
     """Certificate chain plus envelope bounds for a finished run.
 
     The gaps f(x_k) - f* come from the objective's minimizer: the trace's
     f_gaps when it carries them (exact gaps an accelerated run computed to
     stop) and obj.f_gap_many on the iterates otherwise, so CG runs, noisy
     runs and audited traces are all measured against the true objective.
-    Step k compares C psi_{k+1} against psi_k with
-    multiplicative slack 1 + tol_cert (step 0 claims descent only); the
-    chain is also replayed at the common constant 1 + sqrt(l/L).
-    c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope;
-    the Daniel envelope (CG only) scales with the initial gap. lip == ell
-    certifies accelerated runs, which have collapsed to gradient descent,
-    at the common constant.
+    Step k compares C psi_{k+1} against psi_k with multiplicative slack
+    1 + default_cert_tolerance(obj), which the report states as tol_cert
+    (step 0 claims descent only); the chain is also replayed at the common
+    constant 1 + sqrt(l/L). c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales
+    the Theorem-1 envelope; the Daniel envelope (CG only) scales with the
+    initial gap.
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
@@ -159,51 +160,46 @@ def certify(trace, obj, *, tol_cert: float | None = None) -> CertificateReport:
     n = xs.shape[0]
     if n < 1:
         raise ValueError("empty trace")
-    d = xs - obj.minimizer[None, :]
-    dist_sqs = np.einsum("ij,ij->i", d, d)
-
-    flags = []
-    f_gaps = obj.f_gap_many(xs) if trace.f_gaps is None else trace.f_gaps
-    neg = f_gaps < 0.0
-    if np.any(neg):
-        # Roundoff at the gap's noise floor; clamping keeps psi >= 0
-        # instead of poisoning the chain with sign noise.
-        flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
-        f_gaps = np.maximum(f_gaps, 0.0)
-
     ell, lip = obj.ell, obj.lip
-    degenerate = lip <= ell
-    if family == "ag":
-        # lip == ell collapses the schedule to gradient descent: weight 0.
-        rhos = np.full(n, 0.0 if degenerate else math.sqrt(lip / ell) - 1.0)
-        rhos[0] = 0.0
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
-        rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
-        rhos[0] = 0.0
-
-    w = d + rhos[:, None] * trace.ss
-    w_norm_sqs = np.einsum("ij,ij->i", w, w)
-    psis = w_norm_sqs + (2.0 / ell) * f_gaps
-
-    tol = default_cert_tolerance(obj) if tol_cert is None else tol_cert
+    tol = default_cert_tolerance(obj)
     c_common = 1.0 + math.sqrt(ell / lip)
-    if family == "ag" and degenerate:
-        c_value = c_common
-        flags.append("lip == ell: gradient-descent fallback certified at the common constant")
-    else:
-        c_value = contraction_constant(family, ell, lip)
+    c_value = contraction_constant(family, ell, lip)
     slack = 1.0 + tol
 
-    # A single iterate leaves these arrays empty: no step, no violation.
-    lhs = psis[1:].copy()
-    lhs[1:] *= c_value
-    step_passes = lhs <= psis[:-1] * slack
-    common_lhs = psis[1:].copy()
-    common_lhs[1:] *= c_common
-    common_passes = common_lhs <= psis[:-1] * slack
-    with np.errstate(divide="ignore", invalid="ignore"):
+    flags = []
+    # Iterates from a diverged run or an untrusted file can overflow here;
+    # the resulting inf or nan psi fails its step instead of warning.
+    with np.errstate(all="ignore"):
+        d = xs - obj.minimizer[None, :]
+        dist_sqs = np.einsum("ij,ij->i", d, d)
+
+        f_gaps = obj.f_gap_many(xs) if trace.f_gaps is None else trace.f_gaps
+        neg = f_gaps < 0.0
+        if np.any(neg):
+            # Roundoff at the gap's noise floor; clamping keeps psi >= 0
+            # instead of poisoning the chain with sign noise.
+            flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
+            f_gaps = np.maximum(f_gaps, 0.0)
+
+        if family == "ag":
+            # Exactly 0 at lip == ell, where the schedule is gradient descent.
+            rhos = np.full(n, math.sqrt(lip / ell) - 1.0)
+        else:
+            raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
+            rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
+        rhos[0] = 0.0
+
+        w = d + rhos[:, None] * trace.ss
+        w_norm_sqs = np.einsum("ij,ij->i", w, w)
+        psis = w_norm_sqs + (2.0 / ell) * f_gaps
+
+        # A single iterate leaves these arrays empty: no step, no violation.
+        lhs = psis[1:].copy()
+        lhs[1:] *= c_value
+        step_passes = lhs <= psis[:-1] * slack
+        common_lhs = psis[1:].copy()
+        common_lhs[1:] *= c_common
+        common_passes = common_lhs <= psis[:-1] * slack
         ratios = psis[:-1] / psis[1:]
 
     def first_fail(passes):
@@ -215,6 +211,7 @@ def certify(trace, obj, *, tol_cert: float | None = None) -> CertificateReport:
     theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
     daniel_bounds = None
     daniel_ok = None
+    degenerate = lip <= ell
     if family == "cg" and not degenerate:
         root = math.sqrt(ell / lip)
         q = (1.0 - root) / (1.0 + root)
@@ -265,7 +262,7 @@ class IdentityReport:
     ok: bool
 
 
-def hs_identity_battery(trace, obj, *, tol_id: float = 1e-8) -> IdentityReport:
+def hs_identity_battery(trace, obj) -> IdentityReport:
     """Exact-arithmetic CG identities, checked in floating point.
 
     Per step (F_k = 2 (f(x_k) - f*); scalars from the trace itself):
@@ -282,7 +279,7 @@ def hs_identity_battery(trace, obj, *, tol_id: float = 1e-8) -> IdentityReport:
     p' A p is taken as ||r_k||^2 / alpha_{k+1}, the recurrence's own value.
     Differences of squares are evaluated as (u - v).(u + v) so comparisons
     are not dominated by cancellation; equality residuals are normalized by
-    max(|lhs|, |rhs|, roundoff floor) and compared against tol_id. orth and
+    max(|lhs|, |rhs|, roundoff floor) and compared against TOL_ID. orth and
     step_rayleigh use the fixed module thresholds, weighted_bound the
     one-sided absolute slack.
 
@@ -336,12 +333,12 @@ def hs_identity_battery(trace, obj, *, tol_id: float = 1e-8) -> IdentityReport:
     # name -> (normalized residual per entry, tolerance, state of entry 0).
     # A trace too short for a check leaves its slice empty: 0.0, no failure.
     checks = {
-        "gap_drop": (rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), tol_id, 0),
+        "gap_drop": (rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), TOL_ID, 0),
         "dist_drop": (
-            rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), tol_id, 0
+            rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), TOL_ID, 0
         ),
-        "dist_split": (rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), tol_id, 1),
-        "potential_drop": (rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), tol_id, 1),
+        "dist_split": (rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
+        "potential_drop": (rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
         # A literal 0.0 where the bound holds; np.maximum can return -0.0.
         "weighted_bound": (np.where(slack < 0.0, -slack, 0.0), WEIGHTED_BOUND_SLACK, 0),
         "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
@@ -357,7 +354,7 @@ def hs_identity_battery(trace, obj, *, tol_id: float = 1e-8) -> IdentityReport:
         first_failures[name] = int(bad[0]) + offset if bad.size else None
         ok = ok and max_violations[name] <= tol
     return IdentityReport(
-        tol_id=tol_id,
+        tol_id=TOL_ID,
         n=n,
         max_violations=max_violations,
         first_failures=first_failures,

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import MissingGroundTruthError
 from .objective import QuadraticObjective
 
 METHODS = ("ag", "cg_classic", "cg_unified", "ag_unified")
@@ -60,9 +61,8 @@ class Trace:
     (alphas, prev_res_sqs, rs, ps) are None on accelerated runs;
     per-row gaps inside a present column are nan. f_gaps holds the exact
     f(x_k) - f*, from the minimizer, that the stop check of an accelerated
-    run with ground truth computed; it is None on CG runs, whose stop check
-    uses the recurred residual's drifting estimate, and on runs without
-    ground truth.
+    run computed; it is None on CG runs, whose stop check uses the recurred
+    residual's drifting estimate, and on traces read back from a file.
     """
 
     method: str
@@ -120,19 +120,23 @@ def conjugacy_drift(trace: Trace, obj) -> float:
 def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transients: bool = True) -> Trace:
     """Run a solver and record the full per-iterate trace.
 
-    Stops at the first of: max_iters steps taken; f(x_k) - f* <= stop_gap
-    (when ground truth is attached; otherwise ||grad f(x_k)|| <=
-    stop_gap * ||grad f(x_0)||); the CG convergence floor. Breakdown inside
-    a step truncates the trace and is recorded in stop_reason rather than
-    raised. CG runs keep their recurred residuals mutually orthogonal, as
-    described in the module docstring. record_transients has no effect
-    (traces no longer keep y_k or grad f(y_k)); it is accepted only because
-    the benchmark's workloads still pass it.
+    Stops at the first of: max_iters steps taken; f(x_k) - f* <= stop_gap;
+    the CG convergence floor; an accelerated run's gap turning non-finite
+    (stop_reason "diverged", the trace keeping the finite prefix), which
+    happens when the declared L is below the true curvature. Breakdown
+    inside a step truncates the trace and is recorded in stop_reason rather
+    than raised. The objective must carry its minimizer. CG runs keep their
+    recurred residuals mutually orthogonal, as described in the module
+    docstring. record_transients has no effect (traces no longer keep y_k
+    or grad f(y_k)); it is accepted only because the benchmark's workloads
+    still pass it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if obj.minimizer is None:
+        raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
     x0 = obj._check_vector(x0, "x0")
     is_cg = method in ("cg_classic", "cg_unified")
     if is_cg and not isinstance(obj, QuadraticObjective):
@@ -140,32 +144,23 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
     # The stop check returns (done, gap). An accelerated run records gap,
     # which is exact, so certification can reuse it instead of
-    # re-evaluating the objective on every stored iterate; gap is None when
-    # no ground truth is attached and stopping falls back to the relative
-    # gradient norm.
-    if obj.minimizer is not None:
-        x_star = obj.minimizer
-        if isinstance(obj, QuadraticObjective):
-            a_mat = obj.matrix
-
-            def stopped(x, r=None):
-                d = x - x_star
-                # With the recurred residual, A(x - x*) = -r up to drift,
-                # so the estimate -d'r/2 costs no extra matvec; CG stops on
-                # it but does not record it.
-                gap = -0.5 * float(d @ r) if r is not None else 0.5 * float(d @ (a_mat @ d))
-                return gap <= stop_gap, gap
-        else:
-
-            def stopped(x, r=None):
-                gap = obj.f_gap(x)
-                return gap <= stop_gap, gap
-    else:
-        g0_norm = float(np.linalg.norm(obj.grad(x0)))
+    # re-evaluating the objective on every stored iterate.
+    x_star = obj.minimizer
+    if isinstance(obj, QuadraticObjective):
+        a_mat = obj.matrix
 
         def stopped(x, r=None):
-            g = -r if r is not None else obj.grad(x)
-            return float(np.linalg.norm(g)) <= stop_gap * g0_norm, None
+            d = x - x_star
+            # With the recurred residual, A(x - x*) = -r up to drift,
+            # so the estimate -d'r/2 costs no extra matvec; CG stops on
+            # it but does not record it.
+            gap = -0.5 * float(d @ r) if r is not None else 0.5 * float(d @ (a_mat @ d))
+            return gap <= stop_gap, gap
+    else:
+
+        def stopped(x, r=None):
+            gap = obj.f_gap(x)
+            return gap <= stop_gap, gap
 
     if is_cg:
         return _run_cg(obj, method, x0, max_iters, stopped)
@@ -181,30 +176,32 @@ def _run_ag(obj, method, x0, max_iters, stopped):
     x = x0.copy()
     s = None
     xs = [x]
-    stop_reason = "max_iters"
     done, gap = stopped(x)
     gaps = [gap]
-    if done:
-        stop_reason = "gap"
-    else:
-        for _ in range(max_iters):
+    stop_reason = "gap" if done else "max_iters"
+    # A run whose declared L is below the true curvature overflows; its
+    # first non-finite gap ends it, and no overflow warning escapes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(0 if done else max_iters):
             y = x if s is None else x + momentum * s
             g = obj.grad(y)
             if unified:
                 x_next = x - inv_lip * g if s is None else x + momentum * s - inv_lip * g
             else:
                 x_next = y - g * inv_lip
+            done, gap = stopped(x_next)
+            if not math.isfinite(gap):
+                stop_reason = "diverged"
+                break
             s = x_next - x
             x = x_next
             xs.append(x)
-            done, gap = stopped(x)
             gaps.append(gap)
             if done:
                 stop_reason = "gap"
                 break
 
-    f_gaps = None if gaps[0] is None else np.array(gaps)
-    return Trace(method=method, xs=np.vstack(xs), f_gaps=f_gaps, stop_reason=stop_reason)
+    return Trace(method=method, xs=np.vstack(xs), f_gaps=np.array(gaps), stop_reason=stop_reason)
 
 
 def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):

@@ -77,7 +77,7 @@ def _schedule_columns(trace, report):
         return theta, nu, pi
     last = n - 1
     if report.method == "ag":
-        m = 0.0 if report.degenerate else momentum_coefficient(report.ell, report.lip)
+        m = momentum_coefficient(report.ell, report.lip)
         theta[:last] = m
         nu[:last] = m
         theta[0] = nu[0] = 0.0
@@ -206,10 +206,12 @@ def read_trace_iterates(csv_path) -> Trace:
     """
     path = iterates_path(csv_path)
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an .npz archive")
-        with data:
+        # Opened here, not by np.load, which leaves its own handle open when
+        # a damaged archive fails to parse.
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
             arrays = {key: data[key] for key in data.files}
     # A damaged archive surfaces as any of these: zipfile raises
     # NotImplementedError and RuntimeError for entries flagged as

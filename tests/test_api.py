@@ -4,7 +4,6 @@ import gradcert
 
 PUBLIC_NAMES = [
     "CertificateReport",
-    "DegenerateRatioError",
     "DetectionReport",
     "EigenEstimateError",
     "GradcertError",
@@ -47,7 +46,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 39
     assert sorted(gradcert.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gradcert, name) is not None, name

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcert.cli import main
+from gradcert.cli import _build_parser, main
 from gradcert.generate import GroundTruth
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
@@ -70,15 +70,59 @@ def test_gen_is_deterministic(workdir, problem_file):
         ["gen", "--dim", "5", "--ell", "1", "--lip", "10", "--seed", "-3"],
         ["run", "--problem", "p.json", "--method", "newton"],
         ["run", "--problem", "p.json", "--method", "cg", "--iters", "0"],
-        ["run", "--problem", "p.json", "--method", "cg", "--tol-cert", "-1e-9"],
-        ["run", "--problem", "p.json", "--method", "cg", "--stop-gap", "0"],
-        ["identities", "--problem", "p.json", "--tol-id", "nan"],
+        ["gen", "--dim", "5", "--ell", "1", "--lip", "nan"],
+        ["gen", "--dim", "5", "--ell", "0", "--lip", "10"],
+        ["gen", "--dim", "5", "--ell", "1", "--lip", "inf"],
     ],
 )
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
+
+
+# Every argument of every subcommand: adding or removing one is a visible
+# change. The certificate's tolerances and the run's stop rule are fixed,
+# so no flag can argue a violation away.
+CLI_ARGUMENTS = {
+    "gen": ["--dim", "--ell", "--lip", "--layout", "--seed", "--out"],
+    "run": ["--problem", "--method", "--iters", "--out"],
+    "certify": ["trace", "--problem", "--out"],
+    "identities": ["--problem", "--out"],
+    "perturb": ["--problem", "--eta", "--iters", "--seed", "--out"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (subcommands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    surface = {
+        name: [a.option_strings[0] if a.option_strings else a.dest
+               for a in sub._actions if a.dest != "help"]
+        for name, sub in subcommands.choices.items()
+    }
+    assert surface == CLI_ARGUMENTS
+    assert sum(map(len, surface.values())) == 20
+
+
+def test_certify_tolerance_is_not_an_argument(workdir, capsys):
+    # one AG iterate moved by 1e-3 per coordinate: a chain slack of 1e6
+    # would pass it, and no flag can set the slack
+    prob = workdir / "moved.json"
+    gen = ["gen", "--dim", "20", "--ell", "1", "--lip", "1e4", "--seed", "0"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    path = workdir / "moved.csv"
+    assert main(["run", "--problem", str(prob), "--method", "ag", "--out", str(path)]) == 0
+    with np.load(iterates_path(path)) as data:
+        arrays = dict(data)
+    arrays["xs"] = arrays["xs"].copy()
+    arrays["xs"][499] += 1e-3
+    np.savez(iterates_path(path), **arrays)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["certify", str(path), "--problem", str(prob), "--tol-cert", "1e6"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(prob)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 499 ")
 
 
 def test_run_missing_problem_exits_1(workdir, capsys):
@@ -454,6 +498,25 @@ def test_degenerate_ag_warns(workdir, capsys):
     err = capsys.readouterr().err
     assert "degenerates" in err
     assert main(["certify", str(out), "--problem", str(path)]) == 0
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.25])
+@pytest.mark.parametrize("method", ["ag", "ag-unified"])
+def test_run_diverging_ag_exits_1(workdir, capsys, method, scale):
+    # L declared below the true curvature: the run overflows, and the
+    # command refuses it instead of writing a trace its own audit rejects
+    prob = workdir / f"low_lip_{scale}.json"
+    gen = ["gen", "--dim", "50", "--ell", "1", "--lip", "1e4", "--seed", "0"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    doc = json.loads(prob.read_text())
+    doc["L"] *= scale
+    prob.write_text(json.dumps(doc))
+    out = workdir / f"low_lip_{method}_{scale}.csv"
+    capsys.readouterr()
+    assert main(["run", "--problem", str(prob), "--method", method, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "diverged" in err
+    assert not out.exists() and not Path(iterates_path(out)).exists()
 
 
 def test_identities_command(workdir, problem_file, capsys):

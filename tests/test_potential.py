@@ -9,7 +9,7 @@ import oracle
 from aids import materialize_orthogonal
 from conftest import assert_close
 from gradcert import (
-    DegenerateRatioError,
+    MissingGroundTruthError,
     QuadraticObjective,
     SpectrumSpec,
     certify,
@@ -28,8 +28,10 @@ def test_contraction_constants():
     # AG constant is the stronger one whenever kappa > 1
     for kappa in (1.5, 10.0, 1e4, 1e12):
         assert contraction_constant("ag", 1.0, kappa) > contraction_constant("cg", 1.0, kappa)
-    with pytest.raises(DegenerateRatioError):
-        contraction_constant("ag", 2.0, 2.0)
+    # at lip == ell AG is gradient descent, certified at the common constant
+    assert contraction_constant("ag", 2.0, 2.0) == contraction_constant("cg", 2.0, 2.0) == 2.0
+    with pytest.raises(ValueError):
+        contraction_constant("newton", 1.0, 4.0)
     # full method names accepted too
     assert contraction_constant("cg_unified", 1.0, 4.0) == contraction_constant("cg", 1.0, 4.0)
 
@@ -232,8 +234,6 @@ def test_degenerate_spectrum_certified_at_common_constant():
 def test_certify_without_ground_truth_raises(tiny_problem):
     obj = tiny_problem.obj
     bare = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, obj.lip)
-    trace = run(bare, "cg_classic", tiny_problem.x0, 10, -math.inf)
-    from gradcert import MissingGroundTruthError
-
+    trace = run(obj, "cg_classic", tiny_problem.x0, 10, -math.inf)
     with pytest.raises(MissingGroundTruthError):
         certify(trace, bare)

@@ -22,6 +22,7 @@ from gradcert.problems import load_problem, make_logistic_problem, make_quadrati
 from gradcert.rng import SplitMix64, substream_seed
 from gradcert.serialize import fmt_float, render_json
 from gradcert.solvers import Trace, momentum_coefficient
+from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -234,3 +235,125 @@ def test_mutated_problem_file_is_rejected(fuzz_dir, doc):
             pass
         code, err = _run_cli(path, fuzz_dir / "mutated.csv")
     assert code == 1 and err.startswith("error:"), (doc, err)
+
+
+# -- trace fuzz: one mutation of a valid trace CSV or iterates file -------
+
+# Replacement k cells (NEXT stands for the following row's k), and psi or
+# f_gap cells that are empty, a boolean, or text float() rejects.
+NEXT = "__next__"
+BAD_KS = ["", "-1", "1.5", "x", "inf", "nan", "true", NEXT]
+NON_NUMBERS = ["", "true", "x", "1e", "0x10"]
+CSV_ACTIONS = ["drop_cell", "extra_cell", "bad_k", "non_number", "bad_byte", "truncate"]
+NPZ_ACTIONS = ["drop_key", "dtype", "shape", "non_finite", "huge", "truncate"]
+
+
+@pytest.fixture(scope="module")
+def valid_traces(fuzz_dir):
+    problem = fuzz_dir / "trace_problem.json"
+    make_quadratic_problem(SpectrumSpec(3, 1.0, 10.0, "log_uniform", 0)).save(problem)
+    traces = {}
+    for method in ("ag", "cg"):
+        path = fuzz_dir / f"valid_{method}.csv"
+        argv = ["run", "--problem", str(problem), "--method", method, "--out", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        with np.load(iterates_path(path)) as data:
+            traces[method] = (path.read_bytes(), dict(data))
+    return problem, traces
+
+
+def _npz_bytes(arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _mutate_csv(blob, action, i, j, value):
+    if action == "truncate":
+        return blob[: i % (len(blob) - 1)]  # at least two bytes short
+    lines = blob.decode().split("\n")
+    row = 1 + i % (len(lines) - 2)  # a data row; the last line is empty
+    cells = lines[row].split(",")
+    if action == "drop_cell":
+        del cells[j % len(cells)]
+    elif action == "extra_cell":
+        cells.insert(j % (len(cells) + 1), "0")
+    elif action == "bad_k":
+        cells[0] = str(row) if value == NEXT else value
+    elif action == "non_number":
+        cells[(1, 4)[j % 2]] = value  # f_gap or psi, the columns certify reads
+    lines[row] = ",".join(cells)
+    blob = "\n".join(lines).encode()
+    if action == "bad_byte":
+        pos = i % len(blob)
+        blob = blob[:pos] + b"\xff" + blob[pos + 1 :]
+    return blob
+
+
+def _mutate_npz(arrays, action, i, j):
+    arrays = dict(arrays)
+    key = sorted(arrays)[i % len(arrays)]
+    a = arrays[key]
+    if action == "truncate":
+        blob = _npz_bytes(arrays)
+        return blob[: i % len(blob)]
+    if action == "drop_key":
+        del arrays[key]
+    elif action == "dtype":
+        if key == "method":
+            arrays[key] = np.array(str(a).encode())
+        else:
+            with np.errstate(invalid="ignore"):  # nan cells cast to int
+                arrays[key] = a.astype([np.float32, np.int64, np.complex128, object][j % 4])
+    elif action == "shape":
+        # one axis more, or one row or column fewer
+        arrays[key] = [a[None], a[:-1], a[..., :-1]][j % 3] if a.ndim else a[None]
+    else:
+        xs = arrays["xs"] = arrays["xs"].copy()
+        row = i % len(xs)
+        if action == "non_finite":
+            xs[row, j % xs.shape[1]] = [np.nan, np.inf, -np.inf][j % 3]
+        else:  # finite but past what psi can hold: the audit overflows
+            xs[row] = 1e200 * np.where(np.arange(xs.shape[1]) % 2, 1.0, -1.0)
+    return _npz_bytes(arrays)
+
+
+@st.composite
+def mutated_traces(draw):
+    method = draw(st.sampled_from(["ag", "cg"]))
+    i = draw(st.integers(0, 2**16))
+    j = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        action = draw(st.sampled_from(CSV_ACTIONS))
+        value = draw(st.sampled_from(BAD_KS if action == "bad_k" else NON_NUMBERS))
+        return method, ("csv", action, i, j, value)
+    return method, ("npz", draw(st.sampled_from(NPZ_ACTIONS)), i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_traces())
+def test_mutated_trace_is_rejected(fuzz_dir, valid_traces, mutation):
+    problem, traces = valid_traces
+    method, (target, action, i, j, *value) = mutation
+    csv_blob, arrays = traces[method]
+    if target == "csv":
+        csv_blob = _mutate_csv(csv_blob, action, i, j, *value)
+        npz_blob = _npz_bytes(arrays)
+    else:
+        npz_blob = _mutate_npz(arrays, action, i, j)
+    path = fuzz_dir / "mutated_trace.csv"
+    path.write_bytes(csv_blob)
+    with open(iterates_path(path), "wb") as fh:
+        fh.write(npz_blob)
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (read_trace_csv, read_trace_iterates):
+            try:
+                read(path)
+            except ValueError:
+                pass
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["certify", str(path), "--problem", str(problem)])
+    assert code == 1 and err.getvalue().startswith("error:"), (mutation, err.getvalue())

@@ -9,6 +9,7 @@ import oracle
 from conftest import assert_close
 from gradcert import (
     METHODS,
+    MissingGroundTruthError,
     QuadraticObjective,
     SpectrumSpec,
     conjugacy_drift,
@@ -144,10 +145,10 @@ def test_degenerate_ag_is_gradient_descent():
 
 def test_not_positive_definite_detected():
     a = np.diag([1.0, 1.0])
-    obj = QuadraticObjective(a, np.zeros(2), 1.0, 1.0)
+    obj = QuadraticObjective(a, np.zeros(2), 1.0, 1.0).with_minimizer(np.zeros(2), 0.0)
     # sabotage after construction: indefinite operator reached through matvec
     obj.matrix = np.diag([1.0, -1.0])
-    trace = run(obj, "cg_classic", np.array([0.3, 0.9]), 5, 1e-12)
+    trace = run(obj, "cg_classic", np.array([0.3, 0.9]), 5, -math.inf)
     assert trace.stop_reason == "not_positive_definite"
     assert len(trace) == 1
 
@@ -161,16 +162,35 @@ def test_stop_reasons(tiny_problem):
     assert run(obj, "ag", x0, 10_000, 1e-10 * g0).stop_reason == "gap"
 
 
-def test_stop_without_ground_truth_uses_gradient():
+def test_run_without_ground_truth_raises():
+    # every run stops on its exact gap, so it needs the minimizer
     spec = SpectrumSpec(dim=12, ell=1.0, lip=100.0, layout="uniform", seed=8)
     obj, truth, x0 = generate_with_start(spec)
     bare = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, obj.lip)
-    trace = run(bare, "cg_classic", x0, 100, 1e-8)
-    assert trace.stop_reason == "gap"
-    g_final = np.linalg.norm(bare.grad(trace.xs[-1]))
-    g0 = np.linalg.norm(bare.grad(x0))
-    assert g_final <= 1e-8 * g0
-    assert trace.f_gaps is None
+    for method in METHODS:
+        with pytest.raises(MissingGroundTruthError):
+            run(bare, method, x0, 100, 1e-8)
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.25])
+@pytest.mark.parametrize("method", ["ag", "ag_unified"])
+def test_ag_with_underestimated_lip_stops_diverged(method, scale):
+    # steps of 1/L past 2/lambda_max grow the error each step; the run ends
+    # at its first non-finite gap, keeps the finite prefix, warns nothing
+    spec = SpectrumSpec(dim=50, ell=1.0, lip=1e4, layout="log_uniform", seed=0)
+    obj, truth, x0 = generate_with_start(spec)
+    low = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, scale * obj.lip)
+    low = low.with_minimizer(truth.x_star, truth.f_star)
+    trace = run(low, method, x0, 1000, 1e-12 * low.f_gap(x0))
+    assert trace.stop_reason == "diverged"
+    assert 1 < len(trace) <= 1000
+    assert np.all(np.isfinite(trace.xs)) and np.all(np.isfinite(trace.f_gaps))
+    # the prefix is the run itself, one step short of the overflow
+    shorter = run(low, method, x0, len(trace) - 1, 1e-12 * low.f_gap(x0))
+    assert shorter.stop_reason == "max_iters"
+    assert np.array_equal(shorter.xs, trace.xs) and np.array_equal(shorter.f_gaps, trace.f_gaps)
+    report = certify(trace, low)
+    assert report.first_violation is not None and not report.theorem1_ok
 
 
 def test_first_iteration_state_shape(dim2):
