@@ -12,7 +12,6 @@ import numpy as np
 
 from gradcert import (
     SpectrumSpec,
-    extreme_eigenvalues,
     generate_with_start,
     load_problem,
     make_logistic_problem,
@@ -23,7 +22,8 @@ print("== quadratic instances ==")
 for layout in ("log_uniform", "two_cluster"):
     spec = SpectrumSpec(dim=40, ell=1.0, lip=500.0, layout=layout, seed=3)
     obj, truth, x0 = generate_with_start(spec)
-    lo, hi = extreme_eigenvalues(obj)
+    eigs = np.linalg.eigvalsh(obj.matrix)
+    lo, hi = eigs[0], eigs[-1]
     print(
         f"{layout:12s} dim={spec.dim}  eig range [{lo:.6f}, {hi:.3f}]  "
         f"kappa={hi / lo:.1f}  f_gap(x0)={obj.f_gap(x0):.3f}"

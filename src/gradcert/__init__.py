@@ -13,7 +13,6 @@ stress it (`potential.hs_identity_battery`, `perturb.sweep`).
 """
 
 from .errors import (
-    EigenEstimateError,
     GradcertError,
     MissingGroundTruthError,
     NotPositiveDefiniteError,
@@ -22,7 +21,6 @@ from .generate import (
     LAYOUTS,
     GroundTruth,
     SpectrumSpec,
-    extreme_eigenvalues,
     generate_with_start,
 )
 from .objective import (
@@ -62,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateReport",
     "DetectionReport",
-    "EigenEstimateError",
     "GradcertError",
     "GroundTruth",
     "IdentityReport",
@@ -84,7 +81,6 @@ __all__ = [
     "contraction_constant",
     "default_cert_tolerance",
     "detect_inexactness",
-    "extreme_eigenvalues",
     "generate_with_start",
     "hs_identity_battery",
     "load_problem",

@@ -4,7 +4,9 @@ A problem is A = Q diag(lams) Q', b, x0 where Q is a product of dim
 Householder reflectors built from seeded gaussian vectors and lams follows
 one of three layouts between the declared extremes. Because the spectrum is
 chosen up front, generated problems carry their exact conditioning as ground
-truth instead of estimating it afterwards.
+truth instead of estimating it afterwards: ell and lip are the declared
+extremes. A caller that wants to check them reads the computed spectrum off
+LAPACK, ``np.linalg.eigvalsh(obj.matrix)``.
 
 Draw order (one splitmix64 stream per problem, seeded with the spec's seed):
 reflector vectors v_1 .. v_dim (dim gaussians each), then b (dim gaussians),
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import EigenEstimateError, NotPositiveDefiniteError
-from .linalg import power_method
+from .errors import NotPositiveDefiniteError
 from .objective import QuadraticObjective
 from .rng import SplitMix64
 
@@ -127,38 +128,3 @@ def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundT
     f_star = obj.value(x_star)
     return obj.with_minimizer(x_star, f_star), GroundTruth(x_star, f_star), x0
 
-
-def extreme_eigenvalues(
-    obj: QuadraticObjective, *, max_iters: int = 100_000
-) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of A by power iteration, each to 1e-8 relative.
-
-    lambda_max comes from power iteration on A; lambda_min from power
-    iteration on sigma I - A with sigma = lambda_max (1 + 1e-3), with the
-    convergence certificate scaled so lambda_min gets its own relative
-    accuracy. Raises EigenEstimateError carrying the best estimates when
-    either certificate is not reached within max_iters; spectra whose
-    second-smallest eigenvalue nearly touches the smallest (large dim,
-    log-spaced, high kappa) are the slow cases.
-    """
-    a = obj.matrix
-    lam_max, _, _, ok_max = power_method(
-        lambda v: a @ v, obj.dim, rtol=1e-8, max_iters=max_iters
-    )
-    sigma = lam_max * (1.0 + 1e-3)
-    lam_shift, _, _, ok_min = power_method(
-        lambda v: sigma * v - a @ v,
-        obj.dim,
-        rtol=1e-8,
-        max_iters=max_iters,
-        shift_origin=sigma,
-    )
-    lam_min = sigma - lam_shift
-    if not (ok_max and ok_min):
-        raise EigenEstimateError(
-            "power iteration did not converge within "
-            f"{max_iters} iterations (best estimates {lam_min:.6g}, {lam_max:.6g})",
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-        )
-    return lam_min, lam_max

@@ -17,37 +17,28 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import MissingGroundTruthError, NotPositiveDefiniteError
-from .linalg import spectral_norm_sq
 
 
 class Objective:
     """Base class: curvature bounds plus optional ground truth.
 
-    Ground truth is the pair minimizer / min_value: both None until
-    attached, never one without the other; with_minimizer returns a copy
-    carrying them. f(x) - f* is computed from the minimizer, never as
-    value(x) - min_value, which cancels catastrophically near x*. Instances
-    are treated as immutable after construction.
+    Ground truth is the pair minimizer / min_value: both None on a new
+    objective; with_minimizer returns a copy carrying them. f(x) - f* is
+    computed from the minimizer, never as value(x) - min_value, which
+    cancels catastrophically near x*. Instances are treated as immutable
+    after construction.
     """
 
-    def __init__(self, dim, ell, lip, minimizer=None, min_value=None):
+    def __init__(self, dim, ell, lip):
         if int(dim) < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if not (0.0 < ell <= lip < np.inf):
             raise ValueError(f"need finite 0 < ell <= lip, got ell={ell}, lip={lip}")
-        if (minimizer is None) != (min_value is None):
-            raise ValueError("ground truth needs both minimizer and min_value, or neither")
         self.dim = int(dim)
         self.ell = float(ell)
         self.lip = float(lip)
-        if minimizer is not None:
-            minimizer = self._check_vector(minimizer, "minimizer")
-            if not np.all(np.isfinite(minimizer)):
-                raise ValueError("minimizer has non-finite entries")
-            minimizer = minimizer.copy()
-            minimizer.setflags(write=False)
-        self.minimizer = minimizer
-        self.min_value = None if min_value is None else float(min_value)
+        self.minimizer = None
+        self.min_value = None
 
     def value(self, x):
         raise NotImplementedError
@@ -64,14 +55,24 @@ class Objective:
         raise NotImplementedError
 
     def with_minimizer(self, x_star, f_star):
-        """Copy carrying ground truth (x_star, f_star).
+        """Copy carrying ground truth (x_star, f_star), the one way to attach it.
 
         The data arrays are validated and read-only, and the curvature
         bounds are already known: the copy shares them rather than checking,
-        factoring or estimating anything again.
+        factoring or computing anything again.
         """
+        if (x_star is None) != (f_star is None):
+            raise ValueError("ground truth needs both minimizer and min_value, or neither")
         obj = copy.copy(self)
-        Objective.__init__(obj, self.dim, self.ell, self.lip, x_star, f_star)
+        if x_star is not None:
+            x_star = self._check_vector(x_star, "minimizer")
+            if not np.all(np.isfinite(x_star)):
+                raise ValueError("minimizer has non-finite entries")
+            x_star = x_star.copy()
+            x_star.setflags(write=False)
+            f_star = float(f_star)
+        obj.minimizer = x_star
+        obj.min_value = f_star
         return obj
 
     def _check_vector(self, x, name="x"):
@@ -95,7 +96,7 @@ class QuadraticObjective(Objective):
     extreme eigenvalues).
     """
 
-    def __init__(self, matrix, rhs, ell, lip, minimizer=None, min_value=None):
+    def __init__(self, matrix, rhs, ell, lip):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -112,7 +113,7 @@ class QuadraticObjective(Objective):
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-        super().__init__(a.shape[0], ell, lip, minimizer, min_value)
+        super().__init__(a.shape[0], ell, lip)
         b = self._check_vector(rhs, "rhs").copy()
         if not np.all(np.isfinite(b)):
             raise ValueError("rhs has non-finite entries")
@@ -128,11 +129,6 @@ class QuadraticObjective(Objective):
     def grad(self, x):
         x = self._check_vector(x)
         return self.matrix @ x - self.rhs
-
-    def residual(self, x):
-        """r = b - Ax = -grad f(x)."""
-        x = self._check_vector(x)
-        return self.rhs - self.matrix @ x
 
     def hessian(self, x=None):
         return self.matrix
@@ -152,12 +148,13 @@ class LogisticRidgeObjective(Objective):
     """f(x) = ridge/2 ||x||^2 + sum_i log(1 + exp(a_i'x)).
 
     Curvature bounds: ell = ridge exactly; lip = ridge + ||A||_2^2 / 4 with
-    the squared spectral norm from power iteration (certified to 1e-10
-    relative), inflated by 1e-9 relative so the estimate cannot undershoot
-    the true Lipschitz constant.
+    ||A||_2 the largest singular value from LAPACK's SVD
+    (``np.linalg.norm(A, 2)``), which is backward stable and so accurate to
+    a few ulps. The square is inflated by 1e-9 relative to cover that
+    rounding, so the bound cannot undershoot the true Lipschitz constant.
     """
 
-    def __init__(self, data_matrix, ridge, minimizer=None, min_value=None):
+    def __init__(self, data_matrix, ridge):
         data = np.array(data_matrix, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"data_matrix must be 2-d, got shape {data.shape}")
@@ -166,12 +163,11 @@ class LogisticRidgeObjective(Objective):
         ridge = float(ridge)
         if not ridge > 0.0:
             raise ValueError(f"ridge must be positive, got {ridge}")
-        lip = ridge + spectral_norm_sq(data) * (1.0 + 1e-9) / 4.0
-        super().__init__(data.shape[1], ridge, lip, minimizer, min_value)
+        lip = ridge + np.linalg.norm(data, 2) ** 2 * (1.0 + 1e-9) / 4.0
+        super().__init__(data.shape[1], ridge, lip)
         data.setflags(write=False)
         self.data_matrix = data
         self.ridge = ridge
-        self._cache_star()
 
     def _cache_star(self):
         # the data-space image of x* and its sigmoid, reused by every gap

@@ -157,18 +157,28 @@ def load_problem(path) -> ProblemSpec:
                 )
     seed = None if doc.get("seed") is None else _number_field(doc, "seed", int)
     spec = ProblemSpec(obj, x0, seed)
-    if doc.get("x_star") is None:
-        return spec
-    # Fail fast on a bogus stored minimizer rather than at certify time.
-    x_star = _array_field(doc, "x_star", dim)
-    g_star = float(np.linalg.norm(obj.grad(x_star)))
-    g_zero = float(np.linalg.norm(obj.grad(spec.x0)))
-    if not g_star <= GROUND_TRUTH_TOL * max(1.0, g_zero):
-        raise MissingGroundTruthError(
-            f"stored x_star is not a minimizer: |grad| = {g_star:g} "
-            f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
-        )
-    return replace(spec, objective=obj.with_minimizer(x_star, obj.value(x_star)))
+    # A finite x0 can still be too far out for the solvers: a gradient or
+    # gap that overflows would only surface later as nan cells or a false
+    # divergence. Overflow is the verdict here, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_zero = float(np.linalg.norm(obj.grad(spec.x0)))
+        if not np.isfinite(g_zero):
+            raise ValueError(f"x0 is too large: |grad f(x0)| = {g_zero:g} is not finite")
+        if doc.get("x_star") is None:
+            return spec
+        # Fail fast on a bogus stored minimizer rather than at certify time.
+        x_star = _array_field(doc, "x_star", dim)
+        g_star = float(np.linalg.norm(obj.grad(x_star)))
+        if not g_star <= GROUND_TRUTH_TOL * max(1.0, g_zero):
+            raise MissingGroundTruthError(
+                f"stored x_star is not a minimizer: |grad| = {g_star:g} "
+                f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
+            )
+        obj = obj.with_minimizer(x_star, obj.value(x_star))
+        gap_zero = obj.f_gap(spec.x0)
+        if not np.isfinite(gap_zero):
+            raise ValueError(f"x0 is too large: f(x0) - f* = {gap_zero:g} is not finite")
+    return replace(spec, objective=obj)
 
 
 def make_quadratic_problem(spectrum: SpectrumSpec) -> ProblemSpec:

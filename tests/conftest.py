@@ -121,7 +121,7 @@ def acceptance_grid(grid_problems):
 def dim2():
     """The hand-derived instance: A=diag(1,3), b=0, x0=(1,1)."""
     matrix = np.array([[1.0, 0.0], [0.0, 3.0]])
-    obj = QuadraticObjective(matrix, np.zeros(2), 1.0, 3.0, np.zeros(2), 0.0)
+    obj = QuadraticObjective(matrix, np.zeros(2), 1.0, 3.0).with_minimizer(np.zeros(2), 0.0)
     return SimpleNamespace(obj=obj, x0=np.array([1.0, 1.0]))
 
 

@@ -576,6 +576,28 @@ def test_nonfinite_curvature_bound_exits_1(workdir, problem_file, capsys, fields
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--method", "cg"],
+        ["run", "--method", "ag"],
+        ["identities"],
+        ["perturb", "--eta", "1e-3"],
+    ],
+    ids=["run-cg", "run-ag", "identities", "perturb"],
+)
+def test_huge_finite_x0_exits_1(workdir, problem_file, capsys, command):
+    # finite cells whose gradient overflows: refused on load, not blamed on L
+    doc = json.loads(problem_file.read_text())
+    doc["x0"] = [1e200] * doc["dim"]
+    path = workdir / "huge_x0.json"
+    path.write_text(json.dumps(doc))
+    out = workdir / "huge_x0.out"
+    assert main([command[0], "--problem", str(path), *command[1:], "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: x0 is too large")
+    assert not out.exists()
+
+
 def test_each_command_builds_the_objective_once(workdir, monkeypatch):
     # one QuadraticObjective (one symmetry check and Cholesky factorization)
     # per command: the loaded spec carries it to every consumer

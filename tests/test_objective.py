@@ -34,7 +34,6 @@ def test_quadratic_value_and_grad():
     x = np.array([1.0, 1.0])
     assert obj.value(x) == pytest.approx(0.5 * (2 + 4) - 2.0)
     assert np.allclose(obj.grad(x), np.array([0.0, 4.0]))
-    assert np.allclose(obj.residual(x), np.array([0.0, -4.0]))
 
 
 def test_quadratic_rejects_asymmetric_matrix():
@@ -148,9 +147,14 @@ def test_eval_and_grad_are_pure():
 def test_logistic_constants():
     obj = _random_logistic()
     assert obj.ell == 0.5
-    # L = ridge + ||A||^2/4 up to the advertised safety factor
+    # L = ridge + ||A||^2/4 up to the advertised safety factor, never below
     sing_sq = np.linalg.svd(obj.data_matrix, compute_uv=False)[0] ** 2
     assert obj.lip == pytest.approx(0.5 + sing_sq / 4.0, rel=1e-6)
+    rng = np.random.default_rng(4)
+    for m, dim in ((1, 1), (1, 30), (7, 50), (40, 5), (300, 3), (60, 60)):  # tall and wide
+        data = rng.standard_normal((m, dim))
+        sigma_max = np.linalg.svd(data, compute_uv=False)[0]
+        assert LogisticRidgeObjective(data, 1e-3).lip >= 1e-3 + sigma_max**2 / 4.0
     # Hessian eigenvalues live inside [ell, L] everywhere we look
     for x in (np.zeros(obj.dim), np.ones(obj.dim)):
         eigs = np.linalg.eigvalsh(obj.hessian(x))

@@ -237,6 +237,42 @@ def test_mutated_problem_file_is_rejected(fuzz_dir, doc):
     assert code == 1 and err.startswith("error:"), (doc, err)
 
 
+@pytest.mark.parametrize(
+    "make, entry, overflow",
+    [
+        pytest.param(
+            lambda: make_quadratic_problem(SpectrumSpec(20, 1.0, 100.0, "log_uniform", 0)),
+            1e200, r"grad f\(x0\)", id="quadratic-grad",
+        ),
+        pytest.param(
+            lambda: make_logistic_problem(20, 40, 0.1, seed=1), 1e200, r"grad f\(x0\)",
+            id="logistic-grad",
+        ),
+        # small curvature: the gradient at x0 stays finite, the gap does not
+        pytest.param(
+            lambda: make_quadratic_problem(SpectrumSpec(20, 1e-5, 1e-4, "log_uniform", 0)),
+            1e157, r"f\(x0\) - f\*", id="quadratic-gap",
+        ),
+        pytest.param(
+            lambda: make_logistic_problem(3, 5, 1e-6, seed=0), 1e155, r"f\(x0\) - f\*",
+            id="logistic-gap",
+        ),
+    ],
+)
+def test_huge_finite_x0_is_rejected(fuzz_dir, make, entry, overflow):
+    spec = make()
+    doc = json.loads(spec.to_json())
+    doc["x0"] = [entry] * spec.objective.dim  # finite cells; x_star kept
+    path = fuzz_dir / "huge_x0.json"
+    _write_doc(path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"x0 is too large: .*{overflow}"):
+            load_problem(path)
+        code, err = _run_cli(path, fuzz_dir / "huge_x0.csv")
+    assert code == 1 and err.startswith("error: x0 is too large"), err
+
+
 # -- trace fuzz: one mutation of a valid trace CSV or iterates file -------
 
 # Replacement k cells (NEXT stands for the following row's k), and psi or
