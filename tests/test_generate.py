@@ -75,18 +75,25 @@ def test_orthogonal_factor_quality():
 
 
 def test_matrix_matches_declared_spectrum():
+    spec = SpectrumSpec(25, 0.5, 200.0, "two_cluster", 4)
+    obj, truth, _ = generate_with_start(spec)
+    eigs = np.linalg.eigvalsh(obj.matrix)
+    assert eigs[0] == pytest.approx(0.5, rel=1e-10)
+    assert eigs[-1] == pytest.approx(200.0, rel=1e-10)
+
+
+def test_extreme_eigenvalues_agree_with_declaration():
     # LAPACK's symmetric eigensolver is backward stable, so the computed
     # extremes sit within O(eps ||A||) of the declared ones on every layout
-    for layout, dim, ell, lip, seed in (
-        ("two_cluster", 25, 0.5, 200.0, 4),
-        ("log_uniform", 25, 1.0, 100.0, 6),
-        ("two_cluster", 60, 1.0, 1e4, 6),
-        ("uniform", 40, 1.0, 1000.0, 6),
+    for layout, dim, kappa in (
+        ("log_uniform", 25, 100.0),
+        ("two_cluster", 60, 1e4),
+        ("uniform", 40, 1000.0),
     ):
-        obj, _, _ = generate_with_start(SpectrumSpec(dim, ell, lip, layout, seed))
+        obj, _, _ = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, 6))
         eigs = np.linalg.eigvalsh(obj.matrix)
-        assert eigs[0] == pytest.approx(ell, rel=1e-10), layout
-        assert eigs[-1] == pytest.approx(lip, rel=1e-10), layout
+        assert eigs[0] == pytest.approx(1.0, rel=1e-10), layout
+        assert eigs[-1] == pytest.approx(kappa, rel=1e-10), layout
 
 
 def test_ground_truth_residual():
