@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
 
 def cmd_certify(args) -> int:
     spec, obj = _load_certifiable(args.problem)
-    columns = read_trace_csv(args.trace, names=("psi", "f_gap"))
+    columns = read_trace_csv(args.trace)
     n = len(columns["k"])
     if n == 0:
         raise GradcertError(f"{args.trace} has no data rows")

@@ -13,7 +13,11 @@ reflector vectors v_1 .. v_dim (dim gaussians each), then b (dim gaussians),
 then x0 (dim gaussians). A = H_1 ... H_dim diag(lams) H_dim ... H_1 with
 H_i = I - 2 v_i v_i' / ||v_i||^2. This order is part of the reproducibility
 contract: identical (dim, ell, lip, layout, seed) must reproduce A, b, x0
-bit for bit.
+and the minimizer x_star bit for bit. x_star is solved through the same
+reflectors and lams, never through a factorization of A, and generation
+uses only vector operations and matrix-vector products, whose bits do not
+depend on the BLAS thread count (a test checks 1 against 2 OpenBLAS
+threads); so neither does the contract.
 """
 
 from __future__ import annotations
@@ -21,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import NotPositiveDefiniteError
 from .objective import QuadraticObjective
 from .rng import SplitMix64
 
@@ -78,53 +80,76 @@ def eigenvalue_layout(spec: SpectrumSpec) -> np.ndarray:
     return lams
 
 
-def _reflectors(spec: SpectrumSpec, stream: SplitMix64) -> np.ndarray:
-    """Row i is v_{i+1}: the dim reflector vectors drawn as one block."""
-    return stream.gaussian_vector(spec.dim * spec.dim).reshape(spec.dim, spec.dim)
+def _reflectors(spec: SpectrumSpec, stream: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
+    """(vs, cs): row i of vs is v_{i+1}, the dim reflector vectors drawn as
+    one block, and cs[i] = 2 / (v_{i+1} . v_{i+1}), so H_i = I - c_i v_i v_i'."""
+    vs = stream.gaussian_vector(spec.dim * spec.dim).reshape(spec.dim, spec.dim)
+    cs = np.array([2.0 / float(v @ v) for v in vs])
+    return vs, cs
 
 
-def _apply_two_sided(b: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    # B <- H_i B H_i for i = dim .. 1 turns diag(lams) into Q diag(lams) Q'
-    for v in reversed(vs):
-        c = 2.0 / float(v @ v)
-        b = b - np.outer(v * c, v @ b)
-        b = b - np.outer(b @ v, v * c)
+def _apply_two_sided(b: np.ndarray, vs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    # B <- H_i B H_i for i = dim .. 1, in place, turns diag(lams) into Q diag(lams) Q'
+    outer = np.empty_like(b)
+    for v, c in zip(vs[::-1], cs[::-1]):
+        vc = v * c
+        np.subtract(b, np.outer(vc, v @ b, out=outer), out=b)
+        np.subtract(b, np.outer(b @ v, vc, out=outer), out=b)
     return b
 
 
-def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, b, x0) for a spec, following the documented draw order."""
+def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, ...]:
+    """(A, b, x0, vs, cs, lams) for a spec, following the documented draw order.
+
+    The last three are the factors A was built from, A = Q diag(lams) Q'
+    with Q = H_1 ... H_dim (see ``_reflectors``), so that the minimizer
+    needs no factorization of A.
+    """
     stream = SplitMix64(spec.seed)
-    vs = _reflectors(spec, stream)
+    vs, cs = _reflectors(spec, stream)
     b = stream.gaussian_vector(spec.dim)
     x0 = stream.gaussian_vector(spec.dim)
-    a = _apply_two_sided(np.diag(eigenvalue_layout(spec)), vs)
+    lams = eigenvalue_layout(spec)
+    a = _apply_two_sided(np.diag(lams), vs, cs)
     a = (a + a.T) / 2.0
-    return a, b, x0
+    return a, b, x0, vs, cs, lams
 
 
-def reference_minimizer(obj: QuadraticObjective) -> np.ndarray:
-    """Solve A x = b by Cholesky with one step of iterative refinement.
-
-    One refinement step in working precision pushes the residual to the
-    1e-12 * (||A||_F ||x|| + ||b||) backward-error contract without resorting
-    to extended precision.
-    """
-    a, b = obj.matrix, obj.rhs
-    try:
-        factor = cho_factor(a)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("matrix is not positive definite") from exc
-    x = cho_solve(factor, b)
-    x = x + cho_solve(factor, b - a @ x)
+def _reflect(x: np.ndarray, vs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    # x <- H_k x for each row k of vs in order, in place
+    for v, c in zip(vs, cs):
+        x -= v * (c * (v @ x))
     return x
+
+
+def reference_minimizer(
+    obj: QuadraticObjective, vs: np.ndarray, cs: np.ndarray, lams: np.ndarray
+) -> np.ndarray:
+    """Solve A x = b through A's own factors, with one step of iterative refinement.
+
+    A^-1 r = Q diag(lams)^-1 Q' r, where Q' = H_dim ... H_1 applies H_1
+    first and Q applies H_dim first: two passes over the reflectors per
+    solve, four in all, and no factorization. The refinement step's
+    residual is taken against the stored ``obj.matrix``, which pushes the
+    backward error to the 1e-12 * (||A||_F ||x|| + ||b||) contract in
+    working precision. Every operation is a vector one or a matrix-vector
+    product, so the bits do not depend on the BLAS thread count.
+    """
+
+    def solve(r):
+        y = _reflect(r.copy(), vs, cs)
+        y /= lams
+        return _reflect(y, vs[::-1], cs[::-1])
+
+    x = solve(obj.rhs)
+    return x + solve(obj.rhs - obj.matrix @ x)
 
 
 def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundTruth, np.ndarray]:
     """Generated objective with ground truth attached, plus the seeded x0."""
-    a, b, x0 = generate_arrays(spec)
+    a, b, x0, vs, cs, lams = generate_arrays(spec)
     obj = QuadraticObjective(a, b, spec.ell, spec.lip)
-    x_star = reference_minimizer(obj)
+    x_star = reference_minimizer(obj, vs, cs, lams)
     f_star = obj.value(x_star)
     return obj.with_minimizer(x_star, f_star), GroundTruth(x_star, f_star), x0
 

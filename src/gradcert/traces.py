@@ -158,21 +158,17 @@ def _parse_cell(text: str):
     return float(text)
 
 
-def read_trace_csv(path, names=None) -> dict:
+def read_trace_csv(path) -> dict:
     """Read a trace CSV back into {column: list-of-cells}.
 
     Empty cells become None, booleans become bool, everything else float
-    (including "inf"/"nan" spellings). ``names`` picks the columns to
-    convert (default all); ``k`` is always read and checked. Raises
-    ValueError on a header or row-shape mismatch, or an unknown name.
+    (including "inf"/"nan" spellings). Every cell is parsed, so a cell that
+    is none of these raises ValueError, as does a header or row-shape
+    mismatch or a ``k`` column that does not count 0, 1, 2, ...
     """
-    wanted = _COLUMNS if names is None else ["k"] + [nm for nm in names if nm != "k"]
-    unknown = sorted(set(wanted) - set(_COLUMNS))
-    if unknown:
-        raise ValueError(f"no trace column named {unknown[0]!r}")
     width = len(_COLUMNS)
-    raw = {name: [] for name in wanted}
-    picks = [(raw[name].append, _COLUMNS.index(name)) for name in wanted]
+    raw = {name: [] for name in _COLUMNS}
+    appends = [cells.append for cells in raw.values()]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -184,9 +180,18 @@ def read_trace_csv(path, names=None) -> dict:
         for i, row in enumerate(reader):
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-            for append, j in picks:
-                append(row[j])
-    columns = {name: list(map(_parse_cell, cells)) for name, cells in raw.items()}
+            for append, cell in zip(appends, row):
+                append(cell)
+    columns = {}
+    for name, cells in raw.items():
+        try:
+            columns[name] = list(map(_parse_cell, cells))
+        except ValueError:
+            for i, cell in enumerate(cells):
+                try:
+                    _parse_cell(cell)
+                except ValueError:
+                    raise ValueError(f"row {i}, column {name}: {cell!r} is not a number") from None
     ks = columns["k"]
     # Cells parse to None, bool or float; only the floats 0.0, 1.0, ... are k.
     if any(not isinstance(k, float) or k != j for j, k in enumerate(ks)):

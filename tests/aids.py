@@ -85,11 +85,10 @@ def finite_difference_gradient(func, x, h=1e-6):
 def materialize_orthogonal(spec):
     """The generator's orthogonal factor Q as a dense matrix (O(dim^3))."""
     stream = SplitMix64(spec.seed)
-    vs = _reflectors(spec, stream)
+    vs, cs = _reflectors(spec, stream)
     q = np.eye(spec.dim)
     # Q = H_1 ... H_dim applied to the identity from the right-most factor
-    for v in reversed(vs):
-        c = 2.0 / float(v @ v)
+    for v, c in zip(vs[::-1], cs[::-1]):
         q = q - np.outer(q @ v, v * c)
     return q
 

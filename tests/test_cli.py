@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -273,6 +274,28 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
     assert main(["certify", str(bad), "--problem", str(problem_file)]) == 1
     assert "error:" in capsys.readouterr().err
 
+
+
+def test_certify_rejects_garbage_in_unaudited_columns(workdir, problem_file, capsys):
+    # The verdict rests on psi and f_gap, but a trace with non-numbers in
+    # other columns is malformed all the same.
+    src = workdir / "garbage_src.csv"
+    argv = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(src)]
+    assert main(argv) == 0
+    lines = src.read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index("grad_norm")] = "x"
+    row[header.index("rho")] = "banana"
+    lines[3] = ",".join(row)
+    bad = workdir / "garbage.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(iterates_path(src), iterates_path(bad))
+    assert main(["certify", str(src), "--problem", str(problem_file)]) == 0
+    capsys.readouterr()
+    assert main(["certify", str(bad), "--problem", str(problem_file)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "row 2, column grad_norm" in err
 
 @pytest.mark.parametrize(
     "field, value",

@@ -1,7 +1,13 @@
 """Spectrum layouts, orthogonal factors, and ground-truth quality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start
 from aids import materialize_orthogonal
@@ -12,8 +18,10 @@ from gradcert.generate import (
     reference_minimizer,
 )
 from gradcert.perturb import NoiseModel, noisy_matvec
-from gradcert.problems import make_logistic_problem
+from gradcert.problems import GROUND_TRUTH_TOL, make_logistic_problem
 from gradcert.rng import SplitMix64, substream_seed
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_layout_endpoints_are_exact():
@@ -108,9 +116,9 @@ def test_ground_truth_residual():
 
 def test_with_minimizer_shares_the_validated_arrays():
     spec = SpectrumSpec(12, 1.0, 100.0, "log_uniform", 3)
-    a, b, _ = generate_arrays(spec)
+    a, b, _, vs, cs, lams = generate_arrays(spec)
     bare = QuadraticObjective(a, b, spec.ell, spec.lip)
-    x_star = reference_minimizer(bare)
+    x_star = reference_minimizer(bare, vs, cs, lams)
     obj = bare.with_minimizer(x_star, bare.value(x_star))
     # no second copy, symmetry check or factorization of A
     assert obj.matrix is bare.matrix and obj.rhs is bare.rhs
@@ -123,6 +131,61 @@ def test_with_minimizer_shares_the_validated_arrays():
     assert np.array_equal(truth.x_star, x_star) and truth.f_star == bare.value(x_star)
     assert np.array_equal(gen_obj.minimizer, x_star) and gen_obj.min_value == truth.f_star
 
+
+
+@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("dim", [10, 50, 200])
+def test_minimizer_accuracy_on_grid(dim, kappa, layout):
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, dim))
+    a, b, x_star = obj.matrix, obj.rhs, obj.minimizer
+    # the documented backward-error contract; the refinement step keeps it
+    # at working precision (without that step it reached 3e-16 on this grid)
+    scale = np.linalg.norm(a, "fro") * np.linalg.norm(x_star) + np.linalg.norm(b)
+    backward = np.linalg.norm(a @ x_star - b) / scale
+    assert backward <= 1e-12
+    assert backward <= 1e-16
+    # the gate load_problem applies to a stored minimizer
+    g_zero = np.linalg.norm(obj.grad(x0))
+    assert np.linalg.norm(obj.grad(x_star)) <= GROUND_TRUTH_TOL * max(1.0, g_zero)
+    # an independent solve: Cholesky with one refinement step; both carry a
+    # forward error of about kappa * eps
+    factor = cho_factor(a)
+    x = cho_solve(factor, b)
+    x = x + cho_solve(factor, b - a @ x)
+    assert np.linalg.norm(x_star - x) <= 1e-9 * np.linalg.norm(x)
+
+
+_DIGESTS = """
+import hashlib
+from gradcert import SpectrumSpec, generate_with_start
+for dim in (10, 200):
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, 1e4, "log_uniform", 1))
+    for arr in (obj.matrix, obj.rhs, x0, obj.minimizer):
+        print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+
+
+def test_generation_is_bit_exact_at_any_blas_thread_count():
+    # OpenBLAS threads a factorization from n ~ 100 up, and its bits then
+    # depend on the thread count; generation must use nothing like that
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIGESTS],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 8
+    assert digests[0] == digests[1]
 
 # The draw contract, pinned against scalar ``gaussian()`` draws. Each
 # reference feeds byte-identical inputs through the same assembly code as
@@ -145,13 +208,36 @@ def test_generate_arrays_match_scalar_draws(dim, layout):
         spec = SpectrumSpec(dim, 1.0, 1.0 if dim == 1 else 1e4, layout, seed)
         stream = SplitMix64(seed)
         vs = _scalar_gaussians(stream, dim * dim).reshape(dim, dim)
+        cs = np.array([2.0 / float(v @ v) for v in vs])
         b = _scalar_gaussians(stream, dim)
         x0 = _scalar_gaussians(stream, dim)
-        a = _apply_two_sided(np.diag(eigenvalue_layout(spec)), vs)
+        lams = eigenvalue_layout(spec)
+        a = _apply_two_sided(np.diag(lams), vs, cs)
         a = (a + a.T) / 2.0
         got = generate_arrays(spec)
-        for name, want, have in zip(("A", "b", "x0"), (a, b, x0), got):
+        names = ("A", "b", "x0", "vs", "cs", "lams")
+        assert len(got) == len(names)
+        for name, want, have in zip(names, (a, b, x0, vs, cs, lams), got):
             assert _same_bytes(have, want), (name, seed)
+
+
+def _apply_two_sided_out_of_place(b, vs):
+    # the assembly as first written, one new matrix per update
+    for v in reversed(vs):
+        c = 2.0 / float(v @ v)
+        b = b - np.outer(v * c, v @ b)
+        b = b - np.outer(b @ v, v * c)
+    return b
+
+
+@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
+@pytest.mark.parametrize("dim", [1, 7, 50, 200])
+def test_in_place_assembly_matches_out_of_place(dim, layout):
+    # the same operations in the same order, so the same bits
+    spec = SpectrumSpec(dim, 1.0, 1.0 if dim == 1 else 1e4, layout, dim)
+    _, _, _, vs, cs, lams = generate_arrays(spec)
+    want = _apply_two_sided_out_of_place(np.diag(lams), vs)
+    assert _same_bytes(_apply_two_sided(np.diag(lams), vs, cs), want)
 
 
 @pytest.mark.parametrize("dim, n_samples", [(1, 1), (5, 30)])

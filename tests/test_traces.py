@@ -152,15 +152,22 @@ def test_writer_matches_oracle_on_nonfinite_cells(tmp_path, tiny_problem):
     assert rows[0][7] == rows[0][8] == ""
 
 
-def test_reader_converts_only_named_columns(cg_csv):
-    path, *_ = cg_csv
-    full = read_trace_csv(path)
-    some = read_trace_csv(path, names=("psi", "f_gap"))
-    assert list(some) == ["k", "psi", "f_gap"]
-    for name, cells in some.items():
-        assert cells == full[name]
-    with pytest.raises(ValueError, match="no trace column"):
-        read_trace_csv(path, names=("psi", "gap"))
+def test_reader_parses_every_column(tmp_path, cg_csv):
+    src, *_ = cg_csv
+    lines = src.read_text().splitlines()
+    header = lines[0].split(",")
+    assert list(read_trace_csv(src)) == header
+    # a cell that is not a number, a boolean or empty fails in any column,
+    # whether or not an audit reads it; the k column has its own test
+    for j, name in enumerate(header[1:], start=1):
+        bad = list(lines)
+        row = bad[3].split(",")
+        row[j] = "banana"
+        bad[3] = ",".join(row)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(bad) + "\n")
+        with pytest.raises(ValueError, match=f"row 2, column {name}: 'banana'"):
+            read_trace_csv(path)
 
 
 def test_writer_rejects_mismatched_report(tmp_path, tiny_problem):
