@@ -57,4 +57,8 @@ print(
     f"psi_0 = {rep.psis[0]:.2e}, best psi = {rep.psis[k_min]:.2e} (step {k_min}), "
     f"final psi = {rep.psis[-1]:.2e}"
 )
-print(f"meanwhile the recurred residual strayed by {rep.max_drift:.2e} of |r_0| from the true one")
+r0_norm = np.linalg.norm(obj.rhs - obj.matrix @ x0)
+print(
+    f"meanwhile the recurred residual strayed by {rep.max_drift:.2e} "
+    f"({rep.max_drift / r0_norm:.1e} of |r_0|) from the true one"
+)

@@ -37,7 +37,6 @@ from .potential import (
     contraction_constant,
     default_cert_tolerance,
     hs_identity_battery,
-    rho_optimality_check,
 )
 from .problems import (
     ProblemSpec,
@@ -49,7 +48,6 @@ from .rng import SplitMix64, substream_seed
 from .solvers import (
     METHODS,
     Trace,
-    conjugacy_drift,
     momentum_coefficient,
     run,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "TRACE_HEADER",
     "Trace",
     "certify",
-    "conjugacy_drift",
     "contraction_constant",
     "default_cert_tolerance",
     "detect_inexactness",
@@ -90,7 +87,6 @@ __all__ = [
     "newton_reference_minimizer",
     "noisy_matvec",
     "read_trace_csv",
-    "rho_optimality_check",
     "run",
     "substream_seed",
     "sweep",

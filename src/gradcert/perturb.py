@@ -10,6 +10,10 @@ Noise is a direction drawn uniformly on the unit sphere, scaled by
 eta * ||A p||. Each product's draw is keyed by (seed, call index) through
 the substream derivation in the rng module, so sweeps are reproducible
 call by call and eta = 0 is a bitwise pass-through.
+
+The run itself stores only its iterates and recurred residuals; the report's
+drift between the recurred and the true residual is computed afterwards from
+them, every tenth step.
 """
 
 from __future__ import annotations
@@ -51,6 +55,19 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
     return out + noise.magnitude * float(np.linalg.norm(out)) * u
 
 
+def _max_drift(trace, obj) -> float:
+    """Largest ||r_k - (b - A x_k)|| over k = 10, 20, ...; 0 on shorter runs.
+
+    Under noise the recurred residual strays from the true one; the audit
+    replays the true residual from the stored iterates every tenth step.
+    """
+    drifts = (
+        float(np.linalg.norm(r - (obj.rhs - obj.matrix @ x)))
+        for r, x in zip(trace.rs[10::10], trace.xs[10::10])
+    )
+    return max(drifts, default=0.0)
+
+
 @dataclass
 class DetectionReport:
     """Outcome of one monitored noisy run.
@@ -58,7 +75,9 @@ class DetectionReport:
     first_violation is the first certificate step that failed, or None when
     the whole chain held; detected mirrors it as a bool. psis is the true
     potential sequence (evaluated with the exact objective, not the noisy
-    recurrence). certificate carries the full per-step record.
+    recurrence). max_drift is the absolute distance between the recurred
+    and the true residual at its worst tenth step (0 on runs shorter than 10
+    steps). certificate carries the full per-step record.
     """
 
     eta: float
@@ -122,7 +141,6 @@ def detect_inexactness(
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
     )
     report = certify(trace, monitored)
-    max_drift = max((d for _, d in trace.drift_checks), default=0.0)
     return DetectionReport(
         eta=noise.magnitude,
         seed=noise.seed,
@@ -130,7 +148,7 @@ def detect_inexactness(
         iterations_run=len(trace) - 1,
         psis=report.psis,
         stop_reason=trace.stop_reason,
-        max_drift=max_drift,
+        max_drift=_max_drift(trace, monitored),
         certificate=report,
     )
 

@@ -9,9 +9,9 @@ rho_k = sqrt(L/l) - 1 for all k >= 1 (0 when L = l, where the schedule is
 gradient descent); for conjugate gradient rho_k is assembled from the run's
 own scalars, rho_k = 2 (f(x_k) - f*) / (alpha_k ||r_{k-1}||^2) (0 at exact
 convergence), and is exactly the weight minimizing ||w_k|| over rho (so w_k
-is orthogonal to the step, which rho_optimality_check verifies). certify()
-is the one place that evaluates rho, w and psi, vectorized over a trace;
-its report carries them per iterate.
+is orthogonal to the step, which the identity battery's rho_alignment row
+verifies). certify() is the one place that evaluates rho, w and psi,
+vectorized over a trace; its report carries them per iterate.
 
 certify() checks the chain
 
@@ -56,7 +56,7 @@ RQ_SLACK = 1e-9
 # One-sided absolute slack on the weighted-norm inequality (e).
 WEIGHTED_BOUND_SLACK = 1e-10
 
-# Largest normalized |w_k . s_k| that rho_optimality_check accepts.
+# Largest normalized |w_k . s_k| that the battery's rho_alignment row accepts.
 RHO_ALIGNMENT_TOL = 1e-8
 
 _METHOD_FAMILY = {"ag": "ag", "ag_unified": "ag", "cg_classic": "cg", "cg_unified": "cg"}
@@ -275,13 +275,17 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
       weighted_bound  ||w_k||^2 <= F_k / l
       orth            p_k' r_k = 0
       step_rayleigh   l <= 1/alpha_k <= L
+      rho_alignment   w_k' s_k = 0                                               (k >= 1)
 
     p' A p is taken as ||r_k||^2 / alpha_{k+1}, the recurrence's own value.
     Differences of squares are evaluated as (u - v).(u + v) so comparisons
     are not dominated by cancellation; equality residuals are normalized by
     max(|lhs|, |rhs|, roundoff floor) and compared against TOL_ID. orth and
     step_rayleigh use the fixed module thresholds, weighted_bound the
-    one-sided absolute slack.
+    one-sided absolute slack. rho_alignment, the statement that CG's rho_k
+    is the weight minimizing ||w_k||, is normalized by ||s_k|| ||x_0 - x*||
+    (a stagnant step holds vacuously) and compared against
+    RHO_ALIGNMENT_TOL.
 
     States past k = dim are out of scope: exact CG has terminated by then
     (r_dim = 0), every identity above degenerates to 0/0, and the
@@ -290,7 +294,9 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     the first state whose exact gap F_k is at or below CG's roundoff floor
     kappa * eps * dim * F_0 (the scale of default_cert_tolerance): that
     state is still checked against its predecessor, later ones are not. The
-    report's n is the states examined.
+    report's n is the states examined. rho_alignment is the exception: it
+    involves no difference of gaps, and it checks every state k >= 1 of the
+    trace.
     """
     if _METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
@@ -306,9 +312,10 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     if at_floor.size:
         n = int(at_floor[0]) + 1
         f2 = f2[:n]
-    ss = trace.ss[:n]
-    d = trace.xs[:n] - obj.minimizer[None, :]
-    w = d + report.rhos[:n, None] * ss
+    ss_all = trace.ss
+    d_all = trace.xs - obj.minimizer[None, :]
+    w_all = d_all + report.rhos[:, None] * ss_all
+    ss, d, w = ss_all[:n], d_all[:n], w_all[:n]
     p_clean = np.nan_to_num(trace.ps[:n])
     p_sqs = np.einsum("ij,ij->i", p_clean, p_clean)
 
@@ -330,6 +337,9 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     inv_alpha = 1.0 / a_next
     below = np.maximum(0.0, (obj.ell * (1.0 - RQ_SLACK) - inv_alpha) / obj.ell)
     above = np.maximum(0.0, (inv_alpha - obj.lip * (1.0 + RQ_SLACK)) / obj.lip)
+    w_dot_s = np.abs(np.einsum("ij,ij->i", w_all[1:], ss_all[1:]))
+    s_norms = np.sqrt(np.einsum("ij,ij->i", ss_all[1:], ss_all[1:]))
+    dist0 = math.sqrt(float(report.dist_sqs[0]))
     # name -> (normalized residual per entry, tolerance, state of entry 0).
     # A trace too short for a check leaves its slice empty: 0.0, no failure.
     checks = {
@@ -343,6 +353,7 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
         "weighted_bound": (np.where(slack < 0.0, -slack, 0.0), WEIGHTED_BOUND_SLACK, 0),
         "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
         "step_rayleigh": (np.maximum(below, above), 0.0, 1),
+        "rho_alignment": (w_dot_s / np.maximum(s_norms * dist0, 1e-300), RHO_ALIGNMENT_TOL, 1),
     }
 
     max_violations = {}
@@ -361,24 +372,3 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
         min_weighted_bound_slack=float(slack.min()),
         ok=ok,
     )
-
-
-def rho_optimality_check(trace, obj):
-    """Max normalized |w_k . s_k| over k >= 1; the CG weight should zero it.
-
-    Returns (max_violation, ok), ok meaning at most RHO_ALIGNMENT_TOL.
-    Normalization is ||s_k|| ||x_0 - x*||, so a stagnant step (s_k = 0)
-    holds vacuously.
-    """
-    report = certify(trace, obj)
-    if len(report) < 2:
-        return 0.0, True
-    ss = trace.ss
-    d = trace.xs - obj.minimizer[None, :]
-    w = d + report.rhos[:, None] * ss
-    dots = np.abs(np.einsum("ij,ij->i", w[1:], ss[1:]))
-    s_norms = np.sqrt(np.einsum("ij,ij->i", ss[1:], ss[1:]))
-    dist0 = math.sqrt(float(report.dist_sqs[0]))
-    v = dots / np.maximum(s_norms * dist0, 1e-300)
-    worst = float(v.max())
-    return worst, worst <= RHO_ALIGNMENT_TOL

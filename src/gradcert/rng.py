@@ -67,11 +67,9 @@ class SplitMix64:
         self._state = int(seed) & _MASK
 
     def next_uint64(self) -> int:
+        out = mix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        return out
 
     def uniform(self) -> float:
         return (self.next_uint64() >> 11) * 2.0**-53

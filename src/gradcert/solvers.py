@@ -23,18 +23,20 @@ Three interchangeable iterations:
   theta_0 = nu_0 = 0 and y_1 = x_0.
 
 Runs record every iterate together with the scalars the algorithm itself
-computed (CG step sizes, residual norms), which is what the certificate and
-identity machinery downstream consumes. The displacements s_k are not
-stored: they follow from consecutive iterates. CG stops on its recurred
-residual's estimate of f(x_k) - f*, which drifts from the true gap in
-floating point, so it records no gaps; certify() computes them from the
-iterates.
+computed (CG step sizes, residual norms, recurred residuals), which is what
+the certificate and identity machinery downstream consumes. What follows
+from those is not stored: the displacements s_k come from consecutive
+iterates, and CG's directions p_k from its residuals and betas. CG stops
+on its recurred residual's estimate of f(x_k) - f*, which drifts from the
+true gap in floating point, so it records no gaps; certify() computes them
+from the iterates. Nor does a run audit that drift: the perturb module
+measures it afterwards from the stored residuals and iterates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +58,9 @@ def momentum_coefficient(ell: float, lip: float) -> float:
 class Trace:
     """Column-stacked record of a run.
 
-    xs[k] is x_k; the displacements ss, and on CG runs the betas and
-    r0_norm, are derived from the stored columns. CG columns
-    (alphas, prev_res_sqs, rs, ps) are None on accelerated runs;
+    xs[k] is x_k; the displacements ss, and on CG runs the betas, the
+    directions ps and r0_norm, are derived from the stored columns. CG
+    columns (alphas, prev_res_sqs, rs) are None on accelerated runs;
     per-row gaps inside a present column are nan. f_gaps holds the exact
     f(x_k) - f*, from the minimizer, that the stop check of an accelerated
     run computed; it is None on CG runs, whose stop check uses the recurred
@@ -70,10 +72,8 @@ class Trace:
     alphas: np.ndarray | None = None
     prev_res_sqs: np.ndarray | None = None
     rs: np.ndarray | None = None
-    ps: np.ndarray | None = None
     f_gaps: np.ndarray | None = None
     stop_reason: str = "max_iters"
-    drift_checks: list = field(default_factory=list)
 
     def __len__(self):
         return self.xs.shape[0]
@@ -92,29 +92,20 @@ class Trace:
         return np.concatenate(([np.nan, 0.0], sqs[2:] / sqs[1:-1]))[: len(sqs)]
 
     @property
+    def ps(self) -> np.ndarray | None:
+        """p_k, replayed as p_1 = r_0, p_{k+1} = beta_{k+1} p_k + r_k; row 0 is nan."""
+        if self.rs is None:
+            return None
+        betas = self.betas
+        out = np.full(self.rs.shape, np.nan)
+        for k in range(1, len(out)):
+            out[k] = self.rs[0] if k == 1 else betas[k] * out[k - 1] + self.rs[k - 1]
+        return out
+
+    @property
     def r0_norm(self) -> float | None:
         """||r_0||, the exact initial residual norm of a CG run."""
         return None if self.rs is None else float(np.linalg.norm(self.rs[0]))
-
-
-def conjugacy_drift(trace: Trace, obj) -> float:
-    """Worst loss of A-orthogonality between consecutive CG directions.
-
-    Returns max over k of |p_k' A p_{k+1}| normalized by the A-norms of the
-    two directions; 0 for traces with fewer than two directions. Exact CG
-    keeps this at roundoff level, so growth flags a drifting recurrence.
-    """
-    if trace.ps is None:
-        raise ValueError("trace has no search directions")
-    n = len(trace)
-    if n < 3:
-        return 0.0
-    p = np.nan_to_num(trace.ps[1:])
-    ap = p @ obj.matrix
-    a_norm_sq = np.einsum("ij,ij->i", p, ap)
-    cross = np.einsum("ij,ij->i", p[:-1], ap[1:])
-    denom = np.sqrt(np.maximum(a_norm_sq[:-1] * a_norm_sq[1:], 1e-300))
-    return float(np.max(np.abs(cross) / denom))
 
 
 def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transients: bool = True) -> Trace:
@@ -229,10 +220,8 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
 
     xs = [x]
     rs = [r]
-    ps = [None]
     alphas = [np.nan]
     prev_sqs = [np.nan]
-    drift_checks = []
     stop_reason = "max_iters"
     p = None
     alpha = None
@@ -287,27 +276,17 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
 
             xs.append(x)
             rs.append(r)
-            ps.append(p)
             alphas.append(alpha_next)
             prev_sqs.append(prev_sqs_last)
-            if (k + 1) % 10 == 0:
-                true_r = obj.rhs - obj.matrix @ x
-                drift_checks.append((k + 1, float(np.linalg.norm(r - true_r))))
             if stopped(x, r)[0]:
                 stop_reason = "gap"
                 break
 
-    n = len(xs)
-    p_col = np.full((n, dim), np.nan)
-    for k in range(1, n):
-        p_col[k] = ps[k]
     return Trace(
         method=method,
         xs=np.vstack(xs),
         rs=np.vstack(rs),
-        ps=p_col,
         alphas=np.array(alphas),
         prev_res_sqs=np.array(prev_sqs),
         stop_reason=stop_reason,
-        drift_checks=drift_checks,
     )

@@ -87,8 +87,7 @@ def _schedule_columns(trace, report):
         betas = trace.betas
         theta[:last] = 0.0
         nu[0] = 0.0
-        for k in range(1, last):
-            nu[k] = alphas[k + 1] * betas[k + 1] / alphas[k]
+        nu[1:last] = alphas[2 : last + 1] * betas[2 : last + 1] / alphas[1:last]
         pi[:last] = alphas[1 : last + 1]
     return theta, nu, pi
 

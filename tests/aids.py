@@ -71,6 +71,24 @@ def check_descent_lemma(obj, y, *, slack=1e-9):
     return DescentCheck(decrease=decrease, bound=bound, passed=passed)
 
 
+def conjugacy_drift(trace, obj) -> float:
+    """Worst loss of A-orthogonality between consecutive CG directions.
+
+    Returns max over k of |p_k' A p_{k+1}| normalized by the A-norms of the
+    two directions; 0 for traces with fewer than two directions. Exact CG
+    keeps this at roundoff level, so growth flags a drifting recurrence.
+    """
+    n = len(trace)
+    if n < 3:
+        return 0.0
+    p = np.nan_to_num(trace.ps[1:])
+    ap = p @ obj.matrix
+    a_norm_sq = np.einsum("ij,ij->i", p, ap)
+    cross = np.einsum("ij,ij->i", p[:-1], ap[1:])
+    denom = np.sqrt(np.maximum(a_norm_sq[:-1] * a_norm_sq[1:], 1e-300))
+    return float(np.max(np.abs(cross) / denom))
+
+
 def finite_difference_gradient(func, x, h=1e-6):
     """Central-difference gradient of a scalar function at x."""
     x = np.asarray(x, dtype=float)

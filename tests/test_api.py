@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "TRACE_HEADER",
     "Trace",
     "certify",
-    "conjugacy_drift",
     "contraction_constant",
     "default_cert_tolerance",
     "detect_inexactness",
@@ -53,7 +52,6 @@ PUBLIC_NAMES = [
     "newton_reference_minimizer",
     "noisy_matvec",
     "read_trace_csv",
-    "rho_optimality_check",
     "run",
     "substream_seed",
     "sweep",
@@ -62,7 +60,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_api_is_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(gradcert.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(gradcert, name) is not None, name

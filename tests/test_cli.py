@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
 from gradcert.generate import GroundTruth
 from gradcert.objective import QuadraticObjective
@@ -551,8 +552,23 @@ def test_identities_command(workdir, problem_file, capsys):
     assert "identities hold" in capsys.readouterr().out
     doc = json.loads(report_path.read_text())
     assert doc["ok"] is True
-    assert doc["rho_ok"] is True
-    assert set(doc["max_violations"]) >= {"gap_drop", "dist_drop", "orth"}
+    assert doc["first_failures"]["rho_alignment"] is None
+    assert set(doc["max_violations"]) >= {"gap_drop", "dist_drop", "orth", "rho_alignment"}
+    assert "rho_alignment" not in doc and "rho_ok" not in doc
+
+
+def test_identities_certifies_the_run_once(workdir, problem_file, monkeypatch):
+    calls = []
+    original = potential.certify
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "certify", counted)
+    monkeypatch.setattr(cli, "certify", counted)
+    assert main(["identities", "--problem", str(problem_file)]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(3))

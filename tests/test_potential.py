@@ -17,7 +17,6 @@ from gradcert import (
     default_cert_tolerance,
     generate_with_start,
     hs_identity_battery,
-    rho_optimality_check,
     run,
 )
 
@@ -152,7 +151,14 @@ def test_battery_flags_a_nudge_above_the_floor_at_high_kappa():
 
 
 IDENTITY_CHECKS = {
-    "gap_drop", "dist_drop", "dist_split", "potential_drop", "weighted_bound", "orth", "step_rayleigh"
+    "gap_drop",
+    "dist_drop",
+    "dist_split",
+    "potential_drop",
+    "weighted_bound",
+    "orth",
+    "step_rayleigh",
+    "rho_alignment",
 }
 
 
@@ -182,9 +188,23 @@ def test_battery_on_ag_trace_rejected(dim2):
 def test_rho_alignment_orthogonality(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0))
-    misalignment, ok = rho_optimality_check(trace, obj)
-    assert ok
-    assert misalignment <= 1e-10
+    report = hs_identity_battery(trace, obj)
+    assert report.first_failures["rho_alignment"] is None
+    assert report.max_violations["rho_alignment"] <= 1e-10
+
+
+@pytest.mark.parametrize("k", [3, 10, 20])
+def test_rho_alignment_flags_a_scaled_step_size(k):
+    # rho_k is built from alpha_k; a 0.1% error there turns w_k off s_k
+    spec = SpectrumSpec(dim=30, ell=1.0, lip=1e3, layout="log_uniform", seed=0)
+    obj, _, x0 = generate_with_start(spec)
+    trace = run(obj, "cg_classic", x0, obj.dim, -math.inf)
+    assert hs_identity_battery(trace, obj).first_failures["rho_alignment"] is None
+    trace.alphas[k] *= 1.001
+    report = hs_identity_battery(trace, obj)
+    assert not report.ok
+    assert report.first_failures["rho_alignment"] == k
+    assert report.max_violations["rho_alignment"] > 1e-6
 
 
 def test_potential_is_basis_invariant():

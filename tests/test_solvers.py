@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 import oracle
+from aids import conjugacy_drift
 from conftest import assert_close
 from gradcert import (
     METHODS,
     MissingGroundTruthError,
     QuadraticObjective,
     SpectrumSpec,
-    conjugacy_drift,
     generate_with_start,
     momentum_coefficient,
     run,
 )
+from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
 from gradcert.potential import certify
-from gradcert.traces import read_trace_csv, write_trace_csv
+from gradcert.solvers import _run_cg
+from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
 def oracle_cg(steps=3):
@@ -38,6 +40,21 @@ def test_cg_iterates_match_oracle(dim2):
         if k >= 1:
             assert trace.alphas[k] == pytest.approx(float(rec["alpha"]), abs=1e-12)
             assert trace.betas[k] == pytest.approx(float(rec["beta"]), abs=1e-12)
+
+
+def test_cg_directions_replay_the_oracle(dim2, tmp_path):
+    trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
+    exact = oracle_cg()
+    # same alignment as the oracle: p_k is the direction of step k, none at k = 0
+    assert trace.ps.shape == trace.xs.shape
+    assert np.all(np.isnan(trace.ps[0]))
+    for k in range(1, len(exact)):
+        assert_close(trace.ps[k], [float(v) for v in exact[k]["p"]])
+    # directions are derived from CG's own residuals; nothing else has them
+    assert run(dim2.obj, "ag", dim2.x0, 2, -math.inf).ps is None
+    path = tmp_path / "dim2.csv"
+    write_trace_csv(path, trace, dim2.obj, certify(trace, dim2.obj))
+    assert read_trace_iterates(path).ps is None
 
 
 def test_ag_iterates_match_oracle(dim2):
@@ -94,6 +111,23 @@ def test_unified_ag_matches_direct_form():
     assert diff <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("eta", [0.0, 1e-4])
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_replayed_directions_are_the_ones_multiplied(method, eta):
+    spec = SpectrumSpec(dim=20, ell=1.0, lip=1e4, layout="log_uniform", seed=3)
+    obj, _, x0 = generate_with_start(spec)
+    noise = NoiseModel(eta, seed=5)
+    used = []
+
+    def matvec(p):
+        used.append(p.copy())
+        return noisy_matvec(obj, noise, p, len(used))
+
+    trace = _run_cg(obj, method, x0, 40, lambda x, r=None: (False, None), matvec=matvec)
+    assert len(trace) == len(used) + 1 > 20
+    assert trace.ps[1:].tobytes() == np.vstack(used).tobytes()
+
+
 def test_cg_monotonicity_and_drift(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 20, -math.inf)
@@ -101,8 +135,9 @@ def test_cg_monotonicity_and_drift(tiny_problem):
     assert np.all(np.diff(gaps) <= 1e-14 * gaps[0])
     dists = np.linalg.norm(trace.xs - obj.minimizer, axis=1)
     assert np.all(np.diff(dists) <= 1e-14 * dists[0])
-    for _, drift in trace.drift_checks:
-        assert drift <= 1e-10 * trace.r0_norm
+    # the recurred residual stays on the true one at every step
+    true_rs = obj.rhs - trace.xs @ obj.matrix
+    assert np.max(np.linalg.norm(trace.rs - true_rs, axis=1)) <= 1e-10 * trace.r0_norm
     # conjugacy is meaningful up to the practical stop; directions taken
     # past the residual floor are roundoff-dominated
     stopped = run(obj, "cg_classic", x0, 20, 1e-10 * gaps[0])
@@ -113,8 +148,8 @@ def test_cg_drift_checked_on_long_runs():
     spec = SpectrumSpec(dim=120, ell=1.0, lip=1e4, layout="log_uniform", seed=4)
     obj, truth, x0 = generate_with_start(spec)
     trace = run(obj, "cg_classic", x0, 600, 1e-10 * obj.f_gap(x0))
-    assert trace.drift_checks, "expected at least one drift audit"
-    assert max(d for _, d in trace.drift_checks) <= 1e-10 * trace.r0_norm
+    assert len(trace) > 10, "expected at least one drift audit"
+    assert _max_drift(trace, obj) <= 1e-10 * trace.r0_norm
     assert conjugacy_drift(trace, obj) <= 1e-8
 
 

@@ -9,7 +9,7 @@ import pytest
 from aids import write_trace_csv_per_cell
 from gradcert.potential import certify
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
-from gradcert.traces import TRACE_HEADER, read_trace_csv, write_trace_csv
+from gradcert.traces import TRACE_HEADER, _schedule_columns, read_trace_csv, write_trace_csv
 
 
 @pytest.fixture()
@@ -107,6 +107,18 @@ def test_writes_are_byte_identical(tmp_path, tiny_problem):
     write_trace_csv(a, trace, obj, report)
     write_trace_csv(b, trace, obj, report)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_cg_schedule_matches_per_step_loop(tiny_problem, method):
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    trace = run(obj, method, x0, 30, -math.inf)
+    _, nu, _ = _schedule_columns(trace, certify(trace, obj))
+    alphas, betas = trace.alphas, trace.betas
+    expected = [alphas[k + 1] * betas[k + 1] / alphas[k] for k in range(1, len(trace) - 1)]
+    assert len(expected) > 1
+    assert nu[0] == 0.0 and np.isnan(nu[-1])
+    assert nu[1:-1].tobytes() == np.array(expected).tobytes()
 
 
 def _assert_matches_oracle(tmp_path, trace, obj, report):
