@@ -21,7 +21,7 @@ from gradcert import (
 print("== quadratic instances ==")
 for layout in ("log_uniform", "two_cluster"):
     spec = SpectrumSpec(dim=40, ell=1.0, lip=500.0, layout=layout, seed=3)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, _, x0 = generate_with_start(spec)
     eigs = np.linalg.eigvalsh(obj.matrix)
     lo, hi = eigs[0], eigs[-1]
     print(
@@ -48,4 +48,4 @@ print("\n== logistic-ridge instance (non-quadratic path) ==")
 logi = make_logistic_problem(8, 40, 0.5, seed=1)
 lobj = logi.objective
 print(f"dim={lobj.dim}  ell={lobj.ell}  L={lobj.lip:.3f}  kappa={lobj.lip / lobj.ell:.1f}")
-print(f"f(x*)={lobj.min_value:.6f}  f_gap(x0)={lobj.f_gap(logi.x0):.3f}")
+print(f"f(x*)={lobj.value(lobj.minimizer):.6f}  f_gap(x0)={lobj.f_gap(logi.x0):.3f}")

@@ -7,7 +7,7 @@ import tempfile
 from gradcert import SpectrumSpec, certify, generate_with_start, read_trace_csv, run, write_trace_csv
 
 spec = SpectrumSpec(dim=30, ell=1.0, lip=300.0, layout="log_uniform", seed=5)
-obj, truth, x0 = generate_with_start(spec)
+obj, _, x0 = generate_with_start(spec)
 stop = 1e-10 * obj.f_gap(x0)
 
 print(f"dim={spec.dim} kappa={spec.lip / spec.ell:g}, stopping at f_gap <= 1e-10 f_gap(x0)\n")

@@ -10,7 +10,7 @@ searches or luck: a clean run must pass, and a tampered one cannot.
 from gradcert import SpectrumSpec, certify, generate_with_start, run
 
 spec = SpectrumSpec(dim=40, ell=1.0, lip=1000.0, layout="log_uniform", seed=0)
-obj, truth, x0 = generate_with_start(spec)
+obj, _, x0 = generate_with_start(spec)
 stop = 1e-10 * obj.f_gap(x0)
 
 for method in ("cg_classic", "ag"):

@@ -5,7 +5,7 @@ import numpy as np
 from gradcert import SpectrumSpec, generate_with_start, hs_identity_battery, run
 
 spec = SpectrumSpec(dim=25, ell=1.0, lip=400.0, layout="log_uniform", seed=9)
-obj, truth, x0 = generate_with_start(spec)
+obj, _, x0 = generate_with_start(spec)
 trace = run(obj, "cg_classic", x0, 4_000, 1e-10 * obj.f_gap(x0))
 
 report = hs_identity_battery(trace, obj)

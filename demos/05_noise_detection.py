@@ -19,7 +19,7 @@ from gradcert import (
 )
 
 spec = SpectrumSpec(dim=60, ell=1.0, lip=2000.0, layout="log_uniform", seed=2)
-obj, truth, x0 = generate_with_start(spec)
+obj, x_star, x0 = generate_with_start(spec)
 
 print("== what the solver sees vs what is true (eta = 1e-3) ==")
 noise = NoiseModel(magnitude=1e-3, seed=0)
@@ -42,11 +42,11 @@ print("the recurred residual underestimates the truth once noise accumulates\n")
 print("== certified detection across noise levels ==")
 print("eta        seed 0  seed 1  seed 2   (first certificate violation)")
 for eta in (0.0, 1e-8, 1e-4, 1e-2):
-    reports = sweep(obj, truth, [eta], range(3), 400, x0=x0)
+    reports = sweep(obj, x_star, [eta], range(3), 400, x0=x0)
     cells = "  ".join(f"{r.first_violation!s:>6s}" for r in reports)
     print(f"{eta:<9g}  {cells}")
 
-rep = detect_inexactness(obj, truth, NoiseModel(1e-2, seed=0), 400, x0=x0)
+rep = detect_inexactness(obj, x_star, NoiseModel(1e-2, seed=0), 400, x0=x0)
 k_min = int(np.argmin(rep.psis))
 print(
     f"\nat eta=1e-2 the chain breaks at step {rep.first_violation} of "

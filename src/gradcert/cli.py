@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .errors import GradcertError
-from .generate import LAYOUTS, GroundTruth, SpectrumSpec
+from .generate import LAYOUTS, SpectrumSpec
 from .perturb import sweep
 from .potential import certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
@@ -281,8 +281,8 @@ def _parse_etas(text: str) -> list:
         etas = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise GradcertError(f"bad --eta list {text!r}") from None
-    if not etas or any(e < 0 for e in etas):
-        raise GradcertError("--eta needs a comma-separated list of magnitudes >= 0")
+    if not etas or not all(0.0 <= e < math.inf for e in etas):
+        raise GradcertError("--eta needs a comma-separated list of finite magnitudes >= 0")
     return etas
 
 
@@ -291,14 +291,7 @@ def cmd_perturb(args) -> int:
     if spec.kind != "quadratic":
         raise GradcertError("noise injection applies to quadratic problems only")
     etas = _parse_etas(args.eta)
-    reports = sweep(
-        obj,
-        GroundTruth(obj.minimizer, obj.min_value),
-        etas,
-        [args.seed],
-        args.iters,
-        x0=spec.x0,
-    )
+    reports = sweep(obj, obj.minimizer, etas, [args.seed], args.iters, x0=spec.x0)
     write_json(
         args.out,
         [

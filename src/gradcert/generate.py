@@ -6,7 +6,9 @@ one of three layouts between the declared extremes. Because the spectrum is
 chosen up front, generated problems carry their exact conditioning as ground
 truth instead of estimating it afterwards: ell and lip are the declared
 extremes. A caller that wants to check them reads the computed spectrum off
-LAPACK, ``np.linalg.eigvalsh(obj.matrix)``.
+LAPACK, ``np.linalg.eigvalsh(obj.matrix)``. The minimizer x_star is the
+problem's only other ground truth; ``generate_with_start`` attaches it to
+the objective.
 
 Draw order (one splitmix64 stream per problem, seeded with the spec's seed):
 reflector vectors v_1 .. v_dim (dim gaussians each), then b (dim gaussians),
@@ -51,18 +53,6 @@ class SpectrumSpec:
             raise ValueError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
         if self.dim == 1 and self.ell != self.lip:
             raise ValueError("dim=1 admits a single eigenvalue; ell must equal lip")
-
-
-@dataclass
-class GroundTruth:
-    """Minimizer and optimal value as a separate record.
-
-    An objective carries the same pair as ``minimizer``/``min_value``; this
-    record is the form ``detect_inexactness`` and ``sweep`` take it in.
-    """
-
-    x_star: np.ndarray
-    f_star: float
 
 
 def eigenvalue_layout(spec: SpectrumSpec) -> np.ndarray:
@@ -145,11 +135,11 @@ def reference_minimizer(
     return x + solve(obj.rhs - obj.matrix @ x)
 
 
-def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, GroundTruth, np.ndarray]:
-    """Generated objective with ground truth attached, plus the seeded x0."""
+def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, np.ndarray, np.ndarray]:
+    """(obj, x_star, x0): the generated objective with its minimizer attached,
+    that minimizer (``obj.minimizer``) and the seeded start point."""
     a, b, x0, vs, cs, lams = generate_arrays(spec)
     obj = QuadraticObjective(a, b, spec.ell, spec.lip)
-    x_star = reference_minimizer(obj, vs, cs, lams)
-    f_star = obj.value(x_star)
-    return obj.with_minimizer(x_star, f_star), GroundTruth(x_star, f_star), x0
+    obj = obj.with_minimizer(reference_minimizer(obj, vs, cs, lams))
+    return obj, obj.minimizer, x0
 

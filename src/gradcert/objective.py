@@ -22,11 +22,10 @@ from .errors import MissingGroundTruthError, NotPositiveDefiniteError
 class Objective:
     """Base class: curvature bounds plus optional ground truth.
 
-    Ground truth is the pair minimizer / min_value: both None on a new
-    objective; with_minimizer returns a copy carrying them. f(x) - f* is
-    computed from the minimizer, never as value(x) - min_value, which
-    cancels catastrophically near x*. Instances are treated as immutable
-    after construction.
+    Ground truth is the minimizer alone: None on a new objective;
+    with_minimizer returns a copy carrying it. f(x) - f* is computed from
+    the minimizer, never as value(x) - f*, which cancels catastrophically
+    near x*. Instances are treated as immutable after construction.
     """
 
     def __init__(self, dim, ell, lip):
@@ -38,7 +37,6 @@ class Objective:
         self.ell = float(ell)
         self.lip = float(lip)
         self.minimizer = None
-        self.min_value = None
 
     def value(self, x):
         raise NotImplementedError
@@ -54,25 +52,19 @@ class Objective:
         """f_gap row-wise over an (n, dim) array of points."""
         raise NotImplementedError
 
-    def with_minimizer(self, x_star, f_star):
-        """Copy carrying ground truth (x_star, f_star), the one way to attach it.
+    def with_minimizer(self, x_star):
+        """Copy carrying the minimizer x_star, the one way to attach ground truth.
 
         The data arrays are validated and read-only, and the curvature
         bounds are already known: the copy shares them rather than checking,
         factoring or computing anything again.
         """
-        if (x_star is None) != (f_star is None):
-            raise ValueError("ground truth needs both minimizer and min_value, or neither")
+        x_star = self._check_vector(x_star, "minimizer")
+        if not np.all(np.isfinite(x_star)):
+            raise ValueError("minimizer has non-finite entries")
         obj = copy.copy(self)
-        if x_star is not None:
-            x_star = self._check_vector(x_star, "minimizer")
-            if not np.all(np.isfinite(x_star)):
-                raise ValueError("minimizer has non-finite entries")
-            x_star = x_star.copy()
-            x_star.setflags(write=False)
-            f_star = float(f_star)
-        obj.minimizer = x_star
-        obj.min_value = f_star
+        obj.minimizer = x_star.copy()
+        obj.minimizer.setflags(write=False)
         return obj
 
     def _check_vector(self, x, name="x"):
@@ -169,12 +161,6 @@ class LogisticRidgeObjective(Objective):
         self.data_matrix = data
         self.ridge = ridge
 
-    def _cache_star(self):
-        # the data-space image of x* and its sigmoid, reused by every gap
-        if self.minimizer is not None:
-            self._t_star = self.data_matrix @ self.minimizer
-            self._sig_star = expit(self._t_star)
-
     def value(self, x):
         x = self._check_vector(x)
         t = self.data_matrix @ x
@@ -195,7 +181,7 @@ class LogisticRidgeObjective(Objective):
         # Gap as a sum of per-sample softplus differences against x*,
         # driven by d = data (x - x*): sp(v+d) - sp(v) = log1p(sig(v)
         # expm1(d)). Every term scales with d, so the result keeps relative
-        # accuracy near x* where value(x) - min_value loses all its digits.
+        # accuracy near x* where value(x) - f* loses all its digits.
         diff = xs - self._x_star()
         d = diff @ self.data_matrix.T
         sig = np.broadcast_to(self._sig_star, d.shape)
@@ -219,9 +205,11 @@ class LogisticRidgeObjective(Objective):
     def f_gap_many(self, xs):
         return self._gap_rows(np.asarray(xs, dtype=float))
 
-    def with_minimizer(self, x_star, f_star):
-        obj = super().with_minimizer(x_star, f_star)
-        obj._cache_star()
+    def with_minimizer(self, x_star):
+        obj = super().with_minimizer(x_star)
+        # the data-space image of x* and its sigmoid, reused by every gap
+        obj._t_star = obj.data_matrix @ obj.minimizer
+        obj._sig_star = expit(obj._t_star)
         return obj
 
 

@@ -37,8 +37,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.magnitude < 0.0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
+        if not 0.0 <= self.magnitude < np.inf:
+            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
 
 
 def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int = 0) -> np.ndarray:
@@ -96,7 +96,7 @@ class DetectionReport:
 
 def detect_inexactness(
     obj: QuadraticObjective,
-    truth,
+    x_star,
     noise: NoiseModel,
     max_iters: int,
     *,
@@ -104,7 +104,8 @@ def detect_inexactness(
 ) -> DetectionReport:
     """Run classic CG under the noise model and certify every step.
 
-    Starts from x0. The run ends at the first of:
+    Starts from x0; x_star is the exact minimizer the monitor measures
+    against. The run ends at the first of:
     max_iters steps; the exact gap dropping to 1e-12 of the starting gap
     (an exact run stops there); or the recurred residual reaching CG's
     convergence floor. A noisy run plateaus far
@@ -118,7 +119,7 @@ def detect_inexactness(
         raise TypeError("inexactness detection applies to quadratic objectives")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    monitored = obj.with_minimizer(truth.x_star, truth.f_star)
+    monitored = obj.with_minimizer(x_star)
     x0 = monitored._check_vector(x0, "x0")
 
     threshold = 1e-12 * monitored.f_gap(x0)
@@ -155,7 +156,7 @@ def detect_inexactness(
 
 def sweep(
     obj: QuadraticObjective,
-    truth,
+    x_star,
     etas,
     seeds,
     max_iters: int,
@@ -167,5 +168,5 @@ def sweep(
     for eta in sorted(set(float(e) for e in etas)):
         for seed in sorted(set(int(s) for s in seeds)):
             noise = NoiseModel(magnitude=eta, seed=seed)
-            out.append(detect_inexactness(obj, truth, noise, max_iters, x0=x0))
+            out.append(detect_inexactness(obj, x_star, noise, max_iters, x0=x0))
     return out

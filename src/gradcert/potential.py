@@ -284,8 +284,8 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     step_rayleigh use the fixed module thresholds, weighted_bound the
     one-sided absolute slack. rho_alignment, the statement that CG's rho_k
     is the weight minimizing ||w_k||, is normalized by ||s_k|| ||x_0 - x*||
-    (a stagnant step holds vacuously) and compared against
-    RHO_ALIGNMENT_TOL.
+    (a stagnant step, or a run started at x_0 = x*, holds vacuously) and
+    compared against RHO_ALIGNMENT_TOL.
 
     States past k = dim are out of scope: exact CG has terminated by then
     (r_dim = 0), every identity above degenerates to 0/0, and the
@@ -340,6 +340,9 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     w_dot_s = np.abs(np.einsum("ij,ij->i", w_all[1:], ss_all[1:]))
     s_norms = np.sqrt(np.einsum("ij,ij->i", ss_all[1:], ss_all[1:]))
     dist0 = math.sqrt(float(report.dist_sqs[0]))
+    # x_0 = x* leaves no distance to normalize by; like the other rows,
+    # which examine no state when F_0 = 0, this one then holds vacuously.
+    align = w_dot_s / np.maximum(s_norms * dist0, 1e-300) if dist0 > 0.0 else w_dot_s[:0]
     # name -> (normalized residual per entry, tolerance, state of entry 0).
     # A trace too short for a check leaves its slice empty: 0.0, no failure.
     checks = {
@@ -353,7 +356,7 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
         "weighted_bound": (np.where(slack < 0.0, -slack, 0.0), WEIGHTED_BOUND_SLACK, 0),
         "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
         "step_rayleigh": (np.maximum(below, above), 0.0, 1),
-        "rho_alignment": (w_dot_s / np.maximum(s_norms * dist0, 1e-300), RHO_ALIGNMENT_TOL, 1),
+        "rho_alignment": (align, RHO_ALIGNMENT_TOL, 1),
     }
 
     max_violations = {}

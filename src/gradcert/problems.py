@@ -174,7 +174,7 @@ def load_problem(path) -> ProblemSpec:
                 f"stored x_star is not a minimizer: |grad| = {g_star:g} "
                 f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
             )
-        obj = obj.with_minimizer(x_star, obj.value(x_star))
+        obj = obj.with_minimizer(x_star)
         gap_zero = obj.f_gap(spec.x0)
         if not np.isfinite(gap_zero):
             raise ValueError(f"x0 is too large: f(x0) - f* = {gap_zero:g} is not finite")
@@ -204,4 +204,4 @@ def make_logistic_problem(
     x0 = stream.gaussian_vector(dim)
     obj = LogisticRidgeObjective(data, ridge)
     x_star = newton_reference_minimizer(obj, x0)
-    return ProblemSpec(obj.with_minimizer(x_star, obj.value(x_star)), x0, seed)
+    return ProblemSpec(obj.with_minimizer(x_star), x0, seed)

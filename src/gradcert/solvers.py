@@ -209,10 +209,10 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     threshold = (CG_CONVERGED_REL * r0_norm) ** 2
     res_sq = float(r @ r)
 
-    # Normalized residuals kept for reorthogonalization, grown on demand and
-    # never past dim rows (exact CG has terminated once dim are kept).
+    # Normalized residuals kept for reorthogonalization: never more than
+    # dim rows (exact CG has terminated once dim are kept).
     dim = x0.shape[0]
-    basis = np.empty((min(dim, 16), dim))
+    basis = np.empty((dim, dim))
     kept = 0
     if r0_norm > 0.0:
         basis[0] = r / r0_norm
@@ -265,8 +265,6 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
                 r = r - (q @ r) @ q
                 r_norm = float(np.linalg.norm(r))
                 if r_norm > 0.0:
-                    if kept == basis.shape[0]:
-                        basis = np.vstack([basis, np.empty((min(kept, dim - kept), dim))])
                     basis[kept] = r / r_norm
                     kept += 1
             prev_sqs_last = res_sq

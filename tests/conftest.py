@@ -83,8 +83,8 @@ def grid_problems():
     problems = {}
     for dim, kappa, layout, seed in grid_cells():
         spec = SpectrumSpec(dim=dim, ell=1.0, lip=kappa, layout=layout, seed=seed)
-        obj, truth, x0 = generate_with_start(spec)
-        problems[(dim, kappa, layout, seed)] = (obj, truth, x0)
+        obj, x_star, x0 = generate_with_start(spec)
+        problems[(dim, kappa, layout, seed)] = (obj, x_star, x0)
     return problems
 
 
@@ -93,7 +93,7 @@ def acceptance_grid(grid_problems):
     """Certified CG and AG runs over the whole grid, reports only."""
     records = []
     start = time.perf_counter()
-    for key, (obj, truth, x0) in grid_problems.items():
+    for key, (obj, _, x0) in grid_problems.items():
         dim, kappa, layout, seed = key
         f_gap0 = obj.f_gap(x0)
         stop = 1e-10 * f_gap0
@@ -121,7 +121,7 @@ def acceptance_grid(grid_problems):
 def dim2():
     """The hand-derived instance: A=diag(1,3), b=0, x0=(1,1)."""
     matrix = np.array([[1.0, 0.0], [0.0, 3.0]])
-    obj = QuadraticObjective(matrix, np.zeros(2), 1.0, 3.0).with_minimizer(np.zeros(2), 0.0)
+    obj = QuadraticObjective(matrix, np.zeros(2), 1.0, 3.0).with_minimizer(np.zeros(2))
     return SimpleNamespace(obj=obj, x0=np.array([1.0, 1.0]))
 
 
@@ -129,8 +129,8 @@ def dim2():
 def tiny_problem():
     """A dim-8 instance small enough for per-test solves."""
     spec = SpectrumSpec(dim=8, ell=1.0, lip=50.0, layout="log_uniform", seed=11)
-    obj, truth, x0 = generate_with_start(spec)
-    return SimpleNamespace(obj=obj, truth=truth, x0=x0, spec=spec)
+    obj, x_star, x0 = generate_with_start(spec)
+    return SimpleNamespace(obj=obj, x_star=x_star, x0=x0, spec=spec)
 
 
 def assert_close(actual, expected, tol=1e-12):

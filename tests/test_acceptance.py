@@ -115,7 +115,7 @@ def test_criterion_05_identity_battery(grid_problems):
     failures = []
     worst = {name: 0.0 for name in bounds}
     worst_slack = math.inf
-    for key, (obj, truth, x0) in grid_problems.items():
+    for key, (obj, _, x0) in grid_problems.items():
         if key[1] > 1e4:
             continue
         stop = 1e-10 * obj.f_gap(x0)
@@ -149,11 +149,11 @@ def test_criterion_06_unified_matches_classic(grid_problems):
     worst_cg = 0.0
     worst_ag = 0.0
     n_pairs = 0
-    for key, (obj, truth, x0) in grid_problems.items():
+    for key, (obj, x_star, x0) in grid_problems.items():
         if key[1] > 1e4:
             continue
         n_iters = min(key[0] + 5, 200)
-        dist0 = float(np.linalg.norm(x0 - truth.x_star))
+        dist0 = float(np.linalg.norm(x0 - x_star))
         n_pairs += 1
 
         cg = run(obj, "cg_classic", x0, n_iters, -math.inf)
@@ -197,13 +197,13 @@ def test_criterion_07_cg_finite_termination(grid_problems):
     overruns = {}
     worst = 0.0
     n_runs = 0
-    for key, (obj, truth, x0) in grid_problems.items():
+    for key, (obj, x_star, x0) in grid_problems.items():
         dim, kappa, layout, seed = key
         if kappa > 1e3 or dim > 200:
             continue
         gap0 = obj.f_gap(x0)
         trace = run(obj, "cg_classic", x0, 4_000, 1e-10 * gap0)
-        d = trace.xs - truth.x_star
+        d = trace.xs - x_star
         gaps = 0.5 * np.einsum("ij,ij->i", d, d @ obj.matrix)
         hits = np.flatnonzero(gaps <= 1e-8 * gap0)
         hit = int(hits[0]) if hits.size else len(trace)
@@ -227,7 +227,7 @@ def test_criterion_08_cg_beats_ag_iteration_count():
     pairs = []
     for seed in range(5):
         spec = SpectrumSpec(dim=100, ell=1.0, lip=100.0, layout="log_uniform", seed=seed)
-        obj, truth, x0 = generate_with_start(spec)
+        obj, _, x0 = generate_with_start(spec)
         stop = 1e-6 * obj.f_gap(x0)
         n_cg = len(run(obj, "cg_classic", x0, 4_000, stop)) - 1
         n_ag = len(run(obj, "ag", x0, 40_000, stop)) - 1
@@ -269,19 +269,19 @@ def test_criterion_09_logistic_chain():
 def test_criterion_10_noise_detection(grid_problems):
     exact_bad = []
     n_exact = 0
-    for key, (obj, truth, x0) in grid_problems.items():
+    for key, (obj, x_star, x0) in grid_problems.items():
         if key[1] > 1e4:
             continue
-        rep = detect_inexactness(obj, truth, NoiseModel(0.0), 600, x0=x0)
+        rep = detect_inexactness(obj, x_star, NoiseModel(0.0), 600, x0=x0)
         n_exact += 1
         if rep.first_violation is not None:
             exact_bad.append(f"{key}: {rep.first_violation}")
     exact_ok = n_exact > 0 and not exact_bad
 
     spec = SpectrumSpec(dim=100, ell=1.0, lip=1e4, layout="log_uniform", seed=0)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, x_star, x0 = generate_with_start(spec)
     etas = (1e-8, 1e-4, 1e-2)
-    reports = sweep(obj, truth, etas, range(10), 600, x0=x0)
+    reports = sweep(obj, x_star, etas, range(10), 600, x0=x0)
     by_eta = {eta: [r for r in reports if r.eta == eta] for eta in etas}
 
     finite_large = [r for r in by_eta[1e-2] if r.first_violation is not None]

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
-from gradcert.generate import GroundTruth
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
 from gradcert.potential import certify
@@ -25,7 +24,7 @@ from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates, 
 def _quadratic_spec(matrix, rhs, ell, lip, x0, x_star=None):
     obj = QuadraticObjective(matrix, rhs, ell, lip)
     if x_star is not None:
-        obj = obj.with_minimizer(x_star, obj.value(x_star))
+        obj = obj.with_minimizer(x_star)
     return ProblemSpec(obj, x0)
 
 
@@ -557,6 +556,23 @@ def test_identities_command(workdir, problem_file, capsys):
     assert "rho_alignment" not in doc and "rho_ok" not in doc
 
 
+def test_identities_from_the_minimizer_hold(workdir, capsys):
+    # x0 = x* leaves ||x0 - x*|| = 0 to normalize rho_alignment by; the row
+    # must hold vacuously, as the others do at F_0 = 0, not alarm at 1e270
+    path = workdir / "start_at_star.json"
+    gen = ["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--seed", "0"]
+    assert main(gen + ["--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["x0"] = doc["x_star"]
+    path.write_text(json.dumps(doc))
+    report_path = workdir / "start_at_star_id.json"
+    code = main(["identities", "--problem", str(path), "--out", str(report_path)])
+    assert code == 0, capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["max_violations"]["rho_alignment"] == 0.0
+    assert report["first_failures"]["rho_alignment"] is None
+
+
 def test_identities_certifies_the_run_once(workdir, problem_file, monkeypatch):
     calls = []
     original = potential.certify
@@ -692,8 +708,7 @@ def test_perturb_command(workdir, problem_file, capsys):
     # each entry is its detection report, psi included value for value
     spec = load_problem(problem_file)
     obj = spec.objective
-    truth = GroundTruth(obj.minimizer, obj.min_value)
-    reports = sweep(obj, truth, [0.0, 1e-2], [0], 40, x0=spec.x0)
+    reports = sweep(obj, obj.minimizer, [0.0, 1e-2], [0], 40, x0=spec.x0)
     for entry, r in zip(doc, reports, strict=True):
         assert entry == {
             "eta": r.eta,
@@ -711,3 +726,12 @@ def test_perturb_bad_eta_exits_1(workdir, problem_file, capsys):
     code = main(["perturb", "--problem", str(problem_file), "--eta", "a,b"])
     assert code == 1
     assert "eta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "1e400", "0,nan"])
+def test_perturb_non_finite_eta_exits_1(workdir, problem_file, capsys, eta):
+    out = workdir / "nonfinite_eta.json"
+    code = main(["perturb", "--problem", str(problem_file), "--eta", eta, "--out", str(out)])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -51,7 +51,7 @@ def test_unknown_layout_rejected():
 def test_dim_one_needs_flat_spectrum():
     with pytest.raises(ValueError):
         SpectrumSpec(1, 1.0, 2.0, "uniform", 0)
-    obj, truth, _ = generate_with_start(SpectrumSpec(1, 3.0, 3.0, "uniform", 0))
+    obj, _, _ = generate_with_start(SpectrumSpec(1, 3.0, 3.0, "uniform", 0))
     assert obj.matrix.shape == (1, 1)
     assert obj.matrix[0, 0] == pytest.approx(3.0)
 
@@ -63,7 +63,7 @@ def test_generation_is_deterministic():
     assert np.array_equal(a1.matrix, a2.matrix)
     assert np.array_equal(a1.rhs, a2.rhs)
     assert np.array_equal(x1, x2)
-    assert np.array_equal(t1.x_star, t2.x_star)
+    assert np.array_equal(t1, t2)
 
 
 def test_different_seeds_differ():
@@ -84,7 +84,7 @@ def test_orthogonal_factor_quality():
 
 def test_matrix_matches_declared_spectrum():
     spec = SpectrumSpec(25, 0.5, 200.0, "two_cluster", 4)
-    obj, truth, _ = generate_with_start(spec)
+    obj, _, _ = generate_with_start(spec)
     eigs = np.linalg.eigvalsh(obj.matrix)
     assert eigs[0] == pytest.approx(0.5, rel=1e-10)
     assert eigs[-1] == pytest.approx(200.0, rel=1e-10)
@@ -106,11 +106,10 @@ def test_extreme_eigenvalues_agree_with_declaration():
 
 def test_ground_truth_residual():
     spec = SpectrumSpec(40, 1.0, 1e4, "log_uniform", 2)
-    obj, truth, x0 = generate_with_start(spec)
-    res = np.linalg.norm(obj.matrix @ truth.x_star - obj.rhs)
+    obj, x_star, x0 = generate_with_start(spec)
+    res = np.linalg.norm(obj.matrix @ x_star - obj.rhs)
     assert res <= 1e-10 * max(1.0, np.linalg.norm(obj.rhs))
-    assert truth.f_star == pytest.approx(obj.value(truth.x_star), abs=1e-10 * max(1.0, abs(obj.value(x0))))
-    assert obj.minimizer is not None
+    assert x_star is obj.minimizer
     assert obj.f_gap(x0) >= 0.0
 
 
@@ -119,17 +118,16 @@ def test_with_minimizer_shares_the_validated_arrays():
     a, b, _, vs, cs, lams = generate_arrays(spec)
     bare = QuadraticObjective(a, b, spec.ell, spec.lip)
     x_star = reference_minimizer(bare, vs, cs, lams)
-    obj = bare.with_minimizer(x_star, bare.value(x_star))
+    obj = bare.with_minimizer(x_star)
     # no second copy, symmetry check or factorization of A
     assert obj.matrix is bare.matrix and obj.rhs is bare.rhs
-    assert bare.minimizer is None and bare.min_value is None
+    assert bare.minimizer is None
     assert np.array_equal(obj.minimizer, x_star) and not obj.minimizer.flags.writeable
     with pytest.raises(ValueError):
-        bare.with_minimizer(np.zeros(spec.dim - 1), 0.0)
+        bare.with_minimizer(np.zeros(spec.dim - 1))
     # generation attaches exactly the reference solve's bits
-    gen_obj, truth, _ = generate_with_start(spec)
-    assert np.array_equal(truth.x_star, x_star) and truth.f_star == bare.value(x_star)
-    assert np.array_equal(gen_obj.minimizer, x_star) and gen_obj.min_value == truth.f_star
+    gen_obj, gen_x_star, _ = generate_with_start(spec)
+    assert np.array_equal(gen_x_star, x_star) and gen_x_star is gen_obj.minimizer
 
 
 

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from gradcert import (
+from aids import check_descent_lemma, finite_difference_gradient, validate_sandwich
+from gradcert.errors import MissingGroundTruthError, NotPositiveDefiniteError
+from gradcert.objective import (
     LogisticRidgeObjective,
-    MissingGroundTruthError,
-    NotPositiveDefiniteError,
     QuadraticObjective,
     newton_reference_minimizer,
 )
-from aids import check_descent_lemma, finite_difference_gradient, validate_sandwich
 from gradcert.rng import SplitMix64
 
 
@@ -57,18 +56,19 @@ def test_quadratic_symmetrizes_roundoff():
 def test_f_gap_matches_definition():
     obj = _random_quadratic()
     x_star = np.linalg.solve(obj.matrix, obj.rhs)
-    obj = obj.with_minimizer(x_star, obj.value(x_star))
+    obj = obj.with_minimizer(x_star)
+    f_star = obj.value(x_star)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.standard_normal(obj.dim)
-        assert obj.f_gap(x) == pytest.approx(obj.value(x) - obj.min_value, rel=1e-12)
+        assert obj.f_gap(x) == pytest.approx(obj.value(x) - f_star, rel=1e-12)
         assert obj.f_gap(x) >= 0.0
 
 
 def test_f_gap_many_agrees_with_scalar():
     obj = _random_quadratic()
     x_star = np.linalg.solve(obj.matrix, obj.rhs)
-    obj = obj.with_minimizer(x_star, obj.value(x_star))
+    obj = obj.with_minimizer(x_star)
     xs = np.random.default_rng(1).standard_normal((7, obj.dim))
     batch = obj.f_gap_many(xs)
     singles = [obj.f_gap(x) for x in xs]
@@ -79,7 +79,7 @@ def test_f_gap_is_stable_near_the_minimizer():
     # the difference-of-values form would lose everything to cancellation
     obj = _random_quadratic()
     x_star = np.linalg.solve(obj.matrix, obj.rhs)
-    obj = obj.with_minimizer(x_star, obj.value(x_star))
+    obj = obj.with_minimizer(x_star)
     x = x_star + 1e-9
     gap = obj.f_gap(x)
     d = x - x_star
@@ -87,15 +87,15 @@ def test_f_gap_is_stable_near_the_minimizer():
 
 
 @pytest.mark.parametrize("make", [_random_quadratic, _random_logistic])
-def test_ground_truth_is_a_pair(make):
-    # the gap comes from the minimizer alone, so a min_value without one
-    # (or the reverse) is refused, and no truth means no gap
+def test_ground_truth_is_the_minimizer(make):
+    # the gap comes from the minimizer alone: attaching it needs nothing
+    # else, a non-finite one is refused, and no truth means no gap
     obj = make()
     x_star = newton_reference_minimizer(obj)
-    with pytest.raises(ValueError, match="both"):
-        obj.with_minimizer(x_star, None)
-    with pytest.raises(ValueError, match="both"):
-        obj.with_minimizer(None, obj.value(x_star))
+    assert obj.with_minimizer(x_star).f_gap(x_star) == 0.0
+    assert not hasattr(obj, "min_value")
+    with pytest.raises(ValueError, match="non-finite"):
+        obj.with_minimizer(np.full(obj.dim, np.nan))
     with pytest.raises(MissingGroundTruthError):
         obj.f_gap(np.zeros(obj.dim))
     with pytest.raises(MissingGroundTruthError):

@@ -20,12 +20,13 @@ def _problem(dim, kappa, seed=0, layout="log_uniform"):
 
 def test_noise_model_validation():
     NoiseModel(magnitude=0.0)
-    with pytest.raises(ValueError):
-        NoiseModel(magnitude=-1e-3)
+    for magnitude in (-1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            NoiseModel(magnitude=magnitude)
 
 
 def test_eta_zero_is_bitwise_passthrough():
-    obj, truth, x0 = _problem(17, 50.0)
+    obj, _, x0 = _problem(17, 50.0)
     p = x0 + 0.25
     clean = obj.matrix @ p
     out = noisy_matvec(obj, NoiseModel(magnitude=0.0, seed=9), p, call_index=4)
@@ -33,7 +34,7 @@ def test_eta_zero_is_bitwise_passthrough():
 
 
 def test_noise_magnitude_is_relative_and_exact():
-    obj, truth, x0 = _problem(12, 30.0, seed=2)
+    obj, _, x0 = _problem(12, 30.0, seed=2)
     noise = NoiseModel(magnitude=1e-3, seed=5)
     for idx in range(4):
         p = SpectrumSpec(dim=12, ell=1.0, lip=2.0, layout="uniform", seed=idx)
@@ -65,18 +66,18 @@ def test_noise_deterministic_per_seed_and_call():
 
 
 def test_exact_run_never_violates():
-    obj, truth, x0 = _problem(50, 100.0)
-    report = detect_inexactness(obj, truth, NoiseModel(magnitude=0.0), 60, x0=x0)
+    obj, x_star, x0 = _problem(50, 100.0)
+    report = detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), 60, x0=x0)
     assert report.first_violation is None
     assert not report.detected
     assert report.eta == 0.0
-    d0 = x0 - truth.x_star
+    d0 = x0 - x_star
     assert report.psis[0] == pytest.approx(float(d0 @ d0) + 2.0 * obj.f_gap(x0) / obj.ell, rel=1e-12)
 
 
 def test_visible_noise_is_detected():
-    obj, truth, x0 = _problem(100, 1e4)
-    report = detect_inexactness(obj, truth, NoiseModel(magnitude=1e-2, seed=0), 600, x0=x0)
+    obj, x_star, x0 = _problem(100, 1e4)
+    report = detect_inexactness(obj, x_star, NoiseModel(magnitude=1e-2, seed=0), 600, x0=x0)
     assert report.detected
     assert isinstance(report.first_violation, int)
     assert 1 <= report.first_violation <= report.iterations_run
@@ -84,24 +85,24 @@ def test_visible_noise_is_detected():
 
 
 def test_detection_rejects_bad_inputs():
-    obj, truth, x0 = _problem(8, 10.0)
+    obj, x_star, x0 = _problem(8, 10.0)
     with pytest.raises(ValueError):
-        detect_inexactness(obj, truth, NoiseModel(magnitude=0.0), 0, x0=x0)
+        detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), 0, x0=x0)
     with pytest.raises(TypeError):
-        detect_inexactness(object(), truth, NoiseModel(magnitude=0.0), 5, x0=x0)
+        detect_inexactness(object(), x_star, NoiseModel(magnitude=0.0), 5, x0=x0)
 
 
 def test_sweep_orders_and_dedups():
-    obj, truth, x0 = _problem(12, 50.0, seed=4)
-    reports = sweep(obj, truth, [1e-3, 0.0, 1e-3], [1, 0, 1], 20, x0=x0)
+    obj, x_star, x0 = _problem(12, 50.0, seed=4)
+    reports = sweep(obj, x_star, [1e-3, 0.0, 1e-3], [1, 0, 1], 20, x0=x0)
     keys = [(r.eta, r.seed) for r in reports]
     assert keys == [(0.0, 0), (0.0, 1), (1e-3, 0), (1e-3, 1)]
     assert all(isinstance(r, DetectionReport) for r in reports)
 
 
 def test_sweep_is_reproducible():
-    obj, truth, x0 = _problem(25, 1e3, seed=6)
-    first = sweep(obj, truth, [1e-4], [2], 80, x0=x0)
-    second = sweep(obj, truth, [1e-4], [2], 80, x0=x0)
+    obj, x_star, x0 = _problem(25, 1e3, seed=6)
+    first = sweep(obj, x_star, [1e-4], [2], 80, x0=x0)
+    second = sweep(obj, x_star, [1e-4], [2], 80, x0=x0)
     assert first[0].first_violation == second[0].first_violation
     assert np.array_equal(first[0].psis, second[0].psis)

@@ -9,16 +9,15 @@ import oracle
 from aids import materialize_orthogonal
 from conftest import assert_close
 from gradcert import (
-    MissingGroundTruthError,
     QuadraticObjective,
     SpectrumSpec,
     certify,
-    contraction_constant,
-    default_cert_tolerance,
     generate_with_start,
     hs_identity_battery,
     run,
 )
+from gradcert.errors import MissingGroundTruthError
+from gradcert.potential import contraction_constant, default_cert_tolerance
 
 
 def test_contraction_constants():
@@ -125,7 +124,7 @@ def test_battery_flags_a_corrupted_trace(tiny_problem):
 
 def _kappa_1e6_cg_trace():
     spec = SpectrumSpec(dim=50, ell=1.0, lip=1e6, layout="log_uniform", seed=0)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, _, x0 = generate_with_start(spec)
     return obj, run(obj, "cg_classic", x0, obj.dim, -math.inf)
 
 
@@ -213,12 +212,12 @@ def test_potential_is_basis_invariant():
     import dataclasses
 
     spec = SpectrumSpec(dim=12, ell=1.0, lip=200.0, layout="log_uniform", seed=13)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, x_star, x0 = generate_with_start(spec)
     q = materialize_orthogonal(spec)
     a_rot = 0.5 * (q.T @ obj.matrix @ q + (q.T @ obj.matrix @ q).T)
     rot = QuadraticObjective(a_rot, q.T @ obj.rhs, obj.ell, obj.lip)
-    x_star_rot = q.T @ truth.x_star
-    rot = rot.with_minimizer(x_star_rot, rot.value(x_star_rot))
+    x_star_rot = q.T @ x_star
+    rot = rot.with_minimizer(x_star_rot)
     trace = run(obj, "cg_classic", x0, 40, 1e-9 * obj.f_gap(x0))
     rotated = dataclasses.replace(trace, xs=trace.xs @ q)
     r1 = certify(trace, obj)
@@ -242,7 +241,7 @@ def test_degenerate_spectrum_certified_at_common_constant():
     a = np.diag([2.0, 2.0])
     obj = QuadraticObjective(a, np.array([2.0, -2.0]), 2.0, 2.0)
     x_star = np.array([1.0, -1.0])
-    obj = obj.with_minimizer(x_star, obj.value(x_star))
+    obj = obj.with_minimizer(x_star)
     trace = run(obj, "ag", np.zeros(2), 5, -math.inf)
     report = certify(trace, obj)
     assert report.degenerate

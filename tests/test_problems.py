@@ -82,17 +82,15 @@ def test_optional_fields_stay_optional(tmp_path, quad_spec):
 def test_objective_attaches_minimizer(tmp_path, quad_spec):
     obj = quad_spec.objective
     assert obj.minimizer is not None
-    assert obj.min_value == pytest.approx(obj.value(obj.minimizer), rel=1e-15)
     # the generator's exact spectrum endpoints and reference solve, bit for bit
-    _, truth, _ = generate_with_start(SpectrumSpec(7, 1.0, 40.0, "log_uniform", 5))
+    _, x_star, _ = generate_with_start(SpectrumSpec(7, 1.0, 40.0, "log_uniform", 5))
     assert (obj.ell, obj.lip) == (1.0, 40.0)
-    assert np.array_equal(obj.minimizer, truth.x_star) and obj.min_value == truth.f_star
-    # a load attaches f(x*) computed once from the stored x_star
+    assert np.array_equal(obj.minimizer, x_star)
+    # a load attaches the stored x_star bit for bit
     path = tmp_path / "p.json"
     quad_spec.save(path)
     loaded = load_problem(path).objective
     assert np.array_equal(loaded.minimizer, obj.minimizer)
-    assert loaded.min_value == loaded.value(obj.minimizer)
 
 
 def test_load_rejects_missing_field(tmp_path, quad_spec):
@@ -270,7 +268,7 @@ def test_logistic_load_estimates_lip_once(tmp_path, logistic_spec, monkeypatch):
     assert len(calls) == 1
     # attaching the minimizer shares the bound instead of re-estimating it
     assert obj.lip == logistic_spec.objective.lip
-    assert obj.data_matrix is obj.with_minimizer(obj.minimizer, obj.min_value).data_matrix
+    assert obj.data_matrix is obj.with_minimizer(obj.minimizer).data_matrix
     calls.clear()
     fresh = make_logistic_problem(6, 30, 0.1, seed=2)
     assert len(calls) == 1 and fresh.objective.lip == logistic_spec.objective.lip

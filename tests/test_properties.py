@@ -142,7 +142,7 @@ def test_potential_is_nonnegative(x, s, rho):
     # declaring L = (1 + rho)^2 l makes rho the accelerated weight sqrt(L/l) - 1
     diag = np.array([1.0, 2.0, 5.0, 9.0])
     obj = QuadraticObjective(np.diag(diag), np.zeros(4), 1.0, (1.0 + rho) ** 2)
-    obj = obj.with_minimizer(np.zeros(4), 0.0)
+    obj = obj.with_minimizer(np.zeros(4))
     x = np.asarray(x)
     trace = Trace(method="ag", xs=np.vstack([x - np.asarray(s), x]))
     report = certify(trace, obj)

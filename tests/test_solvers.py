@@ -8,18 +8,11 @@ import pytest
 import oracle
 from aids import conjugacy_drift
 from conftest import assert_close
-from gradcert import (
-    METHODS,
-    MissingGroundTruthError,
-    QuadraticObjective,
-    SpectrumSpec,
-    generate_with_start,
-    momentum_coefficient,
-    run,
-)
+from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start, run
+from gradcert.errors import MissingGroundTruthError
 from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
 from gradcert.potential import certify
-from gradcert.solvers import _run_cg
+from gradcert.solvers import METHODS, _run_cg, momentum_coefficient
 from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
@@ -92,21 +85,21 @@ def test_cg_schedule_values(dim2, tmp_path):
 
 def test_unified_cg_tracks_classic():
     spec = SpectrumSpec(dim=30, ell=1.0, lip=1e3, layout="log_uniform", seed=1)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, x_star, x0 = generate_with_start(spec)
     classic = run(obj, "cg_classic", x0, 35, -math.inf)
     unified = run(obj, "cg_unified", x0, 35, -math.inf)
     n = min(len(classic), len(unified))
-    dist0 = np.linalg.norm(x0 - truth.x_star)
+    dist0 = np.linalg.norm(x0 - x_star)
     for k in range(n):
         assert np.linalg.norm(classic.xs[k] - unified.xs[k]) <= 1e-8 * dist0
 
 
 def test_unified_ag_matches_direct_form():
     spec = SpectrumSpec(dim=30, ell=1.0, lip=1e3, layout="uniform", seed=2)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, x_star, x0 = generate_with_start(spec)
     direct = run(obj, "ag", x0, 100, -math.inf)
     unified = run(obj, "ag_unified", x0, 100, -math.inf)
-    scale = max(np.max(np.linalg.norm(direct.xs, axis=1)), np.linalg.norm(x0 - truth.x_star))
+    scale = max(np.max(np.linalg.norm(direct.xs, axis=1)), np.linalg.norm(x0 - x_star))
     diff = np.max(np.linalg.norm(direct.xs - unified.xs, axis=1))
     assert diff <= 1e-12 * scale
 
@@ -146,7 +139,7 @@ def test_cg_monotonicity_and_drift(tiny_problem):
 
 def test_cg_drift_checked_on_long_runs():
     spec = SpectrumSpec(dim=120, ell=1.0, lip=1e4, layout="log_uniform", seed=4)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, _, x0 = generate_with_start(spec)
     trace = run(obj, "cg_classic", x0, 600, 1e-10 * obj.f_gap(x0))
     assert len(trace) > 10, "expected at least one drift audit"
     assert _max_drift(trace, obj) <= 1e-10 * trace.r0_norm
@@ -159,7 +152,7 @@ def test_cg_residuals_stay_orthogonal(method, dim, kappa):
     # exact CG residuals are mutually orthogonal; plain double-precision
     # recurrences lose it (|cos| up to 0.8 between residuals of these runs)
     spec = SpectrumSpec(dim=dim, ell=1.0, lip=kappa, layout="log_uniform", seed=0)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, _, x0 = generate_with_start(spec)
     trace = run(obj, method, x0, 4_000, 1e-10 * obj.f_gap(x0))
     assert len(trace) - 1 <= dim
     r = trace.rs[: min(len(trace), dim)]
@@ -171,7 +164,7 @@ def test_degenerate_ag_is_gradient_descent():
     a = np.diag([2.0, 2.0, 2.0])
     obj = QuadraticObjective(a, np.array([2.0, 4.0, 6.0]), 2.0, 2.0)
     x_star = np.array([1.0, 2.0, 3.0])
-    obj = obj.with_minimizer(x_star, obj.value(x_star))
+    obj = obj.with_minimizer(x_star)
     x0 = np.zeros(3)
     trace = run(obj, "ag", x0, 5, -math.inf)
     # theta = nu = 0 makes every step x - grad/L, which lands exactly here
@@ -180,7 +173,7 @@ def test_degenerate_ag_is_gradient_descent():
 
 def test_not_positive_definite_detected():
     a = np.diag([1.0, 1.0])
-    obj = QuadraticObjective(a, np.zeros(2), 1.0, 1.0).with_minimizer(np.zeros(2), 0.0)
+    obj = QuadraticObjective(a, np.zeros(2), 1.0, 1.0).with_minimizer(np.zeros(2))
     # sabotage after construction: indefinite operator reached through matvec
     obj.matrix = np.diag([1.0, -1.0])
     trace = run(obj, "cg_classic", np.array([0.3, 0.9]), 5, -math.inf)
@@ -200,7 +193,7 @@ def test_stop_reasons(tiny_problem):
 def test_run_without_ground_truth_raises():
     # every run stops on its exact gap, so it needs the minimizer
     spec = SpectrumSpec(dim=12, ell=1.0, lip=100.0, layout="uniform", seed=8)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, _, x0 = generate_with_start(spec)
     bare = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, obj.lip)
     for method in METHODS:
         with pytest.raises(MissingGroundTruthError):
@@ -213,9 +206,9 @@ def test_ag_with_underestimated_lip_stops_diverged(method, scale):
     # steps of 1/L past 2/lambda_max grow the error each step; the run ends
     # at its first non-finite gap, keeps the finite prefix, warns nothing
     spec = SpectrumSpec(dim=50, ell=1.0, lip=1e4, layout="log_uniform", seed=0)
-    obj, truth, x0 = generate_with_start(spec)
+    obj, x_star, x0 = generate_with_start(spec)
     low = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, scale * obj.lip)
-    low = low.with_minimizer(truth.x_star, truth.f_star)
+    low = low.with_minimizer(x_star)
     trace = run(low, method, x0, 1000, 1e-12 * low.f_gap(x0))
     assert trace.stop_reason == "diverged"
     assert 1 < len(trace) <= 1000
