@@ -157,8 +157,8 @@ def cmd_run(args) -> int:
     trace = run(obj, method, spec.x0, args.iters, 1e-12 * obj.f_gap(spec.x0))
     if trace.stop_reason == "diverged":
         raise GradcertError(
-            f"{args.method} diverged after {len(trace) - 1} iterations (f_gap no longer "
-            f"finite); is L = {obj.lip:g} below the largest curvature of {args.problem}?"
+            f"{args.method} diverged after {len(trace) - 1} iterations (||x - x*|| no "
+            f"longer finite); is L = {obj.lip:g} below the largest curvature of {args.problem}?"
         )
     report = certify(trace, obj)
     write_trace_csv(args.out, trace, obj, report)

@@ -18,6 +18,9 @@ from scipy.special import expit
 
 from .errors import MissingGroundTruthError, NotPositiveDefiniteError
 
+# Rows per block in f_gap_many.
+GAP_BLOCK_ROWS = 1024
+
 
 class Objective:
     """Base class: curvature bounds plus optional ground truth.
@@ -49,7 +52,20 @@ class Objective:
         raise NotImplementedError
 
     def f_gap_many(self, xs):
-        """f_gap row-wise over an (n, dim) array of points."""
+        """f_gap row-wise over an (n, dim) array of points.
+
+        Evaluated GAP_BLOCK_ROWS rows at a time, so the temporaries stay a
+        fixed size however long the trace.
+        """
+        xs = np.asarray(xs, dtype=float)
+        self._x_star()  # raises without a minimizer, even on zero rows
+        out = np.empty(xs.shape[0])
+        for lo in range(0, len(out), GAP_BLOCK_ROWS):
+            out[lo : lo + GAP_BLOCK_ROWS] = self._gap_rows(xs[lo : lo + GAP_BLOCK_ROWS])
+        return out
+
+    def _gap_rows(self, xs):
+        """f_gap of each row of an (n, dim) array."""
         raise NotImplementedError
 
     def with_minimizer(self, x_star):
@@ -120,7 +136,8 @@ class QuadraticObjective(Objective):
 
     def grad(self, x):
         x = self._check_vector(x)
-        return self.matrix @ x - self.rhs
+        # ndarray.dot reaches the same BLAS product as @ with less overhead.
+        return self.matrix.dot(x) - self.rhs
 
     def hessian(self, x=None):
         return self.matrix
@@ -129,10 +146,10 @@ class QuadraticObjective(Objective):
         # 0.5 d'Ad (d = x - x*) equals f(x) - f* up to the reference solve's
         # residual and does not cancel catastrophically near x*.
         d = self._check_vector(x) - self._x_star()
-        return float(0.5 * d @ (self.matrix @ d))
+        return float(0.5 * d.dot(self.matrix.dot(d)))
 
-    def f_gap_many(self, xs):
-        d = np.asarray(xs, dtype=float) - self._x_star()
+    def _gap_rows(self, xs):
+        d = xs - self._x_star()
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
 
 
@@ -201,9 +218,6 @@ class LogisticRidgeObjective(Objective):
     def f_gap(self, x):
         x = self._check_vector(x)
         return float(self._gap_rows(x[None, :])[0])
-
-    def f_gap_many(self, xs):
-        return self._gap_rows(np.asarray(xs, dtype=float))
 
     def with_minimizer(self, x_star):
         obj = super().with_minimizer(x_star)

@@ -124,11 +124,11 @@ def detect_inexactness(
 
     threshold = 1e-12 * monitored.f_gap(x0)
 
-    def stopped(x, r=None):
+    def stopped(x, r):
         # Exact gap on purpose: the recurred residual drifts under noise and
         # can cross zero, which would fake convergence and end the run
-        # before the chain gets a chance to break. CG records no gap.
-        return monitored.f_gap(x) <= threshold, None
+        # before the chain gets a chance to break.
+        return monitored.f_gap(x) <= threshold
 
     # One call index per product. The lambda looks noisy_matvec up at each
     # call, so a wrapper installed on this module sees every product.

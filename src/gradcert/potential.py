@@ -139,10 +139,9 @@ class CertificateReport:
 def certify(trace, obj) -> CertificateReport:
     """Certificate chain plus envelope bounds for a finished run.
 
-    The gaps f(x_k) - f* come from the objective's minimizer: the trace's
-    f_gaps when it carries them (exact gaps an accelerated run computed to
-    stop) and obj.f_gap_many on the iterates otherwise, so CG runs, noisy
-    runs and audited traces are all measured against the true objective.
+    The gaps f(x_k) - f* have one source, obj.f_gap_many on the iterates,
+    which measures every run (accelerated, CG, noisy, or read back from a
+    file) against the objective's minimizer.
     Step k compares C psi_{k+1} against psi_k with multiplicative slack
     1 + default_cert_tolerance(obj), which the report states as tol_cert
     (step 0 claims descent only); the chain is also replayed at the common
@@ -173,7 +172,7 @@ def certify(trace, obj) -> CertificateReport:
         d = xs - obj.minimizer[None, :]
         dist_sqs = np.einsum("ij,ij->i", d, d)
 
-        f_gaps = obj.f_gap_many(xs) if trace.f_gaps is None else trace.f_gaps
+        f_gaps = obj.f_gap_many(xs)
         neg = f_gaps < 0.0
         if np.any(neg):
             # Roundoff at the gap's noise floor; clamping keeps psi >= 0
@@ -301,9 +300,8 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     if _METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
 
-    # A CG trace carries no gaps, so these are exact: the equalities are
-    # tight enough that the recurred residual's drift would register as
-    # spurious violations.
+    # certify's gaps come from the iterates, not the recurred residual,
+    # whose drift the tight equalities would register as violations.
     report = certify(trace, obj)
     n = min(len(report), obj.dim + 1)
     f2 = 2.0 * report.f_gaps[:n]

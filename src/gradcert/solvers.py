@@ -20,17 +20,26 @@ Three interchangeable iterations:
   schedule: theta = nu = momentum coefficient and pi = 1/L for accelerated
   gradient; theta = 0, nu_k = alpha_{k+1} beta_{k+1} / alpha_k and
   pi_k = alpha_{k+1} for CG. At k = 0 there is no displacement yet, so
-  theta_0 = nu_0 = 0 and y_1 = x_0.
+  theta_0 = nu_0 = 0 and y_1 = x_0. Under the accelerated schedule its
+  update is the same floating-point operations, in the same order, as
+  y_{k+1} - grad f(y_{k+1}) / L, so "ag_unified" runs the "ag" loop.
 
 Runs record every iterate together with the scalars the algorithm itself
 computed (CG step sizes, residual norms, recurred residuals), which is what
 the certificate and identity machinery downstream consumes. What follows
 from those is not stored: the displacements s_k come from consecutive
-iterates, and CG's directions p_k from its residuals and betas. CG stops
-on its recurred residual's estimate of f(x_k) - f*, which drifts from the
-true gap in floating point, so it records no gaps; certify() computes them
-from the iterates. Nor does a run audit that drift: the perturb module
-measures it afterwards from the stored residuals and iterates.
+iterates, and CG's directions p_k from its residuals and betas. Nor are
+gaps: certify() computes every f(x_k) - f* from the iterates.
+
+CG stops on its recurred residual's estimate of f(x_k) - f*, which costs
+no matvec but drifts from the true gap in floating point; a run does not
+audit that drift, the perturb module measures it afterwards. An
+accelerated run stops on the exact gap, but evaluates it (one more
+matvec) only where it can already be small: l-strong convexity gives
+f(x) - f* >= (l/2) ||x - x*||^2, so each step computes ||x_k - x*||^2 and
+calls f_gap only once that bound, widened by its rounding error, is at or
+below the stop gap. The gate never moves the stop; it only skips gap
+evaluations that could not pass.
 """
 
 from __future__ import annotations
@@ -61,10 +70,9 @@ class Trace:
     xs[k] is x_k; the displacements ss, and on CG runs the betas, the
     directions ps and r0_norm, are derived from the stored columns. CG
     columns (alphas, prev_res_sqs, rs) are None on accelerated runs;
-    per-row gaps inside a present column are nan. f_gaps holds the exact
-    f(x_k) - f*, from the minimizer, that the stop check of an accelerated
-    run computed; it is None on CG runs, whose stop check uses the recurred
-    residual's drifting estimate, and on traces read back from a file.
+    entries undefined at a row of a present column are nan. No trace
+    stores f(x_k) - f*: neither method evaluates it on every iterate, and
+    certify() computes it from xs.
     """
 
     method: str
@@ -72,7 +80,6 @@ class Trace:
     alphas: np.ndarray | None = None
     prev_res_sqs: np.ndarray | None = None
     rs: np.ndarray | None = None
-    f_gaps: np.ndarray | None = None
     stop_reason: str = "max_iters"
 
     def __len__(self):
@@ -111,16 +118,18 @@ class Trace:
 def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transients: bool = True) -> Trace:
     """Run a solver and record the full per-iterate trace.
 
-    Stops at the first of: max_iters steps taken; f(x_k) - f* <= stop_gap;
-    the CG convergence floor; an accelerated run's gap turning non-finite
-    (stop_reason "diverged", the trace keeping the finite prefix), which
-    happens when the declared L is below the true curvature. Breakdown
-    inside a step truncates the trace and is recorded in stop_reason rather
-    than raised. The objective must carry its minimizer. CG runs keep their
-    recurred residuals mutually orthogonal, as described in the module
-    docstring. record_transients has no effect (traces no longer keep y_k
-    or grad f(y_k)); it is accepted only because the benchmark's workloads
-    still pass it.
+    Stops at the first of: max_iters steps taken; f(x_k) - f* <= stop_gap
+    (CG tests its recurred residual's estimate, accelerated runs the exact
+    gap behind the gate described in the module docstring); the CG
+    convergence floor; an accelerated run's ||x_k - x*||^2 turning
+    non-finite (stop_reason "diverged", the trace keeping the finite
+    prefix), which happens when the declared L is below the true curvature.
+    Breakdown inside a step truncates the trace and is recorded in
+    stop_reason rather than raised. The objective must carry its minimizer.
+    CG runs keep their recurred residuals mutually orthogonal, as described
+    in the module docstring. record_transients has no effect (traces no
+    longer keep y_k or grad f(y_k)); it is accepted only because the
+    benchmark's workloads still pass it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -129,70 +138,84 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     if obj.minimizer is None:
         raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
     x0 = obj._check_vector(x0, "x0")
-    is_cg = method in ("cg_classic", "cg_unified")
-    if is_cg and not isinstance(obj, QuadraticObjective):
+    if method in ("ag", "ag_unified"):
+        return _run_ag(obj, method, x0, max_iters, stop_gap)
+    if not isinstance(obj, QuadraticObjective):
         raise TypeError(f"{method} applies to quadratic objectives only")
 
-    # The stop check returns (done, gap). An accelerated run records gap,
-    # which is exact, so certification can reuse it instead of
-    # re-evaluating the objective on every stored iterate.
     x_star = obj.minimizer
-    if isinstance(obj, QuadraticObjective):
-        a_mat = obj.matrix
 
-        def stopped(x, r=None):
-            d = x - x_star
-            # With the recurred residual, A(x - x*) = -r up to drift,
-            # so the estimate -d'r/2 costs no extra matvec; CG stops on
-            # it but does not record it.
-            gap = -0.5 * float(d @ r) if r is not None else 0.5 * float(d @ (a_mat @ d))
-            return gap <= stop_gap, gap
-    else:
+    def stopped(x, r):
+        # With the recurred residual, A(x - x*) = -r up to drift, so the
+        # estimate -d'r/2 costs no extra matvec.
+        return -0.5 * float((x - x_star) @ r) <= stop_gap
 
-        def stopped(x, r=None):
-            gap = obj.f_gap(x)
-            return gap <= stop_gap, gap
-
-    if is_cg:
-        return _run_cg(obj, method, x0, max_iters, stopped)
-    return _run_ag(obj, method, x0, max_iters, stopped)
+    return _run_cg(obj, method, x0, max_iters, stopped)
 
 
-def _run_ag(obj, method, x0, max_iters, stopped):
+def _gap_gate(obj, stop_gap: float) -> float:
+    """Largest computed (l/2)||x - x*||^2 at which f_gap(x) <= stop_gap can hold.
+
+    On a quadratic whose declared l and L bound the spectrum of A,
+    f_gap(x) = 0.5 d'Ad >= (l/2) d'd with d = x - x*. With unit roundoff u
+    and gamma = dim u / (1 - dim u), the computed d'd is within gamma of
+    its exact value, relative, and the computed d'Ad within
+    gamma (2 + gamma) |d|'|A||d| <= err l d'd, err = gamma (2 + gamma)
+    sqrt(dim) kappa. So a computed gap at or below stop_gap >= 0 implies a
+    computed (l/2) d'd at or below stop_gap (1 + gamma) / (1 - err); the
+    returned bound adds 4u for the gate's own roundings. When err < 1 the
+    computed gap is >= 0, so a negative stop_gap is never reached, and the
+    negative bound never passes.
+    Off quadratics the computed gap is not bounded below by (l/2) d'd: the
+    reference minimizer is inexact, and the logistic gap's first-order
+    terms cancel in floating point, so it can read <= 0 at d != 0. There,
+    and where err >= 1, the gate is always open.
+    """
+    u = 2.0**-53
+    gamma = obj.dim * u / (1.0 - obj.dim * u)
+    err = gamma * (2.0 + gamma) * math.sqrt(obj.dim) * obj.lip / obj.ell
+    if not isinstance(obj, QuadraticObjective) or err >= 1.0:
+        return math.inf
+    return stop_gap * ((1.0 + gamma) / (1.0 - err) + 4.0 * u)
+
+
+def _run_ag(obj, method, x0, max_iters, stop_gap):
     # lip == ell gives momentum 0: plain gradient descent with 1/L steps.
     momentum = momentum_coefficient(obj.ell, obj.lip)
     inv_lip = 1.0 / obj.lip
-    unified = method == "ag_unified"
+    half_ell = 0.5 * obj.ell
+    gate = _gap_gate(obj, stop_gap)
+    x_star = obj.minimizer
+
+    def reached(x, dd):
+        # The exact gap costs a matvec; it is paid only past the gate.
+        return half_ell * dd <= gate and obj.f_gap(x) <= stop_gap
 
     x = x0.copy()
     s = None
     xs = [x]
-    done, gap = stopped(x)
-    gaps = [gap]
+    d = x - x_star
+    done = reached(x, d.dot(d))
     stop_reason = "gap" if done else "max_iters"
     # A run whose declared L is below the true curvature overflows; its
-    # first non-finite gap ends it, and no overflow warning escapes.
+    # first non-finite ||x - x*||^2 ends it, and no overflow warning escapes.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(0 if done else max_iters):
             y = x if s is None else x + momentum * s
-            g = obj.grad(y)
-            if unified:
-                x_next = x - inv_lip * g if s is None else x + momentum * s - inv_lip * g
-            else:
-                x_next = y - g * inv_lip
-            done, gap = stopped(x_next)
-            if not math.isfinite(gap):
+            x_next = y - obj.grad(y) * inv_lip
+            d = x_next - x_star
+            dd = d.dot(d)
+            if not math.isfinite(dd):
                 stop_reason = "diverged"
                 break
             s = x_next - x
             x = x_next
             xs.append(x)
-            gaps.append(gap)
-            if done:
+            if reached(x, dd):
                 stop_reason = "gap"
                 break
 
-    return Trace(method=method, xs=np.vstack(xs), f_gaps=np.array(gaps), stop_reason=stop_reason)
+    return Trace(method=method, xs=np.vstack(xs), stop_reason=stop_reason)
 
 
 def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
@@ -227,7 +250,7 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     alpha = None
     s = None
 
-    if stopped(x, r)[0]:
+    if stopped(x, r):
         stop_reason = "gap"
     else:
         for k in range(max_iters):
@@ -276,7 +299,7 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
             rs.append(r)
             alphas.append(alpha_next)
             prev_sqs.append(prev_sqs_last)
-            if stopped(x, r)[0]:
+            if stopped(x, r):
                 stop_reason = "gap"
                 break
 

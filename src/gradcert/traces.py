@@ -205,8 +205,8 @@ def read_trace_iterates(csv_path) -> Trace:
     Accepts only a method in METHODS, ``xs`` as a finite 2-D float64 array
     and, on CG traces, ``alphas`` and ``prev_res_sqs`` as float64 with one
     entry per iterate. Anything else, an unreadable archive included,
-    raises ValueError. The Trace carries no gaps, so certify() recomputes
-    them from the iterates.
+    raises ValueError. certify() computes the gaps from the iterates, as
+    it does for a fresh run.
     """
     path = iterates_path(csv_path)
     try:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
-from gradcert.objective import QuadraticObjective
+from gradcert.objective import GAP_BLOCK_ROWS, QuadraticObjective
 from gradcert.perturb import sweep
 from gradcert.potential import certify
 from gradcert.problems import ProblemSpec, load_problem, make_logistic_problem
@@ -540,6 +540,25 @@ def test_run_diverging_ag_exits_1(workdir, capsys, method, scale):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "diverged" in err
     assert not out.exists() and not Path(iterates_path(out)).exists()
+
+
+@pytest.mark.parametrize("method", ["ag", "cg"])
+def test_run_cells_equal_certify_recomputation(workdir, method):
+    # run and certify both take the gaps from f_gap_many on the stored
+    # iterates, so the cells a run writes are the audit's own values; the
+    # AG trace spans two of f_gap_many's row blocks
+    prob = workdir / "cells.json"
+    gen = ["gen", "--dim", "30", "--ell", "1", "--lip", "1e4", "--seed", "2"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    out = workdir / f"cells_{method}.csv"
+    run_args = ["run", "--problem", str(prob), "--method", method, "--iters", "20000"]
+    assert main(run_args + ["--out", str(out)]) == 0
+    columns = read_trace_csv(out)
+    report = certify(read_trace_iterates(out), load_problem(prob).objective)
+    assert columns["f_gap"] == report.f_gaps.tolist()
+    assert columns["psi"] == report.psis.tolist()
+    assert method == "cg" or len(report) > GAP_BLOCK_ROWS
+    assert main(["certify", str(out), "--problem", str(prob)]) == 0
 
 
 def test_identities_command(workdir, problem_file, capsys):

@@ -12,7 +12,8 @@ from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start, run
 from gradcert.errors import MissingGroundTruthError
 from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
 from gradcert.potential import certify
-from gradcert.solvers import METHODS, _run_cg, momentum_coefficient
+from gradcert.problems import make_logistic_problem
+from gradcert.solvers import METHODS, _gap_gate, _run_cg, momentum_coefficient
 from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
@@ -116,7 +117,7 @@ def test_replayed_directions_are_the_ones_multiplied(method, eta):
         used.append(p.copy())
         return noisy_matvec(obj, noise, p, len(used))
 
-    trace = _run_cg(obj, method, x0, 40, lambda x, r=None: (False, None), matvec=matvec)
+    trace = _run_cg(obj, method, x0, 40, lambda x, r: False, matvec=matvec)
     assert len(trace) == len(used) + 1 > 20
     assert trace.ps[1:].tobytes() == np.vstack(used).tobytes()
 
@@ -204,7 +205,8 @@ def test_run_without_ground_truth_raises():
 @pytest.mark.parametrize("method", ["ag", "ag_unified"])
 def test_ag_with_underestimated_lip_stops_diverged(method, scale):
     # steps of 1/L past 2/lambda_max grow the error each step; the run ends
-    # at its first non-finite gap, keeps the finite prefix, warns nothing
+    # at its first non-finite ||x - x*||^2, keeps the finite prefix, warns
+    # nothing
     spec = SpectrumSpec(dim=50, ell=1.0, lip=1e4, layout="log_uniform", seed=0)
     obj, x_star, x0 = generate_with_start(spec)
     low = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, scale * obj.lip)
@@ -212,13 +214,106 @@ def test_ag_with_underestimated_lip_stops_diverged(method, scale):
     trace = run(low, method, x0, 1000, 1e-12 * low.f_gap(x0))
     assert trace.stop_reason == "diverged"
     assert 1 < len(trace) <= 1000
-    assert np.all(np.isfinite(trace.xs)) and np.all(np.isfinite(trace.f_gaps))
+    assert np.all(np.isfinite(trace.xs))
     # the prefix is the run itself, one step short of the overflow
     shorter = run(low, method, x0, len(trace) - 1, 1e-12 * low.f_gap(x0))
     assert shorter.stop_reason == "max_iters"
-    assert np.array_equal(shorter.xs, trace.xs) and np.array_equal(shorter.f_gaps, trace.f_gaps)
+    assert np.array_equal(shorter.xs, trace.xs)
     report = certify(trace, low)
     assert report.first_violation is not None and not report.theorem1_ok
+
+
+def _assert_stops_at_first_gap(obj, x0, stop_gap, max_iters):
+    # The gate on (l/2)||x - x*||^2 only skips gap evaluations: the run
+    # ends at the first iterate whose exact gap is at or below stop_gap.
+    trace = run(obj, "ag", x0, max_iters, stop_gap)
+    hits = [k for k, x in enumerate(trace.xs) if obj.f_gap(x) <= stop_gap]
+    if trace.stop_reason == "gap":
+        assert hits == [len(trace) - 1]
+    else:
+        assert trace.stop_reason == "max_iters"
+        assert len(trace) == max_iters + 1 and hits == []
+    return trace
+
+
+@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
+@pytest.mark.parametrize("kappa", [10.0, 1e3, 1e6])
+@pytest.mark.parametrize("dim", [10, 50, 200])
+def test_ag_gate_never_moves_the_stop(dim, kappa, layout):
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, seed=1))
+    trace = _assert_stops_at_first_gap(obj, x0, 1e-10 * obj.f_gap(x0), 40_000)
+    assert trace.stop_reason == "gap"
+
+
+def test_ag_gate_never_moves_the_stop_off_quadratics():
+    problem = make_logistic_problem(8, 40, 0.05, seed=3)
+    obj, x0 = problem.objective, problem.x0
+    trace = _assert_stops_at_first_gap(obj, x0, 1e-12 * obj.f_gap(x0), 20_000)
+    assert trace.stop_reason == "gap"
+    # the logistic gap reads <= 0 before x reaches x*, so this run stops
+    # on stop_gap 0 although ||x - x*|| > 0
+    zero = _assert_stops_at_first_gap(obj, x0, 0.0, 20_000)
+    assert zero.stop_reason == "gap" and np.any(zero.xs[-1] != obj.minimizer)
+
+
+def test_ag_gate_passes_every_point_at_its_own_gap():
+    # Along the eigenvectors of l the gap is (l/2)||d||^2 up to rounding,
+    # where the computed gap often reads below the computed bound; the
+    # gate's rounding slack must still let every such point through.
+    obj, x_star, _ = generate_with_start(SpectrumSpec(50, 1.0, 1e3, "two_cluster", seed=4))
+    low = np.linalg.eigh(obj.matrix)[1][:, :25]
+    coef = np.random.default_rng(0).standard_normal((400, 25))
+    below = 0
+    for scale, c in zip(np.logspace(-8, 2, len(coef)), coef):
+        x = x_star + scale * (low @ c)
+        d = x - x_star
+        gap = obj.f_gap(x)
+        below += gap < 0.5 * obj.ell * d.dot(d)
+        assert 0.5 * obj.ell * d.dot(d) <= _gap_gate(obj, gap)
+    assert below > 0
+
+
+def test_ag_gate_edge_stop_gaps():
+    obj, x_star, x0 = generate_with_start(SpectrumSpec(20, 1.0, 100.0, "log_uniform", seed=2))
+    for stop_gap in (0.0, -math.inf):
+        trace = _assert_stops_at_first_gap(obj, x0, stop_gap, 300)
+        assert trace.stop_reason == "max_iters"
+    # x0 already within the stop: no step is taken
+    within = _assert_stops_at_first_gap(obj, x0, obj.f_gap(x0), 300)
+    assert len(within) == 1 and within.stop_reason == "gap"
+    at_min = _assert_stops_at_first_gap(obj, x_star, 0.0, 300)
+    assert len(at_min) == 1 and at_min.stop_reason == "gap"
+    # gradient descent on 2I lands on x* in one step, where the gap is 0
+    a = QuadraticObjective(np.diag([2.0, 2.0, 2.0]), [2.0, 4.0, 6.0], 2.0, 2.0)
+    a = a.with_minimizer([1.0, 2.0, 3.0])
+    exact = _assert_stops_at_first_gap(a, np.zeros(3), 0.0, 5)
+    assert len(exact) == 2 and exact.stop_reason == "gap"
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("method", ["ag", "ag_unified"])
+def test_ag_calls_grad_once_per_step(monkeypatch, method, kind):
+    if kind == "quadratic":
+        obj, _, x0 = generate_with_start(SpectrumSpec(30, 1.0, 1e3, "log_uniform", seed=0))
+    else:
+        problem = make_logistic_problem(6, 30, 0.1, seed=2)
+        obj, x0 = problem.objective, problem.x0
+    stop_gap = 1e-10 * obj.f_gap(x0)
+    calls = []
+    cls = type(obj)
+    grad, f_gap = cls.grad, cls.f_gap
+    monkeypatch.setattr(cls, "grad", lambda self, x: calls.append("grad") or grad(self, x))
+    monkeypatch.setattr(cls, "f_gap", lambda self, x: calls.append("gap") or f_gap(self, x))
+    for max_iters, reason in ((40, "max_iters"), (20_000, "gap")):
+        calls.clear()
+        trace = run(obj, method, x0, max_iters, stop_gap)
+        assert trace.stop_reason == reason
+        assert calls.count("grad") == len(trace) - 1
+        # nothing after the stop's own check
+        assert reason == "max_iters" or calls[-1] == "gap"
+        if kind == "quadratic":
+            # the gate skips the exact gap on most steps
+            assert calls.count("gap") < len(trace) / 4
 
 
 def test_first_iteration_state_shape(dim2):
