@@ -542,6 +542,16 @@ def test_run_diverging_ag_exits_1(workdir, capsys, method, scale):
     assert not out.exists() and not Path(iterates_path(out)).exists()
 
 
+def test_run_ag_iters_cap_sizes_nothing(workdir):
+    # --iters only caps the steps; the run stops on its gap long before
+    prob = workdir / "huge_cap.json"
+    assert main(["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--out", str(prob)]) == 0
+    out = workdir / "huge_cap.csv"
+    run_args = ["run", "--problem", str(prob), "--method", "ag", "--iters", "1000000000"]
+    assert main(run_args + ["--out", str(out)]) == 0
+    assert len(read_trace_csv(out)["k"]) < 1000
+
+
 @pytest.mark.parametrize("method", ["ag", "cg"])
 def test_run_cells_equal_certify_recomputation(workdir, method):
     # run and certify both take the gaps from f_gap_many on the stored

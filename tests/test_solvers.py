@@ -1,6 +1,7 @@
 """Solver runs: oracle iterates, the unified variants, and run-level invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gradcert.errors import MissingGroundTruthError
 from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
 from gradcert.potential import certify
 from gradcert.problems import make_logistic_problem
-from gradcert.solvers import METHODS, _gap_gate, _run_cg, momentum_coefficient
+from gradcert.solvers import METHODS, Trace, _gap_gate, _run_cg, momentum_coefficient
 from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
@@ -288,6 +289,112 @@ def test_ag_gate_edge_stop_gaps():
     a = a.with_minimizer([1.0, 2.0, 3.0])
     exact = _assert_stops_at_first_gap(a, np.zeros(3), 0.0, 5)
     assert len(exact) == 2 and exact.stop_reason == "gap"
+
+
+def _reference_run_ag(obj, method, x0, max_iters, stop_gap):
+    # The AG loop before its workspaces: a new array per operation, a
+    # Python list of iterates and one vstack. run must match it bit for bit.
+    # lip == ell gives momentum 0: plain gradient descent with 1/L steps.
+    momentum = momentum_coefficient(obj.ell, obj.lip)
+    inv_lip = 1.0 / obj.lip
+    half_ell = 0.5 * obj.ell
+    gate = _gap_gate(obj, stop_gap)
+    x_star = obj.minimizer
+
+    def reached(x, dd):
+        # The exact gap costs a matvec; it is paid only past the gate.
+        return half_ell * dd <= gate and obj.f_gap(x) <= stop_gap
+
+    x = x0.copy()
+    s = None
+    xs = [x]
+    d = x - x_star
+    done = reached(x, d.dot(d))
+    stop_reason = "gap" if done else "max_iters"
+    # A run whose declared L is below the true curvature overflows; its
+    # first non-finite ||x - x*||^2 ends it, and no overflow warning escapes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(0 if done else max_iters):
+            y = x if s is None else x + momentum * s
+            x_next = y - obj.grad(y) * inv_lip
+            d = x_next - x_star
+            dd = d.dot(d)
+            if not math.isfinite(dd):
+                stop_reason = "diverged"
+                break
+            s = x_next - x
+            x = x_next
+            xs.append(x)
+            if reached(x, dd):
+                stop_reason = "gap"
+                break
+
+    return Trace(method=method, xs=np.vstack(xs), stop_reason=stop_reason)
+
+
+def _assert_matches_reference(obj, x0, max_iters, stop_gap):
+    expected = _reference_run_ag(obj, "ag", x0, max_iters, stop_gap)
+    for method in ("ag", "ag_unified"):
+        trace = run(obj, method, x0, max_iters, stop_gap)
+        assert trace.stop_reason == expected.stop_reason
+        assert trace.xs.shape == expected.xs.shape
+        assert trace.xs.tobytes() == expected.xs.tobytes()
+        # an owned, exactly sized array, not a view of the run's buffer
+        assert trace.xs.flags.c_contiguous and trace.xs.flags.owndata
+    return expected
+
+
+@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
+@pytest.mark.parametrize("kappa", [10.0, 1e3, 1e6])
+@pytest.mark.parametrize("dim", [10, 50, 200])
+def test_ag_iterates_match_reference_loop(dim, kappa, layout):
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, seed=2))
+    trace = _assert_matches_reference(obj, x0, 40_000, 1e-10 * obj.f_gap(x0))
+    assert trace.stop_reason == "gap"
+
+
+def test_ag_matches_reference_loop_off_gap_stops():
+    problem = make_logistic_problem(6, 30, 0.1, seed=2)
+    obj, x0 = problem.objective, problem.x0
+    for stop_gap in (1e-12 * obj.f_gap(x0), 0.0):
+        assert _assert_matches_reference(obj, x0, 20_000, stop_gap).stop_reason == "gap"
+    assert _assert_matches_reference(obj, x0, 37, 0.0).stop_reason == "max_iters"
+    # the underestimated-L run of test_ag_with_underestimated_lip_stops_diverged
+    obj, x_star, x0 = generate_with_start(SpectrumSpec(50, 1.0, 1e4, "log_uniform", seed=0))
+    low = QuadraticObjective(obj.matrix, obj.rhs, obj.ell, 0.5 * obj.lip).with_minimizer(x_star)
+    diverged = _assert_matches_reference(low, x0, 1000, 1e-12 * low.f_gap(x0))
+    assert diverged.stop_reason == "diverged"
+
+
+def test_ag_iterate_buffer_edges():
+    # The iterate buffer starts at one row and doubles: every max_iters up
+    # to 70 ends just before, at or just after one of its growths.
+    obj, _, x0 = generate_with_start(SpectrumSpec(10, 1.0, 1e6, "log_uniform", seed=3))
+    for max_iters in range(1, 71):
+        trace = _assert_matches_reference(obj, x0, max_iters, -math.inf)
+        assert trace.stop_reason == "max_iters" and len(trace) == max_iters + 1
+    # x0 already within the stop: the trace is x0 alone, as its own array
+    within = _assert_matches_reference(obj, x0, 10, obj.f_gap(x0))
+    assert len(within) == 1 and within.stop_reason == "gap"
+    assert not np.shares_memory(run(obj, "ag", x0, 10, obj.f_gap(x0)).xs, x0)
+    # a later run on the same objective leaves an earlier trace alone
+    first = run(obj, "ag", x0, 40, -math.inf)
+    kept = first.xs.tobytes()
+    run(obj, "ag", x0, 300, -math.inf)
+    assert first.xs.tobytes() == kept
+
+
+def test_ag_memory_follows_steps_taken():
+    # max_iters caps the steps; it sizes nothing
+    obj, _, x0 = generate_with_start(SpectrumSpec(50, 1.0, 1e3, "log_uniform", seed=0))
+    tracemalloc.start()
+    try:
+        trace = run(obj, "ag", x0, 10**9, 1e-10 * obj.f_gap(x0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.stop_reason == "gap"
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
