@@ -9,7 +9,12 @@ the system and is probing an untrusted solver.
 Noise is a direction drawn uniformly on the unit sphere, scaled by
 eta * ||A p||. Each product's draw is keyed by (seed, call index) through
 the substream derivation in the rng module, so sweeps are reproducible
-call by call and eta = 0 is a bitwise pass-through.
+call by call and eta = 0 is a bitwise pass-through. Directions are drawn
+a block of DIRECTION_BLOCK calls at a time and the last
+DIRECTION_CACHE_BLOCKS blocks are cached, at most
+DIRECTION_CACHE_BLOCKS * DIRECTION_BLOCK * dim * 8 bytes. A direction
+depends on the seed, the call index and dim but not on eta, so every
+magnitude of a sweep reuses the same blocks.
 
 The run itself stores only its iterates and recurred residuals; the report's
 drift between the recurred and the true residual is computed afterwards from
@@ -18,6 +23,7 @@ them, every tenth step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -25,8 +31,8 @@ import numpy as np
 
 from .objective import QuadraticObjective
 from .potential import CertificateReport, certify
-from .rng import SplitMix64, substream_seed
-from .solvers import _run_cg
+from .rng import SplitMix64, substream_gaussians, substream_seed
+from .solvers import _gap_gate, _run_cg
 
 
 @dataclass(frozen=True)
@@ -41,17 +47,52 @@ class NoiseModel:
             raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
 
 
+# Calls per drawn block of directions, and blocks kept. Measured at dim 100
+# (CHANGES.md): the draw cost per call is flat from blocks of 16 up, and a
+# larger block only draws more unused directions at the end of a run; 32
+# blocks hold every block of a 600-step run for about three seeds.
+DIRECTION_BLOCK = 64
+DIRECTION_CACHE_BLOCKS = 32
+
+
+@functools.lru_cache(maxsize=DIRECTION_CACHE_BLOCKS)
+def _directions(seed: int, block: int, dim: int) -> np.ndarray:
+    """Read-only unit directions of calls block*B .. block*B + B-1 (B rows).
+
+    Row j equals ``SplitMix64(substream_seed(seed, block*B + j)).unit_vector(dim)``
+    bit for bit: each row is normalised by its own 1-D norm, and a row too
+    short to normalise is redrawn from its own stream, as ``unit_vector``
+    does.
+    """
+    first = block * DIRECTION_BLOCK
+    g = substream_gaussians(seed, first, DIRECTION_BLOCK, dim)
+    norms = np.array([float(np.linalg.norm(row)) for row in g])
+    for j in np.flatnonzero(~(norms > 1e-300)).tolist():
+        stream = SplitMix64(substream_seed(seed, first + j))
+        stream.gaussian_vector(dim)  # the draw rejected above
+        g[j] = stream.unit_vector(dim)
+        norms[j] = 1.0
+    g /= norms[:, None]
+    g.flags.writeable = False
+    return g
+
+
 def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int = 0) -> np.ndarray:
     """A p plus eta ||A p|| times a seeded unit direction.
 
     Deterministic per (noise.seed, call_index). magnitude 0 returns A p
     bitwise unchanged; p = 0 returns 0 (the noise scales with ||A p||).
+    The direction is row call_index % DIRECTION_BLOCK of the block
+    call_index // DIRECTION_BLOCK, which is drawn once for all its calls
+    and kept among the last DIRECTION_CACHE_BLOCKS blocks drawn (at most
+    DIRECTION_CACHE_BLOCKS * DIRECTION_BLOCK * dim * 8 bytes); it equals
+    ``SplitMix64(substream_seed(noise.seed, call_index)).unit_vector(dim)``.
     """
     out = obj.matrix @ np.asarray(p, dtype=float)
     if noise.magnitude == 0.0:
         return out
-    stream = SplitMix64(substream_seed(noise.seed, call_index))
-    u = stream.unit_vector(out.shape[0])
+    block, row = divmod(call_index, DIRECTION_BLOCK)
+    u = _directions(noise.seed, block, out.shape[0])[row]
     return out + noise.magnitude * float(np.linalg.norm(out)) * u
 
 
@@ -123,12 +164,17 @@ def detect_inexactness(
     x0 = monitored._check_vector(x0, "x0")
 
     threshold = 1e-12 * monitored.f_gap(x0)
+    half_ell = 0.5 * monitored.ell
+    gate = _gap_gate(monitored, threshold)
+    x_star = monitored.minimizer
 
     def stopped(x, r):
         # Exact gap on purpose: the recurred residual drifts under noise and
         # can cross zero, which would fake convergence and end the run
-        # before the chain gets a chance to break.
-        return monitored.f_gap(x) <= threshold
+        # before the chain gets a chance to break. The gap costs a matvec;
+        # it is paid only past the gate, which f_gap's own x - x* bounds.
+        d = x - x_star
+        return half_ell * d.dot(d) <= gate and monitored.f_gap(x) <= threshold
 
     # One call index per product. The lambda looks noisy_matvec up at each
     # call, so a wrapper installed on this module sees every product.
@@ -163,10 +209,14 @@ def sweep(
     *,
     x0,
 ) -> list:
-    """Detection reports for every (eta, seed) pair, ordered by (eta, seed)."""
+    """Detection reports for every (eta, seed) pair, ordered by (eta, seed).
+
+    The runs go seed by seed, so each seed's noise directions are drawn
+    once and served from the cache to all its magnitudes.
+    """
     out = []
-    for eta in sorted(set(float(e) for e in etas)):
-        for seed in sorted(set(int(s) for s in seeds)):
+    for seed in sorted(set(int(s) for s in seeds)):
+        for eta in sorted(set(float(e) for e in etas)):
             noise = NoiseModel(magnitude=eta, seed=seed)
             out.append(detect_inexactness(obj, x_star, noise, max_iters, x0=x0))
-    return out
+    return sorted(out, key=lambda r: (r.eta, r.seed))

@@ -28,16 +28,21 @@ so positions in the stream are a pure function of the draw count.
 Bulk draws
 ----------
 The stream is counter-based: output i (from 1) of a stream whose state is s
-is mix64 of s + i * 0x9E3779B97F4A7C15 mod 2^64. ``gaussian_vector`` uses
-this to make all 2n words of n gaussians at once in numpy ``uint64``
-arithmetic, which wraps mod 2^64 like the definition, and forms u1 and u2
-exactly in float64. ``ln`` and ``cos`` are still applied per element with
-``math.log`` and ``math.cos``: numpy's vectorised ``log`` differs from the
-C library's in the last bit on about 0.35% of inputs, and its ``cos`` is not
+is mix64 of s + i * 0x9E3779B97F4A7C15 mod 2^64. One kernel, ``_gaussians``,
+uses this to draw n gaussians from each of many streams at once: it makes
+all 2n words of every stream in one pass of numpy ``uint64`` arithmetic,
+which wraps mod 2^64 like the definition, and forms u1 and u2 exactly in
+float64. ``gaussian_vector`` is its one-stream case, and
+``substream_gaussians`` its case for a run of consecutive substreams of one
+seed, whose seeds it derives in ``uint64`` as well. ``ln`` and ``cos`` are
+still applied per element with ``math.log`` and ``math.cos``, in one ``map``
+over the whole block: numpy's vectorised ``log`` differs from the C
+library's in the last bit on about 0.35% of inputs, and its ``cos`` is not
 guaranteed to match either, which would move generated problems and noise
 off the contract. ``sqrt`` and the products are correctly rounded in both
-libraries, so a bulk draw is bit for bit the sequence of scalar ``gaussian``
-draws, and ``gaussian`` stays the reference it is tested against.
+libraries, so each row of a bulk draw is bit for bit the sequence of scalar
+``gaussian`` draws of its stream, and ``gaussian`` stays the reference it is
+tested against.
 """
 
 from __future__ import annotations
@@ -58,6 +63,26 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """splitmix64's output mixing of each word of a ``uint64`` array."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _gaussians(states: np.ndarray, n: int) -> np.ndarray:
+    """(len(states), n) gaussians; row i is ``gaussian_vector(n)`` of a
+    stream whose state is states[i] (a ``uint64`` array)."""
+    steps = np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    words = _mix(states[:, None] + steps) >> np.uint64(11)
+    u1 = (words[:, 0::2] + np.uint64(1)).astype(float) * 2.0**-53
+    u2 = words[:, 1::2].astype(float) * 2.0**-53
+    size = u1.size
+    lg = np.fromiter(map(math.log, u1.ravel().tolist()), float, size)
+    cs = np.fromiter(map(math.cos, (2.0 * math.pi * u2).ravel().tolist()), float, size)
+    return (np.sqrt(-2.0 * lg) * cs).reshape(u1.shape)
 
 
 class SplitMix64:
@@ -85,17 +110,9 @@ class SplitMix64:
         """n gaussian draws, equal bit for bit to n calls of ``gaussian``."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        steps = np.arange(1, 2 * n + 1, dtype=np.uint64)
-        z = steps * np.uint64(_GAMMA) + np.uint64(self._state)
+        g = _gaussians(np.array([self._state], dtype=np.uint64), n)[0]
         self._state = (self._state + 2 * n * _GAMMA) & _MASK
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        words = (z ^ (z >> np.uint64(31))) >> np.uint64(11)
-        u1 = (words[0::2] + np.uint64(1)).astype(float) * 2.0**-53
-        u2 = words[1::2].astype(float) * 2.0**-53
-        lg = np.fromiter(map(math.log, u1.tolist()), float, n)
-        cs = np.fromiter(map(math.cos, (2.0 * math.pi * u2).tolist()), float, n)
-        return np.sqrt(-2.0 * lg) * cs
+        return g
 
     def unit_vector(self, n: int) -> np.ndarray:
         """Uniform direction on the unit sphere (normalized gaussian draw)."""
@@ -113,3 +130,17 @@ def substream_seed(seed: int, index: int) -> int:
     part of the noise-model determinism contract.
     """
     return mix64((int(seed) & _MASK) ^ (((index + 1) * _GAMMA) & _MASK))
+
+
+def substream_gaussians(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """(count, n) gaussians; row i is
+    ``SplitMix64(substream_seed(seed, first + i)).gaussian_vector(n)``.
+
+    The count substream seeds are derived in ``uint64`` by the same formula
+    as ``substream_seed``, and the rows are drawn with one kernel call.
+    """
+    if count < 0 or n < 0:
+        raise ValueError(f"count and n must be >= 0, got {count} and {n}")
+    index = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK)
+    keys = (index * np.uint64(_GAMMA)) ^ np.uint64(int(seed) & _MASK)
+    return _gaussians(_mix(keys + np.uint64(_GAMMA)), n)

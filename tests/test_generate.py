@@ -17,7 +17,7 @@ from gradcert.generate import (
     generate_arrays,
     reference_minimizer,
 )
-from gradcert.perturb import NoiseModel, noisy_matvec
+from gradcert.perturb import DIRECTION_BLOCK, NoiseModel, noisy_matvec
 from gradcert.problems import GROUND_TRUTH_TOL, make_logistic_problem
 from gradcert.rng import SplitMix64, substream_seed
 
@@ -255,7 +255,8 @@ def test_noisy_matvec_matches_scalar_draws():
     for seed in CONTRACT_SEEDS:
         # magnitude 1, so a 1-ulp change in a draw survives the sum with A p
         noise = NoiseModel(1.0, seed)
-        for k in range(4):
+        # across the first block boundary, in both directions
+        for k in (0, 1, 2, 3, DIRECTION_BLOCK - 1, DIRECTION_BLOCK, DIRECTION_BLOCK + 1, 2):
             stream = SplitMix64(substream_seed(seed, k))
             g = _scalar_gaussians(stream, dim)  # nonzero, so no redraw
             u = g / float(np.linalg.norm(g))

@@ -1,16 +1,25 @@
 """Noise injection and certificate-based detection."""
 
+import functools
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from gradcert import perturb
 from gradcert.generate import SpectrumSpec, generate_with_start
+from gradcert.objective import QuadraticObjective
 from gradcert.perturb import (
+    DIRECTION_BLOCK,
     DetectionReport,
     NoiseModel,
+    _directions,
     detect_inexactness,
     noisy_matvec,
     sweep,
 )
+from gradcert.rng import SplitMix64, substream_seed
 
 
 def _problem(dim, kappa, seed=0, layout="log_uniform"):
@@ -106,3 +115,116 @@ def test_sweep_is_reproducible():
     second = sweep(obj, x_star, [1e-4], [2], 80, x0=x0)
     assert first[0].first_violation == second[0].first_violation
     assert np.array_equal(first[0].psis, second[0].psis)
+
+
+def _reference_noisy_matvec(obj, noise, p, call_index):
+    # one stream per call, as noisy_matvec defines its direction
+    out = obj.matrix @ p
+    u = SplitMix64(substream_seed(noise.seed, call_index)).unit_vector(obj.dim)
+    return out + noise.magnitude * float(np.linalg.norm(out)) * u
+
+
+def test_noisy_matvec_matches_per_call_draws_in_any_order():
+    obj, _, x0 = _problem(30, 1e3, seed=1)
+    noise = NoiseModel(magnitude=1.0, seed=12)
+    indexes = (0, DIRECTION_BLOCK - 1, DIRECTION_BLOCK, DIRECTION_BLOCK + 1, 2**40)
+    want = {k: _reference_noisy_matvec(obj, noise, x0, k) for k in indexes}
+    for order in itertools.permutations(indexes):
+        _directions.cache_clear()
+        for k in order:
+            assert noisy_matvec(obj, noise, x0, k).tobytes() == want[k].tobytes(), (order, k)
+
+
+def test_cached_directions_are_read_only():
+    block = _directions(3, 0, 8)
+    assert block.shape == (DIRECTION_BLOCK, 8)
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        block[1] *= 2.0
+
+
+def test_short_draw_is_redrawn_from_its_own_stream(monkeypatch):
+    # A row of zeros cannot be normalised; unit_vector draws again from the
+    # same stream, and the block must too.
+    real = perturb.substream_gaussians
+
+    def zero_row(seed, first, count, n):
+        g = real(seed, first, count, n)
+        g[5] = 0.0
+        return g
+
+    monkeypatch.setattr(perturb, "substream_gaussians", zero_row)
+    block = _directions.__wrapped__(2**64 - 1, 3, 7)
+    stream = SplitMix64(substream_seed(2**64 - 1, 3 * DIRECTION_BLOCK + 5))
+    stream.gaussian_vector(7)
+    assert block[5].tobytes() == stream.unit_vector(7).tobytes()
+    assert block[4].tobytes() == (
+        SplitMix64(substream_seed(2**64 - 1, 3 * DIRECTION_BLOCK + 4)).unit_vector(7).tobytes()
+    )
+
+
+def test_direction_cache_stays_bounded():
+    obj, _, x0 = _problem(6, 10.0)
+    noise = NoiseModel(magnitude=1e-3, seed=2)
+    for k in range(3_000):
+        noisy_matvec(obj, noise, x0, k)
+    info = _directions.cache_info()
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_sweep_draws_each_block_once(monkeypatch):
+    obj, x_star, x0 = _problem(40, 1e4, seed=5)
+    iters = 3 * DIRECTION_BLOCK
+    drawn = []
+    real = perturb.substream_gaussians
+
+    def counting(seed, first, count, n):
+        drawn.append((seed, first))
+        return real(seed, first, count, n)
+
+    monkeypatch.setattr(perturb, "substream_gaussians", counting)
+    # A cache that holds one seed's blocks and no more: seed-major order
+    # needs no more, and eta-major order would miss on every block.
+    small = functools.lru_cache(maxsize=3)(_directions.__wrapped__)
+    monkeypatch.setattr(perturb, "_directions", small)
+    reports = sweep(obj, x_star, [1e-2, 1e-8, 1e-4], range(10), iters, x0=x0)
+    assert [(r.eta, r.seed) for r in reports] == [
+        (eta, seed) for eta in (1e-8, 1e-4, 1e-2) for seed in range(10)
+    ]
+    # every block a run used was drawn, and none twice
+    used = {
+        (r.seed, k * DIRECTION_BLOCK)
+        for r in reports
+        for k in range(math.ceil(r.iterations_run / DIRECTION_BLOCK))
+    }
+    assert sorted(drawn) == sorted(used)
+
+
+def test_gap_gate_keeps_detection_unchanged(monkeypatch):
+    obj, x_star, x0 = _problem(100, 1e4)
+    gap_calls = []
+    real_f_gap = QuadraticObjective.f_gap
+
+    def counting_f_gap(self, x):
+        gap_calls.append(1)
+        return real_f_gap(self, x)
+
+    monkeypatch.setattr(QuadraticObjective, "f_gap", counting_f_gap)
+
+    def outcome(eta, seed):
+        gap_calls.clear()
+        rep = detect_inexactness(obj, x_star, NoiseModel(eta, seed), 600, x0=x0)
+        key = (rep.iterations_run, rep.stop_reason, rep.first_violation, rep.psis.tobytes())
+        return key, len(gap_calls)
+
+    cases = [(eta, seed) for eta in (0.0, 1e-8, 1e-4, 1e-2) for seed in range(3)]
+    gated = {case: outcome(*case) for case in cases}
+    monkeypatch.setattr(perturb, "_gap_gate", lambda obj, stop_gap: math.inf)
+    for case in cases:
+        key, calls = outcome(*case)
+        assert gated[case][0] == key, case
+        if case[0] > 0.0:
+            # a noisy run plateaus far above the threshold: the gate spares
+            # the gap's matvec on almost every step
+            assert gated[case][1] < calls / 2, case

@@ -19,7 +19,7 @@ from gradcert.generate import SpectrumSpec
 from gradcert.objective import QuadraticObjective
 from gradcert.potential import certify, contraction_constant
 from gradcert.problems import load_problem, make_logistic_problem, make_quadratic_problem
-from gradcert.rng import SplitMix64, substream_seed
+from gradcert.rng import SplitMix64, substream_gaussians, substream_seed
 from gradcert.serialize import fmt_float, render_json
 from gradcert.solvers import Trace, momentum_coefficient
 from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates
@@ -94,6 +94,22 @@ def test_gaussian_vector_equals_scalar_gaussians(seed, n):
         v = a.gaussian_vector(n)
     assert v.tobytes() == np.array([b.gaussian() for _ in range(n)], dtype=float).tobytes()
     assert a.next_uint64() == b.next_uint64()
+
+
+@given(
+    seeds,
+    st.integers(min_value=0, max_value=2**20) | st.integers(min_value=2**63 - 8, max_value=2**63 + 8),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=40),
+)
+def test_substream_gaussians_equal_per_stream_draws(seed, first, count, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = substream_gaussians(seed, first, count, n)
+    assert rows.shape == (count, n) and rows.dtype == np.float64
+    for i in range(count):
+        want = SplitMix64(substream_seed(seed, first + i)).gaussian_vector(n)
+        assert rows[i].tobytes() == want.tobytes(), i
 
 
 @given(seeds, st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=500))
