@@ -4,7 +4,8 @@ A CG run whose matrix-vector products carry relative noise eta still looks
 healthy from the inside: the recurred residual keeps shrinking long after
 the true error has stopped improving. Watching only that residual, the run
 appears to converge. The potential certificate, evaluated against the exact
-objective, flags the very first step whose contraction falls short.
+objective, flags the very first step whose contraction falls short or whose
+gap drop disagrees with the run's own step size.
 """
 
 import numpy as np
@@ -49,7 +50,7 @@ for eta in (0.0, 1e-8, 1e-4, 1e-2):
 rep = detect_inexactness(obj, x_star, NoiseModel(1e-2, seed=0), 400, x0=x0)
 k_min = int(np.argmin(rep.psis))
 print(
-    f"\nat eta=1e-2 the chain breaks at step {rep.first_violation} of "
+    f"\nat eta=1e-2 the certificate fails at step {rep.first_violation} of "
     f"{rep.iterations_run} (the solver itself stopped as {rep.stop_reason!r}); "
     "the alarm comes long before the damage is obvious:"
 )

@@ -29,7 +29,7 @@ from .potential import certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .serialize import write_json
 from .solvers import run
-from .traces import read_trace_csv, read_trace_iterates, write_trace_csv
+from .traces import check_trace_claims, read_trace_csv, read_trace_iterates, write_trace_csv
 
 METHOD_NAMES = {
     "ag": "ag",
@@ -38,34 +38,18 @@ METHOD_NAMES = {
     "cg-unified": "cg_unified",
 }
 
-# Cross-row gap telescoping on a CG trace: f_gap_k - f_gap_{k+1} must
-# equal alpha_{k+1} ||r_k||^2 / 2. The scalars are the recurrence's own,
-# so the comparison is floored well above their allowed drift and the
-# tolerance stays far below the gross errors it exists to catch. It stays
-# beside certify() because CG's chain has slack: an iterate the recurrence
-# cannot have produced can still contract.
-TELESCOPE_TOL = 1e-3
-TELESCOPE_FLOOR = 1e-6
 
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -86,17 +70,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a quadratic problem file")
-    p_gen.add_argument("--dim", type=_positive_int, required=True)
+    p_gen.add_argument("--dim", type=_int_at_least(1), required=True)
     p_gen.add_argument("--ell", type=_positive_float, required=True, help="smallest eigenvalue")
     p_gen.add_argument("--lip", type=_positive_float, required=True, help="largest eigenvalue")
     p_gen.add_argument("--layout", choices=LAYOUTS, default="log_uniform")
-    p_gen.add_argument("--seed", type=_nonneg_int, default=0)
+    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
     p_gen.add_argument("--out", default="problem.json")
 
     p_run = sub.add_parser("run", help="run a solver and write a certified trace")
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--method", choices=sorted(METHOD_NAMES), required=True)
-    p_run.add_argument("--iters", type=_positive_int, default=1000)
+    p_run.add_argument("--iters", type=_int_at_least(1), default=1000)
     p_run.add_argument("--out", default="trace.csv")
 
     p_cert = sub.add_parser("certify", help="re-certify a trace from its stored iterates")
@@ -111,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pb = sub.add_parser("perturb", help="noise sweep: where does the chain break")
     p_pb.add_argument("--problem", required=True)
     p_pb.add_argument("--eta", required=True, help="comma-separated noise magnitudes")
-    p_pb.add_argument("--iters", type=_positive_int, default=600)
-    p_pb.add_argument("--seed", type=_nonneg_int, default=0)
+    p_pb.add_argument("--iters", type=_int_at_least(1), default=600)
+    p_pb.add_argument("--seed", type=_int_at_least(0), default=0)
     p_pb.add_argument("--out", default="perturb.json")
 
     return parser
@@ -167,6 +151,7 @@ def cmd_run(args) -> int:
         f"wrote {args.out}: {args.method} ran {n - 1} iterations "
         f"(stop: {trace.stop_reason}), final f_gap {report.f_gaps[-1]:.3e}"
     )
+    # The chain's or, on CG, the gap telescoping's first failing step.
     if report.first_violation is not None:
         print(
             f"warning: certificate chain fails at step {report.first_violation}",
@@ -190,44 +175,10 @@ def cmd_certify(args) -> int:
     if not np.array_equal(trace.xs[0], spec.x0):
         raise GradcertError(f"row 0 of {args.trace} does not start at the x0 of {args.problem}")
 
-    # The certifier recomputes everything from the iterates; the CSV's
-    # cells are the run's claims and must agree with it.
+    # certify() recomputes everything from the iterates (and on CG checks
+    # the recurrence produced them); the CSV's cells are only claims.
     report = certify(trace, obj)
-    bound = report.tol_cert * report.psis[0]
-    for name, scale, values in (
-        ("psi", 1.0, report.psis),
-        ("f_gap", 2.0 / obj.ell, report.f_gaps),
-    ):
-        cells = columns[name]
-        claims = np.array([c if type(c) is float else np.nan for c in cells])
-        bad = np.flatnonzero(~(scale * np.abs(claims - values) <= bound))
-        if bad.size:
-            k = int(bad[0])
-            raise GradcertError(
-                f"row {k} of {args.trace}: {name} claim {cells[k]} disagrees with "
-                f"{values[k]:.17g} recomputed from the iterates"
-            )
-
-    # CG iterates must also be the ones the recurrence produced; a row it
-    # cannot have produced breaks the per-step gap identity against both
-    # neighbors even where the psi chain has slack.
-    first_violation = report.first_violation
-    first_telescope = None
-    if report.method == "cg":
-        f_gaps = report.f_gaps
-        lhs = f_gaps[:-1] - f_gaps[1:]
-        rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
-        scale = np.maximum(
-            np.maximum(np.abs(lhs), np.abs(rhs)), TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
-        )
-        # Negated so that a nan scalar, which nothing can check, fails.
-        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= TELESCOPE_TOL * scale))
-        if bad.size:
-            first_telescope = int(bad[0])
-    if first_telescope is not None and (
-        first_violation is None or first_telescope < first_violation
-    ):
-        first_violation = first_telescope
+    check_trace_claims(args.trace, columns, report)
 
     doc = {
         "trace": args.trace,
@@ -236,17 +187,17 @@ def cmd_certify(args) -> int:
         "iterates": n,
         "C": report.c_value,
         "tol_cert": report.tol_cert,
-        "first_violation": first_violation,
-        "first_telescope_violation": first_telescope,
+        "first_violation": report.first_violation,
+        "first_telescope_violation": report.first_telescope_violation,
         "theorem1_ok": report.theorem1_ok,
         "daniel_ok": report.daniel_ok,
     }
     if args.out is not None:
         write_json(args.out, doc)
-    if first_violation is None:
+    if report.first_violation is None:
         print(f"certificate chain holds over {n - 1} steps (C={report.c_value:.12g})")
         return 0
-    print(f"certificate chain violated at step {first_violation}")
+    print(f"certificate chain violated at step {report.first_violation}")
     return 1
 
 

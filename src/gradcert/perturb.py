@@ -1,10 +1,10 @@
 """Certificate-based detection of inexact matrix-vector products.
 
 Wraps a quadratic's operator so every product CG consumes picks up a
-seeded relative perturbation, then watches the potential chain: the first
-step whose certified decrease fails is the detection signal. The monitor
-itself stays exact (true A, true f, true x*), modeling a tester who knows
-the system and is probing an untrusted solver.
+seeded relative perturbation, then certifies the run: the first step whose
+certified decrease or gap telescoping fails is the detection signal. The
+monitor itself stays exact (true A, true f, true x*), modeling a tester who
+knows the system and is probing an untrusted solver.
 
 Noise is a direction drawn uniformly on the unit sphere, scaled by
 eta * ||A p||. Each product's draw is keyed by (seed, call index) through
@@ -32,7 +32,7 @@ import numpy as np
 from .objective import QuadraticObjective
 from .potential import CertificateReport, certify
 from .rng import SplitMix64, substream_gaussians, substream_seed
-from .solvers import _gap_gate, _run_cg
+from .solvers import _gap_reached, _run_cg
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,9 @@ def _max_drift(trace, obj) -> float:
 class DetectionReport:
     """Outcome of one monitored noisy run.
 
-    first_violation is the first certificate step that failed, or None when
-    the whole chain held; detected mirrors it as a bool. psis is the true
+    first_violation is the certificate's first failing step, the chain's or
+    the gap telescoping's, whichever comes first, or None when both held
+    throughout; detected mirrors it as a bool. psis is the true
     potential sequence (evaluated with the exact objective, not the noisy
     recurrence). max_drift is the absolute distance between the recurred
     and the true residual at its worst tenth step (0 on runs shorter than 10
@@ -163,18 +164,15 @@ def detect_inexactness(
     monitored = obj.with_minimizer(x_star)
     x0 = monitored._check_vector(x0, "x0")
 
-    threshold = 1e-12 * monitored.f_gap(x0)
-    half_ell = 0.5 * monitored.ell
-    gate = _gap_gate(monitored, threshold)
+    reached = _gap_reached(monitored, 1e-12 * monitored.f_gap(x0))
     x_star = monitored.minimizer
 
     def stopped(x, r):
         # Exact gap on purpose: the recurred residual drifts under noise and
         # can cross zero, which would fake convergence and end the run
-        # before the chain gets a chance to break. The gap costs a matvec;
-        # it is paid only past the gate, which f_gap's own x - x* bounds.
+        # before the chain gets a chance to break.
         d = x - x_star
-        return half_ell * d.dot(d) <= gate and monitored.f_gap(x) <= threshold
+        return reached(x, d.dot(d))
 
     # One call index per product. The lambda looks noisy_matvec up at each
     # call, so a wrapper installed on this module sees every product.

@@ -18,9 +18,12 @@ certify() checks the chain
     psi_1 <= psi_0,    C psi_{k+1} <= psi_k   for k >= 1
 
 at the method's contraction constant C (no contraction is claimed for the
-very first step), plus two closed-form envelopes on f(x_k) - f*. It is
-the one certifier: the CLI's audit of a trace runs it on the iterates the
-run stored, and reads the CSV's columns only as claims to compare. The
+very first step), plus two closed-form envelopes on f(x_k) - f*, and on CG
+the gap telescoping f(x_k) - f(x_{k+1}) = alpha_{k+1} ||r_k||^2 / 2 (CG's
+chain has slack: an iterate the recurrence cannot have produced can still
+contract); first_violation is the earlier failure of the two. It is the
+one certifier: a run's warning, a noise detection and the CLI's audit of a
+trace all read its verdict, and the CSV's columns are only claims. The
 identity battery replays the sharper per-step equalities that hold for CG
 on a quadratic; those fail loudly under inexact arithmetic or a perturbed
 operator, which is what makes them usable as a self-test; it is one table
@@ -43,6 +46,11 @@ from .errors import MissingGroundTruthError
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
 ENVELOPE_SLACK = 1e-9
+
+# CG gap telescoping: floored (relative to the initial gap) well above the
+# run's scalars' own drift, with a tolerance far below the errors it catches.
+TELESCOPE_TOL = 1e-3
+TELESCOPE_FLOOR = 1e-6
 
 # Normalized residual above which an equality of the identity battery fails.
 TOL_ID = 1e-8
@@ -93,10 +101,12 @@ class CertificateReport:
     Arrays are indexed by iterate. step_passes[k] is the forward check at
     step k (psi_1 <= psi_0 at k = 0, C psi_{k+1} <= psi_k after), one entry
     fewer than the iterates; ratios[k] = psi_k / psi_{k+1} (inf at exact
-    termination). first_violation is the smallest failing step index or
-    None. Accelerated runs are re-checked at the weaker common constant
-    1 + sqrt(l/L); common_first_violation reports that chain (equal to the
-    main one on CG runs). method is the family, "ag" or "cg".
+    termination). first_telescope_violation is the first step whose CG gap
+    telescoping fails, nan scalars included (None on AG); first_violation is
+    the earlier of it and the chain's first failing step, or None.
+    Accelerated runs are re-checked at the weaker common constant
+    1 + sqrt(l/L); common_first_violation reports that chain alone (on CG,
+    the main chain's). method is the family, "ag" or "cg".
     """
 
     method: str
@@ -113,6 +123,7 @@ class CertificateReport:
     ratios: np.ndarray
     step_passes: np.ndarray
     first_violation: int | None
+    first_telescope_violation: int | None
     common_first_violation: int | None
     theorem1_bounds: np.ndarray
     theorem1_ok: bool
@@ -145,8 +156,9 @@ def certify(trace, obj) -> CertificateReport:
     Step k compares C psi_{k+1} against psi_k with multiplicative slack
     1 + default_cert_tolerance(obj), which the report states as tol_cert
     (step 0 claims descent only); the chain is also replayed at the common
-    constant 1 + sqrt(l/L). c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales
-    the Theorem-1 envelope; the Daniel envelope (CG only) scales with the
+    constant 1 + sqrt(l/L), and on CG the gap telescoping is checked to
+    TELESCOPE_TOL. c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the
+    Theorem-1 envelope; the Daniel envelope (CG only) scales with the
     initial gap.
     """
     if obj.minimizer is None:
@@ -165,7 +177,12 @@ def certify(trace, obj) -> CertificateReport:
     c_value = contraction_constant(family, ell, lip)
     slack = 1.0 + tol
 
+    def first_fail(passes):
+        bad = np.flatnonzero(~passes)
+        return int(bad[0]) if bad.size else None
+
     flags = []
+    first_telescope = None
     # Iterates from a diverged run or an untrusted file can overflow here;
     # the resulting inf or nan psi fails its step instead of warning.
     with np.errstate(all="ignore"):
@@ -186,6 +203,13 @@ def certify(trace, obj) -> CertificateReport:
         else:
             raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
             rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
+            # A nan scalar, which nothing can check, fails its step here; it
+            # only zeroes rho above, where the chain cannot see it.
+            lhs = f_gaps[:-1] - f_gaps[1:]
+            rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
+            floor = TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+            first_telescope = first_fail(np.abs(lhs - rhs) <= TELESCOPE_TOL * scale)
         rhos[0] = 0.0
 
         w = d + rhos[:, None] * trace.ss
@@ -201,9 +225,7 @@ def certify(trace, obj) -> CertificateReport:
         common_passes = common_lhs <= psis[:-1] * slack
         ratios = psis[:-1] / psis[1:]
 
-    def first_fail(passes):
-        bad = np.flatnonzero(~passes)
-        return int(bad[0]) if bad.size else None
+    fails = [k for k in (first_fail(step_passes), first_telescope) if k is not None]
 
     ks = np.arange(n)
     c0 = 0.5 * ell * dist_sqs[0] + f_gaps[0]
@@ -231,7 +253,8 @@ def certify(trace, obj) -> CertificateReport:
         rhos=rhos,
         ratios=ratios,
         step_passes=step_passes,
-        first_violation=first_fail(step_passes),
+        first_violation=min(fails, default=None),
+        first_telescope_violation=first_telescope,
         common_first_violation=first_fail(common_passes),
         theorem1_bounds=theorem1_bounds,
         theorem1_ok=bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK))),

@@ -188,6 +188,17 @@ def _gap_gate(obj, stop_gap: float) -> float:
     return stop_gap * ((1.0 + gamma) / (1.0 - err) + 4.0 * u)
 
 
+def _gap_reached(obj, stop_gap: float):
+    """reached(x, dd = ||x - x*||^2): f_gap(x) <= stop_gap, its matvec paid past the gate."""
+    half_ell = 0.5 * obj.ell
+    gate = _gap_gate(obj, stop_gap)
+
+    def reached(x, dd):
+        return half_ell * dd <= gate and obj.f_gap(x) <= stop_gap
+
+    return reached
+
+
 def _run_ag(obj, method, x0, max_iters, stop_gap):
     dim = x0.shape[0]
     # lip == ell gives momentum 0: plain gradient descent with 1/L steps.
@@ -195,13 +206,8 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
     # less per-call overhead than an array and a float, to the same bits.
     momentum = np.full(dim, momentum_coefficient(obj.ell, obj.lip))
     inv_lip = np.full(dim, 1.0 / obj.lip)
-    half_ell = 0.5 * obj.ell
-    gate = _gap_gate(obj, stop_gap)
+    reached = _gap_reached(obj, stop_gap)
     x_star = obj.minimizer
-
-    def reached(x, dd):
-        # The exact gap costs a matvec; it is paid only past the gate.
-        return half_ell * dd <= gate and obj.f_gap(x) <= stop_gap
 
     # x_k is row k of xs, which doubles when full (module docstring). Each
     # ufunc takes its output as the third positional argument, which numpy

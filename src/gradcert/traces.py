@@ -25,7 +25,8 @@ iterates on every method, never CG's recurred residual.
 Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
 bit for bit: the method, the iterates ``xs`` and, on CG runs, the
 ``alphas`` and ``prev_res_sqs`` that fix the weight rho. That file, not
-the CSV's derived columns, is what a later audit re-certifies.
+the CSV's derived columns, is what a later audit re-certifies, before
+``check_trace_claims`` holds the ``psi`` and ``f_gap`` cells against it.
 """
 
 from __future__ import annotations
@@ -145,6 +146,24 @@ def write_trace_csv(path, trace, obj, report) -> None:
         arrays.update(alphas=alphas, prev_res_sqs=trace.prev_res_sqs)
     with open(iterates_path(path), "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def check_trace_claims(path, columns, report) -> None:
+    """Raise ValueError at the first psi or (2/l) f_gap claim over tol_cert psi_0 off report."""
+    bound = report.tol_cert * report.psis[0]
+    for name, scale, values in (
+        ("psi", 1.0, report.psis),
+        ("f_gap", 2.0 / report.ell, report.f_gaps),
+    ):
+        cells = columns[name]
+        claims = np.array([c if type(c) is float else np.nan for c in cells])
+        bad = np.flatnonzero(~(scale * np.abs(claims - values) <= bound))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(
+                f"row {k} of {path}: {name} claim {cells[k]} disagrees with "
+                f"{values[k]:.17g} recomputed from the iterates"
+            )
 
 
 def _parse_cell(text: str):

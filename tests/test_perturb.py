@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcert import perturb
+from gradcert import perturb, solvers
 from gradcert.generate import SpectrumSpec, generate_with_start
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import (
@@ -91,6 +91,17 @@ def test_visible_noise_is_detected():
     assert isinstance(report.first_violation, int)
     assert 1 <= report.first_violation <= report.iterations_run
     assert report.max_drift > 0.0
+
+
+def test_gap_telescoping_detects_moderate_noise_early():
+    # criterion 10's instance at eta 1e-4: the chain alone first fails at a
+    # median step of 56.5 over these seeds; the gap telescoping, which
+    # certify() also checks on CG, fires within a few steps
+    obj, x_star, x0 = _problem(100, 1e4)
+    reports = sweep(obj, x_star, [1e-4], range(10), 600, x0=x0)
+    hits = [r.first_violation for r in reports]
+    assert all(h is not None for h in hits)
+    assert np.median(hits) <= 12
 
 
 def test_detection_rejects_bad_inputs():
@@ -220,7 +231,7 @@ def test_gap_gate_keeps_detection_unchanged(monkeypatch):
 
     cases = [(eta, seed) for eta in (0.0, 1e-8, 1e-4, 1e-2) for seed in range(3)]
     gated = {case: outcome(*case) for case in cases}
-    monkeypatch.setattr(perturb, "_gap_gate", lambda obj, stop_gap: math.inf)
+    monkeypatch.setattr(solvers, "_gap_gate", lambda obj, stop_gap: math.inf)
     for case in cases:
         key, calls = outcome(*case)
         assert gated[case][0] == key, case

@@ -1,5 +1,6 @@
 """Potential evaluation, certification, envelopes, and the identity battery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,6 +91,8 @@ def test_certify_frozen_values(dim2):
     assert_close(ag_report.psis, [6.0, psi1, psi2])
     assert ag_report.first_violation is None
     assert ag_report.common_first_violation is None
+    assert report.first_telescope_violation is None
+    assert ag_report.first_telescope_violation is None
 
 
 def test_default_tolerance_formula(tiny_problem):
@@ -103,13 +106,32 @@ def test_default_tolerance_formula(tiny_problem):
 def test_certify_flags_a_corrupted_trace(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0))
-    assert certify(trace, obj).first_violation is None
+    clean = certify(trace, obj)
+    assert clean.first_violation is None and clean.first_telescope_violation is None
     # a 10% bump on a late iterate lifts its potential far above the
     # already-contracted neighbors, so the chain cannot absorb it
+    bumped = trace.xs.copy()
     k = len(trace) - 2
-    trace.xs[k] += 0.1 * np.linalg.norm(trace.xs[k]) * np.ones(obj.dim) / math.sqrt(obj.dim)
-    poisoned = certify(trace, obj)
-    assert poisoned.first_violation is not None
+    bumped[k] += 0.1 * np.linalg.norm(bumped[k]) * np.ones(obj.dim) / math.sqrt(obj.dim)
+    # a consistent 10% scaling of one x_k: the recurrence cannot have
+    # produced it, which breaks the gap telescoping against its neighbors
+    scaled = trace.xs.copy()
+    scaled[len(trace) // 2] *= 1.1
+    # nan step sizes zero rho, which the chain cannot see; the telescoping
+    # counts each step it cannot check as a violation
+    nan_alphas = np.full_like(trace.alphas, np.nan)
+    # (forged trace, whether the gap telescoping must fire)
+    forgeries = {
+        "bumped_iterate": (dataclasses.replace(trace, xs=bumped), False),
+        "scaled_iterate": (dataclasses.replace(trace, xs=scaled), True),
+        "nan_alphas": (dataclasses.replace(trace, alphas=nan_alphas), True),
+    }
+    for name, (forged, telescopes) in forgeries.items():
+        poisoned = certify(forged, obj)
+        assert poisoned.first_violation is not None, name
+        if telescopes:
+            assert poisoned.first_telescope_violation is not None, name
+            assert poisoned.first_violation <= poisoned.first_telescope_violation, name
 
 
 def test_battery_flags_a_corrupted_trace(tiny_problem):
