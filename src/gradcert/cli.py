@@ -28,7 +28,7 @@ from .perturb import sweep
 from .potential import certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .serialize import write_json
-from .solvers import run
+from .solvers import METHOD_FAMILY, run
 from .traces import check_trace_claims, read_trace_csv, read_trace_iterates, write_trace_csv
 
 METHOD_NAMES = {
@@ -112,6 +112,13 @@ def _load_certifiable(path) -> tuple:
     return spec, obj
 
 
+def _failed_check(report) -> str:
+    """The check behind report.first_violation: the chain, unless only CG's gap telescoping failed."""
+    k = report.first_violation
+    only_telescoping = k == report.first_telescope_violation and report.step_passes[k]
+    return "gap telescoping" if only_telescoping else "certificate chain"
+
+
 def cmd_gen(args) -> int:
     spectrum = SpectrumSpec(
         dim=args.dim, ell=args.ell, lip=args.lip, layout=args.layout, seed=args.seed
@@ -128,9 +135,10 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     spec, obj = _load_certifiable(args.problem)
     method = METHOD_NAMES[args.method]
-    if method.startswith("cg") and spec.kind != "quadratic":
+    family = METHOD_FAMILY[method]
+    if family == "cg" and spec.kind != "quadratic":
         raise GradcertError(f"--method {args.method} applies to quadratic problems only")
-    if method in ("ag", "ag_unified") and obj.lip == obj.ell:
+    if family == "ag" and obj.lip == obj.ell:
         print(
             "warning: L == ell, momentum degenerates; running plain gradient "
             "descent and certifying at the common constant",
@@ -151,10 +159,9 @@ def cmd_run(args) -> int:
         f"wrote {args.out}: {args.method} ran {n - 1} iterations "
         f"(stop: {trace.stop_reason}), final f_gap {report.f_gaps[-1]:.3e}"
     )
-    # The chain's or, on CG, the gap telescoping's first failing step.
     if report.first_violation is not None:
         print(
-            f"warning: certificate chain fails at step {report.first_violation}",
+            f"warning: {_failed_check(report)} fails at step {report.first_violation}",
             file=sys.stderr,
         )
     return 0
@@ -197,7 +204,7 @@ def cmd_certify(args) -> int:
     if report.first_violation is None:
         print(f"certificate chain holds over {n - 1} steps (C={report.c_value:.12g})")
         return 0
-    print(f"certificate chain violated at step {report.first_violation}")
+    print(f"{_failed_check(report)} violated at step {report.first_violation}")
     return 1
 
 

@@ -32,7 +32,7 @@ import numpy as np
 from .objective import QuadraticObjective
 from .potential import CertificateReport, certify
 from .rng import SplitMix64, substream_gaussians, substream_seed
-from .solvers import _gap_reached, _run_cg
+from .solvers import _run_cg
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,10 @@ def detect_inexactness(
     """Run classic CG under the noise model and certify every step.
 
     Starts from x0; x_star is the exact minimizer the monitor measures
-    against. The run ends at the first of:
-    max_iters steps; the exact gap dropping to 1e-12 of the starting gap
-    (an exact run stops there); or the recurred residual reaching CG's
-    convergence floor. A noisy run plateaus far
+    against. The run ends at the first of: max_iters steps; the first
+    iterate whose exact gap is at or below 1e-12 of the starting gap (run's
+    one stop rule, where an exact run stops); or the recurred residual
+    reaching CG's convergence floor. A noisy run plateaus far
     above the gap threshold, but the reorthogonalized recurrence still
     drives its own residual to the floor, so noisy runs usually end with
     stop_reason "converged" within a few times dim steps while the true
@@ -164,16 +164,6 @@ def detect_inexactness(
     monitored = obj.with_minimizer(x_star)
     x0 = monitored._check_vector(x0, "x0")
 
-    reached = _gap_reached(monitored, 1e-12 * monitored.f_gap(x0))
-    x_star = monitored.minimizer
-
-    def stopped(x, r):
-        # Exact gap on purpose: the recurred residual drifts under noise and
-        # can cross zero, which would fake convergence and end the run
-        # before the chain gets a chance to break.
-        d = x - x_star
-        return reached(x, d.dot(d))
-
     # One call index per product. The lambda looks noisy_matvec up at each
     # call, so a wrapper installed on this module sees every product.
     calls = itertools.count()
@@ -182,7 +172,7 @@ def detect_inexactness(
         "cg_classic",
         x0,
         max_iters,
-        stopped,
+        1e-12 * monitored.f_gap(x0),
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
     )
     report = certify(trace, monitored)

@@ -29,6 +29,12 @@ on a quadratic; those fail loudly under inexact arithmetic or a perturbed
 operator, which is what makes them usable as a self-test; it is one table
 of checks, each a normalized residual per step against its tolerance.
 
+Both check CG's gap identity, for two purposes: certify()'s telescoping
+audits every step of every CG trace, noisy runs included, so its
+TELESCOPE_TOL and TELESCOPE_FLOOR sit far above roundoff and stay silent
+on clean runs; the battery's gap_drop row is the exact-arithmetic
+self-test at TOL_ID, on states up to dim above the roundoff floor.
+
 The reports are plain in-memory records with no file format of their own:
 the trace CSV belongs to the traces module and every JSON document the CLI
 writes is assembled by the CLI.
@@ -42,6 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGroundTruthError
+from .solvers import METHOD_FAMILY
 
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
@@ -67,8 +74,6 @@ WEIGHTED_BOUND_SLACK = 1e-10
 # Largest normalized |w_k . s_k| that the battery's rho_alignment row accepts.
 RHO_ALIGNMENT_TOL = 1e-8
 
-_METHOD_FAMILY = {"ag": "ag", "ag_unified": "ag", "cg_classic": "cg", "cg_unified": "cg"}
-
 
 def default_cert_tolerance(obj) -> float:
     """Chain tolerance scaled for conditioning and dimension; certify() uses no other.
@@ -86,7 +91,7 @@ def contraction_constant(method: str, ell: float, lip: float) -> float:
     At lip == ell the accelerated schedule has collapsed to gradient
     descent, and its constant is the common one, 1 + sqrt(l/L) = 2.
     """
-    family = _METHOD_FAMILY.get(method, method)
+    family = METHOD_FAMILY.get(method, method)
     if family not in ("ag", "cg"):
         raise ValueError(f"unknown method {method!r}")
     if family == "ag" and lip > ell:
@@ -163,7 +168,7 @@ def certify(trace, obj) -> CertificateReport:
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
-    family = _METHOD_FAMILY.get(trace.method)
+    family = METHOD_FAMILY.get(trace.method)
     if family is None:
         raise ValueError(f"trace method {trace.method!r} is not certifiable")
 
@@ -320,7 +325,7 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     involves no difference of gaps, and it checks every state k >= 1 of the
     trace.
     """
-    if _METHOD_FAMILY.get(trace.method) != "cg":
+    if METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
 
     # certify's gaps come from the iterates, not the recurred residual,

@@ -31,15 +31,14 @@ from those is not stored: the displacements s_k come from consecutive
 iterates, and CG's directions p_k from its residuals and betas. Nor are
 gaps: certify() computes every f(x_k) - f* from the iterates.
 
-CG stops on its recurred residual's estimate of f(x_k) - f*, which costs
-no matvec but drifts from the true gap in floating point; a run does not
-audit that drift, the perturb module measures it afterwards. An
-accelerated run stops on the exact gap, but evaluates it (one more
+Every run stops on the same test, the exact gap f(x_k) - f* <= stop_gap,
+at the first iterate that passes it, and evaluates that gap (one more
 matvec) only where it can already be small: l-strong convexity gives
 f(x) - f* >= (l/2) ||x - x*||^2, so each step computes ||x_k - x*||^2 and
 calls f_gap only once that bound, widened by its rounding error, is at or
 below the stop gap. The gate never moves the stop; it only skips gap
-evaluations that could not pass.
+evaluations that could not pass. CG's recurred residual, which drifts from
+b - A x_k in floating point, decides no stop but the convergence floor.
 
 An accelerated step allocates one array, the gradient: y_k, x_k - x* and
 s_k are workspaces rewritten in place, and x_k is written into the next
@@ -59,7 +58,9 @@ import numpy as np
 from .errors import MissingGroundTruthError
 from .objective import QuadraticObjective
 
-METHODS = ("ag", "cg_classic", "cg_unified", "ag_unified")
+# Method -> family: "ag" (accelerated gradient) or "cg".
+METHOD_FAMILY = {"ag": "ag", "cg_classic": "cg", "cg_unified": "cg", "ag_unified": "ag"}
+METHODS = tuple(METHOD_FAMILY)
 
 # Residual floor, relative to ||r_0||, below which CG reports convergence
 # instead of dividing by a vanishing curvature estimate.
@@ -125,9 +126,9 @@ class Trace:
 def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transients: bool = True) -> Trace:
     """Run a solver and record the full per-iterate trace.
 
-    Stops at the first of: max_iters steps taken; f(x_k) - f* <= stop_gap
-    (CG tests its recurred residual's estimate, accelerated runs the exact
-    gap behind the gate described in the module docstring); the CG
+    Stops at the first of: max_iters steps taken; the first iterate whose
+    exact f(x_k) - f* is at or below stop_gap (stop_reason "gap" on every
+    method, tested behind the gate of the module docstring); the CG
     convergence floor; an accelerated run's ||x_k - x*||^2 turning
     non-finite (stop_reason "diverged", the trace keeping the finite
     prefix), which happens when the declared L is below the true curvature.
@@ -147,19 +148,11 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     if obj.minimizer is None:
         raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
     x0 = obj._check_vector(x0, "x0")
-    if method in ("ag", "ag_unified"):
+    if METHOD_FAMILY[method] == "ag":
         return _run_ag(obj, method, x0, max_iters, stop_gap)
     if not isinstance(obj, QuadraticObjective):
         raise TypeError(f"{method} applies to quadratic objectives only")
-
-    x_star = obj.minimizer
-
-    def stopped(x, r):
-        # With the recurred residual, A(x - x*) = -r up to drift, so the
-        # estimate -d'r/2 costs no extra matvec.
-        return -0.5 * float((x - x_star) @ r) <= stop_gap
-
-    return _run_cg(obj, method, x0, max_iters, stopped)
+    return _run_cg(obj, method, x0, max_iters, stop_gap)
 
 
 def _gap_gate(obj, stop_gap: float) -> float:
@@ -251,11 +244,13 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
     return Trace(method=method, xs=xs[:n].copy(), stop_reason=stop_reason)
 
 
-def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
+def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
     a_mat = obj.matrix
     if matvec is None:
         matvec = lambda v: a_mat @ v  # noqa: E731
     unified = method == "cg_unified"
+    reached = _gap_reached(obj, stop_gap)
+    x_star = obj.minimizer
 
     x = x0.copy()
     # The initial residual is always exact; an injected matvec (noise
@@ -278,63 +273,63 @@ def _run_cg(obj, method, x0, max_iters, stopped, matvec=None):
     rs = [r]
     alphas = [np.nan]
     prev_sqs = [np.nan]
-    stop_reason = "max_iters"
     p = None
     alpha = None
     s = None
 
-    if stopped(x, r):
-        stop_reason = "gap"
-    else:
-        for k in range(max_iters):
-            if res_sq <= threshold:
-                stop_reason = "converged"
-                break
-            if k == 0:
-                beta_next = 0.0
-                p = r.copy()
+    d = x - x_star
+    done = reached(x, d.dot(d))
+    stop_reason = "gap" if done else "max_iters"
+    for k in range(0 if done else max_iters):
+        if res_sq <= threshold:
+            stop_reason = "converged"
+            break
+        if k == 0:
+            beta_next = 0.0
+            p = r.copy()
+        else:
+            beta_next = res_sq / prev_sqs_last
+            p = beta_next * p + r
+        ap = matvec(p)
+        pap = float(p @ ap)
+        if pap <= 0.0:
+            stop_reason = "not_positive_definite"
+            break
+        alpha_next = res_sq / pap
+        if unified:
+            nu = 0.0 if k == 0 else alpha_next * beta_next / alpha
+            if s is None:
+                x_next = x + alpha_next * r
             else:
-                beta_next = res_sq / prev_sqs_last
-                p = beta_next * p + r
-            ap = matvec(p)
-            pap = float(p @ ap)
-            if pap <= 0.0:
-                stop_reason = "not_positive_definite"
-                break
-            alpha_next = res_sq / pap
-            if unified:
-                nu = 0.0 if k == 0 else alpha_next * beta_next / alpha
-                if s is None:
-                    x_next = x + alpha_next * r
-                else:
-                    x_next = x + nu * s + alpha_next * r
-            else:
-                x_next = x + alpha_next * p
-            s = x_next - x
-            r = r - alpha_next * ap
-            if 0 < kept < dim:
-                # Classical Gram-Schmidt, applied twice, restores the mutual
-                # orthogonality that exact CG residuals have and floating
-                # point loses; without it termination slips past dim steps.
-                q = basis[:kept]
-                r = r - (q @ r) @ q
-                r = r - (q @ r) @ q
-                r_norm = float(np.linalg.norm(r))
-                if r_norm > 0.0:
-                    basis[kept] = r / r_norm
-                    kept += 1
-            prev_sqs_last = res_sq
-            res_sq = float(r @ r)
-            alpha = alpha_next
-            x = x_next
+                x_next = x + nu * s + alpha_next * r
+        else:
+            x_next = x + alpha_next * p
+        s = x_next - x
+        r = r - alpha_next * ap
+        if 0 < kept < dim:
+            # Classical Gram-Schmidt, applied twice, restores the mutual
+            # orthogonality that exact CG residuals have and floating
+            # point loses; without it termination slips past dim steps.
+            q = basis[:kept]
+            r = r - (q @ r) @ q
+            r = r - (q @ r) @ q
+            r_norm = float(np.linalg.norm(r))
+            if r_norm > 0.0:
+                basis[kept] = r / r_norm
+                kept += 1
+        prev_sqs_last = res_sq
+        res_sq = float(r @ r)
+        alpha = alpha_next
+        x = x_next
 
-            xs.append(x)
-            rs.append(r)
-            alphas.append(alpha_next)
-            prev_sqs.append(prev_sqs_last)
-            if stopped(x, r):
-                stop_reason = "gap"
-                break
+        xs.append(x)
+        rs.append(r)
+        alphas.append(alpha_next)
+        prev_sqs.append(prev_sqs_last)
+        d = x - x_star
+        if reached(x, d.dot(d)):
+            stop_reason = "gap"
+            break
 
     return Trace(
         method=method,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .objective import QuadraticObjective
 from .serialize import fmt_floats
-from .solvers import METHODS, Trace, momentum_coefficient
+from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
 
 TRACE_HEADER = "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta,rho,theta,nu,pi"
 
@@ -264,7 +264,7 @@ def read_trace_iterates(csv_path) -> Trace:
     if xs.dtype != np.float64 or xs.ndim != 2 or not np.all(np.isfinite(xs)):
         raise ValueError(f"iterates file {path}: xs must be a finite 2-D float64 array")
     scalars = {}
-    if method.startswith("cg"):
+    if METHOD_FAMILY[method] == "cg":
         for name in ("alphas", "prev_res_sqs"):
             arr = field(name)
             if arr.dtype != np.float64 or arr.shape != (xs.shape[0],):

@@ -384,7 +384,7 @@ def test_certify_detects_edited_iterates_file(workdir, problem_file, capsys, met
     assert f"error: row {k} " in capsys.readouterr().err
 
 
-def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file):
+def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file, capsys):
     # nan step sizes zero rho and would silence the gap identity; with
     # claims written to match, only counting each step the identity cannot
     # check as a violation refuses the trace
@@ -397,6 +397,26 @@ def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file):
     out = workdir / "nan_alphas.json"
     assert main(["certify", str(path), "--problem", str(problem_file), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["first_telescope_violation"] == 0
+    # the chain held, so the message names the check that failed
+    assert capsys.readouterr().out == "gap telescoping violated at step 0\n"
+
+
+def test_certify_names_a_chain_failure(workdir, problem_file, capsys):
+    # an iterate moved off the run, with claims written to match: the
+    # chain breaks on the step into it
+    spec = load_problem(problem_file)
+    obj = spec.objective
+    trace = run(obj, "ag", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
+    xs = trace.xs.copy()
+    xs[20] += 1.0
+    forged = dataclasses.replace(trace, xs=xs)
+    report = certify(forged, obj)
+    path = workdir / "moved_ag.csv"
+    write_trace_csv(path, forged, obj, report)
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
+    assert not report.step_passes[report.first_violation]
+    assert capsys.readouterr().out == f"certificate chain violated at step {report.first_violation}\n"
 
 
 @pytest.fixture(scope="module")

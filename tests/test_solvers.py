@@ -9,12 +9,12 @@ import pytest
 import oracle
 from aids import conjugacy_drift
 from conftest import assert_close
-from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start, run
+from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start, run, solvers
 from gradcert.errors import MissingGroundTruthError
 from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
 from gradcert.potential import certify
 from gradcert.problems import make_logistic_problem
-from gradcert.solvers import METHODS, Trace, _gap_gate, _run_cg, momentum_coefficient
+from gradcert.solvers import METHOD_FAMILY, METHODS, Trace, _gap_gate, _run_cg, momentum_coefficient
 from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
@@ -118,7 +118,7 @@ def test_replayed_directions_are_the_ones_multiplied(method, eta):
         used.append(p.copy())
         return noisy_matvec(obj, noise, p, len(used))
 
-    trace = _run_cg(obj, method, x0, 40, lambda x, r: False, matvec=matvec)
+    trace = _run_cg(obj, method, x0, 40, -math.inf, matvec=matvec)
     assert len(trace) == len(used) + 1 > 20
     assert trace.ps[1:].tobytes() == np.vstack(used).tobytes()
 
@@ -224,16 +224,20 @@ def test_ag_with_underestimated_lip_stops_diverged(method, scale):
     assert report.first_violation is not None and not report.theorem1_ok
 
 
-def _assert_stops_at_first_gap(obj, x0, stop_gap, max_iters):
-    # The gate on (l/2)||x - x*||^2 only skips gap evaluations: the run
-    # ends at the first iterate whose exact gap is at or below stop_gap.
-    trace = run(obj, "ag", x0, max_iters, stop_gap)
+def _assert_stops_at_first_gap(method, obj, x0, stop_gap, max_iters):
+    # Every run stops on the exact gap, and the gate on (l/2)||x - x*||^2
+    # only skips its evaluations: a "gap" stop is the first iterate whose
+    # exact gap is at or below stop_gap, and any other stop saw none.
+    trace = run(obj, method, x0, max_iters, stop_gap)
     hits = [k for k, x in enumerate(trace.xs) if obj.f_gap(x) <= stop_gap]
     if trace.stop_reason == "gap":
         assert hits == [len(trace) - 1]
     else:
-        assert trace.stop_reason == "max_iters"
-        assert len(trace) == max_iters + 1 and hits == []
+        assert hits == []
+        if trace.stop_reason == "max_iters":
+            assert len(trace) == max_iters + 1
+        else:
+            assert METHOD_FAMILY[method] == "cg" and trace.stop_reason == "converged"
     return trace
 
 
@@ -242,18 +246,19 @@ def _assert_stops_at_first_gap(obj, x0, stop_gap, max_iters):
 @pytest.mark.parametrize("dim", [10, 50, 200])
 def test_ag_gate_never_moves_the_stop(dim, kappa, layout):
     obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, seed=1))
-    trace = _assert_stops_at_first_gap(obj, x0, 1e-10 * obj.f_gap(x0), 40_000)
-    assert trace.stop_reason == "gap"
+    for method in ("ag", "cg_classic", "cg_unified"):
+        trace = _assert_stops_at_first_gap(method, obj, x0, 1e-10 * obj.f_gap(x0), 40_000)
+        assert trace.stop_reason == "gap"
 
 
 def test_ag_gate_never_moves_the_stop_off_quadratics():
     problem = make_logistic_problem(8, 40, 0.05, seed=3)
     obj, x0 = problem.objective, problem.x0
-    trace = _assert_stops_at_first_gap(obj, x0, 1e-12 * obj.f_gap(x0), 20_000)
+    trace = _assert_stops_at_first_gap("ag", obj, x0, 1e-12 * obj.f_gap(x0), 20_000)
     assert trace.stop_reason == "gap"
     # the logistic gap reads <= 0 before x reaches x*, so this run stops
     # on stop_gap 0 although ||x - x*|| > 0
-    zero = _assert_stops_at_first_gap(obj, x0, 0.0, 20_000)
+    zero = _assert_stops_at_first_gap("ag", obj, x0, 0.0, 20_000)
     assert zero.stop_reason == "gap" and np.any(zero.xs[-1] != obj.minimizer)
 
 
@@ -276,19 +281,37 @@ def test_ag_gate_passes_every_point_at_its_own_gap():
 
 def test_ag_gate_edge_stop_gaps():
     obj, x_star, x0 = generate_with_start(SpectrumSpec(20, 1.0, 100.0, "log_uniform", seed=2))
-    for stop_gap in (0.0, -math.inf):
-        trace = _assert_stops_at_first_gap(obj, x0, stop_gap, 300)
-        assert trace.stop_reason == "max_iters"
-    # x0 already within the stop: no step is taken
-    within = _assert_stops_at_first_gap(obj, x0, obj.f_gap(x0), 300)
-    assert len(within) == 1 and within.stop_reason == "gap"
-    at_min = _assert_stops_at_first_gap(obj, x_star, 0.0, 300)
-    assert len(at_min) == 1 and at_min.stop_reason == "gap"
-    # gradient descent on 2I lands on x* in one step, where the gap is 0
     a = QuadraticObjective(np.diag([2.0, 2.0, 2.0]), [2.0, 4.0, 6.0], 2.0, 2.0)
     a = a.with_minimizer([1.0, 2.0, 3.0])
-    exact = _assert_stops_at_first_gap(a, np.zeros(3), 0.0, 5)
-    assert len(exact) == 2 and exact.stop_reason == "gap"
+    for method in ("ag", "cg_classic", "cg_unified"):
+        # no iterate reaches gap 0: AG takes every step, CG ends on its
+        # residual floor after dim steps
+        for stop_gap in (0.0, -math.inf):
+            trace = _assert_stops_at_first_gap(method, obj, x0, stop_gap, 300)
+            if method == "ag":
+                assert trace.stop_reason == "max_iters"
+            else:
+                assert trace.stop_reason == "converged" and len(trace) == 21
+        # x0 already within the stop: no step is taken
+        within = _assert_stops_at_first_gap(method, obj, x0, obj.f_gap(x0), 300)
+        assert len(within) == 1 and within.stop_reason == "gap"
+        at_min = _assert_stops_at_first_gap(method, obj, x_star, 0.0, 300)
+        assert len(at_min) == 1 and at_min.stop_reason == "gap"
+        # on 2I both gradient descent and CG land on x* in one step, where
+        # the gap is 0
+        exact = _assert_stops_at_first_gap(method, a, np.zeros(3), 0.0, 5)
+        assert len(exact) == 2 and exact.stop_reason == "gap"
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+@pytest.mark.parametrize("dim,kappa,seed,at_x0", [(10, 1e6, 3, False), (200, 1e6, 1, True)])
+def test_cg_stops_on_the_exact_gap(method, dim, kappa, seed, at_x0):
+    # CG's recurred estimate -d'r/2 of the gap read "reached" on these
+    # runs where no iterate was, or a step after x0 already was
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, "log_uniform", seed=seed))
+    stop_gap = obj.f_gap(x0) if at_x0 else 0.0
+    trace = _assert_stops_at_first_gap(method, obj, x0, stop_gap, 300)
+    assert trace.stop_reason == ("gap" if at_x0 else "converged")
 
 
 def _reference_run_ag(obj, method, x0, max_iters, stop_gap):
@@ -421,6 +444,39 @@ def test_ag_calls_grad_once_per_step(monkeypatch, method, kind):
         if kind == "quadratic":
             # the gate skips the exact gap on most steps
             assert calls.count("gap") < len(trace) / 4
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_cg_evaluates_the_gap_rarely(monkeypatch, method):
+    obj, _, x0 = generate_with_start(SpectrumSpec(30, 1.0, 1e3, "log_uniform", seed=0))
+    stop_gap = 1e-10 * obj.f_gap(x0)
+    calls = []
+    cls = type(obj)
+    f_gap = cls.f_gap
+    monkeypatch.setattr(cls, "f_gap", lambda self, x: calls.append("gap") or f_gap(self, x))
+
+    def matvec(p):
+        calls.append("matvec")
+        return obj.matrix @ p
+
+    runs = {}
+    for max_iters, reason in ((10, "max_iters"), (4_000, "gap")):
+        calls.clear()
+        trace = _run_cg(obj, method, x0, max_iters, stop_gap, matvec=matvec)
+        assert trace.stop_reason == reason
+        assert calls.count("matvec") == len(trace) - 1
+        # nothing after the stop's own check
+        assert reason == "max_iters" or calls[-1] == "gap"
+        # the gate skips the exact gap on most steps
+        assert calls.count("gap") < len(trace) / 4
+        runs[max_iters] = trace
+    # the gate only skips evaluations: an open gate stops at the same iterate
+    monkeypatch.setattr(solvers, "_gap_gate", lambda obj, stop_gap: math.inf)
+    for max_iters, gated in runs.items():
+        trace = _run_cg(obj, method, x0, max_iters, stop_gap, matvec=matvec)
+        assert trace.stop_reason == gated.stop_reason
+        assert trace.xs.tobytes() == gated.xs.tobytes()
+        assert trace.rs.tobytes() == gated.rs.tobytes()
 
 
 def test_first_iteration_state_shape(dim2):
