@@ -185,7 +185,7 @@ def cmd_certify(args) -> int:
     # certify() recomputes everything from the iterates (and on CG checks
     # the recurrence produced them); the CSV's cells are only claims.
     report = certify(trace, obj)
-    check_trace_claims(args.trace, columns, report)
+    check_trace_claims(args.trace, columns, trace, obj, report)
 
     doc = {
         "trace": args.trace,

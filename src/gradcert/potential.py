@@ -99,6 +99,13 @@ def contraction_constant(method: str, ell: float, lip: float) -> float:
     return 1.0 + math.sqrt(ell / lip)
 
 
+def chain_steps(psis, c: float, tol: float):
+    """(psi_k / psi_{k+1}, step k's check at constant c and slack 1 + tol); see certify()."""
+    lhs = psis[1:].copy()
+    lhs[1:] *= c
+    return psis[:-1] / psis[1:], lhs <= psis[:-1] * (1.0 + tol)
+
+
 @dataclass
 class CertificateReport:
     """Vectorized certificate record for a whole trace.
@@ -180,7 +187,6 @@ def certify(trace, obj) -> CertificateReport:
     tol = default_cert_tolerance(obj)
     c_common = 1.0 + math.sqrt(ell / lip)
     c_value = contraction_constant(family, ell, lip)
-    slack = 1.0 + tol
 
     def first_fail(passes):
         bad = np.flatnonzero(~passes)
@@ -222,13 +228,8 @@ def certify(trace, obj) -> CertificateReport:
         psis = w_norm_sqs + (2.0 / ell) * f_gaps
 
         # A single iterate leaves these arrays empty: no step, no violation.
-        lhs = psis[1:].copy()
-        lhs[1:] *= c_value
-        step_passes = lhs <= psis[:-1] * slack
-        common_lhs = psis[1:].copy()
-        common_lhs[1:] *= c_common
-        common_passes = common_lhs <= psis[:-1] * slack
-        ratios = psis[:-1] / psis[1:]
+        ratios, step_passes = chain_steps(psis, c_value, tol)
+        _, common_passes = chain_steps(psis, c_common, tol)
 
     fails = [k for k in (first_fail(step_passes), first_telescope) if k is not None]
 

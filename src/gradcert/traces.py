@@ -1,11 +1,11 @@
 """Flat CSV views of solver runs.
 
-One row per iterate k. Scalar columns carry the quantities that were live
-at that iterate; cells whose quantity is undefined at that k are empty.
-Alignment rules:
+One row per iterate k. ``trace_columns`` defines every column after k,
+once, for the writer and for the audit of a written trace; a cell whose
+quantity is undefined at that k is empty. Alignment rules:
 
 * ``alpha``/``beta`` on row k are the CG coefficients that produced x_k,
-  so row 0 leaves them empty.
+  so row 0 leaves them empty (an AG trace, every row).
 * ``theta``/``nu``/``pi`` on row k are the two-parameter schedule values
   consumed when leaving x_k; the final row leaves them empty.  For CG
   these come from the next row's alpha/beta (nu_k = alpha_{k+1}
@@ -15,18 +15,17 @@ Alignment rules:
   for the step leaving x_k.  Both are empty on the final row.
 
 Floats are written with 17 significant digits and booleans as
-``true``/``false``, so identical runs serialize byte-identically. The
-writer formats a whole column of a block of rows in one pass (see
-``serialize.fmt_floats``) and marks nan cells empty through a mask; the
-text is the same as formatting cell by cell. ``grad_norm`` is
-``||A x_k - b||`` (``||grad f(x_k)||`` off quadratics) from the stored
-iterates on every method, never CG's recurred residual.
+``true``/``false``, so identical runs serialize byte-identically; the
+writer formats a column of a block of rows in one pass (see
+``serialize.fmt_floats``). ``grad_norm`` is ``||A x_k - b||``
+(``||grad f(x_k)||`` off quadratics) from the stored iterates on every
+method, never CG's recurred residual.
 
 Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
 bit for bit: the method, the iterates ``xs`` and, on CG runs, the
-``alphas`` and ``prev_res_sqs`` that fix the weight rho. That file, not
-the CSV's derived columns, is what a later audit re-certifies, before
-``check_trace_claims`` holds the ``psi`` and ``f_gap`` cells against it.
+``alphas`` and ``prev_res_sqs`` that fix the weight rho. A later audit
+re-certifies that file; every cell of the CSV is then only a claim, which
+``check_trace_claims`` holds against the columns rebuilt from it.
 """
 
 from __future__ import annotations
@@ -39,12 +38,16 @@ import zipfile
 import numpy as np
 
 from .objective import QuadraticObjective
+from .potential import chain_steps
 from .serialize import fmt_floats
 from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
 
 TRACE_HEADER = "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta,rho,theta,nu,pi"
 
 _COLUMNS = TRACE_HEADER.split(",")
+
+# cert_pass cells by value; any other value, nan on the last row, is empty.
+_PASS_CELLS = {True: "true", False: "false"}
 
 # Rows formatted per write: bounds the cell strings held at once.
 _BLOCK_ROWS = 1024
@@ -61,36 +64,46 @@ def _csv_cells(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _gradient_norms(trace, obj) -> np.ndarray:
-    # From the iterates, like every audited cell, never from a recurrence.
-    if isinstance(obj, QuadraticObjective):
-        return np.linalg.norm(trace.xs @ obj.matrix - obj.rhs, axis=1)
-    return np.array([np.linalg.norm(obj.grad(x)) for x in trace.xs])
+def trace_columns(trace, obj, report) -> dict:
+    """Every column after k, by name in header order, as float arrays.
 
-
-def _schedule_columns(trace, report):
-    """(theta, nu, pi) consumed at each k < n-1, as nan-padded arrays."""
+    nan marks an empty cell and cert_pass is 1.0 (true) or 0.0 (false).
+    Iterates that overflow give inf or empty cells, without a warning.
+    """
     n = len(trace)
-    theta = np.full(n, np.nan)
-    nu = np.full(n, np.nan)
-    pi = np.full(n, np.nan)
-    if n < 2:
-        return theta, nu, pi
     last = n - 1
-    if report.method == "ag":
-        m = momentum_coefficient(report.ell, report.lip)
-        theta[:last] = m
-        nu[:last] = m
-        theta[0] = nu[0] = 0.0
-        pi[:last] = 1.0 / report.lip
-    else:
-        alphas = trace.alphas
-        betas = trace.betas
-        theta[:last] = 0.0
-        nu[0] = 0.0
-        nu[1:last] = alphas[2 : last + 1] * betas[2 : last + 1] / alphas[1:last]
-        pi[:last] = alphas[1 : last + 1]
-    return theta, nu, pi
+    theta, nu, pi = np.full((3, n), np.nan)
+    alphas = betas = np.full(n, np.nan)
+    with np.errstate(all="ignore"):
+        # From the iterates, like every audited cell, never from a recurrence.
+        if isinstance(obj, QuadraticObjective):
+            grad_norms = np.linalg.norm(trace.xs @ obj.matrix - obj.rhs, axis=1)
+        else:
+            grad_norms = np.array([np.linalg.norm(obj.grad(x)) for x in trace.xs])
+        if report.method == "cg":
+            alphas, betas = trace.alphas, trace.betas
+            theta[1:last] = 0.0
+            nu[1:last] = alphas[2:] * betas[2:] / alphas[1:last]
+            pi[:last] = alphas[1:]
+        else:
+            theta[1:last] = nu[1:last] = momentum_coefficient(report.ell, report.lip)
+            pi[:last] = 1.0 / report.lip
+        if last:  # both schedules leave x_0 at rest
+            theta[0] = nu[0] = 0.0
+        return {
+            "f_gap": report.f_gaps,
+            "dist_to_opt": np.sqrt(report.dist_sqs),
+            "grad_norm": grad_norms,
+            "psi": report.psis,
+            "psi_ratio": np.append(report.ratios, np.nan),
+            "cert_pass": np.append(report.step_passes, np.nan),
+            "alpha": alphas,
+            "beta": betas,
+            "rho": report.rhos,
+            "theta": theta,
+            "nu": nu,
+            "pi": pi,
+        }
 
 
 def iterates_path(csv_path) -> str:
@@ -106,64 +119,68 @@ def write_trace_csv(path, trace, obj, report) -> None:
     """
     n = len(trace)
     if n != len(report.psis):
-        raise ValueError(
-            f"trace has {n} iterates but report covers {len(report.psis)}"
-        )
-    theta, nu, pi = _schedule_columns(trace, report)
-    alphas, betas = trace.alphas, trace.betas
-    cg = alphas is not None
-    if not cg:
-        alphas = betas = np.full(n, np.nan)
-    # The per-step cells (psi_ratio, cert_pass) are empty on the last row.
-    ratios = np.append(report.ratios, np.nan)
-    passes = np.append(np.where(report.step_passes, "true", "false"), "")
-    # Columns after k, in header order; each is a float column but cert_pass.
-    columns = [
-        report.f_gaps,
-        np.sqrt(report.dist_sqs),
-        _gradient_norms(trace, obj),
-        report.psis,
-        ratios,
-        passes,
-        alphas,
-        betas,
-        report.rhos,
-        theta,
-        nu,
-        pi,
-    ]
+        raise ValueError(f"trace has {n} iterates but report covers {len(report.psis)}")
+    columns = trace_columns(trace, obj, report)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
             cells = [list(map(str, range(lo, hi)))]
-            for column in columns:
+            for name, column in columns.items():
                 block = column[lo:hi]
-                cells.append(block.tolist() if column is passes else _csv_cells(block))
+                if name == "cert_pass":
+                    cells.append([_PASS_CELLS.get(v, "") for v in block.tolist()])
+                else:
+                    cells.append(_csv_cells(block))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     arrays = {"method": np.array(trace.method), "xs": trace.xs}
-    if cg:
-        arrays.update(alphas=alphas, prev_res_sqs=trace.prev_res_sqs)
+    if trace.alphas is not None:
+        arrays.update(alphas=trace.alphas, prev_res_sqs=trace.prev_res_sqs)
     with open(iterates_path(path), "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def check_trace_claims(path, columns, report) -> None:
-    """Raise ValueError at the first psi or (2/l) f_gap claim over tol_cert psi_0 off report."""
-    bound = report.tol_cert * report.psis[0]
-    for name, scale, values in (
-        ("psi", 1.0, report.psis),
-        ("f_gap", 2.0 / report.ell, report.f_gaps),
-    ):
-        cells = columns[name]
-        claims = np.array([c if type(c) is float else np.nan for c in cells])
-        bad = np.flatnonzero(~(scale * np.abs(claims - values) <= bound))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(
-                f"row {k} of {path}: {name} claim {cells[k]} disagrees with "
-                f"{values[k]:.17g} recomputed from the iterates"
-            )
+def _shown(cell) -> str:
+    return "empty" if cell is None else _PASS_CELLS[cell] if type(cell) is bool else repr(cell)
+
+
+def check_trace_claims(path, columns, trace, obj, report) -> None:
+    """Raise ValueError at the first cell of the read-back CSV ``columns`` the audit refutes.
+
+    Each column after k must be empty exactly where trace_columns of the
+    stored run (``report`` certifying it) is nan, and equal it elsewhere.
+    Cells measured from the iterates, whose last bits depend on the BLAS
+    that wrote them, may be off by tol_cert psi_0 (psi, (2/l) f_gap) or by
+    tol_cert times the column's largest finite magnitude (dist_to_opt,
+    grad_norm, rho). psi_ratio and cert_pass are held against certify's
+    chain test on the claimed psi cells, so psi is checked first.
+    """
+    with np.errstate(all="ignore"):
+        expected = trace_columns(trace, obj, report)
+        bound = report.tol_cert * report.psis[0]
+        tols = {"psi": bound, "f_gap": bound * report.ell / 2.0}
+        for name in ("dist_to_opt", "grad_norm", "rho"):
+            finite = np.abs(expected[name][np.isfinite(expected[name])])
+            tols[name] = report.tol_cert * finite.max(initial=0.0)
+        for name in sorted(expected, key=lambda name: name != "psi"):
+            cells, values = columns[name], expected[name]
+            kind = bool if name == "cert_pass" else float
+            empty = np.array([c is None for c in cells], dtype=bool)
+            # A cell of the other kind (a number in cert_pass) reads nan, matching nothing.
+            claims = np.array([float(c) if type(c) is kind else np.nan for c in cells])
+            close = (claims == values) | (np.abs(claims - values) <= tols.get(name, 0.0))
+            bad = np.flatnonzero(~np.where(empty, np.isnan(values), close))
+            if bad.size:
+                k = int(bad[0])
+                want = None if np.isnan(values[k]) else kind(values[k])
+                raise ValueError(
+                    f"row {k} of {path}: {name} claim {_shown(cells[k])} "
+                    f"disagrees with the audit's {_shown(want)}"
+                )
+            if name == "psi":
+                ratios, passes = chain_steps(claims, report.c_value, report.tol_cert)
+                expected["psi_ratio"] = np.append(ratios, np.nan)
+                expected["cert_pass"] = np.append(passes, np.nan)
 
 
 def _parse_cell(text: str):

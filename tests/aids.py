@@ -15,7 +15,7 @@ from gradcert.generate import _reflectors
 from gradcert.objective import QuadraticObjective
 from gradcert.rng import SplitMix64
 from gradcert.serialize import fmt_float
-from gradcert.traces import _COLUMNS, _gradient_norms, _schedule_columns
+from gradcert.traces import _COLUMNS, trace_columns
 
 
 @dataclass
@@ -112,8 +112,6 @@ def materialize_orthogonal(spec):
 
 
 def _cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     value = float(value)
@@ -128,30 +126,12 @@ def write_trace_csv_per_cell(path, trace, obj, report) -> None:
     The reference the column-wise writer must match byte for byte; it
     writes no iterates file.
     """
-    n = len(trace)
-    grad_norms = _gradient_norms(trace, obj)
-    theta, nu, pi = _schedule_columns(trace, report)
-    alphas, betas = trace.alphas, trace.betas
-    cg = alphas is not None
+    columns = trace_columns(trace, obj, report)
+    passes = columns["cert_pass"]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_COLUMNS)
-        for k in range(n):
-            last = k == n - 1
-            writer.writerow(
-                [
-                    str(k),
-                    _cell(report.f_gaps[k]),
-                    _cell(np.sqrt(report.dist_sqs[k])),
-                    _cell(grad_norms[k]),
-                    _cell(report.psis[k]),
-                    "" if last else _cell(report.ratios[k]),
-                    "" if last else _cell(bool(report.step_passes[k])),
-                    _cell(alphas[k]) if cg else "",
-                    _cell(betas[k]) if cg else "",
-                    _cell(report.rhos[k]),
-                    _cell(theta[k]),
-                    _cell(nu[k]),
-                    _cell(pi[k]),
-                ]
-            )
+        for k in range(len(trace)):
+            row = {name: _cell(column[k]) for name, column in columns.items()}
+            row["cert_pass"] = "" if np.isnan(passes[k]) else _cell(bool(passes[k]))
+            writer.writerow([str(k), *row.values()])

@@ -277,8 +277,8 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
 
 
 def test_certify_rejects_garbage_in_unaudited_columns(workdir, problem_file, capsys):
-    # The verdict rests on psi and f_gap, but a trace with non-numbers in
-    # other columns is malformed all the same.
+    # Every column is audited, but a non-number is refused as malformed
+    # before the audit: the error names the cell, not a disagreement.
     src = workdir / "garbage_src.csv"
     argv = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(src)]
     assert main(argv) == 0
@@ -296,6 +296,66 @@ def test_certify_rejects_garbage_in_unaudited_columns(workdir, problem_file, cap
     assert main(["certify", str(bad), "--problem", str(problem_file)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "row 2, column grad_norm" in err
+
+
+# Every column after k but f_gap and psi, whose forgeries have tests of their own.
+OTHER_CLAIMS = [
+    "dist_to_opt", "grad_norm", "psi_ratio", "cert_pass", "alpha",
+    "beta", "rho", "theta", "nu", "pi",
+]
+
+
+@pytest.fixture(scope="module")
+def clean_traces(workdir, problem_file):
+    paths = {}
+    for method in ("cg", "ag"):
+        paths[method] = workdir / f"clean_{method}.csv"
+        argv = ["run", "--problem", str(problem_file), "--method", method]
+        assert main(argv + ["--out", str(paths[method])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("method", ["cg", "ag"])
+@pytest.mark.parametrize("column", OTHER_CLAIMS)
+def test_certify_refuses_one_forged_cell(workdir, problem_file, clean_traces, capsys,
+                                         method, column):
+    # one cell of row 5 forged, the iterates file kept: a blank cell filled,
+    # a boolean flipped, a number moved to 2|v| + 1
+    src = clean_traces[method]
+    lines = src.read_text().splitlines()
+    j = lines[0].split(",").index(column)
+    cells = lines[6].split(",")
+    flipped = {"": "123", "true": "false", "false": "true"}
+    cells[j] = flipped.get(cells[j]) or repr(2.0 * abs(float(cells[j])) + 1.0)
+    lines[6] = ",".join(cells)
+    path = workdir / "forged_cell.csv"
+    path.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(iterates_path(src), iterates_path(path))
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
+    assert f"error: row 5 of {path}: {column} claim " in capsys.readouterr().err
+
+
+def test_certify_overflowing_iterate_breaks_the_chain(workdir, capsys):
+    # a finite iterate past what psi can hold: its cells are inf or empty,
+    # they agree with the audit's, and the verdict, not a claim, refuses it
+    prob = workdir / "overflow.json"
+    gen = ["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--seed", "0"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    spec = load_problem(prob)
+    obj = spec.objective
+    trace = run(obj, "ag", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
+    xs = trace.xs.copy()
+    xs[5] = 1e160
+    forged = dataclasses.replace(trace, xs=xs)
+    path = workdir / "overflow.csv"
+    write_trace_csv(path, forged, obj, certify(forged, obj))
+    row = path.read_text().splitlines()[6].split(",")
+    assert "" in row and "inf" in row
+    capsys.readouterr()
+    assert main(["certify", str(path), "--problem", str(prob)]) == 1
+    assert capsys.readouterr() == ("certificate chain violated at step 4\n", "")
+
 
 @pytest.mark.parametrize(
     "field, value",

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gradcert import cli
@@ -291,12 +291,14 @@ def test_huge_finite_x0_is_rejected(fuzz_dir, make, entry, overflow):
 
 # -- trace fuzz: one mutation of a valid trace CSV or iterates file -------
 
-# Replacement k cells (NEXT stands for the following row's k), and psi or
-# f_gap cells that are empty, a boolean, or text float() rejects.
+# Replacement k cells (NEXT stands for the following row's k), and cells of
+# any other column that are empty, a boolean, or text float() rejects.
 NEXT = "__next__"
 BAD_KS = ["", "-1", "1.5", "x", "inf", "nan", "true", NEXT]
 NON_NUMBERS = ["", "true", "x", "1e", "0x10"]
-CSV_ACTIONS = ["drop_cell", "extra_cell", "bad_k", "non_number", "bad_byte", "truncate"]
+CSV_ACTIONS = [
+    "drop_cell", "extra_cell", "bad_k", "non_number", "break_rule", "bad_byte", "truncate",
+]
 NPZ_ACTIONS = ["drop_key", "dtype", "shape", "non_finite", "huge", "truncate"]
 
 
@@ -334,7 +336,16 @@ def _mutate_csv(blob, action, i, j, value):
     elif action == "bad_k":
         cells[0] = str(row) if value == NEXT else value
     elif action == "non_number":
-        cells[(1, 4)[j % 2]] = value  # f_gap or psi, the columns certify reads
+        cells[1 + j % (len(cells) - 1)] = value  # every column after k is a claim
+    elif action == "break_rule":
+        # a blank cell filled, a boolean flipped, a number moved off its value
+        col = 1 + j % (len(cells) - 1)
+        cell = cells[col]
+        if cell in ("", "true", "false"):
+            cells[col] = {"": "0", "true": "false", "false": "true"}[cell]
+        else:
+            v = float(cell)
+            cells[col] = repr(2.0 * abs(v) + 1.0) if math.isfinite(v) else "0"
     lines[row] = ",".join(cells)
     blob = "\n".join(lines).encode()
     if action == "bad_byte":
@@ -390,7 +401,9 @@ def test_mutated_trace_is_rejected(fuzz_dir, valid_traces, mutation):
     method, (target, action, i, j, *value) = mutation
     csv_blob, arrays = traces[method]
     if target == "csv":
-        csv_blob = _mutate_csv(csv_blob, action, i, j, *value)
+        mutated = _mutate_csv(csv_blob, action, i, j, *value)
+        assume(mutated != csv_blob)  # "" over an empty cell, "true" over "true"
+        csv_blob = mutated
         npz_blob = _npz_bytes(arrays)
     else:
         npz_blob = _mutate_npz(arrays, action, i, j)

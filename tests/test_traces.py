@@ -9,7 +9,7 @@ import pytest
 from aids import write_trace_csv_per_cell
 from gradcert.potential import certify
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
-from gradcert.traces import TRACE_HEADER, _schedule_columns, read_trace_csv, write_trace_csv
+from gradcert.traces import TRACE_HEADER, read_trace_csv, trace_columns, write_trace_csv
 
 
 @pytest.fixture()
@@ -39,6 +39,12 @@ def test_header_is_frozen(cg_csv):
     assert TRACE_HEADER == (
         "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta,rho,theta,nu,pi"
     )
+
+
+def test_header_names_the_built_columns(cg_csv, ag_csv):
+    # the writer's header and the column builder cannot drift apart
+    for _, trace, report, obj in (cg_csv, ag_csv):
+        assert ["k", *trace_columns(trace, obj, report)] == TRACE_HEADER.split(",")
 
 
 def test_cg_row_alignment(cg_csv):
@@ -113,7 +119,7 @@ def test_writes_are_byte_identical(tmp_path, tiny_problem):
 def test_cg_schedule_matches_per_step_loop(tiny_problem, method):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, method, x0, 30, -math.inf)
-    _, nu, _ = _schedule_columns(trace, certify(trace, obj))
+    nu = trace_columns(trace, obj, certify(trace, obj))["nu"]
     alphas, betas = trace.alphas, trace.betas
     expected = [alphas[k + 1] * betas[k + 1] / alphas[k] for k in range(1, len(trace) - 1)]
     assert len(expected) > 1
