@@ -15,13 +15,15 @@ A problem file fully determines an instance. Two kinds exist:
   ridge and the data-derived bound.
 
 Common fields: ``kind``, ``dim``, ``x0``, ``ell``, ``L``, plus optional
-``x_star`` and ``seed``.  All floats are written with 17 significant
-digits, so a save/load round trip is bit-exact and repeated saves are
-byte-identical.
+``x_star`` and ``seed``. Arrays are base64 strings of their little-endian
+float64 (``<f8``) bytes, row-major, so a save/load round trip is bit-exact
+by construction and repeated saves are byte-identical; a file with JSON
+number lists for arrays is refused. Scalars are JSON numbers.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, replace
 
@@ -71,16 +73,16 @@ class ProblemSpec:
         obj = self.objective
         doc = {"kind": self.kind, "dim": obj.dim}
         if self.kind == "quadratic":
-            doc["matrix"] = obj.matrix
-            doc["rhs"] = obj.rhs
+            doc["matrix"] = encode_array(obj.matrix)
+            doc["rhs"] = encode_array(obj.rhs)
         else:
-            doc["data_matrix"] = obj.data_matrix
+            doc["data_matrix"] = encode_array(obj.data_matrix)
             doc["ridge"] = obj.ridge
-        doc["x0"] = self.x0
+        doc["x0"] = encode_array(self.x0)
         doc["ell"] = obj.ell
         doc["L"] = obj.lip
         if obj.minimizer is not None:
-            doc["x_star"] = obj.minimizer
+            doc["x_star"] = encode_array(obj.minimizer)
         if self.seed is not None:
             doc["seed"] = int(self.seed)
         return render_json(doc) + "\n"
@@ -88,6 +90,11 @@ class ProblemSpec:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def encode_array(arr) -> str:
+    """A problem file's array field: base64 of the little-endian float64 bytes, row-major."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
 
 def _number_field(doc, name, cast):
@@ -107,30 +114,36 @@ def _number_field(doc, name, cast):
 
 
 def _array_field(doc, name, dim, ndim=1):
-    """A vector of dim floats (ndim=2: a matrix with dim columns) from the file.
+    """A vector of dim floats (ndim=2: whole rows of dim floats) from the file.
 
-    Every cell must be a JSON number: strings, booleans (also mixed in
-    among numbers), nulls and ragged nesting are rejected rather than cast
-    to float.
+    Only the canonical base64 that ``encode_array`` writes is accepted:
+    ``b64decode`` alone lets padding past a complete quantum through.
     """
+    value = doc[name]
     try:
-        cells = np.array(doc[name], dtype=object)
-        numeric = set(map(type, cells.flat)) <= {int, float}
-        arr = cells.astype(float) if numeric else None
-    except (ValueError, OverflowError):  # ragged nesting, integers beyond float
-        arr = None
-    if arr is None:
-        raise ValueError(f"problem file field {name!r} is not a numeric array")
-    if arr.ndim != ndim or arr.shape[-1] != dim:
-        want = f"shape ({dim},)" if ndim == 1 else f"{dim} columns"
-        raise ValueError(f"{name} must have {want}, got shape {arr.shape}")
-    return arr
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError):  # not a string, bad alphabet or padding, non-ASCII
+        raw = None
+    if raw is None or base64.b64encode(raw).decode("ascii") != value:
+        raise ValueError(f"problem file field {name!r} must be base64 <f8 data "
+                         "(little-endian float64 bytes); regenerate the file")
+    rows, rest = divmod(len(raw), 8 * dim)
+    if rest or not rows or (ndim == 1 and rows != 1):
+        want = f"{dim} float64 values" if ndim == 1 else f"whole rows of {dim} float64 values"
+        raise ValueError(f"{name} must hold {want}, got {len(raw)} bytes")
+    arr = np.frombuffer(raw, "<f8").astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr if ndim == 1 else arr.reshape(rows, dim)
 
 
 def load_problem(path) -> ProblemSpec:
     """Read a problem JSON file and build its validated objective."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("problem file is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("problem file must contain a JSON object")
     try:
@@ -138,7 +151,8 @@ def load_problem(path) -> ProblemSpec:
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
         dim = _number_field(doc, "dim", int)
-        x0 = _array_field(doc, "x0", dim)
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
         ell = _number_field(doc, "ell", float)
         lip = _number_field(doc, "L", float)
         if kind == "quadratic":
@@ -147,6 +161,7 @@ def load_problem(path) -> ProblemSpec:
         else:
             data = _array_field(doc, "data_matrix", dim, ndim=2)
             obj = LogisticRidgeObjective(data, _number_field(doc, "ridge", float))
+        x0 = _array_field(doc, "x0", dim)
     except KeyError as exc:
         raise ValueError(f"problem file missing field {exc.args[0]!r}") from None
     if kind == "logistic_ridge":

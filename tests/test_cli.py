@@ -16,7 +16,8 @@ from gradcert.cli import _build_parser, main
 from gradcert.objective import GAP_BLOCK_ROWS, QuadraticObjective
 from gradcert.perturb import sweep
 from gradcert.potential import certify
-from gradcert.problems import ProblemSpec, load_problem, make_logistic_problem
+from gradcert.problems import ProblemSpec, encode_array, load_problem, make_logistic_problem
+from gradcert.serialize import render_json
 from gradcert.solvers import run
 from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates, write_trace_csv
 
@@ -389,6 +390,29 @@ def test_null_problem_field_exits_1(workdir, problem_file, capsys, field, value)
     assert "error:" in err and field in err
 
 
+def test_text_array_problem_file_exits_1(workdir, problem_file, capsys):
+    # the arrays written as JSON number lists, as files once stored them
+    spec = load_problem(problem_file)
+    obj = spec.objective
+    doc = {"kind": "quadratic", "dim": obj.dim, "matrix": obj.matrix, "rhs": obj.rhs,
+           "x0": spec.x0, "ell": obj.ell, "L": obj.lip, "x_star": obj.minimizer, "seed": 1}
+    path = workdir / "text_arrays.json"
+    path.write_text(render_json(doc) + "\n")
+    out = workdir / "text_arrays.csv"
+    assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'matrix'" in err and "base64 <f8" in err
+    assert not out.exists()
+
+
+def test_deeply_nested_problem_file_exits_1(workdir, capsys):
+    path = workdir / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    out = workdir / "nested.csv"
+    assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: problem file is nested too deeply")
+
+
 def test_certify_rejects_foreign_problem(workdir, problem_file, capsys):
     other = workdir / "other.json"
     assert main(["gen", "--dim", "12", "--ell", "1", "--lip", "50", "--seed", "9", "--out", str(other)]) == 0
@@ -753,7 +777,7 @@ def test_nonfinite_curvature_bound_exits_1(workdir, problem_file, capsys, fields
 def test_huge_finite_x0_exits_1(workdir, problem_file, capsys, command):
     # finite cells whose gradient overflows: refused on load, not blamed on L
     doc = json.loads(problem_file.read_text())
-    doc["x0"] = [1e200] * doc["dim"]
+    doc["x0"] = encode_array([1e200] * doc["dim"])
     path = workdir / "huge_x0.json"
     path.write_text(json.dumps(doc))
     out = workdir / "huge_x0.out"

@@ -1,5 +1,6 @@
 """Problem file schema, validation, and round trips."""
 
+import base64
 import json
 
 import numpy as np
@@ -11,6 +12,8 @@ from gradcert.objective import LogisticRidgeObjective, QuadraticObjective
 from gradcert.problems import (
     GROUND_TRUTH_TOL,
     ProblemSpec,
+    _array_field,
+    encode_array,
     load_problem,
     make_logistic_problem,
     make_quadratic_problem,
@@ -36,9 +39,13 @@ def test_round_trip_is_byte_identical(tmp_path, quad_spec):
     path2 = tmp_path / "p2.json"
     reloaded.save(path2)
     assert path.read_bytes() == path2.read_bytes()
-    assert np.array_equal(reloaded.objective.matrix, quad_spec.objective.matrix)
-    assert np.array_equal(reloaded.x0, quad_spec.x0)
-    assert np.array_equal(reloaded.objective.minimizer, quad_spec.objective.minimizer)
+    for got, want in [
+        (reloaded.objective.matrix, quad_spec.objective.matrix),
+        (reloaded.objective.rhs, quad_spec.objective.rhs),
+        (reloaded.x0, quad_spec.x0),
+        (reloaded.objective.minimizer, quad_spec.objective.minimizer),
+    ]:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_json_key_order_quadratic(quad_spec):
@@ -55,10 +62,27 @@ def test_json_key_order_logistic(logistic_spec):
     ]
 
 
-def test_floats_survive_with_17_digits(quad_spec):
-    doc = json.loads(quad_spec.to_json())
-    assert np.array_equal(np.asarray(doc["matrix"]), quad_spec.objective.matrix)
-    assert np.array_equal(np.asarray(doc["rhs"]), quad_spec.objective.rhs)
+EXTREMES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+            -1.7976931348623157e308]
+
+
+def test_array_bytes_survive_and_saves_repeat(tmp_path, quad_spec):
+    # signed zero, the smallest subnormal and normal, and both ends of float64
+    matrix = np.eye(5)
+    matrix[0, 1] = matrix[1, 0] = 5e-324
+    matrix[2, 3] = matrix[3, 2] = -0.0
+    extreme = QuadraticObjective(matrix, EXTREMES, 1.0, 1.0).with_minimizer(EXTREMES[::-1])
+    for spec in (quad_spec, ProblemSpec(extreme, EXTREMES)):
+        doc = json.loads(spec.to_json())
+        obj, dim = spec.objective, spec.objective.dim
+        assert _array_field(doc, "matrix", dim, ndim=2).tobytes() == obj.matrix.tobytes()
+        for name, want in [("rhs", obj.rhs), ("x0", spec.x0), ("x_star", obj.minimizer)]:
+            # the documented recipe reads the same bytes as the loader
+            assert np.frombuffer(base64.b64decode(doc[name]), "<f8").tobytes() == want.tobytes()
+            assert _array_field(doc, name, dim).tobytes() == want.tobytes()
+        spec.save(tmp_path / "a.json")
+        spec.save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def _bare(spec):
@@ -113,7 +137,7 @@ def test_load_rejects_bad_kind(tmp_path, quad_spec):
 
 def test_load_rejects_dim_mismatch(tmp_path, quad_spec):
     doc = json.loads(quad_spec.to_json())
-    doc["x0"] = doc["x0"][:-1]
+    doc["x0"] = encode_array(quad_spec.x0[:-1])
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="x0"):
@@ -129,7 +153,7 @@ def test_load_rejects_non_object(tmp_path):
 
 def test_load_rejects_corrupt_minimizer(tmp_path, quad_spec):
     doc = json.loads(quad_spec.to_json())
-    doc["x_star"] = [v + 0.1 for v in doc["x_star"]]
+    doc["x_star"] = encode_array(quad_spec.objective.minimizer + 0.1)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(MissingGroundTruthError):
@@ -142,7 +166,7 @@ def test_stored_minimizer_gate_is_relative(tmp_path, quad_spec):
     g0 = np.linalg.norm(obj.grad(quad_spec.x0))
     tiny = obj.minimizer + 1e-14 * max(1.0, g0)
     doc = json.loads(quad_spec.to_json())
-    doc["x_star"] = tiny.tolist()
+    doc["x_star"] = encode_array(tiny)
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(doc))
     assert np.array_equal(load_problem(path).objective.minimizer, tiny)
@@ -164,7 +188,8 @@ def test_constructor_validation(tmp_path):
         ProblemSpec(None, [0.0, 0.0])
     # a quadratic file without its payload is missing a field
     path = tmp_path / "nomatrix.json"
-    path.write_text(json.dumps({"kind": "quadratic", "dim": 2, "x0": [0, 0], "ell": 1, "L": 2}))
+    x0 = encode_array([0.0, 0.0])
+    path.write_text(json.dumps({"kind": "quadratic", "dim": 2, "x0": x0, "ell": 1, "L": 2}))
     with pytest.raises(ValueError, match="matrix"):
         load_problem(path)
 
@@ -178,6 +203,9 @@ def test_logistic_round_trip(tmp_path, logistic_spec):
     assert obj.minimizer is not None
     assert np.linalg.norm(obj.grad(obj.minimizer)) <= GROUND_TRUTH_TOL
     assert reloaded.to_json() == logistic_spec.to_json()
+    assert obj.data_matrix.tobytes() == logistic_spec.objective.data_matrix.tobytes()
+    assert obj.minimizer.tobytes() == logistic_spec.objective.minimizer.tobytes()
+    assert reloaded.x0.tobytes() == logistic_spec.x0.tobytes()
 
 
 def test_logistic_declared_lip_must_match(tmp_path, logistic_spec):

@@ -1,5 +1,6 @@
 """Property-based checks for the interface-level invariants."""
 
+import base64
 import contextlib
 import copy
 import functools
@@ -18,7 +19,12 @@ from gradcert.errors import GradcertError
 from gradcert.generate import SpectrumSpec
 from gradcert.objective import QuadraticObjective
 from gradcert.potential import certify, contraction_constant
-from gradcert.problems import load_problem, make_logistic_problem, make_quadratic_problem
+from gradcert.problems import (
+    encode_array,
+    load_problem,
+    make_logistic_problem,
+    make_quadratic_problem,
+)
 from gradcert.rng import SplitMix64, substream_gaussians, substream_seed
 from gradcert.serialize import fmt_float, render_json
 from gradcert.solvers import Trace, momentum_coefficient
@@ -199,30 +205,65 @@ def _run_cli(problem, out):
     return code, err.getvalue()
 
 
+ARRAY_FIELDS = {"matrix", "rhs", "data_matrix", "x0", "x_star"}
+# nan, +-inf and a signalling nan (quiet bit clear), as float64 bit patterns
+NON_FINITE_BITS = [0x7FF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF0000000000001]
+ARRAY_ACTIONS = ["alphabet", "padding", "odd_bytes", "partial_row", "empty", "text", "non_finite"]
+
+
+def _broken_array(draw, text, dim):
+    """A base64 array field's text, broken in one way the reader must refuse."""
+    values = np.frombuffer(base64.b64decode(text), "<f8")
+    # 23 bytes: their base64 ends in one "=" of padding
+    short = base64.b64encode(values.tobytes()[:-1]).decode("ascii")
+    action = draw(st.sampled_from(ARRAY_ACTIONS))
+    if action == "alphabet":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + draw(st.sampled_from(" \n.!-_*\u00e9")) + text[i:]
+    if action == "padding":
+        i = draw(st.integers(0, len(text) - 1))
+        return draw(st.sampled_from([
+            text + "=",  # padding after a complete quantum
+            text[:-1],  # an incomplete final quantum
+            text[:i] + "=" + text[i:],  # padding inside the data
+            short.rstrip("="),  # padding stripped
+            short + "=",  # one pad too many
+        ]))
+    if action == "odd_bytes":
+        cut = draw(st.integers(1, 7))
+        raw = values.tobytes()
+        return base64.b64encode(raw[:-cut] if draw(st.booleans()) else raw + bytes(cut)).decode()
+    if action == "partial_row":
+        # whole float64 values, but not a whole number of dim-wide rows
+        # (so, for a vector, not exactly dim values)
+        n = draw(st.integers(1, dim - 1))
+        return encode_array(values[:-n] if draw(st.booleans()) else np.append(values, [0.0] * n))
+    if action == "empty":
+        return ""
+    if action == "text":  # the JSON number lists problem files once held
+        cells = values.reshape(-1, dim)
+        return cells.tolist() if len(cells) > 1 else cells[0].tolist()
+    broken = values.copy()
+    broken.view(np.uint64)[draw(st.integers(0, len(values) - 1))] = draw(
+        st.sampled_from(NON_FINITE_BITS))
+    return encode_array(broken)
+
+
 @st.composite
 def mutated_problem_docs(draw):
     doc = copy.deepcopy(draw(st.sampled_from(valid_problem_docs())))
     # dropping seed leaves a valid file; every other mutation breaks it
     field = draw(st.sampled_from(sorted(set(doc) - {"seed"})))
-    action = draw(st.sampled_from(["drop", "replace", "ragged", "dim"]))
+    actions = ["drop", "replace", "dim"] + (["array"] * 3 if field in ARRAY_FIELDS else [])
+    action = draw(st.sampled_from(actions))
     if action == "drop":
         del doc[field]
     elif action == "dim":
         doc["dim"] = draw(st.sampled_from([-1, 0, 1, 2, 4, 7]))
-    elif not isinstance(doc[field], list):
-        doc[field] = draw(st.sampled_from(BAD_VALUES))
+    elif action == "array":
+        doc[field] = _broken_array(draw, doc[field], doc["dim"])
     else:
-        rows = doc[field]
-        i = draw(st.integers(0, len(rows) - 1))
-        if isinstance(rows[i], list):  # a matrix: edit one cell of row i
-            rows, i = rows[i], draw(st.integers(0, len(rows[i]) - 1))
-            if action == "ragged":
-                if draw(st.booleans()):
-                    rows.append(0.0)
-                else:
-                    rows.pop()
-                return doc
-        rows[i] = [rows[i]] if action == "ragged" else draw(st.sampled_from(BAD_VALUES))
+        doc[field] = draw(st.sampled_from(BAD_VALUES))
     return doc
 
 
@@ -278,7 +319,7 @@ def test_mutated_problem_file_is_rejected(fuzz_dir, doc):
 def test_huge_finite_x0_is_rejected(fuzz_dir, make, entry, overflow):
     spec = make()
     doc = json.loads(spec.to_json())
-    doc["x0"] = [entry] * spec.objective.dim  # finite cells; x_star kept
+    doc["x0"] = encode_array([entry] * spec.objective.dim)  # finite cells; x_star kept
     path = fuzz_dir / "huge_x0.json"
     _write_doc(path, doc)
     with warnings.catch_warnings():
