@@ -52,6 +52,14 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2**64): SplitMix64 would reduce a larger one to another seed."""
+    value = _int_at_least(0)(text)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be < 2**64, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     try:
         value = float(text)
@@ -74,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--ell", type=_positive_float, required=True, help="smallest eigenvalue")
     p_gen.add_argument("--lip", type=_positive_float, required=True, help="largest eigenvalue")
     p_gen.add_argument("--layout", choices=LAYOUTS, default="log_uniform")
-    p_gen.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", default="problem.json")
 
     p_run = sub.add_parser("run", help="run a solver and write a certified trace")
@@ -96,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pb.add_argument("--problem", required=True)
     p_pb.add_argument("--eta", required=True, help="comma-separated noise magnitudes")
     p_pb.add_argument("--iters", type=_int_at_least(1), default=600)
-    p_pb.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_pb.add_argument("--seed", type=_seed, default=0)
     p_pb.add_argument("--out", default="perturb.json")
 
     return parser

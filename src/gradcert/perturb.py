@@ -149,13 +149,14 @@ def detect_inexactness(
     Starts from x0; x_star is the exact minimizer the monitor measures
     against. The run ends at the first of: max_iters steps; the first
     iterate whose exact gap is at or below 1e-12 of the starting gap (run's
-    one stop rule, where an exact run stops); or the recurred residual
-    reaching CG's convergence floor. A noisy run plateaus far
-    above the gap threshold, but the reorthogonalized recurrence still
-    drives its own residual to the floor, so noisy runs usually end with
-    stop_reason "converged" within a few times dim steps while the true
-    error has stalled. Psi and the certificate are always evaluated
-    against the exact objective.
+    one stop rule, where an exact run stops); the recurred residual
+    reaching CG's convergence floor; or a noisy p'A p that is not positive
+    ("not_positive_definite") or not finite ("diverged"). A noisy run
+    plateaus far above the gap threshold, but the reorthogonalized
+    recurrence still drives its own residual to the floor, so noisy runs
+    usually end with stop_reason "converged" within a few times dim steps
+    while the true error has stalled. Psi and the certificate are always
+    evaluated against the exact objective.
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("inexactness detection applies to quadratic objectives")

@@ -102,11 +102,12 @@ def _number_field(doc, name, cast):
     kind = "an integer" if cast is int else "a number"
     try:
         # JSON true/false and strings are not numbers, and int() would
-        # truncate 1.5.
+        # truncate 1.5. A JSON int is taken as it is: its float rounding
+        # differs from it past 2**53.
         if isinstance(value, (bool, str)):
             raise TypeError
         number = cast(value)
-        if cast is int and number != float(value):
+        if cast is int and isinstance(value, float) and number != value:
             raise ValueError
         return number
     except (TypeError, ValueError, OverflowError):

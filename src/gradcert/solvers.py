@@ -129,15 +129,16 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     Stops at the first of: max_iters steps taken; the first iterate whose
     exact f(x_k) - f* is at or below stop_gap (stop_reason "gap" on every
     method, tested behind the gate of the module docstring); the CG
-    convergence floor; an accelerated run's ||x_k - x*||^2 turning
-    non-finite (stop_reason "diverged", the trace keeping the finite
-    prefix), which happens when the declared L is below the true curvature.
-    Breakdown inside a step truncates the trace and is recorded in
-    stop_reason rather than raised. The objective must carry its minimizer.
-    CG runs keep their recurred residuals mutually orthogonal, as described
-    in the module docstring. An accelerated step allocates only its
-    gradient, and max_iters sizes no array (module docstring); the returned
-    trace owns its arrays. record_transients has no effect (traces no
+    convergence floor; a non-finite value (stop_reason "diverged", the
+    trace keeping the finite prefix and no overflow warning escaping): an
+    accelerated run's ||x_k - x*||^2, which overflows when the declared L
+    is below the true curvature, or a CG step's p'A p, which a noisy matvec
+    can overflow. Breakdown inside a step truncates the trace and is
+    recorded in stop_reason rather than raised. The objective must carry
+    its minimizer. CG runs keep their recurred residuals mutually
+    orthogonal, as described in the module docstring. An accelerated step
+    allocates only its gradient, and max_iters sizes no array (module
+    docstring); the returned trace owns its arrays. record_transients has no effect (traces no
     longer keep y_k or grad f(y_k)); it is accepted only because the
     benchmark's workloads still pass it.
     """
@@ -291,7 +292,13 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
             beta_next = res_sq / prev_sqs_last
             p = beta_next * p + r
         ap = matvec(p)
-        pap = float(p @ ap)
+        # A noisy matvec can overflow; the first non-finite p'Ap ends the
+        # run, and no overflow warning escapes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            pap = float(p @ ap)
+        if not math.isfinite(pap):
+            stop_reason = "diverged"
+            break
         if pap <= 0.0:
             stop_reason = "not_positive_definite"
             break

@@ -55,6 +55,19 @@ def dim2_file(workdir):
     return path
 
 
+def test_largest_seeds_round_trip(workdir):
+    # seeds past 2**53 have no exact float; the largest SplitMix64 seed is 2**64 - 1
+    for seed in (2**53 + 1, 2**64 - 1):
+        path = workdir / f"seed_{seed}.json"
+        gen = ["gen", "--dim", "5", "--ell", "1", "--lip", "10", "--seed", str(seed)]
+        assert main(gen + ["--out", str(path)]) == 0
+        assert load_problem(path).seed == seed
+        out = workdir / f"seed_{seed}.csv"
+        assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 0
+        perturb = ["perturb", "--problem", str(path), "--eta", "0", "--seed", str(seed)]
+        assert main(perturb + ["--out", str(workdir / f"seed_{seed}_sweep.json")]) == 0
+
+
 def test_gen_is_deterministic(workdir, problem_file):
     other = workdir / "again.json"
     args = ["gen", "--dim", "12", "--ell", "1", "--lip", "50", "--seed", "1"]
@@ -75,6 +88,11 @@ def test_gen_is_deterministic(workdir, problem_file):
         ["gen", "--dim", "5", "--ell", "1", "--lip", "nan"],
         ["gen", "--dim", "5", "--ell", "0", "--lip", "10"],
         ["gen", "--dim", "5", "--ell", "1", "--lip", "inf"],
+        # SplitMix64 keeps a seed mod 2**64: 2**64 would write seed 0's arrays
+        ["gen", "--dim", "5", "--ell", "1", "--lip", "10", "--seed", str(2**64),
+         "--out", "missing_dir/p.json"],
+        ["perturb", "--problem", "p.json", "--eta", "0", "--seed", str(2**64),
+         "--out", "missing_dir/p.json"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -192,6 +210,17 @@ def test_certify_writes_report(workdir, problem_file):
     assert doc["theorem1_ok"] is True
     assert doc["daniel_ok"] is True
     assert doc["tol_cert"] > 0
+
+
+def test_certify_report_names_a_trace_path_with_a_tab(workdir, problem_file):
+    # JSON strings may not hold a raw control character; the report escapes it
+    trace_path = workdir / "tab\there.csv"
+    run_cmd = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(trace_path)]
+    assert main(run_cmd) == 0
+    report_path = workdir / "tab_certify.json"
+    certify_cmd = ["certify", str(trace_path), "--problem", str(problem_file)]
+    assert main(certify_cmd + ["--out", str(report_path)]) == 0
+    assert json.loads(report_path.read_text())["trace"] == str(trace_path)
 
 
 def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):

@@ -19,8 +19,9 @@ def test_demo_runs(demo, tmp_path):
     )
     # demos write their files under tempfile's directory; keep it in tmp_path
     env["TMPDIR"] = str(tmp_path)
+    # pyproject's filterwarnings reaches only code run inside pytest
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -28,5 +29,6 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     # and clean up after themselves
     assert not list(tmp_path.glob("gradcert_demo_*"))

@@ -93,6 +93,19 @@ def test_visible_noise_is_detected():
     assert report.max_drift > 0.0
 
 
+@pytest.mark.parametrize(
+    "eta, stop_reason", [(1e300, "not_positive_definite"), (1e308, "diverged")]
+)
+def test_overflowing_noise_ends_the_run(eta, stop_reason):
+    # at 1e308 the noisy p'Ap overflows to nan: the run ends there, with no
+    # RuntimeWarning (an error in this suite), instead of iterating on nan
+    obj, x_star, x0 = _problem(10, 1e2)
+    report = detect_inexactness(obj, x_star, NoiseModel(magnitude=eta), 600, x0=x0)
+    assert report.stop_reason == stop_reason
+    assert report.iterations_run < obj.dim
+    assert np.all(np.isfinite(report.psis))
+
+
 def test_gap_telescoping_detects_moderate_noise_early():
     # criterion 10's instance at eta 1e-4: the chain alone first fails at a
     # median step of 56.5 over these seeds; the gap telescoping, which

@@ -272,6 +272,9 @@ def test_seed_must_be_an_integer(tmp_path, quad_spec, seed):
 def test_seed_is_optional(tmp_path, quad_spec):
     assert _load_edited(tmp_path, quad_spec, seed=None).seed is None
     assert _load_edited(tmp_path, quad_spec, seed=2**70).seed == 2**70
+    # an int is taken as it is, not through its float rounding
+    assert _load_edited(tmp_path, quad_spec, seed=2**53 + 1).seed == 2**53 + 1
+    assert _load_edited(tmp_path, quad_spec, seed=3.0).seed == 3
 
 
 def test_logistic_declared_ell_must_match(tmp_path, logistic_spec):

@@ -41,10 +41,9 @@ def test_fmt_float_round_trips_exactly(x):
 
 @given(
     st.dictionaries(
-        st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
-            lambda s: '"' not in s and "\\" not in s
-        ),
+        st.text(max_size=12),
         st.one_of(
+            st.text(max_size=12),
             finite_floats,
             st.integers(min_value=-(2**53), max_value=2**53),
             st.booleans(),

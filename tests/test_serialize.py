@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from gradcert.serialize import fmt_float, render_json
+from gradcert.serialize import fmt_float, render_json, write_json
 
 
 def test_fmt_float_round_trips():
@@ -58,3 +58,21 @@ def test_render_json_nonfinite_becomes_null():
 def test_render_json_deterministic():
     doc = {"x": np.arange(20) / 7.0, "s": "hi", "f": False}
     assert render_json(doc) == render_json(doc)
+
+
+def test_write_json_converts_numpy_values_to_strict_json(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {
+        "nan": np.float64("nan"),
+        "count": np.int64(7),
+        "flag": np.bool_(True),
+        "v": np.array([1.5, np.inf, -np.inf, 0.1]),
+        "inf": -math.inf,
+    }
+    write_json(path, doc)
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    parsed = json.loads(path.read_text(), parse_constant=refuse)
+    assert parsed == {"nan": None, "count": 7, "flag": True, "v": [1.5, None, None, 0.1], "inf": None}
