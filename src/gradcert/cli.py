@@ -156,10 +156,13 @@ def cmd_run(args) -> int:
     # precision and contraction checks report that, not a method bug.
     trace = run(obj, method, spec.x0, args.iters, 1e-12 * obj.f_gap(spec.x0))
     if trace.stop_reason == "diverged":
-        raise GradcertError(
-            f"{args.method} diverged after {len(trace) - 1} iterations (||x - x*|| no "
-            f"longer finite); is L = {obj.lip:g} below the largest curvature of {args.problem}?"
+        cause = (
+            f"(p'Ap overflowed); x0 of {args.problem} is too large for float64"
+            if family == "cg"
+            else f"(||x - x*|| no longer finite); is L = {obj.lip:g} below the largest "
+            f"curvature of {args.problem}?"
         )
+        raise GradcertError(f"{args.method} diverged after {len(trace) - 1} iterations {cause}")
     report = certify(trace, obj)
     write_trace_csv(args.out, trace, obj, report)
     n = len(trace)

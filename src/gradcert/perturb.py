@@ -114,12 +114,14 @@ class DetectionReport:
     """Outcome of one monitored noisy run.
 
     first_violation is the certificate's first failing step, the chain's or
-    the gap telescoping's, whichever comes first, or None when both held
-    throughout; detected mirrors it as a bool. psis is the true
-    potential sequence (evaluated with the exact objective, not the noisy
-    recurrence). max_drift is the absolute distance between the recurred
-    and the true residual at its worst tenth step (0 on runs shorter than 10
-    steps). certificate carries the full per-step record.
+    the gap telescoping's, whichever comes first, else the step where the
+    run broke down (stop_reason "not_positive_definite" or "diverged", which
+    exact CG reaches only from an x0 near the float64 limit), else None;
+    detected mirrors it as a bool. psis is the true potential sequence
+    (evaluated with the exact objective, not the noisy recurrence).
+    max_drift is the absolute distance between the recurred and the true
+    residual at its worst tenth step (0 on runs shorter than 10 steps).
+    certificate carries the full per-step record.
     """
 
     eta: float
@@ -156,7 +158,8 @@ def detect_inexactness(
     recurrence still drives its own residual to the floor, so noisy runs
     usually end with stop_reason "converged" within a few times dim steps
     while the true error has stalled. Psi and the certificate are always
-    evaluated against the exact objective.
+    evaluated against the exact objective; a breakdown counts as a
+    violation (DetectionReport).
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("inexactness detection applies to quadratic objectives")
@@ -177,10 +180,13 @@ def detect_inexactness(
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
     )
     report = certify(trace, monitored)
+    first_violation = report.first_violation
+    if first_violation is None and trace.stop_reason in ("not_positive_definite", "diverged"):
+        first_violation = len(trace) - 1  # the noise broke the run down
     return DetectionReport(
         eta=noise.magnitude,
         seed=noise.seed,
-        first_violation=report.first_violation,
+        first_violation=first_violation,
         iterations_run=len(trace) - 1,
         psis=report.psis,
         stop_reason=trace.stop_reason,

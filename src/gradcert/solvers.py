@@ -133,14 +133,15 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     trace keeping the finite prefix and no overflow warning escaping): an
     accelerated run's ||x_k - x*||^2, which overflows when the declared L
     is below the true curvature, or a CG step's p'A p, which a noisy matvec
-    can overflow. Breakdown inside a step truncates the trace and is
-    recorded in stop_reason rather than raised. The objective must carry
-    its minimizer. CG runs keep their recurred residuals mutually
-    orthogonal, as described in the module docstring. An accelerated step
-    allocates only its gradient, and max_iters sizes no array (module
-    docstring); the returned trace owns its arrays. record_transients has no effect (traces no
-    longer keep y_k or grad f(y_k)); it is accepted only because the
-    benchmark's workloads still pass it.
+    or an x0 near the float64 limit can overflow. Breakdown inside a step
+    truncates the trace and is recorded in stop_reason rather than raised.
+    The objective must carry its minimizer. CG runs keep their recurred
+    residuals mutually orthogonal, as described in the module docstring.
+    An accelerated step allocates only its gradient, and max_iters sizes no
+    array (module docstring); the returned trace owns its arrays.
+    record_transients has no effect (traces no longer keep y_k or
+    grad f(y_k)); it is accepted only because the benchmark's workloads
+    still pass it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -281,62 +282,63 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
     d = x - x_star
     done = reached(x, d.dot(d))
     stop_reason = "gap" if done else "max_iters"
-    for k in range(0 if done else max_iters):
-        if res_sq <= threshold:
-            stop_reason = "converged"
-            break
-        if k == 0:
-            beta_next = 0.0
-            p = r.copy()
-        else:
-            beta_next = res_sq / prev_sqs_last
-            p = beta_next * p + r
-        ap = matvec(p)
-        # A noisy matvec can overflow; the first non-finite p'Ap ends the
-        # run, and no overflow warning escapes.
-        with np.errstate(over="ignore", invalid="ignore"):
-            pap = float(p @ ap)
-        if not math.isfinite(pap):
-            stop_reason = "diverged"
-            break
-        if pap <= 0.0:
-            stop_reason = "not_positive_definite"
-            break
-        alpha_next = res_sq / pap
-        if unified:
-            nu = 0.0 if k == 0 else alpha_next * beta_next / alpha
-            if s is None:
-                x_next = x + alpha_next * r
+    # A noisy matvec or an x0 near the float64 limit can overflow p'Ap; the
+    # first non-finite p'Ap ends the run with no warning. The state is set
+    # once for the loop: entering it costs about a dim-100 matvec.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(0 if done else max_iters):
+            if res_sq <= threshold:
+                stop_reason = "converged"
+                break
+            if k == 0:
+                beta_next = 0.0
+                p = r.copy()
             else:
-                x_next = x + nu * s + alpha_next * r
-        else:
-            x_next = x + alpha_next * p
-        s = x_next - x
-        r = r - alpha_next * ap
-        if 0 < kept < dim:
-            # Classical Gram-Schmidt, applied twice, restores the mutual
-            # orthogonality that exact CG residuals have and floating
-            # point loses; without it termination slips past dim steps.
-            q = basis[:kept]
-            r = r - (q @ r) @ q
-            r = r - (q @ r) @ q
-            r_norm = float(np.linalg.norm(r))
-            if r_norm > 0.0:
-                basis[kept] = r / r_norm
-                kept += 1
-        prev_sqs_last = res_sq
-        res_sq = float(r @ r)
-        alpha = alpha_next
-        x = x_next
+                beta_next = res_sq / prev_sqs_last
+                p = beta_next * p + r
+            ap = matvec(p)
+            pap = float(p @ ap)
+            if not math.isfinite(pap):
+                stop_reason = "diverged"
+                break
+            if pap <= 0.0:
+                stop_reason = "not_positive_definite"
+                break
+            alpha_next = res_sq / pap
+            if unified:
+                nu = 0.0 if k == 0 else alpha_next * beta_next / alpha
+                if s is None:
+                    x_next = x + alpha_next * r
+                else:
+                    x_next = x + nu * s + alpha_next * r
+            else:
+                x_next = x + alpha_next * p
+            s = x_next - x
+            r = r - alpha_next * ap
+            if 0 < kept < dim:
+                # Classical Gram-Schmidt, applied twice, restores the mutual
+                # orthogonality that exact CG residuals have and floating
+                # point loses; without it termination slips past dim steps.
+                q = basis[:kept]
+                r = r - (q @ r) @ q
+                r = r - (q @ r) @ q
+                r_norm = float(np.linalg.norm(r))
+                if r_norm > 0.0:
+                    basis[kept] = r / r_norm
+                    kept += 1
+            prev_sqs_last = res_sq
+            res_sq = float(r @ r)
+            alpha = alpha_next
+            x = x_next
 
-        xs.append(x)
-        rs.append(r)
-        alphas.append(alpha_next)
-        prev_sqs.append(prev_sqs_last)
-        d = x - x_star
-        if reached(x, d.dot(d)):
-            stop_reason = "gap"
-            break
+            xs.append(x)
+            rs.append(r)
+            alphas.append(alpha_next)
+            prev_sqs.append(prev_sqs_last)
+            d = x - x_star
+            if reached(x, d.dot(d)):
+                stop_reason = "gap"
+                break
 
     return Trace(
         method=method,

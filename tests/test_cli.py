@@ -675,6 +675,25 @@ def test_run_diverging_ag_exits_1(workdir, capsys, method, scale):
     assert not out.exists() and not Path(iterates_path(out)).exists()
 
 
+
+@pytest.mark.parametrize("method", ["cg", "cg-unified"])
+def test_run_overflowing_cg_exits_1(workdir, capsys, method):
+    # ||g(x0)|| and the gap are finite, so the file loads, but the first
+    # p'Ap overflows: the error blames x0, not L
+    prob = workdir / "near_limit_x0.json"
+    gen = ["gen", "--dim", "10", "--ell", "1", "--lip", "1e6", "--seed", "0"]
+    assert main(gen + ["--out", str(prob)]) == 0
+    doc = json.loads(prob.read_text())
+    doc["x0"] = encode_array([1e148] * doc["dim"])
+    prob.write_text(json.dumps(doc))
+    out = workdir / f"near_limit_{method}.csv"
+    capsys.readouterr()
+    assert main(["run", "--problem", str(prob), "--method", method, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {method} diverged after 0 iterations (p'Ap overflowed)")
+    assert "too large for float64" in err and "curvature" not in err
+    assert not out.exists() and not Path(iterates_path(out)).exists()
+
 def test_run_ag_iters_cap_sizes_nothing(workdir):
     # --iters only caps the steps; the run stops on its gap long before
     prob = workdir / "huge_cap.json"

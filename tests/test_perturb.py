@@ -94,16 +94,20 @@ def test_visible_noise_is_detected():
 
 
 @pytest.mark.parametrize(
-    "eta, stop_reason", [(1e300, "not_positive_definite"), (1e308, "diverged")]
+    "eta, stop_reason, first_violation",
+    [(1e300, "not_positive_definite", 1), (1e308, "diverged", 0)],
 )
-def test_overflowing_noise_ends_the_run(eta, stop_reason):
+def test_overflowing_noise_ends_the_run(eta, stop_reason, first_violation):
     # at 1e308 the noisy p'Ap overflows to nan: the run ends there, with no
-    # RuntimeWarning (an error in this suite), instead of iterating on nan
+    # RuntimeWarning (an error in this suite), instead of iterating on nan;
+    # at 1e300 the chain fails at step 1 before the breakdown at step 3; at
+    # 1e308 nothing failed before it, so the breakdown step is the detection
     obj, x_star, x0 = _problem(10, 1e2)
     report = detect_inexactness(obj, x_star, NoiseModel(magnitude=eta), 600, x0=x0)
     assert report.stop_reason == stop_reason
     assert report.iterations_run < obj.dim
     assert np.all(np.isfinite(report.psis))
+    assert report.detected and report.first_violation == first_violation
 
 
 def test_gap_telescoping_detects_moderate_noise_early():
