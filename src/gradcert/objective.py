@@ -7,6 +7,9 @@ bounds (ell, lip) such that
     ell/2 ||x - y||^2  <=  f(y) - f(x) - grad f(x)'(y - x)  <=  lip/2 ||x - y||^2
 
 for all x, y, which is everything the solvers and certificates assume.
+
+The logistic family's sigmoid is ``_sigmoid``, numpy's form of
+1 / (1 + exp(-t)): numpy is the only dependency at run time.
 """
 
 from __future__ import annotations
@@ -14,12 +17,22 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import MissingGroundTruthError, NotPositiveDefiniteError
 
 # Rows per block in f_gap_many.
 GAP_BLOCK_ROWS = 1024
+
+
+def _sigmoid(t):
+    """1 / (1 + exp(-t)) elementwise, the logistic function in its direct form.
+
+    The argument of exp is capped at 709, below float64's overflow at about
+    709.78, so no input overflows or warns: t < -709 gives about 1.2e-308
+    where the exact value is smaller still, +-inf saturate to that and 1,
+    and nan stays nan.
+    """
+    return 1.0 / (1.0 + np.exp(np.minimum(-t, 709.0)))
 
 
 class Objective:
@@ -48,8 +61,8 @@ class Objective:
         raise NotImplementedError
 
     def f_gap(self, x):
-        """f(x) - f(x*); requires ground truth."""
-        raise NotImplementedError
+        """f(x) - f(x*), the one-row case of f_gap_many; requires ground truth."""
+        return float(self._gap_rows(self._check_vector(x)[None, :])[0])
 
     def f_gap_many(self, xs):
         """f_gap row-wise over an (n, dim) array of points.
@@ -142,13 +155,9 @@ class QuadraticObjective(Objective):
     def hessian(self, x=None):
         return self.matrix
 
-    def f_gap(self, x):
+    def _gap_rows(self, xs):
         # 0.5 d'Ad (d = x - x*) equals f(x) - f* up to the reference solve's
         # residual and does not cancel catastrophically near x*.
-        d = self._check_vector(x) - self._x_star()
-        return float(0.5 * d.dot(self.matrix.dot(d)))
-
-    def _gap_rows(self, xs):
         d = xs - self._x_star()
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
 
@@ -186,11 +195,11 @@ class LogisticRidgeObjective(Objective):
     def grad(self, x):
         x = self._check_vector(x)
         t = self.data_matrix @ x
-        return self.ridge * x + self.data_matrix.T @ expit(t)
+        return self.ridge * x + self.data_matrix.T @ _sigmoid(t)
 
     def hessian(self, x):
         x = self._check_vector(x)
-        sig = expit(self.data_matrix @ x)
+        sig = _sigmoid(self.data_matrix @ x)
         weights = sig * (1.0 - sig)
         return self.ridge * np.eye(self.dim) + (self.data_matrix.T * weights) @ self.data_matrix
 
@@ -215,15 +224,11 @@ class LogisticRidgeObjective(Objective):
         ridge_part = 0.5 * self.ridge * np.einsum("ij,ij->i", diff, xs + self.minimizer)
         return np.sum(terms, axis=1) + ridge_part
 
-    def f_gap(self, x):
-        x = self._check_vector(x)
-        return float(self._gap_rows(x[None, :])[0])
-
     def with_minimizer(self, x_star):
         obj = super().with_minimizer(x_star)
         # the data-space image of x* and its sigmoid, reused by every gap
         obj._t_star = obj.data_matrix @ obj.minimizer
-        obj._sig_star = expit(obj._t_star)
+        obj._sig_star = _sigmoid(obj._t_star)
         return obj
 
 

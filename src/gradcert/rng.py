@@ -43,6 +43,11 @@ off the contract. ``sqrt`` and the products are correctly rounded in both
 libraries, so each row of a bulk draw is bit for bit the sequence of scalar
 ``gaussian`` draws of its stream, and ``gaussian`` stays the reference it is
 tested against.
+
+Seeds are integers in [0, 2^64), the stream's state space. Every entry
+point that takes a seed refuses any other value with ValueError rather than
+reducing it mod 2^64, which would build another seed's draws under the
+seed it was given.
 """
 
 from __future__ import annotations
@@ -63,6 +68,14 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _seed_word(seed: int) -> int:
+    """seed as a 64-bit word; ValueError outside [0, 2**64)."""
+    seed = int(seed)
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -89,7 +102,7 @@ class SplitMix64:
     """Sequential splitmix64 stream with uniform and gaussian draws."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        self._state = _seed_word(seed)
 
     def next_uint64(self) -> int:
         out = mix64(self._state)
@@ -129,7 +142,7 @@ def substream_seed(seed: int, index: int) -> int:
     Defined as mix64(seed xor ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64));
     part of the noise-model determinism contract.
     """
-    return mix64((int(seed) & _MASK) ^ (((index + 1) * _GAMMA) & _MASK))
+    return mix64(_seed_word(seed) ^ (((index + 1) * _GAMMA) & _MASK))
 
 
 def substream_gaussians(seed: int, first: int, count: int, n: int) -> np.ndarray:
@@ -139,8 +152,9 @@ def substream_gaussians(seed: int, first: int, count: int, n: int) -> np.ndarray
     The count substream seeds are derived in ``uint64`` by the same formula
     as ``substream_seed``, and the rows are drawn with one kernel call.
     """
+    seed = _seed_word(seed)
     if count < 0 or n < 0:
         raise ValueError(f"count and n must be >= 0, got {count} and {n}")
     index = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK)
-    keys = (index * np.uint64(_GAMMA)) ^ np.uint64(int(seed) & _MASK)
+    keys = (index * np.uint64(_GAMMA)) ^ np.uint64(seed)
     return _gaussians(_mix(keys + np.uint64(_GAMMA)), n)

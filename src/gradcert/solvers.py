@@ -40,6 +40,16 @@ below the stop gap. The gate never moves the stop; it only skips gap
 evaluations that could not pass. CG's recurred residual, which drifts from
 b - A x_k in floating point, decides no stop but the convergence floor.
 
+The stop and the audit compute the same gap with different shapes: the
+stop test calls f_gap on one row, and certify() calls f_gap_many on the
+trace, GAP_BLOCK_ROWS rows at a time. BLAS rounds the two shapes
+differently, so one iterate's two gaps can differ in their last bits. A
+stop_gap within that rounding of some iterate's gap can therefore end the
+run one step away from the first iterate that certify() puts at or below
+stop_gap (a stop_gap equal to an audited gap often stops a step later). A
+stop_gap farther than that from every audited gap stops exactly at that
+first iterate.
+
 An accelerated step allocates one array, the gradient: y_k, x_k - x* and
 s_k are workspaces rewritten in place, and x_k is written into the next
 row of an iterate array that doubles when full, so memory follows the
@@ -128,7 +138,9 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
     Stops at the first of: max_iters steps taken; the first iterate whose
     exact f(x_k) - f* is at or below stop_gap (stop_reason "gap" on every
-    method, tested behind the gate of the module docstring); the CG
+    method, tested behind the gate of the module docstring on obj.f_gap of
+    that iterate alone, so a stop_gap within rounding of a gap certify()
+    reports can stop a step away from where certify() would); the CG
     convergence floor; a non-finite value (stop_reason "diverged", the
     trace keeping the finite prefix and no overflow warning escaping): an
     accelerated run's ||x_k - x*||^2, which overflows when the declared L

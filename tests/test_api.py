@@ -4,11 +4,18 @@ name or a module is a visible change."""
 import functools
 import importlib
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import gradcert
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MODULES = [
     "__main__",
@@ -101,3 +108,26 @@ def test_benchmark_call_contract():
     for module, path in BENCHMARK_HOOKS:
         owner = importlib.import_module(module)
         assert functools.reduce(getattr, path.split("."), owner) is not None, (module, path)
+
+
+@pytest.mark.parametrize(
+    "argv", [["-c", "import gradcert"], ["-m", "gradcert", "--help"]], ids=["import", "help"]
+)
+def test_runtime_loads_numpy_alone(argv):
+    # numpy is the one dependency at run time; scipy is a test reference
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime writes one "import time: ... | module" line per import
+    loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
+    assert {"numpy", "gradcert.objective", "gradcert.solvers"} <= loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []

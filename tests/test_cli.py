@@ -646,6 +646,26 @@ def test_ag_from_minimizer_start_reports_zero_gap(workdir):
     assert gaps and all(cell == "0" for cell in gaps)
 
 
+def test_run_warns_when_its_own_certificate_fails(workdir, capsys):
+    # an ell above the true smallest eigenvalue claims a contraction the
+    # run cannot deliver: run still writes the trace and exits 0, and says
+    # on stderr where the chain broke
+    path = workdir / "ell_too_big.json"
+    assert main(["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--seed", "0",
+                 "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc["ell"] = 4
+    path.write_text(json.dumps(doc))
+    out = workdir / "ell_too_big.csv"
+    capsys.readouterr()
+    assert main(["run", "--problem", str(path), "--method", "ag", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"wrote {out}: ag ran ")
+    assert captured.err == "warning: certificate chain fails at step 9\n"
+    assert main(["certify", str(out), "--problem", str(path)]) == 1
+    assert capsys.readouterr().out == "certificate chain violated at step 9\n"
+
+
 def test_degenerate_ag_warns(workdir, capsys):
     path = workdir / "flat.json"
     assert main(["gen", "--dim", "3", "--ell", "2", "--lip", "2", "--out", str(path)]) == 0

@@ -1,13 +1,17 @@
 """Objective construction, derivatives, and the smoothness checks."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from aids import check_descent_lemma, finite_difference_gradient, validate_sandwich
 from gradcert.errors import MissingGroundTruthError, NotPositiveDefiniteError
 from gradcert.objective import (
     LogisticRidgeObjective,
     QuadraticObjective,
+    _sigmoid,
     newton_reference_minimizer,
 )
 from gradcert.rng import SplitMix64
@@ -66,13 +70,41 @@ def test_f_gap_matches_definition():
 
 
 def test_f_gap_many_agrees_with_scalar():
-    obj = _random_quadratic()
-    x_star = np.linalg.solve(obj.matrix, obj.rhs)
-    obj = obj.with_minimizer(x_star)
-    xs = np.random.default_rng(1).standard_normal((7, obj.dim))
-    batch = obj.f_gap_many(xs)
-    singles = [obj.f_gap(x) for x in xs]
-    assert np.allclose(batch, singles, rtol=1e-12)
+    # one gap formula per objective: f_gap is f_gap_many's one-row case
+    for obj in (_random_quadratic(), _random_logistic()):
+        obj = obj.with_minimizer(newton_reference_minimizer(obj))
+        xs = np.random.default_rng(1).standard_normal((7, obj.dim))
+        batch = obj.f_gap_many(xs)
+        singles = [obj.f_gap(x) for x in xs]
+        assert np.allclose(batch, singles, rtol=1e-12)
+        assert all(obj.f_gap(x) == obj.f_gap_many(x[None, :])[0] for x in xs)
+
+
+def test_sigmoid_matches_scipy_expit():
+    # scipy's formula with exp's argument capped at 709: equal to a few
+    # ulps wherever expit is well above the subnormals, and both tiny below
+    t = np.concatenate(
+        [np.linspace(-800.0, 800.0, 200_001), 40.0 * np.random.default_rng(6).standard_normal(100_000)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _sigmoid(t)
+    ref = expit(t)
+    big = ref > 1e-300
+    assert np.all(np.abs(ours[big] - ref[big]) <= 5e-16 * ref[big])
+    assert np.all(np.abs(ours[~big] - ref[~big]) <= 2e-308)
+    assert np.count_nonzero(~big) > 1000 and np.all((ours >= 0.0) & (ours <= 1.0))
+
+
+def test_sigmoid_edge_values_do_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _sigmoid(np.array([np.nan, np.inf, -np.inf, 0.0, 709.0, -709.0, -710.0, 1e308, -1e308]))
+    assert np.isnan(out[0])
+    assert out[1] == 1.0 and 0.0 <= out[2] <= 2e-308
+    assert out[3] == 0.5 and out[4] == 1.0
+    assert out[5] == pytest.approx(np.exp(-709.0), rel=1e-15)
+    assert out[6] <= 2e-308 and out[7] == 1.0 and out[8] <= 2e-308
 
 
 def test_f_gap_is_stable_near_the_minimizer():

@@ -19,6 +19,7 @@ from gradcert import (
 )
 from gradcert.errors import MissingGroundTruthError
 from gradcert.potential import contraction_constant, default_cert_tolerance
+from gradcert.problems import make_logistic_problem
 
 
 def test_contraction_constants():
@@ -257,6 +258,42 @@ def test_chain_implies_envelope(tiny_problem):
         assert report.theorem1_ok
         # and psi dominates the gap pointwise: (ell/2) psi >= f_gap
         assert np.all(0.5 * obj.ell * report.psis >= report.f_gaps * (1 - 1e-12))
+
+
+def test_all_ok_is_every_check(tiny_problem):
+    # the grid workloads' verdict: the chain (with CG's telescoping), the
+    # Theorem-1 envelope and, on CG, the Daniel envelope
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    for method in ("cg_classic", "ag"):
+        trace = run(obj, method, x0, 200, 1e-10 * obj.f_gap(x0))
+        report = certify(trace, obj)
+        assert report.all_ok, method
+        assert (report.daniel_ok is None) == (method == "ag")
+        assert not dataclasses.replace(report, theorem1_ok=False).all_ok
+        assert not dataclasses.replace(report, first_violation=1).all_ok
+        if method == "cg_classic":
+            assert not dataclasses.replace(report, daniel_ok=False).all_ok
+        # a real violated step: an iterate moved off the run
+        xs = trace.xs.copy()
+        xs[len(trace) // 2] += 1.0
+        moved = certify(dataclasses.replace(trace, xs=xs), obj)
+        assert moved.first_violation is not None and not moved.all_ok, method
+
+
+def test_negative_gaps_are_clamped_and_flagged():
+    # far past convergence the logistic gap reads below 0 on most iterates
+    # (its first-order terms cancel in floating point); certify clamps
+    # them so no psi turns negative, and says how many it clamped
+    problem = make_logistic_problem(5, 20, 0.1, seed=0)
+    obj = problem.objective
+    trace = run(obj, "ag", problem.x0, 5000, -math.inf)
+    raw = obj.f_gap_many(trace.xs)
+    negative = int(np.count_nonzero(raw < 0.0))
+    assert negative > 1000
+    report = certify(trace, obj)
+    assert report.flags == [f"clamped {negative} negative gap value(s) to 0"]
+    assert np.all(report.f_gaps >= 0.0) and np.all(report.psis >= 0.0)
+    assert np.array_equal(report.f_gaps, np.maximum(raw, 0.0))
 
 
 def test_degenerate_spectrum_certified_at_common_constant():

@@ -227,6 +227,23 @@ def test_logistic_generator_is_deterministic():
     assert a.objective.ell == pytest.approx(0.2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_factories_refuse_seeds_outside_the_stream(seed):
+    # SplitMix64 would reduce these mod 2**64 and build another seed's
+    # arrays under this seed
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        make_quadratic_problem(SpectrumSpec(6, 1.0, 10.0, "log_uniform", seed))
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        make_logistic_problem(4, 10, 0.1, seed=seed)
+
+
+def test_factories_take_the_largest_seed():
+    seed = 2**64 - 1
+    quad = make_quadratic_problem(SpectrumSpec(6, 1.0, 10.0, "log_uniform", seed))
+    logistic = make_logistic_problem(4, 10, 0.1, seed=seed)
+    assert quad.seed == logistic.seed == seed
+
+
 def test_quadratic_factory_records_seed(quad_spec):
     assert quad_spec.seed == 5
     assert quad_spec.kind == "quadratic"

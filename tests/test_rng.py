@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradcert.rng import _GAMMA, SplitMix64, mix64, substream_seed
+from gradcert.rng import _GAMMA, SplitMix64, mix64, substream_gaussians, substream_seed
 
 
 def test_reference_sequence_seed_zero():
@@ -77,3 +77,16 @@ def test_mix64_is_stable():
     # pinned so serialized problem files never silently change
     assert mix64(0) == 0xE220A8397B1DCDAF
     assert mix64(1) == 0x910A2DEC89025CC1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70])
+def test_seeds_outside_the_state_space_are_refused(seed):
+    # reducing them mod 2**64 would draw another seed's stream
+    match = r"seed must be in \[0, 2\*\*64\)"
+    with pytest.raises(ValueError, match=match):
+        SplitMix64(seed)
+    with pytest.raises(ValueError, match=match):
+        substream_seed(seed, 0)
+    with pytest.raises(ValueError, match=match):
+        substream_gaussians(seed, 0, 1, 3)
+

@@ -314,6 +314,33 @@ def test_cg_stops_on_the_exact_gap(method, dim, kappa, seed, at_x0):
     assert trace.stop_reason == ("gap" if at_x0 else "converged")
 
 
+@pytest.mark.parametrize("method", ["ag", "cg_classic", "cg_unified"])
+@pytest.mark.parametrize(
+    "dim,kappa,layout", [(10, 1e2, "log_uniform"), (50, 1e4, "two_cluster"), (200, 1e4, "log_uniform")]
+)
+def test_stop_agrees_with_the_audit_between_audited_gaps(method, dim, kappa, layout):
+    # The stop evaluates one iterate's gap alone and certify() evaluates
+    # the trace in blocks; their last bits can differ. A stop_gap strictly
+    # between two consecutive audited gaps, their geometric mean, is clear
+    # of that rounding: the run stops at the first iterate that certify()
+    # puts at or below it.
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, kappa, layout, seed=0))
+    full = run(obj, method, x0, 40_000, 1e-12 * obj.f_gap(x0))
+    gaps = certify(full, obj).f_gaps
+    lowest = np.minimum.accumulate(gaps)
+    # iterates whose audited gap is a new low by more than rounding
+    lows = np.flatnonzero((gaps[1:] > 0.0) & (gaps[1:] < lowest[:-1] * (1.0 - 1e-8))) + 1
+    # (CG on two clusters takes only a few steps)
+    assert len(lows) >= 2
+    for k in lows[np.unique(np.linspace(0, len(lows) - 1, 6).astype(int))]:
+        stop_gap = math.sqrt(lowest[k - 1] * gaps[k])
+        trace = run(obj, method, x0, 40_000, stop_gap)
+        audited = certify(trace, obj).f_gaps
+        assert trace.stop_reason == "gap" and len(trace) == k + 1, (k, len(trace))
+        assert np.all(audited[:-1] > stop_gap) and audited[-1] <= stop_gap
+        assert trace.xs.tobytes() == full.xs[: k + 1].tobytes()
+
+
 def _reference_run_ag(obj, method, x0, max_iters, stop_gap):
     # The AG loop before its workspaces: a new array per operation, a
     # Python list of iterates and one vstack. run must match it bit for bit.
