@@ -36,10 +36,17 @@ print("columns:", ", ".join(cols))
 
 # Row alignment: alpha/beta on row k produced x_k (blank at k=0); the
 # schedule triple theta/nu/pi is what leaves x_k (blank on the final row).
+# The read-back is float arrays, nan for a blank cell and 1.0/0.0 for cert_pass.
+def cell(name, k):
+    v = cols[name][k]
+    if np.isnan(v):
+        return "."
+    return ("false", "true")[int(v)] if name == "cert_pass" else f"{v:.4g}"
+
+
 print("\n  k   f_gap        alpha      beta       pi         cert_pass")
 for k in (0, 1, 2, len(cols["k"]) - 1):
-    fmt = lambda v: "." if v is None else (f"{v:.4g}" if isinstance(v, float) else str(v))
     print(
-        f"{int(cols['k'][k]):3d}   {cols['f_gap'][k]:<11.4g}  {fmt(cols['alpha'][k]):9s}  "
-        f"{fmt(cols['beta'][k]):9s}  {fmt(cols['pi'][k]):9s}  {fmt(cols['cert_pass'][k])}"
+        f"{cols['k'][k]:3d}   {cols['f_gap'][k]:<11.4g}  {cell('alpha', k):9s}  "
+        f"{cell('beta', k):9s}  {cell('pi', k):9s}  {cell('cert_pass', k)}"
     )

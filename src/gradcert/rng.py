@@ -16,7 +16,6 @@ State update and output mixing are splitmix64:
 
 Derived draws, each consuming outputs in order:
 
-    uniform:  u = (w >> 11) * 2^-53                   in [0, 1)
     gaussian: w1, w2 consecutive outputs;
               u1 = ((w1 >> 11) + 1) * 2^-53           in (0, 1]
               u2 = (w2 >> 11) * 2^-53
@@ -108,9 +107,6 @@ class SplitMix64:
         out = mix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK
         return out
-
-    def uniform(self) -> float:
-        return (self.next_uint64() >> 11) * 2.0**-53
 
     def gaussian(self) -> float:
         w1 = self.next_uint64()

@@ -24,13 +24,16 @@ method, never CG's recurred residual.
 Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
 bit for bit: the method, the iterates ``xs`` and, on CG runs, the
 ``alphas`` and ``prev_res_sqs`` that fix the weight rho. A later audit
-re-certifies that file; every cell of the CSV is then only a claim, which
-``check_trace_claims`` holds against the columns rebuilt from it.
+re-certifies that file; every cell of the CSV is then only a claim.
+``read_trace_csv`` reads the claims back in trace_columns' own form, so
+``check_trace_claims`` holds them against the columns rebuilt from the
+stored run with one array comparison per column.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tokenize
 import zipfile
@@ -46,8 +49,10 @@ TRACE_HEADER = "k,f_gap,dist_to_opt,grad_norm,psi,psi_ratio,cert_pass,alpha,beta
 
 _COLUMNS = TRACE_HEADER.split(",")
 
-# cert_pass cells by value; any other value, nan on the last row, is empty.
-_PASS_CELLS = {True: "true", False: "false"}
+# cert_pass cells by value and back; any other value, nan on the last row, is empty.
+_PASS_CELLS = {1.0: "true", 0.0: "false"}
+_PASS_VALUES = {cell: value for value, cell in _PASS_CELLS.items()}
+_EMPTY_AS_NAN = {"": "nan"}
 
 # Rows formatted per write: bounds the cell strings held at once.
 _BLOCK_ROWS = 1024
@@ -140,14 +145,16 @@ def write_trace_csv(path, trace, obj, report) -> None:
         np.savez(fh, **arrays)
 
 
-def _shown(cell) -> str:
-    return "empty" if cell is None else _PASS_CELLS[cell] if type(cell) is bool else repr(cell)
+def _shown(name: str, value: float) -> str:
+    if np.isnan(value):
+        return "empty"
+    return _PASS_CELLS[value] if name == "cert_pass" else repr(float(value))
 
 
 def check_trace_claims(path, columns, trace, obj, report) -> None:
     """Raise ValueError at the first cell of the read-back CSV ``columns`` the audit refutes.
 
-    Each column after k must be empty exactly where trace_columns of the
+    Each column after k must be nan exactly where trace_columns of the
     stored run (``report`` certifying it) is nan, and equal it elsewhere.
     Cells measured from the iterates, whose last bits depend on the BLAS
     that wrote them, may be off by tol_cert psi_0 (psi, (2/l) f_gap) or by
@@ -163,19 +170,14 @@ def check_trace_claims(path, columns, trace, obj, report) -> None:
             finite = np.abs(expected[name][np.isfinite(expected[name])])
             tols[name] = report.tol_cert * finite.max(initial=0.0)
         for name in sorted(expected, key=lambda name: name != "psi"):
-            cells, values = columns[name], expected[name]
-            kind = bool if name == "cert_pass" else float
-            empty = np.array([c is None for c in cells], dtype=bool)
-            # A cell of the other kind (a number in cert_pass) reads nan, matching nothing.
-            claims = np.array([float(c) if type(c) is kind else np.nan for c in cells])
-            close = (claims == values) | (np.abs(claims - values) <= tols.get(name, 0.0))
-            bad = np.flatnonzero(~np.where(empty, np.isnan(values), close))
+            claims, values = columns[name], expected[name]
+            agree = (claims == values) | (np.abs(claims - values) <= tols.get(name, 0.0))
+            bad = np.flatnonzero(~(agree | (np.isnan(claims) & np.isnan(values))))
             if bad.size:
                 k = int(bad[0])
-                want = None if np.isnan(values[k]) else kind(values[k])
                 raise ValueError(
-                    f"row {k} of {path}: {name} claim {_shown(cells[k])} "
-                    f"disagrees with the audit's {_shown(want)}"
+                    f"row {k} of {path}: {name} claim {_shown(name, claims[k])} "
+                    f"disagrees with the audit's {_shown(name, values[k])}"
                 )
             if name == "psi":
                 ratios, passes = chain_steps(claims, report.c_value, report.tol_cert)
@@ -183,55 +185,56 @@ def check_trace_claims(path, columns, trace, obj, report) -> None:
                 expected["cert_pass"] = np.append(passes, np.nan)
 
 
-def _parse_cell(text: str):
-    if text == "":
-        return None
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    return float(text)
+def _number(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
 
 
 def read_trace_csv(path) -> dict:
-    """Read a trace CSV back into {column: list-of-cells}.
+    """Read a trace CSV back into the arrays trace_columns builds, k first.
 
-    Empty cells become None, booleans become bool, everything else float
-    (including "inf"/"nan" spellings). Every cell is parsed, so a cell that
-    is none of these raises ValueError, as does a header or row-shape
-    mismatch or a ``k`` column that does not count 0, 1, 2, ...
+    ``k`` is an int array that must count 0, 1, 2, ...; every other column
+    is float64 with nan for an empty cell, and cert_pass reads true as 1.0
+    and false as 0.0. Any other cell raises ValueError naming its row and
+    column, as does a header or row-shape mismatch or a line the csv
+    module refuses.
     """
-    width = len(_COLUMNS)
-    raw = {name: [] for name in _COLUMNS}
-    appends = [cells.append for cells in raw.values()]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("trace file is empty") from None
-        if header != _COLUMNS:
-            raise ValueError(f"unexpected trace header {','.join(header)!r}")
-        for i, row in enumerate(reader):
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-            for append, cell in zip(appends, row):
-                append(cell)
-    columns = {}
-    for name, cells in raw.items():
-        try:
-            columns[name] = list(map(_parse_cell, cells))
-        except ValueError:
-            for i, cell in enumerate(cells):
-                try:
-                    _parse_cell(cell)
-                except ValueError:
-                    raise ValueError(f"row {i}, column {name}: {cell!r} is not a number") from None
-    ks = columns["k"]
-    # Cells parse to None, bool or float; only the floats 0.0, 1.0, ... are k.
-    if any(not isinstance(k, float) or k != j for j, k in enumerate(ks)):
+            rows = list(reader)
+        except csv.Error as exc:  # such as a cell past the field limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("trace file is empty")
+    header, *rows = rows
+    if header != _COLUMNS:
+        raise ValueError(f"unexpected trace header {','.join(header)!r}")
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
+    ks, *cells = zip(*rows) if rows else [()] * len(header)
+    if ks != tuple(map(str, range(len(ks)))):
         raise ValueError("k column must count 0,1,2,... in order")
-    columns["k"] = [int(k) for k in ks]
+    columns = {"k": np.arange(len(ks))}
+    for name, column in zip(_COLUMNS[1:], cells):
+        if name == "cert_pass":
+            values = list(map(_PASS_VALUES.get, column, itertools.repeat(np.nan)))
+        else:
+            try:  # float() of every cell, an empty one as nan
+                values = list(map(float, map(_EMPTY_AS_NAN.get, column, column)))
+            except ValueError:  # some cell is no number: it reads nan, refused below
+                values = list(map(_number, column))
+        values = columns[name] = np.array(values, dtype=np.float64)
+        # Only an empty cell may read nan: one that is no number (in cert_pass,
+        # neither true nor false) or spells nan, which the writer leaves empty, fails.
+        nans = np.flatnonzero(np.isnan(values)).tolist()
+        if len(nans) != column.count(""):
+            i = next(i for i in nans if column[i])
+            kind = "true or false" if name == "cert_pass" else "a number"
+            raise ValueError(f"row {i}, column {name}: {column[i]!r} is not {kind}")
     return columns
 
 

@@ -332,10 +332,11 @@ def test_huge_finite_x0_is_rejected(fuzz_dir, make, entry, overflow):
 # -- trace fuzz: one mutation of a valid trace CSV or iterates file -------
 
 # Replacement k cells (NEXT stands for the following row's k), and cells of
-# any other column that are empty, a boolean, or text float() rejects.
+# any other column that are empty, a boolean, text float() rejects, nan
+# (which the writer leaves empty), or longer than the csv module's field limit.
 NEXT = "__next__"
 BAD_KS = ["", "-1", "1.5", "x", "inf", "nan", "true", NEXT]
-NON_NUMBERS = ["", "true", "x", "1e", "0x10"]
+NON_NUMBERS = ["", "true", "x", "1e", "0x10", "nan", "1" * 200_000]
 CSV_ACTIONS = [
     "drop_cell", "extra_cell", "bad_k", "non_number", "break_rule", "bad_byte", "truncate",
 ]

@@ -20,14 +20,6 @@ def test_streams_are_reproducible():
     assert [a.next_uint64() for _ in range(100)] == [b.next_uint64() for _ in range(100)]
 
 
-def test_uniform_range_and_grain():
-    s = SplitMix64(7)
-    us = [s.uniform() for _ in range(10_000)]
-    assert all(0.0 <= u < 1.0 for u in us)
-    # 53-bit grain: doubles in [0,1) times 2^53 are integers
-    assert all(float(u * 2.0**53).is_integer() for u in us[:100])
-
-
 def test_gaussian_moments():
     s = SplitMix64(12345)
     xs = np.array([s.gaussian() for _ in range(200_000)])

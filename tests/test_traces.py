@@ -51,41 +51,45 @@ def test_cg_row_alignment(cg_csv):
     path, trace, report, obj = cg_csv
     cols = read_trace_csv(path)
     n = len(trace)
-    assert cols["k"] == list(range(n))
+    assert np.array_equal(cols["k"], np.arange(n))
     # alpha/beta produced x_k: row 0 empty, later rows match the trace
-    assert cols["alpha"][0] is None and cols["beta"][0] is None
-    for k in range(1, n):
-        assert cols["alpha"][k] == pytest.approx(trace.alphas[k], rel=1e-15)
+    assert np.isnan(cols["alpha"][0]) and np.isnan(cols["beta"][0])
+    assert np.array_equal(cols["alpha"][1:], trace.alphas[1:])
     # schedule leaving x_k: theta identically 0, final row empty
-    assert cols["theta"][:-1] == [0.0] * (n - 1)
-    assert cols["theta"][-1] is None
+    assert np.array_equal(cols["theta"][:-1], np.zeros(n - 1))
+    assert np.isnan(cols["theta"][-1])
     assert cols["nu"][0] == 0.0
-    assert cols["nu"][-1] is None and cols["pi"][-1] is None
-    for k in range(1, n - 1):
-        expected = trace.alphas[k + 1] * trace.betas[k + 1] / trace.alphas[k]
-        assert cols["nu"][k] == pytest.approx(expected, rel=1e-15)
-        assert cols["pi"][k] == pytest.approx(trace.alphas[k + 1], rel=1e-15)
+    assert np.isnan(cols["nu"][-1]) and np.isnan(cols["pi"][-1])
+    nu = trace.alphas[2:] * trace.betas[2:] / trace.alphas[1:-1]
+    assert np.allclose(cols["nu"][1:-1], nu, rtol=1e-15, atol=0.0)
+    assert np.array_equal(cols["pi"][:-1], trace.alphas[1:])
     # per-step certificate cells stop one short of the last row
-    assert cols["cert_pass"][-1] is None
-    assert all(isinstance(v, bool) for v in cols["cert_pass"][:-1])
-    assert cols["psi_ratio"][-1] is None
+    assert np.isnan(cols["cert_pass"][-1]) and np.isnan(cols["psi_ratio"][-1])
+    assert set(cols["cert_pass"][:-1].tolist()) <= {0.0, 1.0}
 
 
 def test_ag_row_alignment(ag_csv):
     path, trace, report, obj = ag_csv
     cols = read_trace_csv(path)
-    n = len(trace)
     m = momentum_coefficient(obj.ell, obj.lip)
     # no CG coefficients on a momentum run
-    assert all(v is None for v in cols["alpha"])
-    assert all(v is None for v in cols["beta"])
+    assert np.isnan(cols["alpha"]).all() and np.isnan(cols["beta"]).all()
     assert cols["theta"][0] == 0.0 and cols["nu"][0] == 0.0
-    for k in range(1, n - 1):
-        assert cols["theta"][k] == pytest.approx(m, rel=1e-15)
-        assert cols["nu"][k] == pytest.approx(m, rel=1e-15)
-    for k in range(n - 1):
-        assert cols["pi"][k] == pytest.approx(1.0 / obj.lip, rel=1e-15)
-    assert cols["theta"][-1] is None
+    assert np.allclose(cols["theta"][1:-1], m, rtol=1e-15, atol=0.0)
+    assert np.allclose(cols["nu"][1:-1], m, rtol=1e-15, atol=0.0)
+    assert np.allclose(cols["pi"][:-1], 1.0 / obj.lip, rtol=1e-15, atol=0.0)
+    assert np.isnan(cols["theta"][-1])
+
+
+def test_clean_trace_reads_back_its_columns(cg_csv, ag_csv):
+    # the reader returns trace_columns' own form: nan for an empty cell,
+    # cert_pass as 1.0/0.0, each float cell to the bit
+    for path, trace, report, obj in (cg_csv, ag_csv):
+        cols = read_trace_csv(path)
+        assert cols["k"].dtype.kind == "i"
+        for name, values in trace_columns(trace, obj, report).items():
+            assert cols[name].dtype == np.float64, name
+            assert np.array_equal(cols[name], values, equal_nan=True), name
 
 
 def test_grad_norm_column(cg_csv, ag_csv):
@@ -100,9 +104,9 @@ def test_grad_norm_column(cg_csv, ag_csv):
 def test_float_cells_round_trip_exactly(cg_csv):
     path, trace, report, obj = cg_csv
     cols = read_trace_csv(path)
-    assert np.array_equal(np.asarray(cols["psi"]), report.psis)
-    assert np.array_equal(np.asarray(cols["f_gap"]), report.f_gaps)
-    assert np.array_equal(np.asarray(cols["rho"]), report.rhos)
+    assert np.array_equal(cols["psi"], report.psis)
+    assert np.array_equal(cols["f_gap"], report.f_gaps)
+    assert np.array_equal(cols["rho"], report.rhos)
 
 
 def test_writes_are_byte_identical(tmp_path, tiny_problem):
@@ -175,16 +179,19 @@ def test_reader_parses_every_column(tmp_path, cg_csv):
     lines = src.read_text().splitlines()
     header = lines[0].split(",")
     assert list(read_trace_csv(src)) == header
-    # a cell that is not a number, a boolean or empty fails in any column,
-    # whether or not an audit reads it; the k column has its own test
-    for j, name in enumerate(header[1:], start=1):
+    # a cell that is no number fails in any column, whether or not an audit
+    # reads it, and so do true in a number column, nan (the writer leaves
+    # nan empty) and a number in cert_pass; the k column has its own test
+    bad_cells = [(name, cell) for name in header[1:] for cell in ("banana", "nan")]
+    bad_cells += [("f_gap", "true"), ("alpha", "false"), ("cert_pass", "1.0")]
+    for name, cell in bad_cells:
         bad = list(lines)
         row = bad[3].split(",")
-        row[j] = "banana"
+        row[header.index(name)] = cell
         bad[3] = ",".join(row)
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(bad) + "\n")
-        with pytest.raises(ValueError, match=f"row 2, column {name}: 'banana'"):
+        with pytest.raises(ValueError, match=f"row 2, column {name}: '{cell}'"):
             read_trace_csv(path)
 
 
