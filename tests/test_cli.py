@@ -304,6 +304,25 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [0, 3], ids=["header", "row"])
+def test_certify_cell_past_the_csv_field_limit_exits_1(workdir, problem_file, capsys, line):
+    # the csv module raises csv.Error, not ValueError, on a field longer
+    # than its limit; certify names the line rather than raising it
+    src = workdir / "long_src.csv"
+    argv = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(src)]
+    assert main(argv) == 0
+    lines = src.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[1] = "1" * 200_000
+    lines[line] = ",".join(cells)
+    bad = workdir / "long.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    shutil.copyfile(iterates_path(src), iterates_path(bad))
+    capsys.readouterr()
+    assert main(["certify", str(bad), "--problem", str(problem_file)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line + 1}: field larger than")
+
+
 
 def test_certify_rejects_garbage_in_unaudited_columns(workdir, problem_file, capsys):
     # Every column is audited, but a non-number is refused as malformed
