@@ -328,12 +328,18 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
             s = x_next - x
             r = r - alpha_next * ap
             if 0 < kept < dim:
-                # Classical Gram-Schmidt, applied twice, restores the mutual
-                # orthogonality that exact CG residuals have and floating
-                # point loses; without it termination slips past dim steps.
+                # Classical Gram-Schmidt restores the mutual orthogonality
+                # that exact CG residuals have and floating point loses;
+                # without it termination slips past dim steps. One pass that
+                # keeps at least half the squared norm is orthogonal to
+                # working precision; one that cancels more is repeated once,
+                # and twice is enough (Kahan's rule: Daniel, Gragg, Kaufman
+                # and Stewart 1976; Giraud, Langou and Rozloznik 2005).
                 q = basis[:kept]
+                before = float(r @ r)
                 r = r - (q @ r) @ q
-                r = r - (q @ r) @ q
+                if float(r @ r) < 0.5 * before:
+                    r = r - (q @ r) @ q
                 r_norm = float(np.linalg.norm(r))
                 if r_norm > 0.0:
                     basis[kept] = r / r_norm
