@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,7 +67,7 @@ def _directions(seed: int, block: int, dim: int) -> np.ndarray:
     """
     first = block * DIRECTION_BLOCK
     g = substream_gaussians(seed, first, DIRECTION_BLOCK, dim)
-    norms = np.array([float(np.linalg.norm(row)) for row in g])
+    norms = np.array([math.sqrt(row.dot(row)) for row in g])
     for j in np.flatnonzero(~(norms > 1e-300)).tolist():
         stream = SplitMix64(substream_seed(seed, first + j))
         stream.gaussian_vector(dim)  # the draw rejected above
@@ -93,7 +94,7 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
         return out
     block, row = divmod(call_index, DIRECTION_BLOCK)
     u = _directions(noise.seed, block, out.shape[0])[row]
-    return out + noise.magnitude * float(np.linalg.norm(out)) * u
+    return out + noise.magnitude * math.sqrt(out.dot(out)) * u
 
 
 def _max_drift(trace, obj) -> float:
@@ -102,11 +103,8 @@ def _max_drift(trace, obj) -> float:
     Under noise the recurred residual strays from the true one; the audit
     replays the true residual from the stored iterates every tenth step.
     """
-    drifts = (
-        float(np.linalg.norm(r - (obj.rhs - obj.matrix @ x)))
-        for r, x in zip(trace.rs[10::10], trace.xs[10::10])
-    )
-    return max(drifts, default=0.0)
+    drifts = (r - (obj.rhs - obj.matrix @ x) for r, x in zip(trace.rs[10::10], trace.xs[10::10]))
+    return max((math.sqrt(v.dot(v)) for v in drifts), default=0.0)
 
 
 @dataclass

@@ -270,9 +270,9 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
     # The initial residual is always exact; an injected matvec (noise
     # studies) replaces only the one product inside each step.
     r = obj.rhs - a_mat @ x0
-    r0_norm = float(np.linalg.norm(r))
-    threshold = (CG_CONVERGED_REL * r0_norm) ** 2
     res_sq = float(r @ r)
+    r0_norm = math.sqrt(res_sq)
+    threshold = (CG_CONVERGED_REL * r0_norm) ** 2
 
     # Normalized residuals kept for reorthogonalization: never more than
     # dim rows (exact CG has terminated once dim are kept).
@@ -307,7 +307,8 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
                 p = r.copy()
             else:
                 beta_next = res_sq / prev_sqs_last
-                p = beta_next * p + r
+                p *= beta_next
+                p += r
             ap = matvec(p)
             pap = float(p @ ap)
             if not math.isfinite(pap):
@@ -323,10 +324,11 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
                     x_next = x + alpha_next * r
                 else:
                     x_next = x + nu * s + alpha_next * r
+                s = x_next - x
             else:
                 x_next = x + alpha_next * p
-            s = x_next - x
             r = r - alpha_next * ap
+            res_sq_next = float(r @ r)
             if 0 < kept < dim:
                 # Classical Gram-Schmidt restores the mutual orthogonality
                 # that exact CG residuals have and floating point loses;
@@ -336,16 +338,17 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
                 # and twice is enough (Kahan's rule: Daniel, Gragg, Kaufman
                 # and Stewart 1976; Giraud, Langou and Rozloznik 2005).
                 q = basis[:kept]
-                before = float(r @ r)
+                before = res_sq_next
                 r = r - (q @ r) @ q
-                if float(r @ r) < 0.5 * before:
+                res_sq_next = float(r @ r)
+                if res_sq_next < 0.5 * before:
                     r = r - (q @ r) @ q
-                r_norm = float(np.linalg.norm(r))
-                if r_norm > 0.0:
-                    basis[kept] = r / r_norm
+                    res_sq_next = float(r @ r)
+                if res_sq_next > 0.0:
+                    np.divide(r, math.sqrt(res_sq_next), basis[kept])
                     kept += 1
             prev_sqs_last = res_sq
-            res_sq = float(r @ r)
+            res_sq = res_sq_next
             alpha = alpha_next
             x = x_next
 
@@ -360,8 +363,8 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
 
     return Trace(
         method=method,
-        xs=np.vstack(xs),
-        rs=np.vstack(rs),
+        xs=np.array(xs),
+        rs=np.array(rs),
         alphas=np.array(alphas),
         prev_res_sqs=np.array(prev_sqs),
         stop_reason=stop_reason,
