@@ -7,9 +7,16 @@ Three interchangeable iterations:
   conditioning),
 * linear conjugate gradient in the classic Hestenes-Stiefel form (one
   matrix-vector product per step); `run` keeps each new residual
-  orthogonal to the earlier ones (classical Gram-Schmidt, twice, until dim
-  residuals are kept), which restores the finite termination that plain
-  double-precision recurrences lose to orthogonality drift,
+  orthogonal to the earlier ones until dim residuals are kept, which
+  restores the finite termination that plain double-precision recurrences
+  lose to orthogonality drift. Each step runs one classical Gram-Schmidt
+  pass, and a second only when the first left less than half the squared
+  norm (||r_1||^2 < ||r_0||^2 / 2): a pass that cancels less is orthogonal
+  to working precision, and after one that cancels more a second pass is
+  enough (Kahan's "twice is enough" rule, analysed by Daniel, Gragg,
+  Kaufman and Stewart, Math. Comp. 30, 1976, and by Giraud, Langou and
+  Rozloznik, Comput. Math. Appl. 50, 2005). Clean runs almost never take
+  the second pass; runs under a noisy matvec often do,
 * a two-parameter scheme
 
       y_{k+1} = x_k + theta_k s_k
@@ -307,6 +314,7 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
                 p = r.copy()
             else:
                 beta_next = res_sq / prev_sqs_last
+                # p is not stored (Trace.ps replays it), so it is updated in place.
                 p *= beta_next
                 p += r
             ap = matvec(p)
@@ -332,11 +340,11 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
             if 0 < kept < dim:
                 # Classical Gram-Schmidt restores the mutual orthogonality
                 # that exact CG residuals have and floating point loses;
-                # without it termination slips past dim steps. One pass that
+                # without it termination slips past dim steps. A pass that
                 # keeps at least half the squared norm is orthogonal to
                 # working precision; one that cancels more is repeated once,
-                # and twice is enough (Kahan's rule: Daniel, Gragg, Kaufman
-                # and Stewart 1976; Giraud, Langou and Rozloznik 2005).
+                # and twice is enough (module docstring). The last r.r is
+                # this step's res_sq and gives the basis row its norm.
                 q = basis[:kept]
                 before = res_sq_next
                 r = r - (q @ r) @ q

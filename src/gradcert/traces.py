@@ -195,10 +195,14 @@ def _number(cell: str) -> float:
 def read_trace_csv(path) -> dict:
     """Read a trace CSV back into the arrays trace_columns builds, k first.
 
-    ``k`` is an int array that must count 0, 1, 2, ...; every other column
-    is float64 with nan for an empty cell, and cert_pass reads true as 1.0
-    and false as 0.0. Any other cell raises ValueError naming its row and
-    column, as does a header or row-shape mismatch or a line the csv
+    ``k`` is an int array whose cells must read exactly 0, 1, 2, ...;
+    cert_pass reads true as 1.0, false as 0.0 and an empty cell as nan.
+    Every other column is float64: an empty cell reads nan, and any other
+    cell is whatever float() reads from it, so forms the writer never
+    writes (a leading +, surrounding spaces, underscores between digits,
+    non-ASCII decimal digits, an e+00 exponent) read as their value. Any
+    other cell, one spelling nan included, raises ValueError naming its row
+    and column, as does a header or row-shape mismatch or a line the csv
     module refuses.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:

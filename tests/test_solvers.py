@@ -1,5 +1,6 @@
 """Solver runs: oracle iterates, the unified variants, and run-level invariants."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -148,6 +149,13 @@ def test_cg_drift_checked_on_long_runs():
     assert conjugacy_drift(trace, obj) <= 1e-8
 
 
+def _orthogonality_loss(trace, dim):
+    """max |Q'Q - I| over the normalized first min(n, dim) stored residuals."""
+    r = trace.rs[: min(len(trace), dim)]
+    q = r / np.linalg.norm(r, axis=1)[:, None]
+    return float(np.max(np.abs(q @ q.T - np.eye(len(q)))))
+
+
 @pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
 @pytest.mark.parametrize("dim,kappa", [(10, 1e3), (50, 1e3), (200, 1e6)])
 def test_cg_residuals_stay_orthogonal(method, dim, kappa):
@@ -157,9 +165,65 @@ def test_cg_residuals_stay_orthogonal(method, dim, kappa):
     obj, _, x0 = generate_with_start(spec)
     trace = run(obj, method, x0, 4_000, 1e-10 * obj.f_gap(x0))
     assert len(trace) - 1 <= dim
-    r = trace.rs[: min(len(trace), dim)]
-    u = r / np.linalg.norm(r, axis=1)[:, None]
-    assert np.max(np.abs(u @ u.T - np.eye(len(u)))) <= 1e-12
+    assert _orthogonality_loss(trace, dim) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def cg_grid():
+    """81 problems: dims 10/50/200 x kappa 1e2/1e4/1e6 x three layouts x seeds 0-2."""
+    layouts = ("log_uniform", "uniform", "two_cluster")
+    cells = itertools.product((10, 50, 200), (1e2, 1e4, 1e6), layouts, range(3))
+    return [generate_with_start(SpectrumSpec(d, 1.0, k, lay, seed=s)) for d, k, lay, s in cells]
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_cg_residuals_stay_orthogonal_over_the_grid(cg_grid, method):
+    # The second Gram-Schmidt pass runs only where the first cancels more
+    # than half the squared norm, which no clean run of this grid does; one
+    # pass must still hold the residuals orthogonal to a small multiple of
+    # dim u (measured: at most dim u / 2), and CG must reach 1e-8 of its
+    # initial gap by step dim, the exact-arithmetic termination.
+    for obj, _, x0 in cg_grid:
+        dim = obj.dim
+        trace = run(obj, method, x0, 4 * dim, -math.inf)
+        assert _orthogonality_loss(trace, dim) <= 2 * dim * 2.0**-53
+        stopped = run(obj, method, x0, 4 * dim, 1e-8 * obj.f_gap(x0))
+        assert stopped.stop_reason == "gap" and len(stopped) - 1 <= dim
+
+
+def _noisy_cg(obj, method, x0, max_iters, noise):
+    """CG to max_iters steps, each product through noisy_matvec with its own call index."""
+    calls = itertools.count()
+    return _run_cg(
+        obj, method, x0, max_iters, -math.inf,
+        matvec=lambda p: noisy_matvec(obj, noise, p, next(calls)),
+    )
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_noisy_cg_residuals_stay_orthogonal(method):
+    # criterion 10's instance at eta 1e-2, where about two steps in five
+    # cancel enough in the first pass to take the second
+    spec = SpectrumSpec(dim=100, ell=1.0, lip=1e4, layout="log_uniform", seed=0)
+    obj, _, x0 = generate_with_start(spec)
+    for seed in range(10):
+        trace = _noisy_cg(obj, method, x0, 400, NoiseModel(1e-2, seed=seed))
+        assert _orthogonality_loss(trace, 100) <= 2 * 100 * 2.0**-53
+
+
+@pytest.mark.parametrize("eta", [None, 1e-4, 1e-2])
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_stored_residual_norms_are_the_stored_residuals(method, eta):
+    # prev_res_sqs[k+1] is ||r_k||^2 of the stored r_k, bit for bit, on clean
+    # (eta None) and noisy runs alike
+    spec = SpectrumSpec(dim=50, ell=1.0, lip=1e4, layout="log_uniform", seed=1)
+    obj, _, x0 = generate_with_start(spec)
+    if eta is None:
+        trace = run(obj, method, x0, 200, -math.inf)
+    else:
+        trace = _noisy_cg(obj, method, x0, 200, NoiseModel(eta, seed=2))
+    assert len(trace) > 20
+    assert trace.prev_res_sqs[1:].tolist() == [float(r @ r) for r in trace.rs[:-1]]
 
 
 def test_degenerate_ag_is_gradient_descent():

@@ -9,7 +9,13 @@ import pytest
 from aids import write_trace_csv_per_cell
 from gradcert.potential import certify
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
-from gradcert.traces import TRACE_HEADER, read_trace_csv, trace_columns, write_trace_csv
+from gradcert.traces import (
+    TRACE_HEADER,
+    check_trace_claims,
+    read_trace_csv,
+    trace_columns,
+    write_trace_csv,
+)
 
 
 @pytest.fixture()
@@ -193,6 +199,43 @@ def test_reader_parses_every_column(tmp_path, cg_csv):
         path.write_text("\n".join(bad) + "\n")
         with pytest.raises(ValueError, match=f"row 2, column {name}: '{cell}'"):
             read_trace_csv(path)
+
+
+def test_reader_takes_any_text_float_reads(tmp_path, cg_csv):
+    # The rule is float()'s, not the writer's: a psi cell rewritten in a form
+    # the writer never writes reads back as its value and is certified.
+    # Only an empty cell may read nan, so nan and a cell float() refuses fail.
+    src, trace, report, obj = cg_csv
+    lines = src.read_text().splitlines()
+    col = lines[0].split(",").index("psi")
+    cell = lines[3].split(",")[col]
+    assert "e" not in cell and cell[:2].isdigit()
+    forms = [
+        "+" + cell,
+        " " + cell + " ",
+        cell[0] + "_" + cell[1:],
+        "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in cell),  # Arabic-Indic digits
+        cell + "e+00",
+    ]
+
+    def rewritten(form):
+        row = lines[3].split(",")
+        row[col] = form
+        path = tmp_path / "rewritten.csv"
+        text = "\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    original = read_trace_csv(src)
+    for form in forms:
+        path = rewritten(form)
+        columns = read_trace_csv(path)
+        for name, values in original.items():
+            assert np.array_equal(columns[name], values, equal_nan=True), (form, name)
+        check_trace_claims(path, columns, trace, obj, report)
+    for form in ("x", "nan"):
+        with pytest.raises(ValueError, match=f"row 2, column psi: '{form}'"):
+            read_trace_csv(rewritten(form))
 
 
 def test_writer_rejects_mismatched_report(tmp_path, tiny_problem):
