@@ -28,7 +28,7 @@ from .perturb import sweep
 from .potential import certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .serialize import write_json
-from .solvers import METHOD_FAMILY, run
+from .solvers import METHOD_FAMILY, STOP_GAP_REL, run
 from .traces import check_trace_claims, read_trace_csv, read_trace_iterates, write_trace_csv
 
 METHOD_NAMES = {
@@ -152,9 +152,7 @@ def cmd_run(args) -> int:
             "descent and certifying at the common constant",
             file=sys.stderr,
         )
-    # Past ~1e-12 of the initial gap the iterates stagnate in double
-    # precision and contraction checks report that, not a method bug.
-    trace = run(obj, method, spec.x0, args.iters, 1e-12 * obj.f_gap(spec.x0))
+    trace = run(obj, method, spec.x0, args.iters, STOP_GAP_REL * obj.f_gap(spec.x0))
     if trace.stop_reason == "diverged":
         cause = (
             f"(p'Ap overflowed); x0 of {args.problem} is too large for float64"

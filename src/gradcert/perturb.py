@@ -26,14 +26,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import QuadraticObjective
-from .potential import CertificateReport, certify
+from .potential import certify
 from .rng import SplitMix64, substream_gaussians, substream_seed
-from .solvers import _run_cg
+from .solvers import STOP_GAP_REL, _run_cg
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ class DetectionReport:
     run broke down (stop_reason "not_positive_definite" or "diverged", which
     exact CG reaches only from an x0 near the float64 limit), else None;
     detected mirrors it as a bool. psis is the true potential sequence
-    (evaluated with the exact objective, not the noisy recurrence).
-    max_drift is the absolute distance between the recurred and the true
-    residual at its worst tenth step (0 on runs shorter than 10 steps).
-    certificate carries the full per-step record.
+    (evaluated with the exact objective, not the noisy recurrence), the one
+    per-step array of the certificate that the report keeps. max_drift is
+    the absolute distance between the recurred and the true residual at
+    its worst tenth step (0 on runs shorter than 10 steps).
     """
 
     eta: float
@@ -129,7 +129,6 @@ class DetectionReport:
     psis: np.ndarray
     stop_reason: str
     max_drift: float
-    certificate: CertificateReport = field(repr=False)
 
     @property
     def detected(self) -> bool:
@@ -148,16 +147,16 @@ def detect_inexactness(
 
     Starts from x0; x_star is the exact minimizer the monitor measures
     against. The run ends at the first of: max_iters steps; the first
-    iterate whose exact gap is at or below 1e-12 of the starting gap (run's
-    one stop rule, where an exact run stops); the recurred residual
-    reaching CG's convergence floor; or a noisy p'A p that is not positive
-    ("not_positive_definite") or not finite ("diverged"). A noisy run
-    plateaus far above the gap threshold, but the reorthogonalized
-    recurrence still drives its own residual to the floor, so noisy runs
-    usually end with stop_reason "converged" within a few times dim steps
-    while the true error has stalled. Psi and the certificate are always
-    evaluated against the exact objective; a breakdown counts as a
-    violation (DetectionReport).
+    iterate whose exact gap is at or below STOP_GAP_REL (1e-12) of the
+    starting gap (run's one stop rule, where an exact run stops); the
+    recurred residual reaching CG's convergence floor; or a noisy p'A p
+    that is not positive ("not_positive_definite") or not finite
+    ("diverged"). A noisy run plateaus far above the gap threshold, but
+    the reorthogonalized recurrence still drives its own residual to the
+    floor, so noisy runs usually end with stop_reason "converged" within a
+    few times dim steps while the true error has stalled. Psi and the
+    certificate are always evaluated against the exact objective; a
+    breakdown counts as a violation (DetectionReport).
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("inexactness detection applies to quadratic objectives")
@@ -174,7 +173,7 @@ def detect_inexactness(
         "cg_classic",
         x0,
         max_iters,
-        1e-12 * monitored.f_gap(x0),
+        STOP_GAP_REL * monitored.f_gap(x0),
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
     )
     report = certify(trace, monitored)
@@ -189,7 +188,6 @@ def detect_inexactness(
         psis=report.psis,
         stop_reason=trace.stop_reason,
         max_drift=_max_drift(trace, monitored),
-        certificate=report,
     )
 
 

@@ -85,15 +85,14 @@ def default_cert_tolerance(obj) -> float:
     return 1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim)
 
 
-def contraction_constant(method: str, ell: float, lip: float) -> float:
+def contraction_constant(family: str, ell: float, lip: float) -> float:
     """Certified per-step contraction: cg -> 1 + sqrt(l/L), ag -> 1 + 1/(sqrt(L/l) - 1).
 
     At lip == ell the accelerated schedule has collapsed to gradient
     descent, and its constant is the common one, 1 + sqrt(l/L) = 2.
     """
-    family = METHOD_FAMILY.get(method, method)
     if family not in ("ag", "cg"):
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method family {family!r}")
     if family == "ag" and lip > ell:
         return 1.0 + 1.0 / (math.sqrt(lip / ell) - 1.0)
     return 1.0 + math.sqrt(ell / lip)
@@ -114,19 +113,18 @@ class CertificateReport:
     step k (psi_1 <= psi_0 at k = 0, C psi_{k+1} <= psi_k after), one entry
     fewer than the iterates; ratios[k] = psi_k / psi_{k+1} (inf at exact
     termination). first_telescope_violation is the first step whose CG gap
-    telescoping fails, nan scalars included (None on AG); first_violation is
-    the earlier of it and the chain's first failing step, or None.
-    Accelerated runs are re-checked at the weaker common constant
-    1 + sqrt(l/L); common_first_violation reports that chain alone (on CG,
-    the main chain's). method is the family, "ag" or "cg".
+    telescoping fails, non-finite scalars included (None on AG);
+    first_violation is the earlier of it and the chain's first failing
+    step, or None. There is one chain, at the method's constant c_value:
+    a pass there implies one at the common constant 1 + sqrt(l/L), which
+    is never larger, so no second chain is kept. theorem1_ok and daniel_ok
+    are the envelope verdicts (daniel_ok is None on AG and when L = l).
+    method is the family, "ag" or "cg".
     """
 
     method: str
     c_value: float
-    c_common: float
     tol_cert: float
-    ell: float
-    lip: float
     psis: np.ndarray
     f_gaps: np.ndarray
     w_norm_sqs: np.ndarray
@@ -136,12 +134,8 @@ class CertificateReport:
     step_passes: np.ndarray
     first_violation: int | None
     first_telescope_violation: int | None
-    common_first_violation: int | None
-    theorem1_bounds: np.ndarray
     theorem1_ok: bool
-    daniel_bounds: np.ndarray | None
     daniel_ok: bool | None
-    degenerate: bool = False
     flags: list = field(default_factory=list)
 
     @property
@@ -167,11 +161,11 @@ def certify(trace, obj) -> CertificateReport:
     file) against the objective's minimizer.
     Step k compares C psi_{k+1} against psi_k with multiplicative slack
     1 + default_cert_tolerance(obj), which the report states as tol_cert
-    (step 0 claims descent only); the chain is also replayed at the common
-    constant 1 + sqrt(l/L), and on CG the gap telescoping is checked to
-    TELESCOPE_TOL. c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the
-    Theorem-1 envelope; the Daniel envelope (CG only) scales with the
-    initial gap.
+    (step 0 claims descent only); that one chain is the certificate, and
+    on CG the gap telescoping is checked to TELESCOPE_TOL. c0 = (l/2)
+    ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope, which
+    decays at the common constant 1 + sqrt(l/L); the Daniel envelope (CG
+    only) scales with the initial gap.
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
@@ -185,7 +179,6 @@ def certify(trace, obj) -> CertificateReport:
         raise ValueError("empty trace")
     ell, lip = obj.ell, obj.lip
     tol = default_cert_tolerance(obj)
-    c_common = 1.0 + math.sqrt(ell / lip)
     c_value = contraction_constant(family, ell, lip)
 
     def first_fail(passes):
@@ -214,13 +207,14 @@ def certify(trace, obj) -> CertificateReport:
         else:
             raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
             rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
-            # A nan scalar, which nothing can check, fails its step here; it
-            # only zeroes rho above, where the chain cannot see it.
+            # A non-finite scalar, which nothing can check, fails its step
+            # here; it only zeroes rho above, where the chain cannot see it.
             lhs = f_gaps[:-1] - f_gaps[1:]
             rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
             floor = TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
             scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-            first_telescope = first_fail(np.abs(lhs - rhs) <= TELESCOPE_TOL * scale)
+            agree = np.abs(lhs - rhs) <= TELESCOPE_TOL * scale
+            first_telescope = first_fail(agree & np.isfinite(rhs))
         rhos[0] = 0.0
 
         w = d + rhos[:, None] * trace.ss
@@ -229,29 +223,22 @@ def certify(trace, obj) -> CertificateReport:
 
         # A single iterate leaves these arrays empty: no step, no violation.
         ratios, step_passes = chain_steps(psis, c_value, tol)
-        _, common_passes = chain_steps(psis, c_common, tol)
 
     fails = [k for k in (first_fail(step_passes), first_telescope) if k is not None]
 
     ks = np.arange(n)
+    root = math.sqrt(ell / lip)
     c0 = 0.5 * ell * dist_sqs[0] + f_gaps[0]
-    theorem1_bounds = c0 * c_common ** (-(ks - 1.0))
-    daniel_bounds = None
+    theorem1_bounds = c0 * (1.0 + root) ** (-(ks - 1.0))
     daniel_ok = None
-    degenerate = lip <= ell
-    if family == "cg" and not degenerate:
-        root = math.sqrt(ell / lip)
-        q = (1.0 - root) / (1.0 + root)
-        daniel_bounds = 4.0 * f_gaps[0] * q ** (2.0 * ks)
+    if family == "cg" and lip > ell:
+        daniel_bounds = 4.0 * f_gaps[0] * ((1.0 - root) / (1.0 + root)) ** (2.0 * ks)
         daniel_ok = bool(np.all(f_gaps <= daniel_bounds * (1.0 + ENVELOPE_SLACK)))
 
     return CertificateReport(
         method=family,
         c_value=c_value,
-        c_common=c_common,
         tol_cert=tol,
-        ell=ell,
-        lip=lip,
         psis=psis,
         f_gaps=np.asarray(f_gaps, dtype=float),
         w_norm_sqs=w_norm_sqs,
@@ -261,12 +248,8 @@ def certify(trace, obj) -> CertificateReport:
         step_passes=step_passes,
         first_violation=min(fails, default=None),
         first_telescope_violation=first_telescope,
-        common_first_violation=first_fail(common_passes),
-        theorem1_bounds=theorem1_bounds,
         theorem1_ok=bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK))),
-        daniel_bounds=daniel_bounds,
         daniel_ok=daniel_ok,
-        degenerate=degenerate,
         flags=flags,
     )
 

@@ -83,6 +83,11 @@ METHODS = tuple(METHOD_FAMILY)
 # instead of dividing by a vanishing curvature estimate.
 CG_CONVERGED_REL = 1e-15
 
+# Stop gap, relative to the initial gap, of the CLI's runs and of the noise
+# monitor. Past ~1e-12 of the initial gap the iterates stagnate in double
+# precision and contraction checks report that, not a method bug.
+STOP_GAP_REL = 1e-12
+
 
 def momentum_coefficient(ell: float, lip: float) -> float:
     return (math.sqrt(lip) - math.sqrt(ell)) / (math.sqrt(lip) + math.sqrt(ell))

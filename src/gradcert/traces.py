@@ -91,8 +91,8 @@ def trace_columns(trace, obj, report) -> dict:
             nu[1:last] = alphas[2:] * betas[2:] / alphas[1:last]
             pi[:last] = alphas[1:]
         else:
-            theta[1:last] = nu[1:last] = momentum_coefficient(report.ell, report.lip)
-            pi[:last] = 1.0 / report.lip
+            theta[1:last] = nu[1:last] = momentum_coefficient(obj.ell, obj.lip)
+            pi[:last] = 1.0 / obj.lip
         if last:  # both schedules leave x_0 at rest
             theta[0] = nu[0] = 0.0
         return {
@@ -165,7 +165,7 @@ def check_trace_claims(path, columns, trace, obj, report) -> None:
     with np.errstate(all="ignore"):
         expected = trace_columns(trace, obj, report)
         bound = report.tol_cert * report.psis[0]
-        tols = {"psi": bound, "f_gap": bound * report.ell / 2.0}
+        tols = {"psi": bound, "f_gap": bound * obj.ell / 2.0}
         for name in ("dist_to_opt", "grad_norm", "rho"):
             finite = np.abs(expected[name][np.isfinite(expected[name])])
             tols[name] = report.tol_cert * finite.max(initial=0.0)

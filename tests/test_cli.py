@@ -515,21 +515,36 @@ def test_certify_detects_edited_iterates_file(workdir, problem_file, capsys, met
     assert f"error: row {k} " in capsys.readouterr().err
 
 
-def test_certify_flags_uncheckable_cg_scalars(workdir, problem_file, capsys):
-    # nan step sizes zero rho and would silence the gap identity; with
-    # claims written to match, only counting each step the identity cannot
-    # check as a violation refuses the trace
+@pytest.mark.parametrize(
+    ("scalars", "k", "value", "step"),
+    [
+        ("alphas", slice(None), np.nan, 0),
+        ("alphas", 3, np.inf, 2),
+        ("alphas", 3, -np.inf, 2),
+        ("prev_res_sqs", 3, np.inf, 2),
+        ("prev_res_sqs", 3, -np.inf, 2),
+    ],
+    ids=["nan-alphas", "inf-alpha", "-inf-alpha", "inf-res-sq", "-inf-res-sq"],
+)
+def test_certify_flags_uncheckable_cg_scalars(
+    workdir, problem_file, capsys, scalars, k, value, step
+):
+    # a non-finite step size or residual norm zeroes rho and would silence
+    # the gap identity; with claims written to match, only counting each
+    # step the identity cannot check as a violation refuses the trace
     spec = load_problem(problem_file)
     obj = spec.objective
     trace = run(obj, "cg_classic", spec.x0, 40, 1e-10 * obj.f_gap(spec.x0))
-    forged = dataclasses.replace(trace, alphas=np.full_like(trace.alphas, np.nan))
-    path = workdir / "nan_alphas.csv"
+    forged = getattr(trace, scalars).copy()
+    forged[k] = value
+    forged = dataclasses.replace(trace, **{scalars: forged})
+    path = workdir / "uncheckable_scalars.csv"
     write_trace_csv(path, forged, obj, certify(forged, obj))
-    out = workdir / "nan_alphas.json"
+    out = workdir / "uncheckable_scalars.json"
     assert main(["certify", str(path), "--problem", str(problem_file), "--out", str(out)]) == 1
-    assert json.loads(out.read_text())["first_telescope_violation"] == 0
+    assert json.loads(out.read_text())["first_telescope_violation"] == step
     # the chain held, so the message names the check that failed
-    assert capsys.readouterr().out == "gap telescoping violated at step 0\n"
+    assert capsys.readouterr().out == f"gap telescoping violated at step {step}\n"
 
 
 def test_certify_names_a_chain_failure(workdir, problem_file, capsys):
