@@ -120,13 +120,6 @@ def _load_certifiable(path) -> tuple:
     return spec, obj
 
 
-def _failed_check(report) -> str:
-    """The check behind report.first_violation: the chain, unless only CG's gap telescoping failed."""
-    k = report.first_violation
-    only_telescoping = k == report.first_telescope_violation and report.step_passes[k]
-    return "gap telescoping" if only_telescoping else "certificate chain"
-
-
 def cmd_gen(args) -> int:
     spectrum = SpectrumSpec(
         dim=args.dim, ell=args.ell, lip=args.lip, layout=args.layout, seed=args.seed
@@ -163,14 +156,13 @@ def cmd_run(args) -> int:
         raise GradcertError(f"{args.method} diverged after {len(trace) - 1} iterations {cause}")
     report = certify(trace, obj)
     write_trace_csv(args.out, trace, obj, report)
-    n = len(trace)
     print(
-        f"wrote {args.out}: {args.method} ran {n - 1} iterations "
+        f"wrote {args.out}: {args.method} ran {len(trace) - 1} iterations "
         f"(stop: {trace.stop_reason}), final f_gap {report.f_gaps[-1]:.3e}"
     )
     if report.first_violation is not None:
         print(
-            f"warning: {_failed_check(report)} fails at step {report.first_violation}",
+            f"warning: {report.failed_check} fails at step {report.first_violation}",
             file=sys.stderr,
         )
     return 0
@@ -213,7 +205,7 @@ def cmd_certify(args) -> int:
     if report.first_violation is None:
         print(f"certificate chain holds over {n - 1} steps (C={report.c_value:.12g})")
         return 0
-    print(f"{_failed_check(report)} violated at step {report.first_violation}")
+    print(f"{report.failed_check} violated at step {report.first_violation}")
     return 1
 
 
@@ -235,8 +227,10 @@ def cmd_identities(args) -> int:
         write_json(args.out, doc)
     residuals = dict(battery.max_violations)
     rho = residuals.pop("rho_alignment")
+    # np.max, unlike max(), reports a nan residual whatever the row order.
+    worst = np.max(list(residuals.values()))
     print(
-        f"{len(trace) - 1} CG steps: worst identity residual {max(residuals.values()):.3e} "
+        f"{len(trace) - 1} CG steps: worst identity residual {worst:.3e} "
         f"(tol {battery.tol_id:g}), rho alignment {rho:.3e}"
     )
     print("identities hold" if battery.ok else "identity violation detected")

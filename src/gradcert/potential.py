@@ -4,45 +4,36 @@ The certified quantity is
 
     psi_k = ||w_k||^2 + (2/l) (f(x_k) - f*),   w_k = x_k + rho_k s_k - x*
 
-with s_k = x_k - x_{k-1} and rho_0 = 0. For the accelerated schedule
-rho_k = sqrt(L/l) - 1 for all k >= 1 (0 when L = l, where the schedule is
-gradient descent); for conjugate gradient rho_k is assembled from the run's
-own scalars, rho_k = 2 (f(x_k) - f*) / (alpha_k ||r_{k-1}||^2) (0 at exact
-convergence), and is exactly the weight minimizing ||w_k|| over rho (so w_k
-is orthogonal to the step, which the identity battery's rho_alignment row
-verifies). certify() is the one place that evaluates rho, w and psi,
-vectorized over a trace; its report carries them per iterate.
+with s_k = x_k - x_{k-1} and rho_0 = 0. On the accelerated schedule
+rho_k = sqrt(L/l) - 1 for k >= 1 (0 at L = l, where it is gradient
+descent); on conjugate gradient rho_k = 2 (f(x_k) - f*) / (alpha_k
+||r_{k-1}||^2), from the run's own scalars (0 at exact convergence), is
+the weight minimizing ||w_k||, so w_k is orthogonal to the step. _terms()
+is the one place that evaluates x_k - x*, s, the gaps, rho and w,
+vectorized over a trace, for certify() and the identity battery alike.
 
-certify() checks the chain
+certify() is the one certifier: a run's warning, a noise detection and the
+CLI's audit of a trace all read its verdict, and the CSV's columns are only
+claims. Its report keeps the per-step checks (the chain of psi at the
+method's constant and, on CG, the gap telescoping) in one table, which
+alone says where the certificate first fails and which check failed.
 
-    psi_1 <= psi_0,    C psi_{k+1} <= psi_k   for k >= 1
+The identity battery replays the sharper per-step equalities of CG on a
+quadratic, one table of normalized residuals against tolerances; they fail
+loudly under inexact arithmetic or a perturbed operator, which makes them a
+self-test. Its gap_drop row is the gap identity at TOL_ID, on states up to
+dim above the roundoff floor; certify()'s telescoping audits every step of
+every CG trace, noisy runs included, so TELESCOPE_TOL and TELESCOPE_FLOOR
+sit far above roundoff and stay silent on clean runs.
 
-at the method's contraction constant C (no contraction is claimed for the
-very first step), plus two closed-form envelopes on f(x_k) - f*, and on CG
-the gap telescoping f(x_k) - f(x_{k+1}) = alpha_{k+1} ||r_k||^2 / 2 (CG's
-chain has slack: an iterate the recurrence cannot have produced can still
-contract); first_violation is the earlier failure of the two. It is the
-one certifier: a run's warning, a noise detection and the CLI's audit of a
-trace all read its verdict, and the CSV's columns are only claims. The
-identity battery replays the sharper per-step equalities that hold for CG
-on a quadratic; those fail loudly under inexact arithmetic or a perturbed
-operator, which is what makes them usable as a self-test; it is one table
-of checks, each a normalized residual per step against its tolerance.
-
-Both check CG's gap identity, for two purposes: certify()'s telescoping
-audits every step of every CG trace, noisy runs included, so its
-TELESCOPE_TOL and TELESCOPE_FLOOR sit far above roundoff and stay silent
-on clean runs; the battery's gap_drop row is the exact-arithmetic
-self-test at TOL_ID, on states up to dim above the roundoff floor.
-
-The reports are plain in-memory records with no file format of their own:
-the trace CSV belongs to the traces module and every JSON document the CLI
-writes is assembled by the CLI.
+The reports are in-memory records: the trace CSV belongs to the traces
+module, and the CLI assembles every JSON document it writes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,20 +50,12 @@ ENVELOPE_SLACK = 1e-9
 TELESCOPE_TOL = 1e-3
 TELESCOPE_FLOOR = 1e-6
 
-# Normalized residual above which an equality of the identity battery fails.
-TOL_ID = 1e-8
-
-# p'r orthogonality threshold, relative to ||p_k|| ||r_0||.
-ORTH_TOL = 1e-10
-
-# Rayleigh-quotient containment slack for 1/alpha_k.
-RQ_SLACK = 1e-9
-
-# One-sided absolute slack on the weighted-norm inequality (e).
-WEIGHTED_BOUND_SLACK = 1e-10
-
-# Largest normalized |w_k . s_k| that the battery's rho_alignment row accepts.
-RHO_ALIGNMENT_TOL = 1e-8
+# The identity battery's tolerances, by kind of row.
+TOL_ID = 1e-8  # normalized residual of an equality
+ORTH_TOL = 1e-10  # |p_k' r_k| relative to ||p_k|| ||r_0||
+RQ_SLACK = 1e-9  # containment of 1/alpha_k in [l, L], relative
+WEIGHTED_BOUND_SLACK = 1e-10  # one-sided absolute slack on ||w_k||^2 <= F_k / l
+RHO_ALIGNMENT_TOL = 1e-8  # normalized |w_k . s_k|
 
 
 def default_cert_tolerance(obj) -> float:
@@ -105,21 +88,33 @@ def chain_steps(psis, c: float, tol: float):
     return psis[:-1] / psis[1:], lhs <= psis[:-1] * (1.0 + tol)
 
 
+# certify()'s per-step checks, in the order that breaks a tie.
+CHAIN = "certificate chain"
+TELESCOPING = "gap telescoping"
+
+
+def _first_fail(passes, offset=0):
+    """Index (plus offset) of the first False in passes, or None."""
+    bad = np.flatnonzero(~passes)
+    return int(bad[0]) + offset if bad.size else None
+
+
 @dataclass
 class CertificateReport:
     """Vectorized certificate record for a whole trace.
 
-    Arrays are indexed by iterate. step_passes[k] is the forward check at
-    step k (psi_1 <= psi_0 at k = 0, C psi_{k+1} <= psi_k after), one entry
-    fewer than the iterates; ratios[k] = psi_k / psi_{k+1} (inf at exact
-    termination). first_telescope_violation is the first step whose CG gap
-    telescoping fails, non-finite scalars included (None on AG);
-    first_violation is the earlier of it and the chain's first failing
-    step, or None. There is one chain, at the method's constant c_value:
-    a pass there implies one at the common constant 1 + sqrt(l/L), which
-    is never larger, so no second chain is kept. theorem1_ok and daniel_ok
-    are the envelope verdicts (daniel_ok is None on AG and when L = l).
-    method is the family, "ag" or "cg".
+    Arrays are indexed by iterate; ratios[k] = psi_k / psi_{k+1} (inf at
+    exact termination). checks maps each per-step check to its pass array,
+    indexed by step, one entry fewer than the iterates: CHAIN, the chain at
+    the method's constant c_value, and on CG TELESCOPING (a non-finite
+    scalar fails). A chain pass at c_value implies one at the never larger
+    common constant 1 + sqrt(l/L), so no second chain is kept. The
+    properties read the table: first_violation is the earliest failing
+    step (None when all pass), failed_check the check failing there (the
+    chain wins a tie), first_telescope_violation the telescoping's first
+    failure (None on AG) and step_passes the chain. theorem1_ok and
+    daniel_ok are the envelope verdicts (daniel_ok is None on AG and when
+    L = l). method is the family, "ag" or "cg".
     """
 
     method: str
@@ -131,12 +126,32 @@ class CertificateReport:
     dist_sqs: np.ndarray
     rhos: np.ndarray
     ratios: np.ndarray
-    step_passes: np.ndarray
-    first_violation: int | None
-    first_telescope_violation: int | None
+    checks: dict
     theorem1_ok: bool
     daniel_ok: bool | None
     flags: list = field(default_factory=list)
+
+    @property
+    def first_failures(self) -> dict:
+        return {name: _first_fail(passes) for name, passes in self.checks.items()}
+
+    @property
+    def failed_check(self) -> str | None:
+        fails = {name: k for name, k in self.first_failures.items() if k is not None}
+        return min(fails, key=fails.get, default=None)
+
+    @property
+    def first_violation(self) -> int | None:
+        name = self.failed_check
+        return None if name is None else self.first_failures[name]
+
+    @property
+    def first_telescope_violation(self) -> int | None:
+        return self.first_failures.get(TELESCOPING)
+
+    @property
+    def step_passes(self) -> np.ndarray:
+        return self.checks[CHAIN]
 
     @property
     def chain_ok(self) -> bool:
@@ -144,91 +159,89 @@ class CertificateReport:
 
     @property
     def all_ok(self) -> bool:
-        out = self.chain_ok and self.theorem1_ok
-        if self.daniel_ok is not None:
-            out = out and self.daniel_ok
-        return out
+        return self.chain_ok and self.theorem1_ok and self.daniel_ok is not False
 
     def __len__(self):
         return self.psis.shape[0]
 
 
-def certify(trace, obj) -> CertificateReport:
-    """Certificate chain plus envelope bounds for a finished run.
+_Terms = namedtuple("_Terms", "d ss dist_sqs f_gaps rhos w w_norm_sqs flags")
 
-    The gaps f(x_k) - f* have one source, obj.f_gap_many on the iterates,
-    which measures every run (accelerated, CG, noisy, or read back from a
-    file) against the objective's minimizer.
-    Step k compares C psi_{k+1} against psi_k with multiplicative slack
-    1 + default_cert_tolerance(obj), which the report states as tol_cert
-    (step 0 claims descent only); that one chain is the certificate, and
-    on CG the gap telescoping is checked to TELESCOPE_TOL. c0 = (l/2)
-    ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope, which
-    decays at the common constant 1 + sqrt(l/L); the Daniel envelope (CG
-    only) scales with the initial gap.
+
+def _terms(trace, obj, family) -> _Terms:
+    """d = x - x*, s, ||d||^2, the gaps clamped at 0, rho, w and ||w||^2 per iterate.
+
+    The gaps have one source, obj.f_gap_many on the iterates, whatever the
+    run (accelerated, CG, noisy, or read back from a file), never CG's
+    recurred residual, whose drift the battery's equalities would register.
+    Callers hold np.errstate(all="ignore"): an overflow fails a check.
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
+    n = len(trace)
+    if n < 1:
+        raise ValueError("empty trace")
+    d = trace.xs - obj.minimizer[None, :]
+    flags = []
+    f_gaps = obj.f_gap_many(trace.xs)
+    neg = f_gaps < 0.0
+    if np.any(neg):
+        # Roundoff at the gap's noise floor; clamping keeps psi >= 0
+        # instead of poisoning the chain with sign noise.
+        flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
+        f_gaps = np.maximum(f_gaps, 0.0)
+    if family == "ag":
+        # Exactly 0 at lip == ell, where the schedule is gradient descent.
+        rhos = np.full(n, math.sqrt(obj.lip / obj.ell) - 1.0)
+    else:
+        # A non-finite scalar only zeroes rho, where the chain cannot see
+        # it; certify()'s telescoping fails its step.
+        raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
+        rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
+    rhos[0] = 0.0
+    ss = trace.ss
+    w = d + rhos[:, None] * ss
+    dist_sqs, w_norm_sqs = np.einsum("ij,ij->i", d, d), np.einsum("ij,ij->i", w, w)
+    return _Terms(d, ss, dist_sqs, f_gaps, rhos, w, w_norm_sqs, flags)
+
+
+def certify(trace, obj) -> CertificateReport:
+    """Certificate chain, gap telescoping (CG) and envelope bounds for a finished run.
+
+    Step k checks psi_1 <= psi_0 at k = 0 and C psi_{k+1} <= psi_k after,
+    with multiplicative slack 1 + default_cert_tolerance(obj), which the
+    report states as tol_cert. On CG the gap telescoping f(x_k) - f(x_{k+1})
+    = alpha_{k+1} ||r_k||^2 / 2 is checked to TELESCOPE_TOL: CG's chain has
+    slack, and an iterate the recurrence cannot have produced can still
+    contract. c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1
+    envelope, which decays at the common constant 1 + sqrt(l/L); the Daniel
+    envelope (CG only) scales with the initial gap.
+    """
     family = METHOD_FAMILY.get(trace.method)
     if family is None:
         raise ValueError(f"trace method {trace.method!r} is not certifiable")
-
-    xs = trace.xs
-    n = xs.shape[0]
-    if n < 1:
-        raise ValueError("empty trace")
     ell, lip = obj.ell, obj.lip
     tol = default_cert_tolerance(obj)
     c_value = contraction_constant(family, ell, lip)
 
-    def first_fail(passes):
-        bad = np.flatnonzero(~passes)
-        return int(bad[0]) if bad.size else None
-
-    flags = []
-    first_telescope = None
-    # Iterates from a diverged run or an untrusted file can overflow here;
-    # the resulting inf or nan psi fails its step instead of warning.
     with np.errstate(all="ignore"):
-        d = xs - obj.minimizer[None, :]
-        dist_sqs = np.einsum("ij,ij->i", d, d)
-
-        f_gaps = obj.f_gap_many(xs)
-        neg = f_gaps < 0.0
-        if np.any(neg):
-            # Roundoff at the gap's noise floor; clamping keeps psi >= 0
-            # instead of poisoning the chain with sign noise.
-            flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
-            f_gaps = np.maximum(f_gaps, 0.0)
-
-        if family == "ag":
-            # Exactly 0 at lip == ell, where the schedule is gradient descent.
-            rhos = np.full(n, math.sqrt(lip / ell) - 1.0)
-        else:
-            raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
-            rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
-            # A non-finite scalar, which nothing can check, fails its step
-            # here; it only zeroes rho above, where the chain cannot see it.
+        t = _terms(trace, obj, family)
+        f_gaps = t.f_gaps
+        psis = t.w_norm_sqs + (2.0 / ell) * f_gaps
+        # A single iterate leaves these arrays empty: no step, no violation.
+        ratios, step_passes = chain_steps(psis, c_value, tol)
+        checks = {CHAIN: step_passes}
+        if family == "cg":
             lhs = f_gaps[:-1] - f_gaps[1:]
             rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
             floor = TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
             scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
             agree = np.abs(lhs - rhs) <= TELESCOPE_TOL * scale
-            first_telescope = first_fail(agree & np.isfinite(rhs))
-        rhos[0] = 0.0
+            checks[TELESCOPING] = agree & np.isfinite(rhs)
 
-        w = d + rhos[:, None] * trace.ss
-        w_norm_sqs = np.einsum("ij,ij->i", w, w)
-        psis = w_norm_sqs + (2.0 / ell) * f_gaps
-
-        # A single iterate leaves these arrays empty: no step, no violation.
-        ratios, step_passes = chain_steps(psis, c_value, tol)
-
-    fails = [k for k in (first_fail(step_passes), first_telescope) if k is not None]
-
-    ks = np.arange(n)
+    ks = np.arange(len(psis))
     root = math.sqrt(ell / lip)
-    c0 = 0.5 * ell * dist_sqs[0] + f_gaps[0]
+    c0 = 0.5 * ell * t.dist_sqs[0] + f_gaps[0]
     theorem1_bounds = c0 * (1.0 + root) ** (-(ks - 1.0))
     daniel_ok = None
     if family == "cg" and lip > ell:
@@ -240,17 +253,15 @@ def certify(trace, obj) -> CertificateReport:
         c_value=c_value,
         tol_cert=tol,
         psis=psis,
-        f_gaps=np.asarray(f_gaps, dtype=float),
-        w_norm_sqs=w_norm_sqs,
-        dist_sqs=dist_sqs,
-        rhos=rhos,
+        f_gaps=f_gaps,
+        w_norm_sqs=t.w_norm_sqs,
+        dist_sqs=t.dist_sqs,
+        rhos=t.rhos,
         ratios=ratios,
-        step_passes=step_passes,
-        first_violation=min(fails, default=None),
-        first_telescope_violation=first_telescope,
+        checks=checks,
         theorem1_ok=bool(np.all(f_gaps <= theorem1_bounds * (1.0 + ENVELOPE_SLACK))),
         daniel_ok=daniel_ok,
-        flags=flags,
+        flags=t.flags,
     )
 
 
@@ -258,10 +269,10 @@ def certify(trace, obj) -> CertificateReport:
 class IdentityReport:
     """Result of the CG exactness battery.
 
-    max_violations maps check name to its worst normalized residual;
-    first_failures to the first step index exceeding that check's
-    tolerance (None when it never fails); ok holds when no check exceeds
-    its tolerance. min_weighted_bound_slack is the signed minimum of
+    max_violations maps check name to its worst normalized residual (nan if
+    any is); first_failures to the first step whose residual is not within
+    that check's tolerance, nan included (None when none); ok holds when no
+    check fails. min_weighted_bound_slack is the signed minimum of
     2 f_gap / l - ||w||^2, nonnegative for exact CG.
     """
 
@@ -273,6 +284,7 @@ class IdentityReport:
     ok: bool
 
 
+@np.errstate(all="ignore")
 def hs_identity_battery(trace, obj) -> IdentityReport:
     """Exact-arithmetic CG identities, checked in floating point.
 
@@ -288,50 +300,44 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
       step_rayleigh   l <= 1/alpha_k <= L
       rho_alignment   w_k' s_k = 0                                               (k >= 1)
 
+    The terms d, s, the gaps and w come from _terms(), as certify()'s do.
     p' A p is taken as ||r_k||^2 / alpha_{k+1}, the recurrence's own value.
     Differences of squares are evaluated as (u - v).(u + v) so comparisons
     are not dominated by cancellation; equality residuals are normalized by
     max(|lhs|, |rhs|, roundoff floor) and compared against TOL_ID. orth and
     step_rayleigh use the fixed module thresholds, weighted_bound the
     one-sided absolute slack. rho_alignment, the statement that CG's rho_k
-    is the weight minimizing ||w_k||, is normalized by ||s_k|| ||x_0 - x*||
-    (a stagnant step, or a run started at x_0 = x*, holds vacuously) and
-    compared against RHO_ALIGNMENT_TOL.
+    minimizes ||w_k||, is normalized by ||s_k|| ||x_0 - x*|| (a stagnant
+    step, or a run started at x_0 = x*, holds vacuously) and compared
+    against RHO_ALIGNMENT_TOL. A residual that overflows (a far-out x0, an
+    extreme ell) is nan or inf, and fails its row at its step, silently.
 
     States past k = dim are out of scope: exact CG has terminated by then
-    (r_dim = 0), every identity above degenerates to 0/0, and the
-    floating-point continuation that does reach those states carries no
-    digits for an equality check. For the same reason the battery stops at
-    the first state whose exact gap F_k is at or below CG's roundoff floor
-    kappa * eps * dim * F_0 (the scale of default_cert_tolerance): that
-    state is still checked against its predecessor, later ones are not. The
-    report's n is the states examined. rho_alignment is the exception: it
-    involves no difference of gaps, and it checks every state k >= 1 of the
-    trace.
+    (r_dim = 0) and every identity degenerates to 0/0. For the same reason
+    the battery stops at the first state whose exact gap F_k is at or below
+    CG's roundoff floor kappa * eps * dim * F_0 (the scale of
+    default_cert_tolerance): that state is still checked against its
+    predecessor, later ones are not. The report's n is the states examined.
+    rho_alignment, which involves no difference of gaps, checks every state
+    k >= 1 of the trace.
     """
     if METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
-
-    # certify's gaps come from the iterates, not the recurred residual,
-    # whose drift the tight equalities would register as violations.
-    report = certify(trace, obj)
-    n = min(len(report), obj.dim + 1)
-    f2 = 2.0 * report.f_gaps[:n]
+    t = _terms(trace, obj, "cg")
+    n = min(len(t.f_gaps), obj.dim + 1)
+    f2 = 2.0 * t.f_gaps[:n]
     # Stop at the first state at CG's roundoff floor (see the docstring).
     at_floor = np.flatnonzero(f2 <= (obj.lip / obj.ell) * 2.0**-52 * obj.dim * f2[0])
     if at_floor.size:
         n = int(at_floor[0]) + 1
         f2 = f2[:n]
-    ss_all = trace.ss
-    d_all = trace.xs - obj.minimizer[None, :]
-    w_all = d_all + report.rhos[:, None] * ss_all
-    ss, d, w = ss_all[:n], d_all[:n], w_all[:n]
+    ss, d, w = t.ss[:n], t.d[:n], t.w[:n]
     p_clean = np.nan_to_num(trace.ps[:n])
     p_sqs = np.einsum("ij,ij->i", p_clean, p_clean)
 
     eps = 2.0**-52 * obj.dim
     floor_f = eps * max(f2[0], 1e-300)
-    floor_d = eps * max(report.dist_sqs[0], 1e-300)
+    floor_d = eps * max(t.dist_sqs[0], 1e-300)
 
     def rel(lhs, rhs, floor):
         scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
@@ -342,14 +348,14 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     dist_drop = -np.einsum("ij,ij->i", ss[1:], d[:-1] + d[1:])
     dist_split = np.einsum("ij,ij->i", d[1:] - w[1:], d[1:] + w[1:])
     w_drop = np.einsum("ij,ij->i", w[2:] - w[1:-1], w[2:] + w[1:-1])
-    slack = f2 / obj.ell - np.einsum("ij,ij->i", w, w)
+    slack = f2 / obj.ell - t.w_norm_sqs[:n]
     pr = np.abs(np.einsum("ij,ij->i", p_clean[1:], trace.rs[1:n]))
     inv_alpha = 1.0 / a_next
     below = np.maximum(0.0, (obj.ell * (1.0 - RQ_SLACK) - inv_alpha) / obj.ell)
     above = np.maximum(0.0, (inv_alpha - obj.lip * (1.0 + RQ_SLACK)) / obj.lip)
-    w_dot_s = np.abs(np.einsum("ij,ij->i", w_all[1:], ss_all[1:]))
-    s_norms = np.sqrt(np.einsum("ij,ij->i", ss_all[1:], ss_all[1:]))
-    dist0 = math.sqrt(float(report.dist_sqs[0]))
+    w_dot_s = np.abs(np.einsum("ij,ij->i", t.w[1:], t.ss[1:]))
+    s_norms = np.sqrt(np.einsum("ij,ij->i", t.ss[1:], t.ss[1:]))
+    dist0 = math.sqrt(float(t.dist_sqs[0]))
     # x_0 = x* leaves no distance to normalize by; like the other rows,
     # which examine no state when F_0 = 0, this one then holds vacuously.
     align = w_dot_s / np.maximum(s_norms * dist0, 1e-300) if dist0 > 0.0 else w_dot_s[:0]
@@ -362,26 +368,22 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
         ),
         "dist_split": (rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
         "potential_drop": (rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
-        # A literal 0.0 where the bound holds; np.maximum can return -0.0.
-        "weighted_bound": (np.where(slack < 0.0, -slack, 0.0), WEIGHTED_BOUND_SLACK, 0),
+        # A literal 0.0 where the bound holds (np.maximum can return
+        # -0.0), and a nan slack fails.
+        "weighted_bound": (np.where(slack >= 0.0, 0.0, -slack), WEIGHTED_BOUND_SLACK, 0),
         "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
         "step_rayleigh": (np.maximum(below, above), 0.0, 1),
         "rho_alignment": (align, RHO_ALIGNMENT_TOL, 1),
     }
 
-    max_violations = {}
-    first_failures = {}
-    ok = True
-    for name, (v, tol, offset) in checks.items():
-        max_violations[name] = float(v.max()) if v.size else 0.0
-        bad = np.flatnonzero(v > tol)
-        first_failures[name] = int(bad[0]) + offset if bad.size else None
-        ok = ok and max_violations[name] <= tol
+    # v <= tol, not v > tol: a nan residual fails.
+    first_failures = {name: _first_fail(v <= tol, at) for name, (v, tol, at) in checks.items()}
+    worst = {name: float(v.max()) if v.size else 0.0 for name, (v, *_) in checks.items()}
     return IdentityReport(
         tol_id=TOL_ID,
         n=n,
-        max_violations=max_violations,
+        max_violations=worst,
         first_failures=first_failures,
         min_weighted_bound_slack=float(slack.min()),
-        ok=ok,
+        ok=all(k is None for k in first_failures.values()),
     )

@@ -18,7 +18,8 @@ Common fields: ``kind``, ``dim``, ``x0``, ``ell``, ``L``, plus optional
 ``x_star`` and ``seed``. Arrays are base64 strings of their little-endian
 float64 (``<f8``) bytes, row-major, so a save/load round trip is bit-exact
 by construction and repeated saves are byte-identical; a file with JSON
-number lists for arrays is refused. Scalars are JSON numbers.
+number lists for arrays is refused. Scalars are JSON numbers; a seed outside
+[0, 2**64), which SplitMix64 would reduce to another seed, is refused.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ def load_problem(path) -> ProblemSpec:
                     f"declared {name}={declared} disagrees with data-derived bound {derived}"
                 )
     seed = None if doc.get("seed") is None else _number_field(doc, "seed", int)
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ValueError(f"problem file field 'seed' must be in [0, 2**64), got {seed}")
     spec = ProblemSpec(obj, x0, seed)
     # A finite x0 can still be too far out for the solvers: a gradient or
     # gap that overflows would only surface later as nan cells or a false

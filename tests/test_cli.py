@@ -3,7 +3,10 @@
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,9 @@ from gradcert.problems import ProblemSpec, encode_array, load_problem, make_logi
 from gradcert.serialize import render_json
 from gradcert.solvers import run
 from gradcert.traces import iterates_path, read_trace_csv, read_trace_iterates, write_trace_csv
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _quadratic_spec(matrix, rhs, ell, lip, x0, x_star=None):
@@ -66,6 +72,20 @@ def test_largest_seeds_round_trip(workdir):
         assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(out)]) == 0
         perturb = ["perturb", "--problem", str(path), "--eta", "0", "--seed", str(seed)]
         assert main(perturb + ["--out", str(workdir / f"seed_{seed}_sweep.json")]) == 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**70])
+def test_out_of_stream_seed_in_a_file_is_refused(workdir, problem_file, capsys, seed):
+    doc = json.loads(problem_file.read_text())
+    doc["seed"] = seed
+    path = workdir / f"bad_seed_{seed}.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = str(workdir / "bad_seed.csv")
+    assert main(["run", "--problem", str(path), "--method", "cg", "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: problem file field 'seed' must be in [0, 2**64), got {seed}\n"
+    )
 
 
 def test_gen_is_deterministic(workdir, problem_file):
@@ -807,18 +827,94 @@ def test_identities_from_the_minimizer_hold(workdir, capsys):
     assert report["first_failures"]["rho_alignment"] is None
 
 
-def test_identities_certifies_the_run_once(workdir, problem_file, monkeypatch):
-    calls = []
-    original = potential.certify
+@pytest.fixture(scope="module")
+def extreme_files(workdir):
+    # files that still load: the gradient and the gap at x0 are finite
+    path = workdir / "extreme_base.json"
+    gen = ["gen", "--dim", "5", "--ell", "1", "--lip", "100", "--seed", "1", "--out", str(path)]
+    assert main(gen) == 0
+    spec = load_problem(path)
+    obj = spec.objective
+    files = {
+        "far_x0": ProblemSpec(obj, spec.x0 * 1e150, spec.seed),
+        "x0_at_x_star": ProblemSpec(obj, obj.minimizer, spec.seed),
+    }
+    for name, extreme in files.items():
+        extreme.save(workdir / f"{name}.json")
+    doc = json.loads(path.read_text())
+    doc["ell"] = 1e-320
+    (workdir / "tiny_ell.json").write_text(json.dumps(doc))
+    return workdir
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(potential, "certify", counted)
-    monkeypatch.setattr(cli, "certify", counted)
+def test_identities_fail_on_overflowing_residuals(extreme_files, capsys):
+    # F_k^2 overflows at x0 ~ 1e150: the nan residuals fail their rows,
+    # and the verdict, the first failures and the worst residual agree
+    out = extreme_files / "far_x0_id.json"
+    capsys.readouterr()
+    problem = str(extreme_files / "far_x0.json")
+    assert main(["identities", "--problem", problem, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("5 CG steps: worst identity residual nan (tol 1e-08)")
+    assert lines[1] == "identity violation detected"
+    doc = json.loads(out.read_text())
+    assert doc["ok"] is False
+    failed = {name for name, k in doc["first_failures"].items() if k is not None}
+    assert failed == {"dist_drop", "dist_split", "potential_drop"}
+    assert failed == {name for name, v in doc["max_violations"].items() if v is None}
+
+
+@pytest.mark.parametrize("name", ["far_x0", "x0_at_x_star", "tiny_ell"])
+def test_no_command_warns_on_extreme_files(extreme_files, name):
+    # each command's overflow is a verdict, never a RuntimeWarning
+    problem = str(extreme_files / f"{name}.json")
+    out = {m: str(extreme_files / f"{name}_{m}.csv") for m in ("ag", "cg-unified", "cg")}
+    commands = [["run", "--problem", problem, "--method", m, "--out", out[m]] for m in out]
+    commands += [
+        ["certify", out["cg"], "--problem", problem],
+        ["certify", out["ag"], "--problem", problem],
+        ["identities", "--problem", problem],
+        ["perturb", "--problem", problem, "--eta", "0,1e-8,1e-2", "--out", out["cg"] + ".json"],
+    ]
+    driver = (
+        "import json, sys\n"
+        "from gradcert.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", driver, json.dumps(commands)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    codes = json.loads(proc.stdout.splitlines()[-1])
+    # only the identities at x0 ~ 1e150 find a violation, the nan residuals
+    assert codes == [0, 0, 0, 0, 0, int(name == "far_x0"), 0]
+
+
+def test_identities_evaluates_the_terms_once(workdir, problem_file, monkeypatch):
+    # the battery reads d, s, the gaps, rho and w from the one evaluator
+    # that certify() also uses, and runs no certificate of its own
+    calls = {"certify": 0, "_terms": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(potential, name, counting(name, getattr(potential, name)))
+    monkeypatch.setattr(cli, "certify", counting("certify", cli.certify))
     assert main(["identities", "--problem", str(problem_file)]) == 0
-    assert len(calls) == 1
+    assert calls == {"certify": 0, "_terms": 1}
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gradcert import (
 )
 from gradcert.errors import MissingGroundTruthError
 from gradcert.potential import contraction_constant, default_cert_tolerance
-from gradcert.problems import make_logistic_problem
+from gradcert.problems import make_logistic_problem, make_quadratic_problem
 
 
 def test_contraction_constants():
@@ -278,7 +279,10 @@ def test_all_ok_is_every_check(tiny_problem):
         assert report.all_ok, method
         assert (report.daniel_ok is None) == (method == "ag")
         assert not dataclasses.replace(report, theorem1_ok=False).all_ok
-        assert not dataclasses.replace(report, first_violation=1).all_ok
+        chain = report.step_passes.copy()
+        chain[1] = False
+        failing = {**report.checks, "certificate chain": chain}
+        assert not dataclasses.replace(report, checks=failing).all_ok
         if method == "cg_classic":
             assert not dataclasses.replace(report, daniel_ok=False).all_ok
         # a real violated step: an iterate moved off the run
@@ -322,3 +326,60 @@ def test_certify_without_ground_truth_raises(tiny_problem):
     trace = run(obj, "cg_classic", tiny_problem.x0, 10, -math.inf)
     with pytest.raises(MissingGroundTruthError):
         certify(trace, bare)
+    with pytest.raises(MissingGroundTruthError):
+        hs_identity_battery(trace, bare)
+
+
+def test_the_check_table_names_the_first_failure(tiny_problem):
+    # first_violation, failed_check and first_telescope_violation are all
+    # read off certify()'s one table; at a shared step the chain, listed
+    # first, is the one named
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    report = certify(run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0)), obj)
+    assert list(report.checks) == ["certificate chain", "gap telescoping"]
+    assert report.first_failures == {"certificate chain": None, "gap telescoping": None}
+    assert report.failed_check is None and report.first_violation is None
+
+    def failing_at(k):
+        passes = np.ones(len(report) - 1, dtype=bool)
+        if k is not None:
+            passes[k] = False
+        return passes
+
+    for chain_at, telescoping_at, step, name in [
+        (3, None, 3, "certificate chain"),
+        (None, 2, 2, "gap telescoping"),
+        (4, 2, 2, "gap telescoping"),
+        (2, 4, 2, "certificate chain"),
+        (2, 2, 2, "certificate chain"),
+    ]:
+        checks = {
+            "certificate chain": failing_at(chain_at),
+            "gap telescoping": failing_at(telescoping_at),
+        }
+        forged = dataclasses.replace(report, checks=checks)
+        assert (forged.first_violation, forged.failed_check) == (step, name)
+        assert forged.first_telescope_violation == telescoping_at
+        assert forged.step_passes is checks["certificate chain"]
+        assert not forged.chain_ok and not forged.all_ok
+
+    ag = certify(run(obj, "ag", x0, 30, -math.inf), obj)
+    assert list(ag.checks) == ["certificate chain"]
+    assert ag.first_telescope_violation is None and ag.failed_check is None
+
+
+def test_battery_fails_overflowing_residuals_without_warning():
+    # at x0 ~ 1e150 the gaps stay finite but their squares overflow: the
+    # rows built on F_k^2 read nan, and each fails at its first step, in
+    # agreement with ok and without a RuntimeWarning
+    spec = make_quadratic_problem(SpectrumSpec(5, 1.0, 100.0, "log_uniform", 1))
+    obj = spec.objective
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(obj, "cg_classic", spec.x0 * 1e150, obj.dim, -math.inf)
+        battery = hs_identity_battery(trace, obj)
+    failed = {name: k for name, k in battery.first_failures.items() if k is not None}
+    assert failed == {"dist_drop": 0, "dist_split": 1, "potential_drop": 1}
+    assert not battery.ok
+    for name, worst in battery.max_violations.items():
+        assert math.isnan(worst) == (name in failed), name

@@ -286,9 +286,16 @@ def test_seed_must_be_an_integer(tmp_path, quad_spec, seed):
         _load_edited(tmp_path, quad_spec, seed=seed)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_must_be_in_the_stream(tmp_path, quad_spec, seed):
+    # SplitMix64 would reduce it to another seed, and save would write it back
+    with pytest.raises(ValueError, match=r"field 'seed' must be in \[0, 2\*\*64\)"):
+        _load_edited(tmp_path, quad_spec, seed=seed)
+
+
 def test_seed_is_optional(tmp_path, quad_spec):
     assert _load_edited(tmp_path, quad_spec, seed=None).seed is None
-    assert _load_edited(tmp_path, quad_spec, seed=2**70).seed == 2**70
+    assert _load_edited(tmp_path, quad_spec, seed=2**64 - 1).seed == 2**64 - 1
     # an int is taken as it is, not through its float rounding
     assert _load_edited(tmp_path, quad_spec, seed=2**53 + 1).seed == 2**53 + 1
     assert _load_edited(tmp_path, quad_spec, seed=3.0).seed == 3
