@@ -12,14 +12,20 @@ the objective.
 
 Draw order (one splitmix64 stream per problem, seeded with the spec's seed):
 reflector vectors v_1 .. v_dim (dim gaussians each), then b (dim gaussians),
-then x0 (dim gaussians). A = H_1 ... H_dim diag(lams) H_dim ... H_1 with
+then x0 (dim gaussians). A = Q diag(lams) Q' with Q = H_1 ... H_dim and
 H_i = I - 2 v_i v_i' / ||v_i||^2. This order is part of the reproducibility
 contract: identical (dim, ell, lip, layout, seed) must reproduce A, b, x0
-and the minimizer x_star bit for bit. x_star is solved through the same
-reflectors and lams, never through a factorization of A, and generation
-uses only vector operations and matrix-vector products, whose bits do not
-depend on the BLAS thread count (a test checks 1 against 2 OpenBLAS
-threads); so neither does the contract.
+and the minimizer x_star bit for bit.
+
+Q is formed once, densely, from the compact WY form of the reflectors,
+Q = I - V' T V (Schreiber and Van Loan, 1989); A is assembled row by row
+from Q and lams, and x_star is solved through Q and lams, never through a
+factorization of A. Generation uses only vector operations and
+matrix-vector products, never a matrix-matrix product: OpenBLAS threads
+dgemm and dsyrk from about dim 300 and a factorization from about dim 100,
+and their bits then depend on the thread count, while those of its gemv do
+not (a test checks 1 against 2 OpenBLAS threads at dims 10, 200 and 300);
+so neither does the contract.
 """
 
 from __future__ import annotations
@@ -78,58 +84,72 @@ def _reflectors(spec: SpectrumSpec, stream: SplitMix64) -> tuple[np.ndarray, np.
     return vs, cs
 
 
-def _apply_two_sided(b: np.ndarray, vs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    # B <- H_i B H_i for i = dim .. 1, in place, turns diag(lams) into Q diag(lams) Q'
-    outer = np.empty_like(b)
-    for v, c in zip(vs[::-1], cs[::-1]):
-        vc = v * c
-        np.subtract(b, np.outer(vc, v @ b, out=outer), out=b)
-        np.subtract(b, np.outer(b @ v, vc, out=outer), out=b)
-    return b
+def _orthogonal_factor(vs: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """Q = H_1 ... H_dim as a dense matrix, from its compact WY form.
+
+    Q = I - V' T V, where row i of V is v_i (the rows of ``vs``) and T is
+    upper triangular with T[i, i] = c_i and, by LAPACK dlarft's forward
+    recurrence, T[:i, i] = -c_i T[:i, :i] (V[:i] v_i). T's rows are then
+    overwritten with those of W = T V, and Q[i] = e_i - V[:, i] W. Every
+    product is a matrix-vector one (see the module docstring), and the
+    only dim x dim arrays made are T and Q.
+    """
+    n = cs.size
+    t = np.zeros((n, n))
+    row = np.empty(n)
+    for i in range(n):
+        t[i, i] = cs[i]
+        np.dot(t[:i, :i], np.dot(vs[:i], vs[i]), out=row[:i])
+        t[:i, i] = row[:i] * -cs[i]
+    for i in range(n):
+        # row i of T V needs only row i of T, which is zero left of i
+        np.dot(t[i, i:], vs[i:], out=row)
+        t[i] = row
+    q = np.empty((n, n))
+    for i in range(n):
+        np.dot(vs[:, i], t, out=q[i])
+        np.negative(q[i], out=q[i])
+        q[i, i] += 1.0
+    return q
 
 
 def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, ...]:
-    """(A, b, x0, vs, cs, lams) for a spec, following the documented draw order.
+    """(A, b, x0, q, lams) for a spec, following the documented draw order.
 
-    The last three are the factors A was built from, A = Q diag(lams) Q'
-    with Q = H_1 ... H_dim (see ``_reflectors``), so that the minimizer
-    needs no factorization of A.
+    The last two are the factors A was built from, A = Q diag(lams) Q' with
+    Q = H_1 ... H_dim (see ``_orthogonal_factor``), so that the minimizer
+    needs no factorization of A. Row i of A is Q (lams * Q[i]), one
+    matrix-vector product written in place, and A is then symmetrized.
     """
     stream = SplitMix64(spec.seed)
     vs, cs = _reflectors(spec, stream)
     b = stream.gaussian_vector(spec.dim)
     x0 = stream.gaussian_vector(spec.dim)
     lams = eigenvalue_layout(spec)
-    a = _apply_two_sided(np.diag(lams), vs, cs)
+    q = _orthogonal_factor(vs, cs)
+    a = np.empty_like(q)
+    row = np.empty_like(lams)
+    for i in range(spec.dim):
+        np.multiply(lams, q[i], out=row)
+        np.dot(q, row, out=a[i])
     a = (a + a.T) / 2.0
-    return a, b, x0, vs, cs, lams
+    return a, b, x0, q, lams
 
 
-def _reflect(x: np.ndarray, vs: np.ndarray, cs: np.ndarray) -> np.ndarray:
-    # x <- H_k x for each row k of vs in order, in place
-    for v, c in zip(vs, cs):
-        x -= v * (c * (v @ x))
-    return x
-
-
-def reference_minimizer(
-    obj: QuadraticObjective, vs: np.ndarray, cs: np.ndarray, lams: np.ndarray
-) -> np.ndarray:
+def reference_minimizer(obj: QuadraticObjective, q: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Solve A x = b through A's own factors, with one step of iterative refinement.
 
-    A^-1 r = Q diag(lams)^-1 Q' r, where Q' = H_dim ... H_1 applies H_1
-    first and Q applies H_dim first: two passes over the reflectors per
-    solve, four in all, and no factorization. The refinement step's
-    residual is taken against the stored ``obj.matrix``, which pushes the
-    backward error to the 1e-12 * (||A||_F ||x|| + ||b||) contract in
-    working precision. Every operation is a vector one or a matrix-vector
-    product, so the bits do not depend on the BLAS thread count.
+    A^-1 r = Q diag(lams)^-1 Q' r: two matrix-vector products with the
+    generator's Q per solve, four in all, and no factorization. The
+    refinement step's residual is taken against the stored ``obj.matrix``,
+    which pushes the backward error to the
+    1e-12 * (||A||_F ||x|| + ||b||) contract in working precision. Every
+    operation is a vector one or a matrix-vector product, so the bits do
+    not depend on the BLAS thread count.
     """
 
     def solve(r):
-        y = _reflect(r.copy(), vs, cs)
-        y /= lams
-        return _reflect(y, vs[::-1], cs[::-1])
+        return np.dot(q, np.dot(r, q) / lams)
 
     x = solve(obj.rhs)
     return x + solve(obj.rhs - obj.matrix @ x)
@@ -138,8 +158,8 @@ def reference_minimizer(
 def generate_with_start(spec: SpectrumSpec) -> tuple[QuadraticObjective, np.ndarray, np.ndarray]:
     """(obj, x_star, x0): the generated objective with its minimizer attached,
     that minimizer (``obj.minimizer``) and the seeded start point."""
-    a, b, x0, vs, cs, lams = generate_arrays(spec)
+    a, b, x0, q, lams = generate_arrays(spec)
     obj = QuadraticObjective(a, b, spec.ell, spec.lip)
-    obj = obj.with_minimizer(reference_minimizer(obj, vs, cs, lams))
+    obj = obj.with_minimizer(reference_minimizer(obj, q, lams))
     return obj, obj.minimizer, x0
 

@@ -101,13 +101,18 @@ def finite_difference_gradient(func, x, h=1e-6):
 
 
 def materialize_orthogonal(spec):
-    """The generator's orthogonal factor Q as a dense matrix (O(dim^3))."""
+    """The generator's orthogonal factor Q = H_1 ... H_dim as a dense matrix.
+
+    The reference for ``generate._orthogonal_factor``: it multiplies the
+    reflectors out one rank-1 update at a time (O(dim^3)), with no compact
+    WY form.
+    """
     stream = SplitMix64(spec.seed)
     vs, cs = _reflectors(spec, stream)
     q = np.eye(spec.dim)
     # Q = H_1 ... H_dim applied to the identity from the right-most factor
     for v, c in zip(vs[::-1], cs[::-1]):
-        q = q - np.outer(q @ v, v * c)
+        q = q - np.outer(v * c, v @ q)
     return q
 
 

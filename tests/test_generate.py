@@ -12,7 +12,8 @@ from scipy.linalg import cho_factor, cho_solve
 from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start
 from aids import materialize_orthogonal
 from gradcert.generate import (
-    _apply_two_sided,
+    _orthogonal_factor,
+    _reflectors,
     eigenvalue_layout,
     generate_arrays,
     reference_minimizer,
@@ -75,11 +76,15 @@ def test_different_seeds_differ():
 
 
 def test_orthogonal_factor_quality():
-    for dim in (3, 17, 50):
-        spec = SpectrumSpec(dim, 1.0, 10.0, "uniform", dim)
-        q = materialize_orthogonal(spec)
-        defect = np.linalg.norm(q.T @ q - np.eye(dim), "fro")
-        assert defect <= 1e-12 * dim
+    for dim in (1, 3, 17, 50, 200):
+        spec = SpectrumSpec(dim, 1.0, 1.0 if dim == 1 else 10.0, "uniform", dim)
+        want = materialize_orthogonal(spec)
+        q = _orthogonal_factor(*_reflectors(spec, SplitMix64(spec.seed)))
+        # the compact WY form against the rank-1 product, and both orthogonal
+        assert np.abs(q - want).max() <= 1e-13, dim
+        for factor in (q, want):
+            defect = np.linalg.norm(factor.T @ factor - np.eye(dim), "fro")
+            assert defect <= 1e-12 * dim, dim
 
 
 def test_matrix_matches_declared_spectrum():
@@ -115,9 +120,9 @@ def test_ground_truth_residual():
 
 def test_with_minimizer_shares_the_validated_arrays():
     spec = SpectrumSpec(12, 1.0, 100.0, "log_uniform", 3)
-    a, b, _, vs, cs, lams = generate_arrays(spec)
+    a, b, _, q, lams = generate_arrays(spec)
     bare = QuadraticObjective(a, b, spec.ell, spec.lip)
-    x_star = reference_minimizer(bare, vs, cs, lams)
+    x_star = reference_minimizer(bare, q, lams)
     obj = bare.with_minimizer(x_star)
     # no second copy, symmetry check or factorization of A
     assert obj.matrix is bare.matrix and obj.rhs is bare.rhs
@@ -157,7 +162,7 @@ def test_minimizer_accuracy_on_grid(dim, kappa, layout):
 _DIGESTS = """
 import hashlib
 from gradcert import SpectrumSpec, generate_with_start
-for dim in (10, 200):
+for dim in (10, 200, 300):
     obj, _, x0 = generate_with_start(SpectrumSpec(dim, 1.0, 1e4, "log_uniform", 1))
     for arr in (obj.matrix, obj.rhs, x0, obj.minimizer):
         print(hashlib.sha256(arr.tobytes()).hexdigest())
@@ -165,8 +170,9 @@ for dim in (10, 200):
 
 
 def test_generation_is_bit_exact_at_any_blas_thread_count():
-    # OpenBLAS threads a factorization from n ~ 100 up, and its bits then
-    # depend on the thread count; generation must use nothing like that
+    # OpenBLAS threads a factorization from n ~ 100 up, and a matrix-matrix
+    # product (dgemm, dsyrk) from about n = 300, and their bits then depend
+    # on the thread count; generation must use nothing like that
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -182,12 +188,12 @@ def test_generation_is_bit_exact_at_any_blas_thread_count():
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.split())
-    assert len(digests[0]) == 8
+    assert len(digests[0]) == 12
     assert digests[0] == digests[1]
 
 # The draw contract, pinned against scalar ``gaussian()`` draws. Each
-# reference feeds byte-identical inputs through the same assembly code as
-# the generator, so a mismatch means the draws moved, whatever the BLAS.
+# reference feeds byte-identical inputs through the same operations as the
+# generator, so a mismatch means the draws moved, whatever the BLAS.
 CONTRACT_SEEDS = (0, 2**64 - 1)
 
 
@@ -210,32 +216,14 @@ def test_generate_arrays_match_scalar_draws(dim, layout):
         b = _scalar_gaussians(stream, dim)
         x0 = _scalar_gaussians(stream, dim)
         lams = eigenvalue_layout(spec)
-        a = _apply_two_sided(np.diag(lams), vs, cs)
+        q = _orthogonal_factor(vs, cs)
+        a = np.array([q @ (lams * row) for row in q])
         a = (a + a.T) / 2.0
         got = generate_arrays(spec)
-        names = ("A", "b", "x0", "vs", "cs", "lams")
+        names = ("A", "b", "x0", "q", "lams")
         assert len(got) == len(names)
-        for name, want, have in zip(names, (a, b, x0, vs, cs, lams), got):
+        for name, want, have in zip(names, (a, b, x0, q, lams), got):
             assert _same_bytes(have, want), (name, seed)
-
-
-def _apply_two_sided_out_of_place(b, vs):
-    # the assembly as first written, one new matrix per update
-    for v in reversed(vs):
-        c = 2.0 / float(v @ v)
-        b = b - np.outer(v * c, v @ b)
-        b = b - np.outer(b @ v, v * c)
-    return b
-
-
-@pytest.mark.parametrize("layout", ["log_uniform", "uniform", "two_cluster"])
-@pytest.mark.parametrize("dim", [1, 7, 50, 200])
-def test_in_place_assembly_matches_out_of_place(dim, layout):
-    # the same operations in the same order, so the same bits
-    spec = SpectrumSpec(dim, 1.0, 1.0 if dim == 1 else 1e4, layout, dim)
-    _, _, _, vs, cs, lams = generate_arrays(spec)
-    want = _apply_two_sided_out_of_place(np.diag(lams), vs)
-    assert _same_bytes(_apply_two_sided(np.diag(lams), vs, cs), want)
 
 
 @pytest.mark.parametrize("dim, n_samples", [(1, 1), (5, 30)])
