@@ -1,10 +1,17 @@
 """Certificate-based detection of inexact matrix-vector products.
 
 Wraps a quadratic's operator so every product CG consumes picks up a
-seeded relative perturbation, then certifies the run: the first step whose
-certified decrease or gap telescoping fails is the detection signal. The
-monitor itself stays exact (true A, true f, true x*), modeling a tester who
-knows the system and is probing an untrusted solver.
+seeded relative perturbation, and certifies the run while it goes: the
+first step whose certified decrease or gap telescoping fails is the
+detection signal. The monitor itself stays exact (true A, true f, true x*),
+modeling a tester who knows the system and is probing an untrusted solver.
+
+The chain and the telescoping are checked step by step, so a failure seen
+on a prefix of the run stands whatever the run does next. The monitor
+certifies the stored prefix at MONITOR_FIRST_CHECK stored iterates and at
+every MONITOR_CHECK_GROWTH-fold length after, and ends the run at the first
+prefix that fails; that certify() report is the verdict. A run it does not
+end is certified whole once it stops, so exact runs read as before.
 
 Noise is a direction drawn uniformly on the unit sphere, scaled by
 eta * ||A p||. Each product's draw is keyed by (seed, call index) through
@@ -18,7 +25,7 @@ magnitude of a sweep reuses the same blocks.
 
 The run itself stores only its iterates and recurred residuals; the report's
 drift between the recurred and the true residual is computed afterwards from
-them, every tenth step.
+them, every tenth step and at the last.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import numpy as np
 from .objective import QuadraticObjective
 from .potential import certify
 from .rng import SplitMix64, substream_gaussians, substream_seed
-from .solvers import STOP_GAP_REL, _run_cg
+from .solvers import STOP_GAP_REL, Trace, _run_cg
 
 
 @dataclass(frozen=True)
@@ -54,6 +61,16 @@ class NoiseModel:
 # blocks hold every block of a 600-step run for about three seeds.
 DIRECTION_BLOCK = 64
 DIRECTION_CACHE_BLOCKS = 32
+
+
+# The monitor's schedule: it certifies the stored prefix at 8, 32, 128, ...
+# stored iterates. certify() costs about 100 us even on a few rows, so a
+# denser schedule costs runs that are never flagged more than it saves on
+# the others. Growing by 4 certifies at most 4/3 of a run's rows in all,
+# and a violation at step k (iterates k and k + 1) ends the run by
+# max(8, 4 (k + 1)) stored iterates.
+MONITOR_FIRST_CHECK = 8
+MONITOR_CHECK_GROWTH = 4
 
 
 @functools.lru_cache(maxsize=DIRECTION_CACHE_BLOCKS)
@@ -98,13 +115,46 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
 
 
 def _max_drift(trace, obj) -> float:
-    """Largest ||r_k - (b - A x_k)|| over k = 10, 20, ...; 0 on shorter runs.
+    """Largest ||r_k - (b - A x_k)|| over k = 10, 20, ... and the last stored k.
 
     Under noise the recurred residual strays from the true one; the audit
-    replays the true residual from the stored iterates every tenth step.
+    replays the true residual from the stored iterates every tenth step and
+    at the one where the run stopped. r_0 is exact, so a run of one iterate
+    reads 0.
     """
-    drifts = (r - (obj.rhs - obj.matrix @ x) for r, x in zip(trace.rs[10::10], trace.xs[10::10]))
-    return max((math.sqrt(v.dot(v)) for v in drifts), default=0.0)
+    ks = sorted({*range(10, len(trace), 10), len(trace) - 1})
+    drifts = (trace.rs[k] - (obj.rhs - obj.matrix @ trace.xs[k]) for k in ks)
+    return max(math.sqrt(v.dot(v)) for v in drifts)
+
+
+class _Monitor:
+    """_run_cg observer: certifies the stored prefix on the module's schedule.
+
+    It stops the run at the first prefix whose certificate fails and keeps
+    that report, so the verdict comes from certify() alone.
+    """
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.next_check = MONITOR_FIRST_CHECK
+        self.report = None
+
+    def __call__(self, xs, rs, alphas, prev_sqs) -> bool:
+        if len(xs) < self.next_check:
+            return False
+        self.next_check *= MONITOR_CHECK_GROWTH
+        prefix = Trace(
+            method="cg_classic",
+            xs=np.array(xs),
+            alphas=np.array(alphas),
+            prev_res_sqs=np.array(prev_sqs),
+            rs=np.array(rs),
+        )
+        report = certify(prefix, self.obj)
+        if report.first_violation is None:
+            return False
+        self.report = report
+        return True
 
 
 @dataclass
@@ -115,11 +165,15 @@ class DetectionReport:
     the gap telescoping's, whichever comes first, else the step where the
     run broke down (stop_reason "not_positive_definite" or "diverged", which
     exact CG reaches only from an x0 near the float64 limit), else None;
-    detected mirrors it as a bool. psis is the true potential sequence
-    (evaluated with the exact objective, not the noisy recurrence), the one
-    per-step array of the certificate that the report keeps. max_drift is
-    the absolute distance between the recurred and the true residual at
-    its worst tenth step (0 on runs shorter than 10 steps).
+    detected mirrors it as a bool. A run the monitor ended has stop_reason
+    "detected", and every field covers the run up to that stop:
+    iterations_run is the steps taken, one noisy product each, at most
+    max(7, 4 first_violation + 3) (module docstring). psis is the true
+    potential sequence (evaluated with the exact objective, not the noisy
+    recurrence), the one per-step array of the certificate that the report
+    keeps. max_drift is the absolute distance between the recurred and the
+    true residual at its worst tenth step or at the last step (0 on a run
+    of no steps).
     """
 
     eta: float
@@ -149,14 +203,18 @@ def detect_inexactness(
     against. The run ends at the first of: max_iters steps; the first
     iterate whose exact gap is at or below STOP_GAP_REL (1e-12) of the
     starting gap (run's one stop rule, where an exact run stops); the
-    recurred residual reaching CG's convergence floor; or a noisy p'A p
-    that is not positive ("not_positive_definite") or not finite
-    ("diverged"). A noisy run plateaus far above the gap threshold, but
-    the reorthogonalized recurrence still drives its own residual to the
-    floor, so noisy runs usually end with stop_reason "converged" within a
-    few times dim steps while the true error has stalled. Psi and the
-    certificate are always evaluated against the exact objective; a
-    breakdown counts as a violation (DetectionReport).
+    monitor's first failing certificate ("detected", on the schedule of
+    the module docstring); the recurred residual reaching CG's convergence
+    floor; or a noisy p'A p that is not positive ("not_positive_definite")
+    or not finite ("diverged"). Noise visible to the certificate usually
+    ends the run with "detected" within a few times the violation's step
+    count. Undetected noisy runs plateau far above the gap threshold while
+    the reorthogonalized recurrence drives its own residual to the floor,
+    so they end with "converged" within a few times dim steps. A run the
+    monitor ended reports the certificate of its last check; any other is
+    certified whole. Psi and the certificate are always evaluated against
+    the exact objective; a breakdown counts as a violation
+    (DetectionReport).
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("inexactness detection applies to quadratic objectives")
@@ -166,8 +224,10 @@ def detect_inexactness(
     x0 = monitored._check_vector(x0, "x0")
 
     # One call index per product. The lambda looks noisy_matvec up at each
-    # call, so a wrapper installed on this module sees every product.
+    # call, and the monitor certify, so a wrapper installed on this module
+    # sees every product and every certificate.
     calls = itertools.count()
+    monitor = _Monitor(monitored)
     trace = _run_cg(
         monitored,
         "cg_classic",
@@ -175,8 +235,9 @@ def detect_inexactness(
         max_iters,
         STOP_GAP_REL * monitored.f_gap(x0),
         matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
+        observe=monitor,
     )
-    report = certify(trace, monitored)
+    report = certify(trace, monitored) if monitor.report is None else monitor.report
     first_violation = report.first_violation
     if first_violation is None and trace.stop_reason in ("not_positive_definite", "diverged"):
         first_violation = len(trace) - 1  # the noise broke the run down

@@ -45,6 +45,12 @@ from .solvers import METHOD_FAMILY
 # chain takes its tolerance from default_cert_tolerance instead.
 ENVELOPE_SLACK = 1e-9
 
+# Cap on the chain's tolerance. Unbounded, a tiny declared ell (1e-300)
+# made it about 1e278 and let any trace pass. The cap binds only where
+# kappa eps dim > 1, which no float64 verdict resolves anyway; it stands
+# until the tolerance is derived from an error analysis.
+CERT_TOL_CAP = 2e-9
+
 # CG gap telescoping: floored (relative to the initial gap) well above the
 # run's scalars' own drift, with a tolerance far below the errors it catches.
 TELESCOPE_TOL = 1e-3
@@ -62,10 +68,10 @@ def default_cert_tolerance(obj) -> float:
     """Chain tolerance scaled for conditioning and dimension; certify() uses no other.
 
     1e-9 covers the test grid comfortably; the kappa * eps * dim term keeps
-    it meaningful at conditioning far beyond it.
+    it meaningful at conditioning far beyond it, up to CERT_TOL_CAP.
     """
     kappa = obj.lip / obj.ell
-    return 1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim)
+    return min(1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim), CERT_TOL_CAP)
 
 
 def contraction_constant(family: str, ell: float, lip: float) -> float:
@@ -82,10 +88,16 @@ def contraction_constant(family: str, ell: float, lip: float) -> float:
 
 
 def chain_steps(psis, c: float, tol: float):
-    """(psi_k / psi_{k+1}, step k's check at constant c and slack 1 + tol); see certify()."""
+    """(psi_k / psi_{k+1}, step k's check at constant c and slack 1 + tol); see certify().
+
+    A step passes only when both of its psi are finite: inf <= inf would
+    otherwise certify a potential that overflowed.
+    """
     lhs = psis[1:].copy()
     lhs[1:] *= c
-    return psis[:-1] / psis[1:], lhs <= psis[:-1] * (1.0 + tol)
+    finite = np.isfinite(psis)
+    passes = (lhs <= psis[:-1] * (1.0 + tol)) & finite[:-1] & finite[1:]
+    return psis[:-1] / psis[1:], passes
 
 
 # certify()'s per-step checks, in the order that breaks a tie.
@@ -210,12 +222,13 @@ def certify(trace, obj) -> CertificateReport:
 
     Step k checks psi_1 <= psi_0 at k = 0 and C psi_{k+1} <= psi_k after,
     with multiplicative slack 1 + default_cert_tolerance(obj), which the
-    report states as tol_cert. On CG the gap telescoping f(x_k) - f(x_{k+1})
-    = alpha_{k+1} ||r_k||^2 / 2 is checked to TELESCOPE_TOL: CG's chain has
-    slack, and an iterate the recurrence cannot have produced can still
-    contract. c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1
-    envelope, which decays at the common constant 1 + sqrt(l/L); the Daniel
-    envelope (CG only) scales with the initial gap.
+    report states as tol_cert; a step with a non-finite psi fails. On CG
+    the gap telescoping f(x_k) - f(x_{k+1}) = alpha_{k+1} ||r_k||^2 / 2 is
+    checked to TELESCOPE_TOL: CG's chain has slack, and an iterate the
+    recurrence cannot have produced can still contract.
+    c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope,
+    which decays at the common constant 1 + sqrt(l/L); the Daniel envelope
+    (CG only) scales with the initial gap.
     """
     family = METHOD_FAMILY.get(trace.method)
     if family is None:

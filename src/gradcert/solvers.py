@@ -270,7 +270,16 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
     return Trace(method=method, xs=xs[:n].copy(), stop_reason=stop_reason)
 
 
-def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
+def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None, observe=None):
+    """CG loop of run; the two private hooks serve the noise monitor.
+
+    matvec replaces the operator product inside each step. observe is
+    called as observe(xs, rs, alphas, prev_res_sqs), with the stored
+    columns as lists of the Trace's rows, after each stored step that the
+    gap stop did not end. A true return ends the run there with
+    stop_reason "detected", before another product is taken. It must not
+    change the columns.
+    """
     a_mat = obj.matrix
     if matvec is None:
         matvec = lambda v: a_mat @ v  # noqa: E731
@@ -372,6 +381,9 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None):
             d = x - x_star
             if reached(x, d.dot(d)):
                 stop_reason = "gap"
+                break
+            if observe is not None and observe(xs, rs, alphas, prev_sqs):
+                stop_reason = "detected"
                 break
 
     return Trace(

@@ -892,10 +892,14 @@ def test_no_command_warns_on_extreme_files(extreme_files, name):
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    # on the tiny_ell file every psi overflows to inf, and a step with a
+    # non-finite psi fails: run warns for each method, certify exits 1
+    tiny = name == "tiny_ell"
+    expected_stderr = "warning: certificate chain fails at step 0\n" * (3 * tiny)
+    assert proc.returncode == 0 and proc.stderr == expected_stderr, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
-    # only the identities at x0 ~ 1e150 find a violation, the nan residuals
-    assert codes == [0, 0, 0, 0, 0, int(name == "far_x0"), 0]
+    # the identities at x0 ~ 1e150 find a violation, the nan residuals
+    assert codes == [0, 0, 0, int(tiny), int(tiny), int(name == "far_x0"), 0]
 
 
 def test_identities_evaluates_the_terms_once(workdir, problem_file, monkeypatch):

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from gradcert import perturb, solvers
+from gradcert.potential import certify
 from gradcert.generate import SpectrumSpec, generate_with_start
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import (
     DIRECTION_BLOCK,
+    MONITOR_CHECK_GROWTH,
+    MONITOR_FIRST_CHECK,
     DetectionReport,
     NoiseModel,
     _directions,
@@ -90,6 +93,10 @@ def test_visible_noise_is_detected():
     assert report.detected
     assert isinstance(report.first_violation, int)
     assert 1 <= report.first_violation <= report.iterations_run
+    assert report.stop_reason == "detected"
+    # the drift audit reads the last stored step too, so a run the monitor
+    # stopped before step 10 still reports its drift
+    assert report.iterations_run < 10
     assert report.max_drift > 0.0
 
 
@@ -256,3 +263,69 @@ def test_gap_gate_keeps_detection_unchanged(monkeypatch):
             # a noisy run plateaus far above the threshold: the gate spares
             # the gap's matvec on almost every step
             assert gated[case][1] < calls / 2, case
+
+
+def _unobserved(obj, x_star, noise, max_iters, x0):
+    """The monitored run without its observer, run to its own end, and its certificate."""
+    monitored = obj.with_minimizer(x_star)
+    calls = itertools.count()
+    trace = solvers._run_cg(
+        monitored,
+        "cg_classic",
+        x0,
+        max_iters,
+        solvers.STOP_GAP_REL * monitored.f_gap(x0),
+        matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
+    )
+    return trace, certify(trace, monitored)
+
+
+def test_exact_report_is_the_unobserved_certificate():
+    # the monitor never stops an exact run, which is then certified whole
+    obj, x_star, x0 = _problem(100, 1e4)
+    for seed in range(3):
+        noise = NoiseModel(0.0, seed)
+        rep = detect_inexactness(obj, x_star, noise, 600, x0=x0)
+        trace, full = _unobserved(obj, x_star, noise, 600, x0)
+        assert rep.stop_reason == trace.stop_reason == "gap"
+        assert rep.iterations_run == len(trace) - 1
+        assert rep.psis.tobytes() == full.psis.tobytes()
+        assert rep.first_violation is full.first_violation is None
+
+
+def test_monitor_keeps_the_unobserved_first_violation():
+    # criterion 10's 30 (eta, seed) pairs: stopping at the first failing
+    # prefix moves no verdict of the run to its own end
+    obj, x_star, x0 = _problem(100, 1e4)
+    for eta in (1e-8, 1e-4, 1e-2):
+        for seed in range(10):
+            noise = NoiseModel(eta, seed)
+            rep = detect_inexactness(obj, x_star, noise, 600, x0=x0)
+            trace, full = _unobserved(obj, x_star, noise, 600, x0)
+            assert rep.first_violation == full.first_violation, (eta, seed)
+            n = rep.iterations_run + 1
+            if rep.stop_reason == "detected":
+                # it stops at a scheduled check, on a prefix of the full run;
+                # BLAS rounds the prefix's gaps as a shorter block, so psi
+                # can move in its last bits
+                assert n in [MONITOR_FIRST_CHECK * MONITOR_CHECK_GROWTH**j for j in range(5)]
+                assert n < len(trace)
+                np.testing.assert_allclose(rep.psis, full.psis[:n], rtol=1e-13, atol=0.0)
+            else:
+                assert rep.psis.tobytes() == full.psis.tobytes(), (eta, seed)
+
+
+def test_iterations_run_counts_the_noisy_products(monkeypatch):
+    obj, x_star, x0 = _problem(100, 1e4)
+    calls = []
+    real = perturb.noisy_matvec
+
+    def counting(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(perturb, "noisy_matvec", counting)
+    for eta in (0.0, 1e-8, 1e-4, 1e-2):
+        calls.clear()
+        rep = detect_inexactness(obj, x_star, NoiseModel(eta, 3), 600, x0=x0)
+        assert calls == list(range(rep.iterations_run)), eta

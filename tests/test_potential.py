@@ -19,7 +19,7 @@ from gradcert import (
     run,
 )
 from gradcert.errors import MissingGroundTruthError
-from gradcert.potential import contraction_constant, default_cert_tolerance
+from gradcert.potential import CERT_TOL_CAP, chain_steps, contraction_constant, default_cert_tolerance
 from gradcert.problems import make_logistic_problem, make_quadratic_problem
 
 
@@ -100,6 +100,43 @@ def test_default_tolerance_formula(tiny_problem):
     assert default_cert_tolerance(obj) == pytest.approx(
         1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim), rel=1e-12
     )
+
+
+def test_default_tolerance_is_capped():
+    # kappa eps dim > 1 would lift the slack past any meaningful size
+    for ell in (1e-6, 1e-300, 1e-320):
+        obj = QuadraticObjective(np.diag([1.0, 100.0]), np.ones(2), ell, 100.0)
+        assert default_cert_tolerance(obj) == min(
+            1e-9 * (1.0 + 100.0 / ell * 2.0**-52 * 2), CERT_TOL_CAP
+        )
+    assert default_cert_tolerance(obj) == CERT_TOL_CAP
+
+
+def test_chain_fails_a_step_with_a_non_finite_psi():
+    psis = np.array([4.0, np.inf, np.inf, 1.0, np.nan, 0.5])
+    with np.errstate(invalid="ignore"):  # inf / inf, as under certify()
+        _, passes = chain_steps(psis, 1.5, 1e-9)
+    assert passes.tolist() == [False, False, False, False, False]
+    _, passes = chain_steps(np.array([4.0, 2.0, 1.0]), 1.5, 1e-9)
+    assert passes.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("ell, first_violation", [(1.0, 99), (1e-300, 99), (1e-320, 0)])
+def test_tiny_declared_ell_does_not_certify_a_forgery(ell, first_violation):
+    # an AG run with iterate 100 moved by 10, audited under a smaller
+    # declared ell, which is still a true lower bound: at 1e-300 the
+    # uncapped tolerance was about 1e278, and at 1e-320 every psi is inf
+    obj, x_star, x0 = generate_with_start(
+        SpectrumSpec(dim=5, ell=1.0, lip=100.0, layout="log_uniform", seed=1)
+    )
+    trace = run(obj, "ag", x0, 150, -math.inf)
+    forged = trace.xs.copy()
+    forged[100] += 10.0
+    declared = QuadraticObjective(obj.matrix, obj.rhs, ell, obj.lip).with_minimizer(x_star)
+    report = certify(dataclasses.replace(trace, xs=forged), declared)
+    assert report.tol_cert <= CERT_TOL_CAP
+    assert report.first_violation == first_violation
+    assert report.failed_check == "certificate chain"
 
 
 def test_certify_flags_a_corrupted_trace(tiny_problem):
