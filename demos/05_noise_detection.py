@@ -6,9 +6,15 @@ the true error has stopped improving. Watching only that residual, the run
 appears to converge. The potential certificate, evaluated against the exact
 objective, flags the very first step whose contraction falls short or whose
 gap drop disagrees with the run's own step size. The monitor checks the run
-while it goes and ends it once a check fails; the hand-written loop below
-shows what a run left to itself does after that.
+while it goes and ends it once a check fails; the unmonitored run below
+shows what the library's CG, left to itself, does after that. Noise enters
+through the objective: a copy whose matvec, the one product every solver
+takes, is the noisy one.
 """
+
+import copy
+import itertools
+import math
 
 import numpy as np
 
@@ -18,6 +24,7 @@ from gradcert import (
     detect_inexactness,
     generate_with_start,
     noisy_matvec,
+    run,
     sweep,
 )
 
@@ -26,20 +33,14 @@ obj, x_star, x0 = generate_with_start(spec)
 
 print("== what the solver sees vs what is true (eta = 1e-3) ==")
 noise = NoiseModel(magnitude=1e-3, seed=0)
-x, r = x0.copy(), obj.rhs - obj.matrix @ x0
-p, call = r.copy(), 0
+calls = itertools.count()
+noisy = copy.copy(obj)
+noisy.matvec = lambda p: noisy_matvec(obj, noise, p, next(calls))
+trace = run(noisy, "cg_classic", x0, 60, -math.inf)
 print("  k   recurred |r|   true |b - A x|")
-for k in range(1, 61):
-    ap = noisy_matvec(obj, noise, p, call_index=call)
-    call += 1
-    alpha = float(r @ r) / float(p @ ap)
-    x = x + alpha * p
-    r_new = r - alpha * ap
-    beta = float(r_new @ r_new) / float(r @ r)
-    r, p = r_new, r_new + beta * p
-    if k % 10 == 0:
-        true_res = np.linalg.norm(obj.rhs - obj.matrix @ x)
-        print(f"{k:4d}   {np.linalg.norm(r):12.3e}   {true_res:12.3e}")
+for k in range(10, len(trace), 10):
+    true_res = np.linalg.norm(obj.rhs - obj.matrix @ trace.xs[k])
+    print(f"{k:4d}   {np.linalg.norm(trace.rs[k]):12.3e}   {true_res:12.3e}")
 print("the recurred residual underestimates the truth once noise accumulates\n")
 
 print("== certified detection across noise levels ==")

@@ -147,10 +147,17 @@ class QuadraticObjective(Objective):
         x = self._check_vector(x)
         return float(0.5 * x @ (self.matrix @ x) - self.rhs @ x)
 
-    def grad(self, x):
-        x = self._check_vector(x)
+    def matvec(self, v):
+        """A v: the one product the solvers take, AG through grad and CG directly.
+
+        A copy may replace it (perturb's noisy copies do); value, the gaps
+        and every audit read self.matrix, so they stay exact.
+        """
         # ndarray.dot reaches the same BLAS product as @ with less overhead.
-        return self.matrix.dot(x) - self.rhs
+        return self.matrix.dot(v)
+
+    def grad(self, x):
+        return self.matvec(self._check_vector(x)) - self.rhs
 
     def hessian(self, x=None):
         return self.matrix

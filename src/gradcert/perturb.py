@@ -1,10 +1,12 @@
 """Certificate-based detection of inexact matrix-vector products.
 
-Wraps a quadratic's operator so every product CG consumes picks up a
-seeded relative perturbation, and certifies the run while it goes: the
-first step whose certified decrease or gap telescoping fails is the
-detection signal. The monitor itself stays exact (true A, true f, true x*),
-modeling a tester who knows the system and is probing an untrusted solver.
+Runs the library's own CG on a copy of a quadratic (_noisy) whose matvec,
+the one product the solvers take, picks up a seeded relative perturbation,
+and certifies the run while it goes: the first step whose certified
+decrease or gap telescoping fails is the detection signal. The copy's
+value and gaps, the monitor and the report stay exact (true A, true f,
+true x*), modeling a tester who knows the system and is probing an
+untrusted solver.
 
 The chain and the telescoping are checked step by step, so a failure seen
 on a prefix of the run stands whatever the run does next. The monitor
@@ -30,9 +32,11 @@ them, every tenth step and at the last.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +49,11 @@ from .solvers import STOP_GAP_REL, Trace, _run_cg
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Relative perturbation applied to each matvec; magnitude 0 disables it."""
+    """Relative perturbation applied to each matvec; magnitude 0 disables it.
+
+    magnitude is finite and >= 0, and -0.0 is stored as 0.0; seed is an
+    integer in [0, 2**64), the seeds SplitMix64 keeps apart.
+    """
 
     magnitude: float
     seed: int = 0
@@ -53,6 +61,15 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.magnitude < np.inf:
             raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
+        if self.magnitude == 0.0:
+            object.__setattr__(self, "magnitude", 0.0)
 
 
 # Calls per drawn block of directions, and blocks kept. Measured at dim 100
@@ -114,6 +131,19 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
     return out + noise.magnitude * math.sqrt(out.dot(out)) * u
 
 
+def _noisy(obj: QuadraticObjective, noise: NoiseModel) -> QuadraticObjective:
+    """Copy of obj whose matvec is noisy_matvec, one call index per product.
+
+    Only the product changes: the copy's value, gaps and audits read the
+    exact matrix. noisy_matvec is looked up at each call, so a wrapper
+    installed on this module sees every product.
+    """
+    calls = itertools.count()
+    noisy = copy.copy(obj)
+    noisy.matvec = lambda v: noisy_matvec(obj, noise, v, next(calls))
+    return noisy
+
+
 def _max_drift(trace, obj) -> float:
     """Largest ||r_k - (b - A x_k)|| over k = 10, 20, ... and the last stored k.
 
@@ -139,16 +169,16 @@ class _Monitor:
         self.next_check = MONITOR_FIRST_CHECK
         self.report = None
 
-    def __call__(self, xs, rs, alphas, prev_sqs) -> bool:
+    def __call__(self, xs, alphas, prev_sqs) -> bool:
         if len(xs) < self.next_check:
             return False
         self.next_check *= MONITOR_CHECK_GROWTH
+        # certify() reads no recurred residuals, so the prefix carries none.
         prefix = Trace(
             method="cg_classic",
             xs=np.array(xs),
             alphas=np.array(alphas),
             prev_res_sqs=np.array(prev_sqs),
-            rs=np.array(rs),
         )
         report = certify(prefix, self.obj)
         if report.first_violation is None:
@@ -223,18 +253,16 @@ def detect_inexactness(
     monitored = obj.with_minimizer(x_star)
     x0 = monitored._check_vector(x0, "x0")
 
-    # One call index per product. The lambda looks noisy_matvec up at each
-    # call, and the monitor certify, so a wrapper installed on this module
-    # sees every product and every certificate.
-    calls = itertools.count()
+    # CG runs on the noisy copy; the monitor and the report keep the exact
+    # objective. The monitor looks certify up at each call, so a wrapper
+    # installed on this module sees every certificate.
     monitor = _Monitor(monitored)
     trace = _run_cg(
-        monitored,
+        _noisy(monitored, noise),
         "cg_classic",
         x0,
         max_iters,
         STOP_GAP_REL * monitored.f_gap(x0),
-        matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
         observe=monitor,
     )
     report = certify(trace, monitored) if monitor.report is None else monitor.report
@@ -267,7 +295,7 @@ def sweep(
     once and served from the cache to all its magnitudes.
     """
     out = []
-    for seed in sorted(set(int(s) for s in seeds)):
+    for seed in sorted(set(seeds)):
         for eta in sorted(set(float(e) for e in etas)):
             noise = NoiseModel(magnitude=eta, seed=seed)
             out.append(detect_inexactness(obj, x_star, noise, max_iters, x0=x0))

@@ -38,6 +38,11 @@ from those is not stored: the displacements s_k come from consecutive
 iterates, and CG's directions p_k from its residuals and betas. Nor are
 gaps: certify() computes every f(x_k) - f* from the iterates.
 
+Neither loop forms a product itself: accelerated steps call obj.grad, and
+CG steps call QuadraticObjective.matvec, the one product grad takes too.
+So a copy of the objective that replaces matvec (perturb's noisy copies)
+reaches both families, and the loops know nothing of noise.
+
 Every run stops on the same test, the exact gap f(x_k) - f* <= stop_gap,
 at the first iterate that passes it, and evaluates that gap (one more
 matvec) only where it can already be small: l-strong convexity gives
@@ -270,27 +275,24 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
     return Trace(method=method, xs=xs[:n].copy(), stop_reason=stop_reason)
 
 
-def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None, observe=None):
-    """CG loop of run; the two private hooks serve the noise monitor.
+def _run_cg(obj, method, x0, max_iters, stop_gap, observe=None):
+    """CG loop of run; each step's one product is obj.matvec.
 
-    matvec replaces the operator product inside each step. observe is
-    called as observe(xs, rs, alphas, prev_res_sqs), with the stored
-    columns as lists of the Trace's rows, after each stored step that the
-    gap stop did not end. A true return ends the run there with
-    stop_reason "detected", before another product is taken. It must not
-    change the columns.
+    The private observe hook serves the noise monitor. It is called as
+    observe(xs, alphas, prev_res_sqs), with the stored columns as lists of
+    the Trace's rows, after each stored step that the gap stop did not
+    end. A true return ends the run there with stop_reason "detected",
+    before another product is taken. It must not change the columns.
     """
-    a_mat = obj.matrix
-    if matvec is None:
-        matvec = lambda v: a_mat @ v  # noqa: E731
+    matvec = obj.matvec
     unified = method == "cg_unified"
     reached = _gap_reached(obj, stop_gap)
     x_star = obj.minimizer
 
     x = x0.copy()
-    # The initial residual is always exact; an injected matvec (noise
-    # studies) replaces only the one product inside each step.
-    r = obj.rhs - a_mat @ x0
+    # The initial residual is always exact; a replaced obj.matvec (noise
+    # studies) changes only the one product inside each step.
+    r = obj.rhs - obj.matrix @ x0
     res_sq = float(r @ r)
     r0_norm = math.sqrt(res_sq)
     threshold = (CG_CONVERGED_REL * r0_norm) ** 2
@@ -382,7 +384,7 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, matvec=None, observe=None):
             if reached(x, d.dot(d)):
                 stop_reason = "gap"
                 break
-            if observe is not None and observe(xs, rs, alphas, prev_sqs):
+            if observe is not None and observe(xs, alphas, prev_sqs):
                 stop_reason = "detected"
                 break
 

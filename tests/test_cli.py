@@ -1056,6 +1056,19 @@ def test_perturb_command(workdir, problem_file, capsys):
         assert len(entry["psi"]) == entry["iterations_run"] + 1
 
 
+def test_perturb_negative_zero_eta_is_zero(workdir, problem_file):
+    # -0 and 0 are one magnitude: either order writes the same file, with 0.0
+    docs = []
+    for order in ("-0,0", "0,-0"):
+        out = workdir / f"zero_{order}.json"
+        assert main(["perturb", "--problem", str(problem_file), f"--eta={order}",
+                     "--iters", "20", "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
+    assert [entry["eta"] for entry in json.loads(docs[0])] == [0.0]
+    assert '"eta": 0.0' in docs[0].decode()
+
+
 def test_perturb_bad_eta_exits_1(workdir, problem_file, capsys):
     code = main(["perturb", "--problem", str(problem_file), "--eta", "a,b"])
     assert code == 1

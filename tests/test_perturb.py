@@ -35,6 +35,19 @@ def test_noise_model_validation():
     for magnitude in (-1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             NoiseModel(magnitude=magnitude)
+    # every magnitude checks its seed, the ones that never draw included
+    for magnitude in (0.0, 1e-3):
+        for seed in (-1, 2**64, 1.5, 1.0, "3", None):
+            with pytest.raises(ValueError):
+                NoiseModel(magnitude, seed)
+        assert NoiseModel(magnitude, np.uint64(2**64 - 1)).seed == 2**64 - 1
+    # -0.0 == 0.0, so a sweep keeps whichever comes first; both store +0.0
+    assert math.copysign(1.0, NoiseModel(-0.0).magnitude) == 1.0
+    # sweep refuses what NoiseModel refuses, instead of truncating it
+    obj, x_star, x0 = _problem(8, 10.0)
+    for seeds in ([1.5], ["3"], [-1]):
+        with pytest.raises(ValueError):
+            sweep(obj, x_star, [1e-3], seeds, 5, x0=x0)
 
 
 def test_eta_zero_is_bitwise_passthrough():
@@ -268,15 +281,8 @@ def test_gap_gate_keeps_detection_unchanged(monkeypatch):
 def _unobserved(obj, x_star, noise, max_iters, x0):
     """The monitored run without its observer, run to its own end, and its certificate."""
     monitored = obj.with_minimizer(x_star)
-    calls = itertools.count()
-    trace = solvers._run_cg(
-        monitored,
-        "cg_classic",
-        x0,
-        max_iters,
-        solvers.STOP_GAP_REL * monitored.f_gap(x0),
-        matvec=lambda p: noisy_matvec(monitored, noise, p, next(calls)),
-    )
+    stop_gap = solvers.STOP_GAP_REL * monitored.f_gap(x0)
+    trace = solvers.run(perturb._noisy(monitored, noise), "cg_classic", x0, max_iters, stop_gap)
     return trace, certify(trace, monitored)
 
 

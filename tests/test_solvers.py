@@ -1,5 +1,6 @@
 """Solver runs: oracle iterates, the unified variants, and run-level invariants."""
 
+import copy
 import itertools
 import math
 import tracemalloc
@@ -12,10 +13,10 @@ from aids import conjugacy_drift
 from conftest import assert_close
 from gradcert import QuadraticObjective, SpectrumSpec, generate_with_start, run, solvers
 from gradcert.errors import MissingGroundTruthError
-from gradcert.perturb import NoiseModel, _max_drift, noisy_matvec
+from gradcert.perturb import NoiseModel, _max_drift, _noisy
 from gradcert.potential import certify
 from gradcert.problems import make_logistic_problem
-from gradcert.solvers import METHOD_FAMILY, METHODS, Trace, _gap_gate, _run_cg, momentum_coefficient
+from gradcert.solvers import METHOD_FAMILY, METHODS, Trace, _gap_gate, momentum_coefficient
 from gradcert.traces import read_trace_csv, read_trace_iterates, write_trace_csv
 
 
@@ -112,14 +113,11 @@ def test_unified_ag_matches_direct_form():
 def test_replayed_directions_are_the_ones_multiplied(method, eta):
     spec = SpectrumSpec(dim=20, ell=1.0, lip=1e4, layout="log_uniform", seed=3)
     obj, _, x0 = generate_with_start(spec)
-    noise = NoiseModel(eta, seed=5)
+    noisy = _noisy(obj, NoiseModel(eta, seed=5))
     used = []
-
-    def matvec(p):
-        used.append(p.copy())
-        return noisy_matvec(obj, noise, p, len(used))
-
-    trace = _run_cg(obj, method, x0, 40, -math.inf, matvec=matvec)
+    product = noisy.matvec
+    noisy.matvec = lambda p: used.append(p.copy()) or product(p)
+    trace = run(noisy, method, x0, 40, -math.inf)
     assert len(trace) == len(used) + 1 > 20
     assert trace.ps[1:].tobytes() == np.vstack(used).tobytes()
 
@@ -193,11 +191,7 @@ def test_cg_residuals_stay_orthogonal_over_the_grid(cg_grid, method):
 
 def _noisy_cg(obj, method, x0, max_iters, noise):
     """CG to max_iters steps, each product through noisy_matvec with its own call index."""
-    calls = itertools.count()
-    return _run_cg(
-        obj, method, x0, max_iters, -math.inf,
-        matvec=lambda p: noisy_matvec(obj, noise, p, next(calls)),
-    )
+    return run(_noisy(obj, noise), method, x0, max_iters, -math.inf)
 
 
 @pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
@@ -543,17 +537,14 @@ def test_cg_evaluates_the_gap_rarely(monkeypatch, method):
     stop_gap = 1e-10 * obj.f_gap(x0)
     calls = []
     cls = type(obj)
-    f_gap = cls.f_gap
+    f_gap, matvec = cls.f_gap, cls.matvec
     monkeypatch.setattr(cls, "f_gap", lambda self, x: calls.append("gap") or f_gap(self, x))
-
-    def matvec(p):
-        calls.append("matvec")
-        return obj.matrix @ p
+    monkeypatch.setattr(cls, "matvec", lambda self, v: calls.append("matvec") or matvec(self, v))
 
     runs = {}
     for max_iters, reason in ((10, "max_iters"), (4_000, "gap")):
         calls.clear()
-        trace = _run_cg(obj, method, x0, max_iters, stop_gap, matvec=matvec)
+        trace = run(obj, method, x0, max_iters, stop_gap)
         assert trace.stop_reason == reason
         assert calls.count("matvec") == len(trace) - 1
         # nothing after the stop's own check
@@ -564,10 +555,34 @@ def test_cg_evaluates_the_gap_rarely(monkeypatch, method):
     # the gate only skips evaluations: an open gate stops at the same iterate
     monkeypatch.setattr(solvers, "_gap_gate", lambda obj, stop_gap: math.inf)
     for max_iters, gated in runs.items():
-        trace = _run_cg(obj, method, x0, max_iters, stop_gap, matvec=matvec)
+        trace = run(obj, method, x0, max_iters, stop_gap)
         assert trace.stop_reason == gated.stop_reason
         assert trace.xs.tobytes() == gated.xs.tobytes()
         assert trace.rs.tobytes() == gated.rs.tobytes()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_one_product_per_step_and_none_in_the_audit(method):
+    # every method takes its products through obj.matvec, AG by way of
+    # grad, one per step whatever the stop; the audit multiplies by the
+    # matrix itself and takes none
+    obj, _, x0 = generate_with_start(SpectrumSpec(30, 1.0, 1e3, "log_uniform", seed=0))
+    stop_gap = 1e-10 * obj.f_gap(x0)
+    products = []
+    counting = copy.copy(obj)
+    counting.matvec = lambda v: products.append(1) or obj.matvec(v)
+    capped = "max_iters" if METHOD_FAMILY[method] == "ag" else "converged"
+    for max_iters, gap, reason in ((500, -math.inf, capped), (20_000, stop_gap, "gap")):
+        products.clear()
+        trace = run(counting, method, x0, max_iters, gap)
+        assert trace.stop_reason == reason
+        assert len(products) == len(trace) - 1 > 20
+        certify(trace, counting)
+        assert len(products) == len(trace) - 1
+        # an eta-0 noisy copy takes the exact product, bit for bit
+        for seed in range(3):
+            noisy = run(_noisy(obj, NoiseModel(0.0, seed)), method, x0, max_iters, gap)
+            assert noisy.xs.tobytes() == trace.xs.tobytes()
 
 
 def test_first_iteration_state_shape(dim2):
