@@ -35,14 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objective import QuadraticObjective
-from .rng import SplitMix64
+from .rng import SplitMix64, _seed_word
 
 LAYOUTS = ("log_uniform", "uniform", "two_cluster")
 
 
 @dataclass(frozen=True)
 class SpectrumSpec:
-    """Recipe for one generated problem."""
+    """Recipe for one generated problem.
+
+    dim is an integer >= 1, ell and lip are finite with 0 < ell <= lip, and
+    seed is an integer in [0, 2**64); anything else raises ValueError.
+    """
 
     dim: int
     ell: float
@@ -51,10 +55,11 @@ class SpectrumSpec:
     seed: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not (0.0 < self.ell <= self.lip):
-            raise ValueError(f"need 0 < ell <= lip, got ell={self.ell}, lip={self.lip}")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not (0.0 < self.ell <= self.lip < np.inf):
+            raise ValueError(f"need finite 0 < ell <= lip, got ell={self.ell}, lip={self.lip}")
+        _seed_word(self.seed)
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
         if self.dim == 1 and self.ell != self.lip:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import MissingGroundTruthError, NotPositiveDefiniteError
 
-# Rows per block in f_gap_many.
+# Rows per block of _measure, so its temporaries stay a fixed size
+# however long the trace.
 GAP_BLOCK_ROWS = 1024
 
 
@@ -61,24 +62,28 @@ class Objective:
         raise NotImplementedError
 
     def f_gap(self, x):
-        """f(x) - f(x*), the one-row case of f_gap_many; requires ground truth."""
-        return float(self._gap_rows(self._check_vector(x)[None, :])[0])
+        """f(x) - f(x*), the stop test's gap at one point; requires ground truth.
 
-    def f_gap_many(self, xs):
-        """f_gap row-wise over an (n, dim) array of points.
-
-        Evaluated GAP_BLOCK_ROWS rows at a time, so the temporaries stay a
-        fixed size however long the trace.
+        It equals the gap _measure gives a one-row array, and takes no
+        gradient.
         """
-        xs = np.asarray(xs, dtype=float)
-        self._x_star()  # raises without a minimizer, even on zero rows
-        out = np.empty(xs.shape[0])
-        for lo in range(0, len(out), GAP_BLOCK_ROWS):
-            out[lo : lo + GAP_BLOCK_ROWS] = self._gap_rows(xs[lo : lo + GAP_BLOCK_ROWS])
-        return out
+        if self.minimizer is None:
+            raise MissingGroundTruthError("objective has no minimizer attached")
+        xs = self._check_vector(x)[None, :]
+        return float(self._gap_rows(xs, xs - self.minimizer)[0])
 
-    def _gap_rows(self, xs):
-        """f_gap of each row of an (n, dim) array."""
+    def _measure(self, xs, d):
+        """(f(x) - f*, ||grad f(x)||) of each row of xs, with d = xs - x*.
+
+        certify()'s one measurement of the iterates, returned as one (2, n)
+        array: each family's _measure_rows takes one product per block of
+        GAP_BLOCK_ROWS rows, which both rows of the result read.
+        """
+        rows = [slice(lo, lo + GAP_BLOCK_ROWS) for lo in range(0, len(xs), GAP_BLOCK_ROWS)]
+        return np.concatenate([self._measure_rows(xs[r], d[r]) for r in rows], axis=1)
+
+    def _gap_rows(self, xs, d):
+        """f_gap of each row of an (n, dim) array xs, with d = xs - x*."""
         raise NotImplementedError
 
     def with_minimizer(self, x_star):
@@ -101,11 +106,6 @@ class Objective:
         if x.shape != (self.dim,):
             raise ValueError(f"{name} has shape {x.shape}, expected ({self.dim},)")
         return x
-
-    def _x_star(self):
-        if self.minimizer is None:
-            raise MissingGroundTruthError("objective has no minimizer attached")
-        return self.minimizer
 
 
 class QuadraticObjective(Objective):
@@ -162,11 +162,18 @@ class QuadraticObjective(Objective):
     def hessian(self, x=None):
         return self.matrix
 
-    def _gap_rows(self, xs):
+    def _gap_rows(self, xs, d):
         # 0.5 d'Ad (d = x - x*) equals f(x) - f* up to the reference solve's
         # residual and does not cancel catastrophically near x*.
-        d = xs - self._x_star()
         return 0.5 * np.einsum("ij,ij->i", d, d @ self.matrix)
+
+    def _measure_rows(self, xs, d):
+        # The gap as in _gap_rows, and A x - b read as A d + (A x* - b)
+        # from the same product, summed in place.
+        ad = d @ self.matrix
+        gaps = 0.5 * np.einsum("ij,ij->i", d, ad)
+        ad += self.matrix @ self.minimizer - self.rhs
+        return gaps, np.sqrt(np.einsum("ij,ij->i", ad, ad))
 
 
 class LogisticRidgeObjective(Objective):
@@ -210,12 +217,11 @@ class LogisticRidgeObjective(Objective):
         weights = sig * (1.0 - sig)
         return self.ridge * np.eye(self.dim) + (self.data_matrix.T * weights) @ self.data_matrix
 
-    def _gap_rows(self, xs):
+    def _gap_rows(self, xs, diff):
         # Gap as a sum of per-sample softplus differences against x*,
         # driven by d = data (x - x*): sp(v+d) - sp(v) = log1p(sig(v)
         # expm1(d)). Every term scales with d, so the result keeps relative
         # accuracy near x* where value(x) - f* loses all its digits.
-        diff = xs - self._x_star()
         d = diff @ self.data_matrix.T
         sig = np.broadcast_to(self._sig_star, d.shape)
         t_star = np.broadcast_to(self._t_star, d.shape)
@@ -230,6 +236,11 @@ class LogisticRidgeObjective(Objective):
             )
         ridge_part = 0.5 * self.ridge * np.einsum("ij,ij->i", diff, xs + self.minimizer)
         return np.sum(terms, axis=1) + ridge_part
+
+    def _measure_rows(self, xs, d):
+        # The gradient rows ridge x + sig(data x)' data in one pass.
+        grads = self.ridge * xs + _sigmoid(xs @ self.data_matrix.T) @ self.data_matrix
+        return self._gap_rows(xs, d), np.sqrt(np.einsum("ij,ij->i", grads, grads))
 
     def with_minimizer(self, x_star):
         obj = super().with_minimizer(x_star)

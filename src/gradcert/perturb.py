@@ -36,14 +36,13 @@ import copy
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .objective import QuadraticObjective
 from .potential import certify
-from .rng import SplitMix64, substream_gaussians, substream_seed
+from .rng import SplitMix64, _seed_word, substream_gaussians, substream_seed
 from .solvers import STOP_GAP_REL, Trace, _run_cg
 
 
@@ -61,13 +60,7 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.magnitude < np.inf:
             raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            seed = -1
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _seed_word(self.seed))
         if self.magnitude == 0.0:
             object.__setattr__(self, "magnitude", 0.0)
 

@@ -9,8 +9,9 @@ rho_k = sqrt(L/l) - 1 for k >= 1 (0 at L = l, where it is gradient
 descent); on conjugate gradient rho_k = 2 (f(x_k) - f*) / (alpha_k
 ||r_{k-1}||^2), from the run's own scalars (0 at exact convergence), is
 the weight minimizing ||w_k||, so w_k is orthogonal to the step. _terms()
-is the one place that evaluates x_k - x*, s, the gaps, rho and w,
-vectorized over a trace, for certify() and the identity battery alike.
+is the one place that measures the iterates: it evaluates x_k - x*, s, the
+gaps, ||grad f(x_k)||, rho and w, vectorized over a trace, for certify()
+and the identity battery alike.
 
 certify() is the one certifier: a run's warning, a noise detection and the
 CLI's audit of a trace all read its verdict, and the CSV's columns are only
@@ -126,7 +127,9 @@ class CertificateReport:
     chain wins a tie), first_telescope_violation the telescoping's first
     failure (None on AG) and step_passes the chain. theorem1_ok and
     daniel_ok are the envelope verdicts (daniel_ok is None on AG and when
-    L = l). method is the family, "ag" or "cg".
+    L = l). method is the family, "ag" or "cg". grad_norms[k] is
+    ||grad f(x_k)|| (||A x_k - b|| on a quadratic) measured from the
+    iterate against the exact objective, never CG's recurred residual.
     """
 
     method: str
@@ -134,6 +137,7 @@ class CertificateReport:
     tol_cert: float
     psis: np.ndarray
     f_gaps: np.ndarray
+    grad_norms: np.ndarray
     w_norm_sqs: np.ndarray
     dist_sqs: np.ndarray
     rhos: np.ndarray
@@ -177,16 +181,18 @@ class CertificateReport:
         return self.psis.shape[0]
 
 
-_Terms = namedtuple("_Terms", "d ss dist_sqs f_gaps rhos w w_norm_sqs flags")
+_Terms = namedtuple("_Terms", "d ss dist_sqs f_gaps grad_norms rhos w w_norm_sqs flags")
 
 
 def _terms(trace, obj, family) -> _Terms:
-    """d = x - x*, s, ||d||^2, the gaps clamped at 0, rho, w and ||w||^2 per iterate.
+    """d = x - x*, s, ||d||^2, the gaps clamped at 0, ||grad f||, rho, w and ||w||^2 per iterate.
 
-    The gaps have one source, obj.f_gap_many on the iterates, whatever the
-    run (accelerated, CG, noisy, or read back from a file), never CG's
-    recurred residual, whose drift the battery's equalities would register.
-    Callers hold np.errstate(all="ignore"): an overflow fails a check.
+    d is formed once, and the gaps and gradient norms have one source,
+    obj._measure of the iterates and d, one product per block of rows,
+    whatever the run (accelerated, CG, noisy, or read back from a file),
+    never CG's recurred residual, whose drift the battery's equalities
+    would register. Callers hold np.errstate(all="ignore"): an overflow
+    fails a check.
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
@@ -195,7 +201,7 @@ def _terms(trace, obj, family) -> _Terms:
         raise ValueError("empty trace")
     d = trace.xs - obj.minimizer[None, :]
     flags = []
-    f_gaps = obj.f_gap_many(trace.xs)
+    f_gaps, grad_norms = obj._measure(trace.xs, d)
     neg = f_gaps < 0.0
     if np.any(neg):
         # Roundoff at the gap's noise floor; clamping keeps psi >= 0
@@ -214,7 +220,7 @@ def _terms(trace, obj, family) -> _Terms:
     ss = trace.ss
     w = d + rhos[:, None] * ss
     dist_sqs, w_norm_sqs = np.einsum("ij,ij->i", d, d), np.einsum("ij,ij->i", w, w)
-    return _Terms(d, ss, dist_sqs, f_gaps, rhos, w, w_norm_sqs, flags)
+    return _Terms(d, ss, dist_sqs, f_gaps, grad_norms, rhos, w, w_norm_sqs, flags)
 
 
 def certify(trace, obj) -> CertificateReport:
@@ -267,6 +273,7 @@ def certify(trace, obj) -> CertificateReport:
         tol_cert=tol,
         psis=psis,
         f_gaps=f_gaps,
+        grad_norms=t.grad_norms,
         w_norm_sqs=t.w_norm_sqs,
         dist_sqs=t.dist_sqs,
         rhos=t.rhos,
@@ -332,10 +339,14 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     default_cert_tolerance): that state is still checked against its
     predecessor, later ones are not. The report's n is the states examined.
     rho_alignment, which involves no difference of gaps, checks every state
-    k >= 1 of the trace.
+    k >= 1 of the trace. The trace must carry its recurred residuals rs,
+    which the iterates file does not store; without them the battery
+    raises ValueError.
     """
     if METHOD_FAMILY.get(trace.method) != "cg":
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
+    if trace.rs is None:  # as on a trace read back from its iterates file
+        raise ValueError("identity battery needs the trace's recurred residuals rs")
     t = _terms(trace, obj, "cg")
     n = min(len(t.f_gaps), obj.dim + 1)
     f2 = 2.0 * t.f_gaps[:n]

@@ -45,13 +45,14 @@ tested against.
 
 Seeds are integers in [0, 2^64), the stream's state space. Every entry
 point that takes a seed refuses any other value with ValueError rather than
-reducing it mod 2^64, which would build another seed's draws under the
-seed it was given.
+reducing it mod 2^64 or truncating it to an integer, either of which would
+build another seed's draws under the seed it was given.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -70,11 +71,19 @@ def mix64(value: int) -> int:
 
 
 def _seed_word(seed: int) -> int:
-    """seed as a 64-bit word; ValueError outside [0, 2**64)."""
-    seed = int(seed)
-    if not 0 <= seed <= _MASK:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    """seed as a 64-bit word; ValueError unless an integer in [0, 2**64).
+
+    The one seed check: an int, or any type that operator.index accepts
+    (np.uint64, say); a float, even an integral one, or a string is refused
+    rather than truncated or parsed into another seed's draws.
+    """
+    try:
+        word = operator.index(seed)
+    except TypeError:
+        word = -1
+    if not 0 <= word <= _MASK:
+        raise ValueError(f"seed must be in [0, 2**64) as an integer, got {seed!r}")
+    return word
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -53,8 +53,8 @@ evaluations that could not pass. CG's recurred residual, which drifts from
 b - A x_k in floating point, decides no stop but the convergence floor.
 
 The stop and the audit compute the same gap with different shapes: the
-stop test calls f_gap on one row, and certify() calls f_gap_many on the
-trace, GAP_BLOCK_ROWS rows at a time. BLAS rounds the two shapes
+stop test calls f_gap on one row, and certify() measures the whole trace,
+GAP_BLOCK_ROWS rows at a time. BLAS rounds the two shapes
 differently, so one iterate's two gaps can differ in their last bits. A
 stop_gap within that rounding of some iterate's gap can therefore end the
 run one step away from the first iterate that certify() puts at or below

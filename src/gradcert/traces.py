@@ -2,7 +2,10 @@
 
 One row per iterate k. ``trace_columns`` defines every column after k,
 once, for the writer and for the audit of a written trace; a cell whose
-quantity is undefined at that k is empty. Alignment rules:
+quantity is undefined at that k is empty. It measures nothing: every
+value read from the iterates is certify()'s (``f_gap``, ``dist_to_opt``,
+``grad_norm``, ``psi``, ``rho`` and the verdicts), and the rest come from
+the run's own scalars and the curvature bounds. Alignment rules:
 
 * ``alpha``/``beta`` on row k are the CG coefficients that produced x_k,
   so row 0 leaves them empty (an AG trace, every row).
@@ -17,9 +20,10 @@ quantity is undefined at that k is empty. Alignment rules:
 Floats are written with 17 significant digits and booleans as
 ``true``/``false``, so identical runs serialize byte-identically; the
 writer formats a column of a block of rows in one pass (see
-``serialize.fmt_floats``). ``grad_norm`` is ``||A x_k - b||``
-(``||grad f(x_k)||`` off quadratics) from the stored iterates on every
-method, never CG's recurred residual.
+``serialize.fmt_floats``). ``grad_norm`` is certify()'s
+``CertificateReport.grad_norms``: ``||A x_k - b||`` (``||grad f(x_k)||``
+off quadratics) from the stored iterates on every method, never CG's
+recurred residual.
 
 Beside each CSV, at ``<csv path>.npz``, the writer stores the run itself
 bit for bit: the method, the iterates ``xs`` and, on CG runs, the
@@ -40,7 +44,6 @@ import zipfile
 
 import numpy as np
 
-from .objective import QuadraticObjective
 from .potential import chain_steps
 from .serialize import fmt_floats
 from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
@@ -72,19 +75,16 @@ def _csv_cells(values: np.ndarray) -> list[str]:
 def trace_columns(trace, obj, report) -> dict:
     """Every column after k, by name in header order, as float arrays.
 
-    nan marks an empty cell and cert_pass is 1.0 (true) or 0.0 (false).
-    Iterates that overflow give inf or empty cells, without a warning.
+    The measured columns are ``report``'s (certify() of this trace on obj),
+    so obj lends only its curvature bounds. nan marks an empty cell and
+    cert_pass is 1.0 (true) or 0.0 (false). Iterates that overflow give inf
+    or empty cells, without a warning.
     """
     n = len(trace)
     last = n - 1
     theta, nu, pi = np.full((3, n), np.nan)
     alphas = betas = np.full(n, np.nan)
     with np.errstate(all="ignore"):
-        # From the iterates, like every audited cell, never from a recurrence.
-        if isinstance(obj, QuadraticObjective):
-            grad_norms = np.linalg.norm(trace.xs @ obj.matrix - obj.rhs, axis=1)
-        else:
-            grad_norms = np.array([np.linalg.norm(obj.grad(x)) for x in trace.xs])
         if report.method == "cg":
             alphas, betas = trace.alphas, trace.betas
             theta[1:last] = 0.0
@@ -98,7 +98,7 @@ def trace_columns(trace, obj, report) -> dict:
         return {
             "f_gap": report.f_gaps,
             "dist_to_opt": np.sqrt(report.dist_sqs),
-            "grad_norm": grad_norms,
+            "grad_norm": report.grad_norms,
             "psi": report.psis,
             "psi_ratio": np.append(report.ratios, np.nan),
             "cert_pass": np.append(report.step_passes, np.nan),

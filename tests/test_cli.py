@@ -779,9 +779,9 @@ def test_run_ag_iters_cap_sizes_nothing(workdir):
 
 @pytest.mark.parametrize("method", ["ag", "cg"])
 def test_run_cells_equal_certify_recomputation(workdir, method):
-    # run and certify both take the gaps from f_gap_many on the stored
-    # iterates, so the cells a run writes are the audit's own values; the
-    # AG trace spans two of f_gap_many's row blocks
+    # run and certify both measure the stored iterates through certify(),
+    # so the cells a run writes are the audit's own values; the AG trace
+    # spans two of its GAP_BLOCK_ROWS row blocks
     prob = workdir / "cells.json"
     gen = ["gen", "--dim", "30", "--ell", "1", "--lip", "1e4", "--seed", "2"]
     assert main(gen + ["--out", str(prob)]) == 0
@@ -792,6 +792,7 @@ def test_run_cells_equal_certify_recomputation(workdir, method):
     report = certify(read_trace_iterates(out), load_problem(prob).objective)
     assert np.array_equal(columns["f_gap"], report.f_gaps)
     assert np.array_equal(columns["psi"], report.psis)
+    assert np.array_equal(columns["grad_norm"], report.grad_norms)
     assert method == "cg" or len(report) > GAP_BLOCK_ROWS
     assert main(["certify", str(out), "--problem", str(prob)]) == 0
 

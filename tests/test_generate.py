@@ -49,6 +49,30 @@ def test_unknown_layout_rejected():
         SpectrumSpec(4, 1.0, 10.0, "clustered", 0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("seed", 1.9),
+        ("seed", 1.0),
+        ("seed", "3"),
+        ("seed", -1),
+        ("seed", 2**64),
+        ("dim", 2.5),
+        ("dim", 3.0),
+        ("dim", 0),
+        ("lip", np.inf),
+        ("ell", np.inf),
+        ("ell", np.nan),
+    ],
+)
+def test_spectrum_spec_refuses_bad_input(field, value):
+    # refused up front, not truncated to another seed's or dim's problem or
+    # left to fail later in generation
+    spec = {"dim": 4, "ell": 1.0, "lip": 10.0, "layout": "uniform", "seed": 0}
+    with pytest.raises(ValueError, match=field):
+        SpectrumSpec(**{**spec, field: value})
+
+
 def test_dim_one_needs_flat_spectrum():
     with pytest.raises(ValueError):
         SpectrumSpec(1, 1.0, 2.0, "uniform", 0)

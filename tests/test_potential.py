@@ -21,6 +21,7 @@ from gradcert import (
 from gradcert.errors import MissingGroundTruthError
 from gradcert.potential import CERT_TOL_CAP, chain_steps, contraction_constant, default_cert_tolerance
 from gradcert.problems import make_logistic_problem, make_quadratic_problem
+from gradcert.traces import read_trace_iterates, write_trace_csv
 
 
 def test_contraction_constants():
@@ -253,6 +254,16 @@ def test_battery_on_ag_trace_rejected(dim2):
         hs_identity_battery(trace, dim2.obj)
 
 
+def test_battery_on_read_back_trace_names_the_missing_residuals(tiny_problem, tmp_path):
+    # the iterates file stores no recurred residuals, which the battery needs
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    trace = run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0))
+    path = tmp_path / "cg.csv"
+    write_trace_csv(path, trace, obj, certify(trace, obj))
+    with pytest.raises(ValueError, match="recurred residuals"):
+        hs_identity_battery(read_trace_iterates(path), obj)
+
+
 def test_rho_alignment_orthogonality(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0))
@@ -336,7 +347,7 @@ def test_negative_gaps_are_clamped_and_flagged():
     problem = make_logistic_problem(5, 20, 0.1, seed=0)
     obj = problem.objective
     trace = run(obj, "ag", problem.x0, 5000, -math.inf)
-    raw = obj.f_gap_many(trace.xs)
+    raw, _ = obj._measure(trace.xs, trace.xs - obj.minimizer)
     negative = int(np.count_nonzero(raw < 0.0))
     assert negative > 1000
     report = certify(trace, obj)

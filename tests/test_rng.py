@@ -71,9 +71,10 @@ def test_mix64_is_stable():
     assert mix64(1) == 0x910A2DEC89025CC1
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70])
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**70, 1.5, 2.7, 1.0, "3", None])
 def test_seeds_outside_the_state_space_are_refused(seed):
-    # reducing them mod 2**64 would draw another seed's stream
+    # reducing them mod 2**64, truncating a float or parsing a string would
+    # draw another seed's stream
     match = r"seed must be in \[0, 2\*\*64\)"
     with pytest.raises(ValueError, match=match):
         SplitMix64(seed)
@@ -82,3 +83,8 @@ def test_seeds_outside_the_state_space_are_refused(seed):
     with pytest.raises(ValueError, match=match):
         substream_gaussians(seed, 0, 1, 3)
 
+
+def test_numpy_integer_seeds_draw_their_value():
+    top = 2**64 - 1
+    assert SplitMix64(np.uint64(top)).next_uint64() == SplitMix64(top).next_uint64()
+    assert substream_seed(np.int64(7), 0) == substream_seed(7, 0)

@@ -125,7 +125,7 @@ def test_replayed_directions_are_the_ones_multiplied(method, eta):
 def test_cg_monotonicity_and_drift(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 20, -math.inf)
-    gaps = obj.f_gap_many(trace.xs)
+    gaps = certify(trace, obj).f_gaps
     assert np.all(np.diff(gaps) <= 1e-14 * gaps[0])
     dists = np.linalg.norm(trace.xs - obj.minimizer, axis=1)
     assert np.all(np.diff(dists) <= 1e-14 * dists[0])

@@ -1,5 +1,6 @@
 """Trace CSV layout, alignment, and round trips."""
 
+import copy
 import dataclasses
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from aids import write_trace_csv_per_cell
 from gradcert.potential import certify
+from gradcert.problems import make_logistic_problem
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
 from gradcert.traces import (
     TRACE_HEADER,
@@ -98,13 +100,60 @@ def test_clean_trace_reads_back_its_columns(cg_csv, ag_csv):
             assert np.array_equal(cols[name], values, equal_nan=True), name
 
 
+def _residual_norm_bound(trace, obj):
+    """Rounding bound on certify()'s ||A x_k - b||, read as ||A d_k + (A x* - b)||.
+
+    gamma (|| |A| |d_k| || + || |A| |x*| || + ||b|| + ||A x_k - b||) with
+    gamma = (dim + 3) u / (1 - (dim + 3) u) covers the roundings of d_k,
+    of the product, of A x* - b, of the sum and of the norm.
+    """
+    nu = (obj.dim + 3) * 2.0**-53
+    abs_a = np.abs(obj.matrix)
+    scale = np.linalg.norm(np.abs(trace.xs - obj.minimizer) @ abs_a, axis=1)
+    scale += np.linalg.norm(abs_a @ np.abs(obj.minimizer)) + np.linalg.norm(obj.rhs)
+    exact = np.linalg.norm(
+        trace.xs.astype(np.longdouble) @ obj.matrix.astype(np.longdouble) - obj.rhs, axis=1
+    )
+    return exact, nu / (1.0 - nu) * (scale + exact)
+
+
 def test_grad_norm_column(cg_csv, ag_csv):
-    # Both methods take ||A x_k - b|| from the stored iterates; CG's
-    # recurred residual drifts from it and is not written.
-    for path, trace, _, obj in (cg_csv, ag_csv):
+    # Both methods write certify()'s ||A x_k - b|| from the stored iterates;
+    # CG's recurred residual drifts from it and is not written. Against the
+    # residual in long double the cells are off by rounding alone.
+    for path, trace, report, obj in (cg_csv, ag_csv):
         cols = read_trace_csv(path)
-        expected = np.linalg.norm(trace.xs @ obj.matrix - obj.rhs, axis=1)
-        assert np.array_equal(cols["grad_norm"], expected)
+        assert np.array_equal(cols["grad_norm"], report.grad_norms)
+        exact, bound = _residual_norm_bound(trace, obj)
+        assert np.all(np.abs(cols["grad_norm"] - exact) <= bound)
+
+
+def test_columns_read_no_objective_data(cg_csv, ag_csv):
+    # trace_columns measures nothing: without A and b it builds the same
+    # columns from the report, the run's scalars and the curvature bounds
+    for _, trace, report, obj in (cg_csv, ag_csv):
+        bare = copy.copy(obj)
+        del bare.matrix, bare.rhs
+        expected = trace_columns(trace, obj, report)
+        for name, values in trace_columns(trace, bare, report).items():
+            assert np.array_equal(values, expected[name], equal_nan=True), name
+
+
+def test_logistic_grad_norm_cells():
+    # The cells are the norms of grad's rows to 1e-12 relative, from a
+    # copy without the data matrix. The run stops at 1e-6 of the initial
+    # gap: closer to x* both forms of the gradient lose digits to its
+    # cancelling terms.
+    problem = make_logistic_problem(5, 20, 0.1, seed=0)
+    obj = problem.objective
+    trace = run(obj, "ag", problem.x0, 500, 1e-6 * obj.f_gap(problem.x0))
+    report = certify(trace, obj)
+    bare = copy.copy(obj)
+    del bare.data_matrix
+    cells = trace_columns(trace, bare, report)["grad_norm"]
+    assert np.array_equal(cells, report.grad_norms)
+    expected = [np.linalg.norm(obj.grad(x)) for x in trace.xs]
+    assert np.allclose(cells, expected, rtol=1e-12, atol=0.0)
 
 
 def test_float_cells_round_trip_exactly(cg_csv):
