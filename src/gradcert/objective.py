@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import MissingGroundTruthError, NotPositiveDefiniteError
 
-# Rows per block of _measure, so its temporaries stay a fixed size
-# however long the trace.
-GAP_BLOCK_ROWS = 1024
-
 
 def _sigmoid(t):
     """1 / (1 + exp(-t)) elementwise, the logistic function in its direct form.
@@ -64,7 +60,7 @@ class Objective:
     def f_gap(self, x):
         """f(x) - f(x*), the stop test's gap at one point; requires ground truth.
 
-        It equals the gap _measure gives a one-row array, and takes no
+        It equals the gap _measure_rows gives a one-row block, and takes no
         gradient.
         """
         if self.minimizer is None:
@@ -72,18 +68,17 @@ class Objective:
         xs = self._check_vector(x)[None, :]
         return float(self._gap_rows(xs, xs - self.minimizer)[0])
 
-    def _measure(self, xs, d):
-        """(f(x) - f*, ||grad f(x)||) of each row of xs, with d = xs - x*.
-
-        certify()'s one measurement of the iterates, returned as one (2, n)
-        array: each family's _measure_rows takes one product per block of
-        GAP_BLOCK_ROWS rows, which both rows of the result read.
-        """
-        rows = [slice(lo, lo + GAP_BLOCK_ROWS) for lo in range(0, len(xs), GAP_BLOCK_ROWS)]
-        return np.concatenate([self._measure_rows(xs[r], d[r]) for r in rows], axis=1)
-
     def _gap_rows(self, xs, d):
         """f_gap of each row of an (n, dim) array xs, with d = xs - x*."""
+        raise NotImplementedError
+
+    def _measure_rows(self, xs, d):
+        """(f(x) - f*, ||grad f(x)||) of each row of one block xs, with d = xs - x*.
+
+        certify()'s one measurement of the iterates, made on one block of
+        at most potential.GAP_BLOCK_ROWS rows at a time: each family takes one
+        product, which both arrays read.
+        """
         raise NotImplementedError
 
     def with_minimizer(self, x_star):

@@ -10,8 +10,9 @@ descent); on conjugate gradient rho_k = 2 (f(x_k) - f*) / (alpha_k
 ||r_{k-1}||^2), from the run's own scalars (0 at exact convergence), is
 the weight minimizing ||w_k||, so w_k is orthogonal to the step. _terms()
 is the one place that measures the iterates: it evaluates x_k - x*, s, the
-gaps, ||grad f(x_k)||, rho and w, vectorized over a trace, for certify()
-and the identity battery alike.
+gaps, ||grad f(x_k)||, rho and w, vectorized over one block of
+GAP_BLOCK_ROWS rows at a time, for certify() and the identity battery
+alike.
 
 certify() is the one certifier: a run's warning, a noise detection and the
 CLI's audit of a trace all read its verdict, and the CSV's columns are only
@@ -41,6 +42,12 @@ import numpy as np
 
 from .errors import MissingGroundTruthError
 from .solvers import METHOD_FAMILY
+
+# Rows per block of _terms, the evaluator behind certify(): a block's
+# x - x*, s, w and _measure_rows product go once its per-row scalars are
+# written, so certify's temporaries stay a fixed size however long the
+# trace.
+GAP_BLOCK_ROWS = 1024
 
 # Multiplicative slack on the closed-form envelope checks; the certificate
 # chain takes its tolerance from default_cert_tolerance instead.
@@ -181,46 +188,67 @@ class CertificateReport:
         return self.psis.shape[0]
 
 
-_Terms = namedtuple("_Terms", "d ss dist_sqs f_gaps grad_norms rhos w w_norm_sqs flags")
+_Terms = namedtuple("_Terms", "dist_sqs f_gaps grad_norms rhos w_norm_sqs flags d ss w")
 
 
-def _terms(trace, obj, family) -> _Terms:
-    """d = x - x*, s, ||d||^2, the gaps clamped at 0, ||grad f||, rho, w and ||w||^2 per iterate.
+def _terms(trace, obj, family, vectors=False) -> _Terms:
+    """||x - x*||^2, the gaps clamped at 0, ||grad f||, rho and ||w||^2 per iterate.
 
-    d is formed once, and the gaps and gradient norms have one source,
-    obj._measure of the iterates and d, one product per block of rows,
-    whatever the run (accelerated, CG, noisy, or read back from a file),
-    never CG's recurred residual, whose drift the battery's equalities
-    would register. Callers hold np.errstate(all="ignore"): an overflow
-    fails a check.
+    One block of GAP_BLOCK_ROWS rows at a time, it forms the block's
+    d = x - x*, s and w, and measures the gaps and gradient norms with
+    obj._measure_rows of the block's iterates and d, one product per
+    block, whatever the run (accelerated, CG, noisy, or read back from a
+    file), never CG's recurred residual, whose drift the battery's
+    equalities would register. Only the per-row scalars outlive a block,
+    so the memory it needs beyond the trace and those scalars is a fixed
+    number of GAP_BLOCK_ROWS x dim blocks. With vectors, d, ss and w of
+    every row are kept as well, concatenated from the blocks (None
+    otherwise). Callers hold np.errstate(all="ignore"): an overflow fails
+    a check.
     """
     if obj.minimizer is None:
         raise MissingGroundTruthError("certify needs the objective's minimizer")
     n = len(trace)
     if n < 1:
         raise ValueError("empty trace")
-    d = trace.xs - obj.minimizer[None, :]
+    dist_sqs, f_gaps, grad_norms, rhos, w_norm_sqs = np.empty((5, n))
+    if family == "ag":
+        # Exactly 0 at lip == ell, where the schedule is gradient descent.
+        rhos[:] = math.sqrt(obj.lip / obj.ell) - 1.0
+    kept = []
+    for lo in range(0, n, GAP_BLOCK_ROWS):
+        rows = slice(lo, lo + GAP_BLOCK_ROWS)
+        xs = trace.xs[rows]
+        d = xs - obj.minimizer
+        gaps, grad_norms[rows] = obj._measure_rows(xs, d)
+        f_gaps[rows] = gaps
+        if family == "cg":
+            # A non-finite scalar only zeroes rho, where the chain cannot
+            # see it; certify()'s telescoping fails its step. A negative
+            # gap gives rho 0, as its clamped value would.
+            raw = 2.0 * gaps / (trace.alphas[rows] * trace.prev_res_sqs[rows])
+            rhos[rows] = np.where(np.isfinite(raw) & (gaps > 0.0), raw, 0.0)
+        rhos[0] = 0.0
+        s = trace.displacements(rows)
+        # w = d + rho s, with d added into rho s's array: one block fewer,
+        # and floating-point addition commutes, so the bits are the same.
+        w = rhos[rows, None] * s
+        w += d
+        np.einsum("ij,ij->i", d, d, out=dist_sqs[rows])
+        np.einsum("ij,ij->i", w, w, out=w_norm_sqs[rows])
+        if vectors:
+            kept.append((d, s, w))
+        # Freed here, not when the next block's arrays replace them.
+        del d, s, w
     flags = []
-    f_gaps, grad_norms = obj._measure(trace.xs, d)
     neg = f_gaps < 0.0
     if np.any(neg):
         # Roundoff at the gap's noise floor; clamping keeps psi >= 0
         # instead of poisoning the chain with sign noise.
         flags.append(f"clamped {int(np.count_nonzero(neg))} negative gap value(s) to 0")
-        f_gaps = np.maximum(f_gaps, 0.0)
-    if family == "ag":
-        # Exactly 0 at lip == ell, where the schedule is gradient descent.
-        rhos = np.full(n, math.sqrt(obj.lip / obj.ell) - 1.0)
-    else:
-        # A non-finite scalar only zeroes rho, where the chain cannot see
-        # it; certify()'s telescoping fails its step.
-        raw = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
-        rhos = np.where(np.isfinite(raw) & (f_gaps > 0.0), raw, 0.0)
-    rhos[0] = 0.0
-    ss = trace.ss
-    w = d + rhos[:, None] * ss
-    dist_sqs, w_norm_sqs = np.einsum("ij,ij->i", d, d), np.einsum("ij,ij->i", w, w)
-    return _Terms(d, ss, dist_sqs, f_gaps, grad_norms, rhos, w, w_norm_sqs, flags)
+        np.maximum(f_gaps, 0.0, out=f_gaps)
+    d, ss, w = (np.concatenate(v) for v in zip(*kept)) if vectors else (None, None, None)
+    return _Terms(dist_sqs, f_gaps, grad_norms, rhos, w_norm_sqs, flags, d, ss, w)
 
 
 def certify(trace, obj) -> CertificateReport:
@@ -235,6 +263,8 @@ def certify(trace, obj) -> CertificateReport:
     c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope,
     which decays at the common constant 1 + sqrt(l/L); the Daniel envelope
     (CG only) scales with the initial gap.
+    Beyond the trace it needs its per-row outputs and a fixed number of
+    GAP_BLOCK_ROWS x dim blocks, however long the trace (see _terms).
     """
     family = METHOD_FAMILY.get(trace.method)
     if family is None:
@@ -320,7 +350,8 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
       step_rayleigh   l <= 1/alpha_k <= L
       rho_alignment   w_k' s_k = 0                                               (k >= 1)
 
-    The terms d, s, the gaps and w come from _terms(), as certify()'s do.
+    The terms d, s, the gaps and w come from _terms(), as certify()'s do;
+    the battery keeps d, s and w of every row, which rho_alignment reads.
     p' A p is taken as ||r_k||^2 / alpha_{k+1}, the recurrence's own value.
     Differences of squares are evaluated as (u - v).(u + v) so comparisons
     are not dominated by cancellation; equality residuals are normalized by
@@ -347,7 +378,7 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
         raise ValueError(f"identity battery applies to CG traces, got {trace.method!r}")
     if trace.rs is None:  # as on a trace read back from its iterates file
         raise ValueError("identity battery needs the trace's recurred residuals rs")
-    t = _terms(trace, obj, "cg")
+    t = _terms(trace, obj, "cg", vectors=True)
     n = min(len(t.f_gaps), obj.dim + 1)
     f2 = 2.0 * t.f_gaps[:n]
     # Stop at the first state at CG's roundoff floor (see the docstring).

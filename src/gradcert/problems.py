@@ -215,9 +215,12 @@ def make_logistic_problem(
     data matrix row by row (standard gaussian entries), then the start
     point. Raw rows keep the data curvature well above the ridge, so the
     instances are genuinely ill-conditioned rather than ridge-dominated.
+    dim and n_samples must be integers >= 1 (ValueError otherwise, before
+    any draw).
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    for name, value in (("dim", dim), ("n_samples", n_samples)):
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     stream = SplitMix64(seed)
     data = stream.gaussian_vector(n_samples * dim).reshape(n_samples, dim)
     x0 = stream.gaussian_vector(dim)

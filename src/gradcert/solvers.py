@@ -123,7 +123,19 @@ class Trace:
     @property
     def ss(self) -> np.ndarray:
         """s_k = x_k - x_{k-1}, with a zero row standing in for the undefined s_0."""
-        return np.diff(self.xs, axis=0, prepend=self.xs[:1])
+        return self.displacements(slice(0, len(self)))
+
+    def displacements(self, rows: slice) -> np.ndarray:
+        """The rows of ss that rows selects (a slice of step 1), as one new array."""
+        lo, hi, _ = rows.indices(len(self))
+        xs = self.xs[lo:hi]
+        out = np.empty_like(xs)
+        if lo == 0:
+            out[:1] = 0.0
+        else:
+            np.subtract(xs[0], self.xs[lo - 1], out=out[0])
+        np.subtract(xs[1:], xs[:-1], out=out[1:])
+        return out
 
     @property
     def betas(self) -> np.ndarray | None:

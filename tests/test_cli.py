@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
-from gradcert.objective import GAP_BLOCK_ROWS, QuadraticObjective
+from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
-from gradcert.potential import certify
+from gradcert.potential import GAP_BLOCK_ROWS, certify
 from gradcert.problems import ProblemSpec, encode_array, load_problem, make_logistic_problem
 from gradcert.serialize import render_json
 from gradcert.solvers import run

@@ -9,13 +9,12 @@ from scipy.special import expit
 from aids import check_descent_lemma, finite_difference_gradient, validate_sandwich
 from gradcert.errors import MissingGroundTruthError, NotPositiveDefiniteError
 from gradcert.objective import (
-    GAP_BLOCK_ROWS,
     LogisticRidgeObjective,
     QuadraticObjective,
     _sigmoid,
     newton_reference_minimizer,
 )
-from gradcert.potential import certify
+from gradcert.potential import GAP_BLOCK_ROWS, certify
 from gradcert.rng import SplitMix64
 from gradcert.solvers import Trace
 
@@ -74,21 +73,17 @@ def test_f_gap_matches_definition():
 
 def test_f_gap_is_the_measured_gap_of_one_row():
     # one gap formula per objective: f_gap is the audit's one-row case, and
-    # the audit's gradient norms are those of grad; rows straddle a block
+    # the audit's gradient norms are those of grad
     for obj in (_random_quadratic(), _random_logistic()):
         obj = obj.with_minimizer(newton_reference_minimizer(obj))
-        xs = np.random.default_rng(1).standard_normal((GAP_BLOCK_ROWS + 7, obj.dim))
+        xs = np.random.default_rng(1).standard_normal((GAP_BLOCK_ROWS, obj.dim))
         d = xs - obj.minimizer
-        gaps, grad_norms = obj._measure(xs, d)
+        gaps, grad_norms = obj._measure_rows(xs, d)
         assert np.allclose(gaps, [obj.f_gap(x) for x in xs], rtol=1e-12)
         norms = np.linalg.norm([obj.grad(x) for x in xs], axis=1)
         assert np.allclose(grad_norms, norms, rtol=1e-12, atol=0.0)
-        # a block's values do not depend on the rows around it
-        tail_gaps, tail_norms = obj._measure(xs[GAP_BLOCK_ROWS:], d[GAP_BLOCK_ROWS:])
-        assert np.array_equal(tail_gaps, gaps[GAP_BLOCK_ROWS:])
-        assert np.array_equal(tail_norms, grad_norms[GAP_BLOCK_ROWS:])
         for x, dx in zip(xs[-7:], d[-7:]):
-            assert obj.f_gap(x) == obj._measure(x[None, :], dx[None, :])[0][0]
+            assert obj.f_gap(x) == obj._measure_rows(x[None, :], dx[None, :])[0][0]
 
 
 def test_sigmoid_matches_scipy_expit():

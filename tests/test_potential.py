@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,11 +17,13 @@ from gradcert import (
     certify,
     generate_with_start,
     hs_identity_battery,
+    potential,
     run,
 )
 from gradcert.errors import MissingGroundTruthError
 from gradcert.potential import CERT_TOL_CAP, chain_steps, contraction_constant, default_cert_tolerance
 from gradcert.problems import make_logistic_problem, make_quadratic_problem
+from gradcert.solvers import Trace
 from gradcert.traces import read_trace_iterates, write_trace_csv
 
 
@@ -340,20 +343,113 @@ def test_all_ok_is_every_check(tiny_problem):
         assert moved.first_violation is not None and not moved.all_ok, method
 
 
-def test_negative_gaps_are_clamped_and_flagged():
+def _whole_array_terms(trace, obj, family):
+    """certify()'s per-row arrays, formed over the whole trace at once.
+
+    Only the gaps and gradient norms come block by block, from the one
+    measurement _measure_rows on blocks of potential.GAP_BLOCK_ROWS rows;
+    d, s (np.diff) and w span the trace. Returns the arrays by report
+    name, d, s, w and the measured gaps before the clamp.
+    """
+    xs, block = trace.xs, potential.GAP_BLOCK_ROWS
+    d = xs - obj.minimizer
+    measured = [obj._measure_rows(xs[lo : lo + block], d[lo : lo + block]) for lo in range(0, len(xs), block)]
+    raw = np.concatenate([gaps for gaps, _ in measured])
+    negative = int(np.count_nonzero(raw < 0.0))
+    f_gaps = np.maximum(raw, 0.0) if negative else raw
+    with np.errstate(all="ignore"):
+        if family == "ag":
+            rhos = np.full(len(xs), math.sqrt(obj.lip / obj.ell) - 1.0)
+        else:
+            quotient = 2.0 * f_gaps / (trace.alphas * trace.prev_res_sqs)
+            rhos = np.where(np.isfinite(quotient) & (f_gaps > 0.0), quotient, 0.0)
+        rhos[0] = 0.0
+        s = np.diff(xs, axis=0, prepend=xs[:1])
+        w = d + rhos[:, None] * s
+        w_norm_sqs = np.einsum("ij,ij->i", w, w)
+        psis = w_norm_sqs + (2.0 / obj.ell) * f_gaps
+        arrays = {
+            "psis": psis,
+            "f_gaps": f_gaps,
+            "grad_norms": np.concatenate([norms for _, norms in measured]),
+            "w_norm_sqs": w_norm_sqs,
+            "dist_sqs": np.einsum("ij,ij->i", d, d),
+            "rhos": rhos,
+            "ratios": psis[:-1] / psis[1:],
+        }
+    return arrays, d, s, w, raw
+
+
+def _assert_report_is_the_whole_array_one(report, trace, obj, family):
+    """Bit for bit, signs of zeros included; returns the gaps before the clamp."""
+    arrays, _, _, _, raw = _whole_array_terms(trace, obj, family)
+    negative = int(np.count_nonzero(raw < 0.0))
+    for name, expected in arrays.items():
+        assert np.array_equal(getattr(report, name), expected, equal_nan=True), name
+        assert np.array_equal(np.signbit(getattr(report, name)), np.signbit(expected)), name
+    assert report.flags == ([f"clamped {negative} negative gap value(s) to 0"] if negative else [])
+    return raw
+
+
+def test_certify_an_ag_trace_across_block_boundaries():
+    # two full blocks and one row past them: a block's first s reads the
+    # last row of the block before it, and at kappa 1e6 the run still moves
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim=8, ell=1.0, lip=1e6, layout="log_uniform", seed=11))
+    block = potential.GAP_BLOCK_ROWS
+    trace = run(obj, "ag", x0, 2 * block, -math.inf)
+    assert len(trace) == 2 * block + 1
+    assert np.all(trace.xs[block :: block] != trace.xs[block - 1 :: block])
+    _assert_report_is_the_whole_array_one(certify(trace, obj), trace, obj, "ag")
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified"])
+def test_certify_a_cg_trace_across_small_blocks(monkeypatch, method):
+    monkeypatch.setattr(potential, "GAP_BLOCK_ROWS", 5)
+    obj, _, x0 = generate_with_start(SpectrumSpec(dim=40, ell=1.0, lip=1e4, layout="log_uniform", seed=3))
+    trace = run(obj, method, x0, 200, -math.inf)
+    assert len(trace) > 4 * 5
+    report = certify(trace, obj)
+    _assert_report_is_the_whole_array_one(report, trace, obj, "cg")
+    assert report.chain_ok
+    # the battery's vectors are the same blocks, concatenated
+    _, d, s, w, _ = _whole_array_terms(trace, obj, "cg")
+    with np.errstate(all="ignore"):
+        t = potential._terms(trace, obj, "cg", vectors=True)
+    for got, expected in ((t.d, d), (t.ss, s), (t.w, w)):
+        assert np.array_equal(got, expected)
+    assert potential._terms(trace, obj, "cg").w is None
+
+
+def test_negative_gaps_are_clamped_and_flagged(monkeypatch):
     # far past convergence the logistic gap reads below 0 on most iterates
     # (its first-order terms cancel in floating point); certify clamps
-    # them so no psi turns negative, and says how many it clamped
+    # them so no psi turns negative, and says how many it clamped, in
+    # every block
+    monkeypatch.setattr(potential, "GAP_BLOCK_ROWS", 1000)
     problem = make_logistic_problem(5, 20, 0.1, seed=0)
     obj = problem.objective
     trace = run(obj, "ag", problem.x0, 5000, -math.inf)
-    raw, _ = obj._measure(trace.xs, trace.xs - obj.minimizer)
-    negative = int(np.count_nonzero(raw < 0.0))
-    assert negative > 1000
     report = certify(trace, obj)
-    assert report.flags == [f"clamped {negative} negative gap value(s) to 0"]
+    negative = np.flatnonzero(_assert_report_is_the_whole_array_one(report, trace, obj, "ag") < 0.0)
+    assert negative.size > 1000
+    assert len(set(negative // 1000)) >= 2
     assert np.all(report.f_gaps >= 0.0) and np.all(report.psis >= 0.0)
-    assert np.array_equal(report.f_gaps, np.maximum(raw, 0.0))
+
+
+def test_certify_needs_a_fixed_number_of_blocks_beyond_the_trace():
+    # the per-row outputs and a few GAP_BLOCK_ROWS x dim blocks, however
+    # long the trace: here less than the trace itself
+    obj, _, _ = generate_with_start(SpectrumSpec(dim=200, ell=1.0, lip=1e2, layout="log_uniform", seed=3))
+    xs = obj.minimizer + np.random.default_rng(3).standard_normal((4 * potential.GAP_BLOCK_ROWS, 200))
+    trace = Trace("ag", xs)
+    tracemalloc.start()
+    try:
+        report = certify(trace, obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report) == len(xs)
+    assert peak < xs.nbytes, (peak, xs.nbytes)
 
 
 def test_degenerate_spectrum_certified_at_common_constant():

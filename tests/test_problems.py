@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from gradcert import problems
 from gradcert.errors import MissingGroundTruthError
 from gradcert.generate import SpectrumSpec, generate_with_start
 from gradcert.objective import LogisticRidgeObjective, QuadraticObjective
@@ -225,6 +226,20 @@ def test_logistic_generator_is_deterministic():
     assert a.to_json() == b.to_json()
     assert a.to_json() != c.to_json()
     assert a.objective.ell == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize(
+    "dim, n_samples, name",
+    [(2.5, 10, "dim"), (3, 2.5, "n_samples"), (3.0, 10, "dim"), (0, 10, "dim"), (3, 0, "n_samples")],
+)
+def test_logistic_factory_refuses_bad_sizes_before_drawing(monkeypatch, dim, n_samples, name):
+    # as SpectrumSpec does, and before a stream is drawn from
+    def no_draws(seed):
+        raise AssertionError("drew from the stream")
+
+    monkeypatch.setattr(problems, "SplitMix64", no_draws)
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        make_logistic_problem(dim, n_samples, 0.1, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
