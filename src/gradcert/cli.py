@@ -16,7 +16,6 @@ Exit status: 0 on success (for ``certify``/``identities``, success includes
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
 from .perturb import sweep
-from .potential import certify, hs_identity_battery
+from .potential import TELESCOPING, certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .serialize import write_json
 from .solvers import METHOD_FAMILY, STOP_GAP_REL, run
@@ -196,7 +195,7 @@ def cmd_certify(args) -> int:
         "C": report.c_value,
         "tol_cert": report.tol_cert,
         "first_violation": report.first_violation,
-        "first_telescope_violation": report.first_telescope_violation,
+        "first_telescope_violation": report.first_failures.get(TELESCOPING),
         "theorem1_ok": report.theorem1_ok,
         "daniel_ok": report.daniel_ok,
     }
@@ -292,7 +291,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GradcertError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (GradcertError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

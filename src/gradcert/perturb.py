@@ -43,7 +43,7 @@ import numpy as np
 from .objective import QuadraticObjective
 from .potential import certify
 from .rng import SplitMix64, _seed_word, substream_gaussians, substream_seed
-from .solvers import STOP_GAP_REL, Trace, _run_cg
+from .solvers import STOP_GAP_REL, Trace, _check_run_args, _run_cg
 
 
 @dataclass(frozen=True)
@@ -187,16 +187,16 @@ class DetectionReport:
     first_violation is the certificate's first failing step, the chain's or
     the gap telescoping's, whichever comes first, else the step where the
     run broke down (stop_reason "not_positive_definite" or "diverged", which
-    exact CG reaches only from an x0 near the float64 limit), else None;
-    detected mirrors it as a bool. A run the monitor ended has stop_reason
-    "detected", and every field covers the run up to that stop:
-    iterations_run is the steps taken, one noisy product each, at most
-    max(7, 4 first_violation + 3) (module docstring). psis is the true
-    potential sequence (evaluated with the exact objective, not the noisy
-    recurrence), the one per-step array of the certificate that the report
-    keeps. max_drift is the absolute distance between the recurred and the
-    true residual at its worst tenth step or at the last step (0 on a run
-    of no steps).
+    exact CG reaches only from an x0 near the float64 limit), else None,
+    which is the one reading of whether the noise was detected. A run the
+    monitor ended has stop_reason "detected", and every field covers the
+    run up to that stop: iterations_run is the steps taken, one noisy
+    product each, at most max(7, 4 first_violation + 3) (module
+    docstring). psis is the true potential sequence (evaluated with the
+    exact objective, not the noisy recurrence), the one per-step array of
+    the certificate that the report keeps. max_drift is the absolute
+    distance between the recurred and the true residual at its worst tenth
+    step or at the last step (0 on a run of no steps).
     """
 
     eta: float
@@ -206,10 +206,6 @@ class DetectionReport:
     psis: np.ndarray
     stop_reason: str
     max_drift: float
-
-    @property
-    def detected(self) -> bool:
-        return self.first_violation is not None
 
 
 def detect_inexactness(
@@ -241,10 +237,8 @@ def detect_inexactness(
     """
     if not isinstance(obj, QuadraticObjective):
         raise TypeError("inexactness detection applies to quadratic objectives")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     monitored = obj.with_minimizer(x_star)
-    x0 = monitored._check_vector(x0, "x0")
+    x0 = _check_run_args(monitored, x0, max_iters)
 
     # CG runs on the noisy copy; the monitor and the report keep the exact
     # objective. The monitor looks certify up at each call, so a wrapper

@@ -61,6 +61,7 @@ CERT_TOL_CAP = 2e-9
 
 # CG gap telescoping: floored (relative to the initial gap) well above the
 # run's scalars' own drift, with a tolerance far below the errors it catches.
+# The floor also caps the scale of the identity battery's roundoff floor.
 TELESCOPE_TOL = 1e-3
 TELESCOPE_FLOOR = 1e-6
 
@@ -129,14 +130,15 @@ class CertificateReport:
     the method's constant c_value, and on CG TELESCOPING (a non-finite
     scalar fails). A chain pass at c_value implies one at the never larger
     common constant 1 + sqrt(l/L), so no second chain is kept. The
-    properties read the table: first_violation is the earliest failing
-    step (None when all pass), failed_check the check failing there (the
-    chain wins a tie), first_telescope_violation the telescoping's first
-    failure (None on AG) and step_passes the chain. theorem1_ok and
-    daniel_ok are the envelope verdicts (daniel_ok is None on AG and when
-    L = l). method is the family, "ag" or "cg". grad_norms[k] is
-    ||grad f(x_k)|| (||A x_k - b|| on a quadratic) measured from the
-    iterate against the exact objective, never CG's recurred residual.
+    properties read the table: first_failures maps each check to its first
+    failing step (None when it never fails), first_violation is the
+    earliest of them (None when all pass) and failed_check the check
+    failing there (the chain wins a tie). theorem1_ok and daniel_ok are the
+    envelope verdicts (daniel_ok is None on AG and when L = l); all_ok
+    holds when every check and envelope passes. method is the family, "ag"
+    or "cg". grad_norms[k] is ||grad f(x_k)|| (||A x_k - b|| on a
+    quadratic) measured from the iterate against the exact objective, never
+    CG's recurred residual.
     """
 
     method: str
@@ -169,20 +171,8 @@ class CertificateReport:
         return None if name is None else self.first_failures[name]
 
     @property
-    def first_telescope_violation(self) -> int | None:
-        return self.first_failures.get(TELESCOPING)
-
-    @property
-    def step_passes(self) -> np.ndarray:
-        return self.checks[CHAIN]
-
-    @property
-    def chain_ok(self) -> bool:
-        return self.first_violation is None
-
-    @property
     def all_ok(self) -> bool:
-        return self.chain_ok and self.theorem1_ok and self.daniel_ok is not False
+        return self.first_violation is None and self.theorem1_ok and self.daniel_ok is not False
 
     def __len__(self):
         return self.psis.shape[0]
@@ -368,7 +358,12 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     the battery stops at the first state whose exact gap F_k is at or below
     CG's roundoff floor kappa * eps * dim * F_0 (the scale of
     default_cert_tolerance): that state is still checked against its
-    predecessor, later ones are not. The report's n is the states examined.
+    predecessor, later ones are not. Like default_cert_tolerance, the
+    floor's scale is capped, at TELESCOPE_FLOOR (the floor of certify()'s
+    telescoping, relative to the initial gap), so that a tiny declared ell
+    cannot put the first state at the floor and leave every row but
+    rho_alignment with nothing to check. The report's n is the states
+    examined.
     rho_alignment, which involves no difference of gaps, checks every state
     k >= 1 of the trace. The trace must carry its recurred residuals rs,
     which the iterates file does not store; without them the battery
@@ -382,7 +377,8 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     n = min(len(t.f_gaps), obj.dim + 1)
     f2 = 2.0 * t.f_gaps[:n]
     # Stop at the first state at CG's roundoff floor (see the docstring).
-    at_floor = np.flatnonzero(f2 <= (obj.lip / obj.ell) * 2.0**-52 * obj.dim * f2[0])
+    floor_rel = min((obj.lip / obj.ell) * 2.0**-52 * obj.dim, TELESCOPE_FLOOR)
+    at_floor = np.flatnonzero(f2 <= floor_rel * f2[0])
     if at_floor.size:
         n = int(at_floor[0]) + 1
         f2 = f2[:n]

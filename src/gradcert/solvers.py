@@ -102,10 +102,10 @@ def momentum_coefficient(ell: float, lip: float) -> float:
 class Trace:
     """Column-stacked record of a run.
 
-    xs[k] is x_k; the displacements ss, and on CG runs the betas, the
-    directions ps and r0_norm, are derived from the stored columns. CG
-    columns (alphas, prev_res_sqs, rs) are None on accelerated runs;
-    entries undefined at a row of a present column are nan. No trace
+    xs[k] is x_k; the displacements s_k (displacements()), and on CG runs
+    the betas, the directions ps and r0_norm, are derived from the stored
+    columns. CG columns (alphas, prev_res_sqs, rs) are None on accelerated
+    runs; entries undefined at a row of a present column are nan. No trace
     stores f(x_k) - f*: neither method evaluates it on every iterate, and
     certify() computes it from xs.
     """
@@ -120,13 +120,11 @@ class Trace:
     def __len__(self):
         return self.xs.shape[0]
 
-    @property
-    def ss(self) -> np.ndarray:
-        """s_k = x_k - x_{k-1}, with a zero row standing in for the undefined s_0."""
-        return self.displacements(slice(0, len(self)))
-
     def displacements(self, rows: slice) -> np.ndarray:
-        """The rows of ss that rows selects (a slice of step 1), as one new array."""
+        """s_k = x_k - x_{k-1} on the rows selected (a slice of step 1), as one new array.
+
+        Row 0 of the trace, where s_0 is undefined, reads as zeros.
+        """
         lo, hi, _ = rows.indices(len(self))
         xs = self.xs[lo:hi]
         out = np.empty_like(xs)
@@ -186,16 +184,29 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if obj.minimizer is None:
-        raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
-    x0 = obj._check_vector(x0, "x0")
+    x0 = _check_run_args(obj, x0, max_iters)
+    if math.isnan(stop_gap):
+        raise ValueError("stop_gap must not be nan (-inf never stops on the gap)")
     if METHOD_FAMILY[method] == "ag":
         return _run_ag(obj, method, x0, max_iters, stop_gap)
     if not isinstance(obj, QuadraticObjective):
         raise TypeError(f"{method} applies to quadratic objectives only")
     return _run_cg(obj, method, x0, max_iters, stop_gap)
+
+
+def _check_run_args(obj, x0, max_iters):
+    """x0 checked against obj, which must carry its minimizer; max_iters an integer >= 1.
+
+    The checks of run and of perturb's monitored run. A bool is not a step
+    count (True would run one step), and a float is refused even when
+    integral.
+    """
+    integral = isinstance(max_iters, (int, np.integer)) and not isinstance(max_iters, bool)
+    if not integral or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    if obj.minimizer is None:
+        raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
+    return obj._check_vector(x0, "x0")
 
 
 def _gap_gate(obj, stop_gap: float) -> float:
@@ -324,7 +335,6 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, observe=None):
     prev_sqs = [np.nan]
     p = None
     alpha = None
-    s = None
 
     d = x - x_star
     done = reached(x, d.dot(d))
@@ -355,10 +365,10 @@ def _run_cg(obj, method, x0, max_iters, stop_gap, observe=None):
                 break
             alpha_next = res_sq / pap
             if unified:
-                nu = 0.0 if k == 0 else alpha_next * beta_next / alpha
-                if s is None:
+                if k == 0:  # no displacement yet: nu_0 = 0 (module docstring)
                     x_next = x + alpha_next * r
                 else:
+                    nu = alpha_next * beta_next / alpha
                     x_next = x + nu * s + alpha_next * r
                 s = x_next - x
             else:

@@ -44,7 +44,7 @@ import zipfile
 
 import numpy as np
 
-from .potential import chain_steps
+from .potential import CHAIN, chain_steps
 from .serialize import fmt_floats
 from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
 
@@ -101,7 +101,7 @@ def trace_columns(trace, obj, report) -> dict:
             "grad_norm": report.grad_norms,
             "psi": report.psis,
             "psi_ratio": np.append(report.ratios, np.nan),
-            "cert_pass": np.append(report.step_passes, np.nan),
+            "cert_pass": np.append(report.checks[CHAIN], np.nan),
             "alpha": alphas,
             "beta": betas,
             "rho": report.rhos,

@@ -18,7 +18,7 @@ from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
-from gradcert.potential import GAP_BLOCK_ROWS, certify
+from gradcert.potential import CHAIN, GAP_BLOCK_ROWS, certify
 from gradcert.problems import ProblemSpec, encode_array, load_problem, make_logistic_problem
 from gradcert.serialize import render_json
 from gradcert.solvers import run
@@ -581,7 +581,7 @@ def test_certify_names_a_chain_failure(workdir, problem_file, capsys):
     write_trace_csv(path, forged, obj, report)
     capsys.readouterr()
     assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
-    assert not report.step_passes[report.first_violation]
+    assert not report.checks[CHAIN][report.first_violation]
     assert capsys.readouterr().out == f"certificate chain violated at step {report.first_violation}\n"
 
 

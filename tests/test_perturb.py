@@ -94,7 +94,6 @@ def test_exact_run_never_violates():
     obj, x_star, x0 = _problem(50, 100.0)
     report = detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), 60, x0=x0)
     assert report.first_violation is None
-    assert not report.detected
     assert report.eta == 0.0
     d0 = x0 - x_star
     assert report.psis[0] == pytest.approx(float(d0 @ d0) + 2.0 * obj.f_gap(x0) / obj.ell, rel=1e-12)
@@ -103,7 +102,6 @@ def test_exact_run_never_violates():
 def test_visible_noise_is_detected():
     obj, x_star, x0 = _problem(100, 1e4)
     report = detect_inexactness(obj, x_star, NoiseModel(magnitude=1e-2, seed=0), 600, x0=x0)
-    assert report.detected
     assert isinstance(report.first_violation, int)
     assert 1 <= report.first_violation <= report.iterations_run
     assert report.stop_reason == "detected"
@@ -127,7 +125,7 @@ def test_overflowing_noise_ends_the_run(eta, stop_reason, first_violation):
     assert report.stop_reason == stop_reason
     assert report.iterations_run < obj.dim
     assert np.all(np.isfinite(report.psis))
-    assert report.detected and report.first_violation == first_violation
+    assert report.first_violation == first_violation
 
 
 def test_gap_telescoping_detects_moderate_noise_early():
@@ -143,8 +141,9 @@ def test_gap_telescoping_detects_moderate_noise_early():
 
 def test_detection_rejects_bad_inputs():
     obj, x_star, x0 = _problem(8, 10.0)
-    with pytest.raises(ValueError):
-        detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), 0, x0=x0)
+    for max_iters in (0, 5.0, 2.5, True):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), max_iters, x0=x0)
     with pytest.raises(TypeError):
         detect_inexactness(object(), x_star, NoiseModel(magnitude=0.0), 5, x0=x0)
 

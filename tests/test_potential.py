@@ -21,7 +21,15 @@ from gradcert import (
     run,
 )
 from gradcert.errors import MissingGroundTruthError
-from gradcert.potential import CERT_TOL_CAP, chain_steps, contraction_constant, default_cert_tolerance
+from gradcert.perturb import NoiseModel, _noisy
+from gradcert.potential import (
+    CERT_TOL_CAP,
+    CHAIN,
+    TELESCOPING,
+    chain_steps,
+    contraction_constant,
+    default_cert_tolerance,
+)
 from gradcert.problems import make_logistic_problem, make_quadratic_problem
 from gradcert.solvers import Trace
 from gradcert.traces import read_trace_iterates, write_trace_csv
@@ -60,7 +68,8 @@ def test_potential_point_matches_oracle(dim2):
     trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
     report = certify(trace, dim2.obj)
     w = [float(v) for v in exact[1]["w"]]  # (3/5, -1/5)
-    assert_close(trace.xs[1] + report.rhos[1] * trace.ss[1] - dim2.obj.minimizer, w)
+    s1 = trace.displacements(slice(0, len(trace)))[1]
+    assert_close(trace.xs[1] + report.rhos[1] * s1 - dim2.obj.minimizer, w)
     assert report.w_norm_sqs[1] == pytest.approx(2 / 5, abs=1e-12)
     assert_close(report.psis[:2], [6.0, 29 / 35])
 
@@ -70,7 +79,7 @@ def test_rho_is_the_norm_minimizer(dim2):
     trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
     report = certify(trace, dim2.obj)
     d1 = trace.xs[1] - dim2.obj.minimizer
-    s1 = trace.ss[1]
+    s1 = trace.displacements(slice(0, len(trace)))[1]
 
     def w_norm_sq(rho):
         w = d1 + rho * s1
@@ -87,15 +96,15 @@ def test_certify_frozen_values(dim2):
     report = certify(trace, dim2.obj)
     assert_close(report.psis, [6.0, 29 / 35, 0.0])
     assert report.first_violation is None
-    assert report.chain_ok and report.theorem1_ok and report.daniel_ok
+    assert report.theorem1_ok and report.daniel_ok
     ag_trace = run(dim2.obj, "ag", dim2.x0, 2, -math.inf)
     ag_report = certify(ag_trace, dim2.obj)
     psi1 = 52 / 9 - 8 * math.sqrt(3) / 3
     psi2 = 88 / 27 - 16 * math.sqrt(3) / 9
     assert_close(ag_report.psis, [6.0, psi1, psi2])
     assert ag_report.first_violation is None
-    assert report.first_telescope_violation is None
-    assert ag_report.first_telescope_violation is None
+    assert report.first_failures[TELESCOPING] is None
+    assert ag_report.first_failures.get(TELESCOPING) is None
 
 
 def test_default_tolerance_formula(tiny_problem):
@@ -143,11 +152,31 @@ def test_tiny_declared_ell_does_not_certify_a_forgery(ell, first_violation):
     assert report.failed_check == "certificate chain"
 
 
+@pytest.mark.parametrize("ell", [1e-300, 1e-320])
+def test_tiny_declared_ell_does_not_empty_the_battery(ell):
+    # uncapped, the roundoff floor kappa eps dim F_0 put state 0 at the
+    # floor: the battery examined 1 state, and noise failed only the
+    # rho_alignment row; capped, it examines what it does at ell 1
+    obj, x_star, x0 = generate_with_start(
+        SpectrumSpec(dim=5, ell=1.0, lip=100.0, layout="log_uniform", seed=1)
+    )
+    declared = QuadraticObjective(obj.matrix, obj.rhs, ell, obj.lip).with_minimizer(x_star)
+
+    def battery(o, eta):
+        trace = run(_noisy(o, NoiseModel(eta)), "cg_classic", x0, o.dim, -math.inf)
+        return hs_identity_battery(trace, o)
+
+    clean = battery(declared, 0.0)
+    assert clean.ok and clean.n == battery(obj, 0.0).n == 6
+    noisy = battery(declared, 1e-2)
+    assert not noisy.ok and noisy.first_failures["gap_drop"] is not None
+
+
 def test_certify_flags_a_corrupted_trace(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     trace = run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0))
     clean = certify(trace, obj)
-    assert clean.first_violation is None and clean.first_telescope_violation is None
+    assert clean.first_violation is None and clean.first_failures[TELESCOPING] is None
     # a 10% bump on a late iterate lifts its potential far above the
     # already-contracted neighbors, so the chain cannot absorb it
     bumped = trace.xs.copy()
@@ -181,8 +210,9 @@ def test_certify_flags_a_corrupted_trace(tiny_problem):
         poisoned = certify(forged, obj)
         assert poisoned.first_violation is not None, name
         if telescopes:
-            assert poisoned.first_telescope_violation is not None, name
-            assert poisoned.first_violation <= poisoned.first_telescope_violation, name
+            telescoping_at = poisoned.first_failures[TELESCOPING]
+            assert telescoping_at is not None, name
+            assert poisoned.first_violation <= telescoping_at, name
 
 
 def test_battery_flags_a_corrupted_trace(tiny_problem):
@@ -314,7 +344,7 @@ def test_chain_implies_envelope(tiny_problem):
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     for method in ("cg_classic", "ag"):
         report = certify(run(obj, method, x0, 200, 1e-10 * obj.f_gap(x0)), obj)
-        assert report.chain_ok
+        assert report.first_violation is None
         assert report.theorem1_ok
         # and psi dominates the gap pointwise: (ell/2) psi >= f_gap
         assert np.all(0.5 * obj.ell * report.psis >= report.f_gaps * (1 - 1e-12))
@@ -330,7 +360,7 @@ def test_all_ok_is_every_check(tiny_problem):
         assert report.all_ok, method
         assert (report.daniel_ok is None) == (method == "ag")
         assert not dataclasses.replace(report, theorem1_ok=False).all_ok
-        chain = report.step_passes.copy()
+        chain = report.checks[CHAIN].copy()
         chain[1] = False
         failing = {**report.checks, "certificate chain": chain}
         assert not dataclasses.replace(report, checks=failing).all_ok
@@ -410,7 +440,7 @@ def test_certify_a_cg_trace_across_small_blocks(monkeypatch, method):
     assert len(trace) > 4 * 5
     report = certify(trace, obj)
     _assert_report_is_the_whole_array_one(report, trace, obj, "cg")
-    assert report.chain_ok
+    assert report.first_violation is None
     # the battery's vectors are the same blocks, concatenated
     _, d, s, w, _ = _whole_array_terms(trace, obj, "cg")
     with np.errstate(all="ignore"):
@@ -475,8 +505,8 @@ def test_certify_without_ground_truth_raises(tiny_problem):
 
 
 def test_the_check_table_names_the_first_failure(tiny_problem):
-    # first_violation, failed_check and first_telescope_violation are all
-    # read off certify()'s one table; at a shared step the chain, listed
+    # first_failures, first_violation and failed_check are all read off
+    # certify()'s one table; at a shared step the chain, listed
     # first, is the one named
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     report = certify(run(obj, "cg_classic", x0, 30, 1e-10 * obj.f_gap(x0)), obj)
@@ -503,13 +533,12 @@ def test_the_check_table_names_the_first_failure(tiny_problem):
         }
         forged = dataclasses.replace(report, checks=checks)
         assert (forged.first_violation, forged.failed_check) == (step, name)
-        assert forged.first_telescope_violation == telescoping_at
-        assert forged.step_passes is checks["certificate chain"]
-        assert not forged.chain_ok and not forged.all_ok
+        assert forged.first_failures == {CHAIN: chain_at, TELESCOPING: telescoping_at}
+        assert not forged.all_ok
 
     ag = certify(run(obj, "ag", x0, 30, -math.inf), obj)
     assert list(ag.checks) == ["certificate chain"]
-    assert ag.first_telescope_violation is None and ag.failed_check is None
+    assert ag.first_failures == {CHAIN: None} and ag.failed_check is None
 
 
 def test_battery_fails_overflowing_residuals_without_warning():

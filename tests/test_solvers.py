@@ -60,7 +60,8 @@ def test_ag_iterates_match_oracle(dim2):
     for k, rec in enumerate(exact):
         assert_close(trace.xs[k], [float(v) for v in rec["x"]])
     # transient y_2 = x_1 + m s_1 = (sqrt(3)/3, sqrt(3)-2)
-    y2 = trace.xs[1] + momentum_coefficient(1.0, 3.0) * trace.ss[1]
+    s1 = trace.displacements(slice(0, len(trace)))[1]
+    y2 = trace.xs[1] + momentum_coefficient(1.0, 3.0) * s1
     assert_close(y2, [math.sqrt(3) / 3, math.sqrt(3) - 2.0])
 
 
@@ -258,6 +259,30 @@ def test_run_without_ground_truth_raises():
     for method in METHODS:
         with pytest.raises(MissingGroundTruthError):
             run(bare, method, x0, 100, 1e-8)
+
+
+@pytest.mark.parametrize("max_iters", [0, -1, 5.0, 2.5, True, np.float64(3.0), "5", None])
+def test_run_refuses_a_malformed_step_count(tiny_problem, max_iters):
+    # 5.0 and 2.5 used to raise TypeError from range, and True ran one step
+    for method in METHODS:
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            run(tiny_problem.obj, method, tiny_problem.x0, max_iters, -math.inf)
+
+
+def test_run_takes_numpy_integer_step_counts(tiny_problem):
+    trace = run(tiny_problem.obj, "cg_classic", tiny_problem.x0, np.int64(3), -math.inf)
+    assert len(trace) == 4
+
+
+def test_run_refuses_a_nan_stop_gap(tiny_problem):
+    # a nan stop_gap used to disable the stop silently: CG ran to its floor
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    for method in METHODS:
+        with pytest.raises(ValueError, match="stop_gap"):
+            run(obj, method, x0, 50, math.nan)
+        # the infinities stay valid: -inf never stops on the gap, inf at x0
+        assert run(obj, method, x0, 3, -math.inf).stop_reason == "max_iters"
+        assert len(run(obj, method, x0, 3, math.inf)) == 1
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.25])
@@ -588,12 +613,13 @@ def test_one_product_per_step_and_none_in_the_audit(method):
 def test_first_iteration_state_shape(dim2):
     trace = run(dim2.obj, "cg_classic", dim2.x0, 5, -math.inf)
     # row 0 has no step and no predecessor residual yet
+    ss = trace.displacements(slice(0, len(trace)))
     assert np.isnan(trace.prev_res_sqs[0])
-    assert not np.any(trace.ss[0])
+    assert not np.any(ss[0])
     # ||r_0||^2 with r_0 = -A x_0 = (-1, -3)
     assert trace.prev_res_sqs[1] == pytest.approx(10.0)
-    assert_close(trace.ss[1], trace.xs[1] - trace.xs[0])
-    assert np.any(trace.ss[1])
+    assert_close(ss[1], trace.xs[1] - trace.xs[0])
+    assert np.any(ss[1])
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -601,6 +627,7 @@ def test_displacements_follow_from_iterates(method):
     spec = SpectrumSpec(dim=10, ell=1.0, lip=100.0, layout="log_uniform", seed=4)
     obj, _, x0 = generate_with_start(spec)
     trace = run(obj, method, x0, 50, -math.inf)
-    assert trace.ss.shape == trace.xs.shape
-    assert not np.any(trace.ss[0])
-    assert np.array_equal(trace.ss[1:], np.diff(trace.xs, axis=0))
+    ss = trace.displacements(slice(0, len(trace)))
+    assert ss.shape == trace.xs.shape
+    assert not np.any(ss[0])
+    assert np.array_equal(ss[1:], np.diff(trace.xs, axis=0))
