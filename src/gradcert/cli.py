@@ -23,9 +23,11 @@ import numpy as np
 
 from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
-from .perturb import sweep
+from .objective import _count, _positive
+from .perturb import NoiseModel, sweep
 from .potential import TELESCOPING, certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
+from .rng import _seed_word
 from .serialize import write_json
 from .solvers import METHOD_FAMILY, STOP_GAP_REL, run
 from .traces import check_trace_claims, read_trace_csv, read_trace_iterates, write_trace_csv
@@ -38,35 +40,22 @@ METHOD_NAMES = {
 }
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
+def _checked(parse, rule, *names):
+    """An argument type: text read by parse (int or float), then the library's
+    own rule for the value, whose ValueError becomes a usage error (exit 2)."""
+    noun = "an integer" if parse is int else "a number"
+
+    def convert(text: str):
         try:
-            value = int(text)
+            value = parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}") from None
+        try:
+            return rule(value, *names)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-    return parse
-
-
-def _seed(text: str) -> int:
-    """A seed in [0, 2**64): SplitMix64 would reduce a larger one to another seed."""
-    value = _int_at_least(0)(text)
-    if value >= 2**64:
-        raise argparse.ArgumentTypeError(f"must be < 2**64, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+    return convert
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,17 +66,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a quadratic problem file")
-    p_gen.add_argument("--dim", type=_int_at_least(1), required=True)
-    p_gen.add_argument("--ell", type=_positive_float, required=True, help="smallest eigenvalue")
-    p_gen.add_argument("--lip", type=_positive_float, required=True, help="largest eigenvalue")
+    p_gen.add_argument("--dim", type=_checked(int, _count, "dim"), required=True)
+    p_gen.add_argument("--ell", type=_checked(float, _positive, "ell"), required=True,
+                       help="smallest eigenvalue")
+    p_gen.add_argument("--lip", type=_checked(float, _positive, "lip"), required=True,
+                       help="largest eigenvalue")
     p_gen.add_argument("--layout", choices=LAYOUTS, default="log_uniform")
-    p_gen.add_argument("--seed", type=_seed, default=0)
+    p_gen.add_argument("--seed", type=_checked(int, _seed_word), default=0)
     p_gen.add_argument("--out", default="problem.json")
 
     p_run = sub.add_parser("run", help="run a solver and write a certified trace")
     p_run.add_argument("--problem", required=True)
     p_run.add_argument("--method", choices=sorted(METHOD_NAMES), required=True)
-    p_run.add_argument("--iters", type=_int_at_least(1), default=1000)
+    p_run.add_argument("--iters", type=_checked(int, _count, "iters"), default=1000)
     p_run.add_argument("--out", default="trace.csv")
 
     p_cert = sub.add_parser("certify", help="re-certify a trace from its stored iterates")
@@ -102,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pb = sub.add_parser("perturb", help="noise sweep: where does the chain break")
     p_pb.add_argument("--problem", required=True)
     p_pb.add_argument("--eta", required=True, help="comma-separated noise magnitudes")
-    p_pb.add_argument("--iters", type=_int_at_least(1), default=600)
-    p_pb.add_argument("--seed", type=_seed, default=0)
+    p_pb.add_argument("--iters", type=_checked(int, _count, "iters"), default=600)
+    p_pb.add_argument("--seed", type=_checked(int, _seed_word), default=0)
     p_pb.add_argument("--out", default="perturb.json")
 
     return parser
@@ -241,9 +232,9 @@ def _parse_etas(text: str) -> list:
         etas = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise GradcertError(f"bad --eta list {text!r}") from None
-    if not etas or not all(0.0 <= e < math.inf for e in etas):
+    if not etas:
         raise GradcertError("--eta needs a comma-separated list of finite magnitudes >= 0")
-    return etas
+    return [NoiseModel(eta).magnitude for eta in etas]
 
 
 def cmd_perturb(args) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import QuadraticObjective
+from .objective import QuadraticObjective, _count, _curvature
 from .rng import SplitMix64, _seed_word
 
 LAYOUTS = ("log_uniform", "uniform", "two_cluster")
@@ -44,8 +44,9 @@ LAYOUTS = ("log_uniform", "uniform", "two_cluster")
 class SpectrumSpec:
     """Recipe for one generated problem.
 
-    dim is an integer >= 1, ell and lip are finite with 0 < ell <= lip, and
-    seed is an integer in [0, 2**64); anything else raises ValueError.
+    dim is an integer >= 1, ell and lip are finite numbers with
+    0 < ell <= lip, and seed is an integer in [0, 2**64); anything else,
+    a bool or a string included, raises ValueError.
     """
 
     dim: int
@@ -55,10 +56,8 @@ class SpectrumSpec:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
-        if not (0.0 < self.ell <= self.lip < np.inf):
-            raise ValueError(f"need finite 0 < ell <= lip, got ell={self.ell}, lip={self.lip}")
+        _count(self.dim, "dim")
+        _curvature(self.ell, self.lip)
         _seed_word(self.seed)
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}, expected one of {LAYOUTS}")
@@ -124,7 +123,8 @@ def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, ...]:
     The last two are the factors A was built from, A = Q diag(lams) Q' with
     Q = H_1 ... H_dim (see ``_orthogonal_factor``), so that the minimizer
     needs no factorization of A. Row i of A is Q (lams * Q[i]), one
-    matrix-vector product written in place, and A is then symmetrized.
+    matrix-vector product written in place; A is symmetric up to roundoff,
+    and QuadraticObjective's constructor, which checks that, symmetrizes it.
     """
     stream = SplitMix64(spec.seed)
     vs, cs = _reflectors(spec, stream)
@@ -137,7 +137,6 @@ def generate_arrays(spec: SpectrumSpec) -> tuple[np.ndarray, ...]:
     for i in range(spec.dim):
         np.multiply(lams, q[i], out=row)
         np.dot(q, row, out=a[i])
-    a = (a + a.T) / 2.0
     return a, b, x0, q, lams
 
 

@@ -15,6 +15,7 @@ The logistic family's sigmoid is ``_sigmoid``, numpy's form of
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
@@ -32,6 +33,49 @@ def _sigmoid(t):
     return 1.0 / (1.0 + np.exp(np.minimum(-t, 709.0)))
 
 
+# The one check of each rule on the package's input; every entry point that
+# takes such a value calls these, and the CLI's argument types call them too.
+
+
+def _count(value, name):
+    """value as an int; ValueError unless an integer >= 1.
+
+    A bool is not a count (True would be 1), and a float is refused even
+    when integral.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name, zero_ok=False):
+    """value as a float; ValueError unless a real number, finite and > 0.
+
+    zero_ok admits 0 as well. A bool or a string is refused rather than
+    coerced.
+    """
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf):
+        least = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{name} must be a finite number {least}, got {value!r}")
+    return float(value)
+
+
+def _curvature(ell, lip):
+    """(ell, lip) as floats; ValueError unless both are bounds and ell <= lip."""
+    ell, lip = _positive(ell, "ell"), _positive(lip, "lip")
+    if ell > lip:
+        raise ValueError(f"need ell <= lip, got ell={ell}, lip={lip}")
+    return ell, lip
+
+
+def _finite(arr, name):
+    """arr; ValueError if any entry is nan or infinite."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
 class Objective:
     """Base class: curvature bounds plus optional ground truth.
 
@@ -42,13 +86,8 @@ class Objective:
     """
 
     def __init__(self, dim, ell, lip):
-        if int(dim) < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        if not (0.0 < ell <= lip < np.inf):
-            raise ValueError(f"need finite 0 < ell <= lip, got ell={ell}, lip={lip}")
-        self.dim = int(dim)
-        self.ell = float(ell)
-        self.lip = float(lip)
+        self.dim = _count(dim, "dim")
+        self.ell, self.lip = _curvature(ell, lip)
         self.minimizer = None
 
     def value(self, x):
@@ -88,9 +127,7 @@ class Objective:
         bounds are already known: the copy shares them rather than checking,
         factoring or computing anything again.
         """
-        x_star = self._check_vector(x_star, "minimizer")
-        if not np.all(np.isfinite(x_star)):
-            raise ValueError("minimizer has non-finite entries")
+        x_star = _finite(self._check_vector(x_star, "minimizer"), "minimizer")
         obj = copy.copy(self)
         obj.minimizer = x_star.copy()
         obj.minimizer.setflags(write=False)
@@ -116,8 +153,7 @@ class QuadraticObjective(Objective):
         a = np.array(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix has non-finite entries")
+        _finite(a, "matrix")
         scale = float(np.max(np.abs(a))) if a.size else 0.0
         asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
         if asym > 1e-12 * max(scale, 1e-300):
@@ -130,9 +166,7 @@ class QuadraticObjective(Objective):
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError("matrix is not positive definite") from exc
         super().__init__(a.shape[0], ell, lip)
-        b = self._check_vector(rhs, "rhs").copy()
-        if not np.all(np.isfinite(b)):
-            raise ValueError("rhs has non-finite entries")
+        b = _finite(self._check_vector(rhs, "rhs").copy(), "rhs")
         a.setflags(write=False)
         b.setflags(write=False)
         self.matrix = a
@@ -185,11 +219,8 @@ class LogisticRidgeObjective(Objective):
         data = np.array(data_matrix, dtype=float)
         if data.ndim != 2:
             raise ValueError(f"data_matrix must be 2-d, got shape {data.shape}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("data_matrix has non-finite entries")
-        ridge = float(ridge)
-        if not ridge > 0.0:
-            raise ValueError(f"ridge must be positive, got {ridge}")
+        _finite(data, "data_matrix")
+        ridge = _positive(ridge, "ridge")
         lip = ridge + np.linalg.norm(data, 2) ** 2 * (1.0 + 1e-9) / 4.0
         super().__init__(data.shape[1], ridge, lip)
         data.setflags(write=False)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objective import QuadraticObjective
+from .objective import QuadraticObjective, _positive
 from .potential import certify
 from .rng import SplitMix64, _seed_word, substream_gaussians, substream_seed
 from .solvers import STOP_GAP_REL, Trace, _check_run_args, _run_cg
@@ -50,19 +50,18 @@ from .solvers import STOP_GAP_REL, Trace, _check_run_args, _run_cg
 class NoiseModel:
     """Relative perturbation applied to each matvec; magnitude 0 disables it.
 
-    magnitude is finite and >= 0, and -0.0 is stored as 0.0; seed is an
-    integer in [0, 2**64), the seeds SplitMix64 keeps apart.
+    magnitude is a finite number >= 0, stored as a float, -0.0 as 0.0; seed
+    is an integer in [0, 2**64), the seeds SplitMix64 keeps apart. Anything
+    else, a bool or a string included, raises ValueError.
     """
 
     magnitude: float
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.magnitude < np.inf:
-            raise ValueError(f"magnitude must be finite and >= 0, got {self.magnitude}")
+        magnitude = _positive(self.magnitude, "magnitude", zero_ok=True)
+        object.__setattr__(self, "magnitude", magnitude if magnitude else 0.0)
         object.__setattr__(self, "seed", _seed_word(self.seed))
-        if self.magnitude == 0.0:
-            object.__setattr__(self, "magnitude", 0.0)
 
 
 # Calls per drawn block of directions, and blocks kept. Measured at dim 100

@@ -46,7 +46,8 @@ from .solvers import METHOD_FAMILY
 # Rows per block of _terms, the evaluator behind certify(): a block's
 # x - x*, s, w and _measure_rows product go once its per-row scalars are
 # written, so certify's temporaries stay a fixed size however long the
-# trace.
+# trace. The trace CSV is written in blocks of as many rows, for the same
+# reason.
 GAP_BLOCK_ROWS = 1024
 
 # Multiplicative slack on the closed-form envelope checks; the certificate

@@ -36,6 +36,8 @@ from .objective import (
     LogisticRidgeObjective,
     Objective,
     QuadraticObjective,
+    _count,
+    _finite,
     newton_reference_minimizer,
 )
 from .rng import SplitMix64
@@ -59,9 +61,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not isinstance(self.objective, (QuadraticObjective, LogisticRidgeObjective)):
             raise TypeError(f"no problem kind for {type(self.objective).__name__}")
-        x0 = self.objective._check_vector(self.x0, "x0")
-        if not np.all(np.isfinite(x0)):
-            raise ValueError("x0 contains non-finite entries")
+        x0 = _finite(self.objective._check_vector(self.x0, "x0"), "x0")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -120,6 +120,7 @@ def _array_field(doc, name, dim, ndim=1):
 
     Only the canonical base64 that ``encode_array`` writes is accepted:
     ``b64decode`` alone lets padding past a complete quantum through.
+    Finiteness is checked by the objective or ProblemSpec that takes it.
     """
     value = doc[name]
     try:
@@ -134,8 +135,6 @@ def _array_field(doc, name, dim, ndim=1):
         want = f"{dim} float64 values" if ndim == 1 else f"whole rows of {dim} float64 values"
         raise ValueError(f"{name} must hold {want}, got {len(raw)} bytes")
     arr = np.frombuffer(raw, "<f8").astype(float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
     return arr if ndim == 1 else arr.reshape(rows, dim)
 
 
@@ -152,9 +151,7 @@ def load_problem(path) -> ProblemSpec:
         kind = doc["kind"]
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
-        dim = _number_field(doc, "dim", int)
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        dim = _count(_number_field(doc, "dim", int), "dim")
         ell = _number_field(doc, "ell", float)
         lip = _number_field(doc, "L", float)
         if kind == "quadratic":
@@ -186,14 +183,13 @@ def load_problem(path) -> ProblemSpec:
         if doc.get("x_star") is None:
             return spec
         # Fail fast on a bogus stored minimizer rather than at certify time.
-        x_star = _array_field(doc, "x_star", dim)
-        g_star = float(np.linalg.norm(obj.grad(x_star)))
+        obj = obj.with_minimizer(_array_field(doc, "x_star", dim))
+        g_star = float(np.linalg.norm(obj.grad(obj.minimizer)))
         if not g_star <= GROUND_TRUTH_TOL * max(1.0, g_zero):
             raise MissingGroundTruthError(
                 f"stored x_star is not a minimizer: |grad| = {g_star:g} "
                 f"exceeds {GROUND_TRUTH_TOL:g} * max(1, {g_zero:g})"
             )
-        obj = obj.with_minimizer(x_star)
         gap_zero = obj.f_gap(spec.x0)
         if not np.isfinite(gap_zero):
             raise ValueError(f"x0 is too large: f(x0) - f* = {gap_zero:g} is not finite")
@@ -215,12 +211,11 @@ def make_logistic_problem(
     data matrix row by row (standard gaussian entries), then the start
     point. Raw rows keep the data curvature well above the ridge, so the
     instances are genuinely ill-conditioned rather than ridge-dominated.
-    dim and n_samples must be integers >= 1 (ValueError otherwise, before
-    any draw).
+    dim and n_samples must be integers >= 1 (ValueError otherwise, a bool
+    included, before any draw).
     """
-    for name, value in (("dim", dim), ("n_samples", n_samples)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    _count(dim, "dim")
+    _count(n_samples, "n_samples")
     stream = SplitMix64(seed)
     data = stream.gaussian_vector(n_samples * dim).reshape(n_samples, dim)
     x0 = stream.gaussian_vector(dim)

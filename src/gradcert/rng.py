@@ -74,14 +74,14 @@ def _seed_word(seed: int) -> int:
     """seed as a 64-bit word; ValueError unless an integer in [0, 2**64).
 
     The one seed check: an int, or any type that operator.index accepts
-    (np.uint64, say); a float, even an integral one, or a string is refused
-    rather than truncated or parsed into another seed's draws.
+    (np.uint64, say); a bool, a float, even an integral one, or a string is
+    refused rather than truncated or parsed into another seed's draws.
     """
     try:
         word = operator.index(seed)
     except TypeError:
         word = -1
-    if not 0 <= word <= _MASK:
+    if isinstance(seed, bool) or not 0 <= word <= _MASK:
         raise ValueError(f"seed must be in [0, 2**64) as an integer, got {seed!r}")
     return word
 

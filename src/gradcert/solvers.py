@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGroundTruthError
-from .objective import QuadraticObjective
+from .objective import QuadraticObjective, _count
 
 # Method -> family: "ag" (accelerated gradient) or "cg".
 METHOD_FAMILY = {"ag": "ag", "cg_classic": "cg", "cg_unified": "cg", "ag_unified": "ag"}
@@ -197,13 +197,9 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 def _check_run_args(obj, x0, max_iters):
     """x0 checked against obj, which must carry its minimizer; max_iters an integer >= 1.
 
-    The checks of run and of perturb's monitored run. A bool is not a step
-    count (True would run one step), and a float is refused even when
-    integral.
+    The checks of run and of perturb's monitored run.
     """
-    integral = isinstance(max_iters, (int, np.integer)) and not isinstance(max_iters, bool)
-    if not integral or max_iters < 1:
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    _count(max_iters, "max_iters")
     if obj.minimizer is None:
         raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
     return obj._check_vector(x0, "x0")

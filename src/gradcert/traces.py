@@ -44,7 +44,7 @@ import zipfile
 
 import numpy as np
 
-from .potential import CHAIN, chain_steps
+from .potential import CHAIN, GAP_BLOCK_ROWS, chain_steps
 from .serialize import fmt_floats
 from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
 
@@ -56,9 +56,6 @@ _COLUMNS = TRACE_HEADER.split(",")
 _PASS_CELLS = {1.0: "true", 0.0: "false"}
 _PASS_VALUES = {cell: value for value, cell in _PASS_CELLS.items()}
 _EMPTY_AS_NAN = {"": "nan"}
-
-# Rows formatted per write: bounds the cell strings held at once.
-_BLOCK_ROWS = 1024
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
@@ -128,8 +125,9 @@ def write_trace_csv(path, trace, obj, report) -> None:
     columns = trace_columns(trace, obj, report)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
+        # one block of rows per write bounds the cell strings held at once
+        for lo in range(0, n, GAP_BLOCK_ROWS):
+            hi = min(lo + GAP_BLOCK_ROWS, n)
             cells = [list(map(str, range(lo, hi)))]
             for name, column in columns.items():
                 block = column[lo:hi]

@@ -131,3 +131,17 @@ def test_runtime_loads_numpy_alone(argv):
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
     assert {"numpy", "gradcert.objective", "gradcert.solvers"} <= loaded
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "message", ["must be an integer >= 1", "has non-finite entries", "must be a finite number"]
+)
+def test_each_input_rule_has_one_home(message):
+    # a count, a finite array and a bound are each checked by one function
+    # of objective; a second copy of a rule would bring its message back
+    homes = [
+        path.name
+        for path in sorted((SRC / "gradcert").glob("*.py"))
+        if message in path.read_text(encoding="utf-8")
+    ]
+    assert homes == ["objective.py"]

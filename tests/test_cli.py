@@ -113,6 +113,11 @@ def test_gen_is_deterministic(workdir, problem_file):
          "--out", "missing_dir/p.json"],
         ["perturb", "--problem", "p.json", "--eta", "0", "--seed", str(2**64),
          "--out", "missing_dir/p.json"],
+        # the library's own rules decide, through the argument types
+        ["gen", "--dim", "2.5", "--ell", "1", "--lip", "10"],
+        ["gen", "--dim", "true", "--ell", "1", "--lip", "10"],
+        ["gen", "--dim", "5", "--ell", "1", "--lip", "1e400"],
+        ["run", "--problem", "p.json", "--method", "cg", "--iters", "-1"],
     ],
 )
 def test_usage_errors_exit_2(argv):

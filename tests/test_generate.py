@@ -63,7 +63,12 @@ def test_unknown_layout_rejected():
         ("lip", np.inf),
         ("ell", np.inf),
         ("ell", np.nan),
-    ],
+    ]
+    # a bool or a string is refused, not read as 1 or compared into a TypeError
+    + [("dim", bad) for bad in (True, np.True_, "3", np.nan, np.inf, -1)]
+    + [(field, bad) for field in ("ell", "lip") for bad in (True, np.True_, "3", 0, -1)]
+    + [("lip", np.nan)]
+    + [("seed", bad) for bad in (True, np.True_, np.nan, np.inf)],
 )
 def test_spectrum_spec_refuses_bad_input(field, value):
     # refused up front, not truncated to another seed's or dim's problem or
@@ -242,12 +247,15 @@ def test_generate_arrays_match_scalar_draws(dim, layout):
         lams = eigenvalue_layout(spec)
         q = _orthogonal_factor(vs, cs)
         a = np.array([q @ (lams * row) for row in q])
-        a = (a + a.T) / 2.0
         got = generate_arrays(spec)
         names = ("A", "b", "x0", "q", "lams")
         assert len(got) == len(names)
         for name, want, have in zip(names, (a, b, x0, q, lams), got):
             assert _same_bytes(have, want), (name, seed)
+        # the constructor symmetrizes A, so every caller's matrix is the
+        # symmetrized reference
+        matrix = QuadraticObjective(got[0], b, spec.ell, spec.lip).matrix
+        assert _same_bytes(matrix, (a + a.T) / 2.0), ("matrix", seed)
 
 
 @pytest.mark.parametrize("dim, n_samples", [(1, 1), (5, 30)])

@@ -1,5 +1,6 @@
 """Objective construction, derivatives, and the smoothness checks."""
 
+import math
 import warnings
 
 import numpy as np
@@ -14,7 +15,9 @@ from gradcert.objective import (
     _sigmoid,
     newton_reference_minimizer,
 )
+from gradcert.perturb import NoiseModel
 from gradcert.potential import GAP_BLOCK_ROWS, certify
+from gradcert.problems import make_logistic_problem
 from gradcert.rng import SplitMix64
 from gradcert.solvers import Trace
 
@@ -51,6 +54,41 @@ def test_quadratic_rejects_indefinite_matrix():
     a = np.diag([1.0, -2.0])
     with pytest.raises(NotPositiveDefiniteError):
         QuadraticObjective(a, np.zeros(2), 1.0, 2.0)
+
+
+# Each scalar argument with the values of [True, np.True_, 2.5, "3", nan,
+# inf, 0, -1] that its rule refuses: a bound admits 2.5, a magnitude 2.5
+# and 0, a seed 0. SpectrumSpec, make_logistic_problem's sizes and the step
+# counts of run and detect_inexactness have their own tables.
+_BOUND_REFUSALS = [True, np.True_, "3", math.nan, math.inf, 0, -1]
+_SCALAR_REFUSALS = {
+    # entry: (argument name, call, refused values)
+    "quadratic ell": (
+        "ell", lambda v: QuadraticObjective(np.eye(2), np.zeros(2), v, 4.0), _BOUND_REFUSALS
+    ),
+    "quadratic lip": (
+        "lip", lambda v: QuadraticObjective(np.eye(2), np.zeros(2), 1.0, v), _BOUND_REFUSALS
+    ),
+    "logistic ridge": (
+        "ridge", lambda v: LogisticRidgeObjective(np.ones((3, 2)), v), _BOUND_REFUSALS
+    ),
+    "factory ridge": ("ridge", lambda v: make_logistic_problem(2, 3, v), _BOUND_REFUSALS),
+    "noise magnitude": ("magnitude", NoiseModel, [True, np.True_, "3", math.nan, math.inf, -1]),
+    "noise seed": (
+        "seed", lambda v: NoiseModel(0.1, v), [True, np.True_, 2.5, "3", math.nan, math.inf, -1]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(entry, value) for entry, (_, _, values) in _SCALAR_REFUSALS.items() for value in values],
+)
+def test_scalar_arguments_refuse_malformed_values(entry, value):
+    # a bool or a string is refused, not read as 1 or left to a TypeError
+    name, build, _ = _SCALAR_REFUSALS[entry]
+    with pytest.raises(ValueError, match=name):
+        build(value)
 
 
 def test_quadratic_symmetrizes_roundoff():

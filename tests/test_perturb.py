@@ -141,7 +141,7 @@ def test_gap_telescoping_detects_moderate_noise_early():
 
 def test_detection_rejects_bad_inputs():
     obj, x_star, x0 = _problem(8, 10.0)
-    for max_iters in (0, 5.0, 2.5, True):
+    for max_iters in (0, -1, 5.0, 2.5, True, np.True_, "3", math.nan, math.inf):
         with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
             detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), max_iters, x0=x0)
     with pytest.raises(TypeError):

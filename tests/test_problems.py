@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 
 import numpy as np
 import pytest
@@ -230,7 +231,9 @@ def test_logistic_generator_is_deterministic():
 
 @pytest.mark.parametrize(
     "dim, n_samples, name",
-    [(2.5, 10, "dim"), (3, 2.5, "n_samples"), (3.0, 10, "dim"), (0, 10, "dim"), (3, 0, "n_samples")],
+    [(2.5, 10, "dim"), (3, 2.5, "n_samples"), (3.0, 10, "dim"), (0, 10, "dim"), (3, 0, "n_samples")]
+    + [(bad, 10, "dim") for bad in (True, np.True_, "3", math.nan, math.inf, -1)]
+    + [(3, bad, "n_samples") for bad in (True, np.True_, "3", math.nan, math.inf, -1)],
 )
 def test_logistic_factory_refuses_bad_sizes_before_drawing(monkeypatch, dim, n_samples, name):
     # as SpectrumSpec does, and before a stream is drawn from
@@ -288,7 +291,7 @@ def _load_edited(tmp_path, spec, **fields):
     ],
 )
 def test_load_rejects_nonfinite_curvature_bounds(tmp_path, quad_spec, logistic_spec, fields):
-    with pytest.raises(ValueError, match="finite 0 < ell <= lip"):
+    with pytest.raises(ValueError, match=r"(ell|lip) must be a finite number > 0"):
         _load_edited(tmp_path, quad_spec, **fields)
     # a logistic file's bounds must match the ridge and the data
     with pytest.raises(ValueError, match="declared"):

@@ -261,7 +261,10 @@ def test_run_without_ground_truth_raises():
             run(bare, method, x0, 100, 1e-8)
 
 
-@pytest.mark.parametrize("max_iters", [0, -1, 5.0, 2.5, True, np.float64(3.0), "5", None])
+@pytest.mark.parametrize(
+    "max_iters",
+    [0, -1, 5.0, 2.5, True, np.float64(3.0), "5", None, np.True_, "3", math.nan, math.inf],
+)
 def test_run_refuses_a_malformed_step_count(tiny_problem, max_iters):
     # 5.0 and 2.5 used to raise TypeError from range, and True ran one step
     for method in METHODS:
