@@ -24,7 +24,7 @@ import numpy as np
 from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
 from .objective import _count, _positive
-from .perturb import NoiseModel, sweep
+from .perturb import sweep
 from .potential import TELESCOPING, certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .rng import _seed_word
@@ -234,7 +234,7 @@ def _parse_etas(text: str) -> list:
         raise GradcertError(f"bad --eta list {text!r}") from None
     if not etas:
         raise GradcertError("--eta needs a comma-separated list of finite magnitudes >= 0")
-    return [NoiseModel(eta).magnitude for eta in etas]
+    return etas
 
 
 def cmd_perturb(args) -> int:

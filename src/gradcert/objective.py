@@ -15,7 +15,7 @@ The logistic family's sigmoid is ``_sigmoid``, numpy's form of
 from __future__ import annotations
 
 import copy
-import math
+import sys
 
 import numpy as np
 
@@ -51,14 +51,16 @@ def _count(value, name):
 def _positive(value, name, zero_ok=False):
     """value as a float; ValueError unless a real number, finite and > 0.
 
-    zero_ok admits 0 as well. A bool or a string is refused rather than
-    coerced.
+    zero_ok admits 0 as well, read as 0.0 whatever its sign. A bool or a
+    string is refused rather than coerced, and so is a number beyond
+    float64's range: the int 10**400, which float() would overflow, or a
+    long double that it would round to inf.
     """
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf):
+    if not (real and (0.0 <= value if zero_ok else 0.0 < value) and value <= sys.float_info.max):
         least = ">= 0" if zero_ok else "> 0"
         raise ValueError(f"{name} must be a finite number {least}, got {value!r}")
-    return float(value)
+    return float(value) + 0.0  # -0.0 + 0.0 is 0.0
 
 
 def _curvature(ell, lip):

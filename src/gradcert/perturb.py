@@ -59,8 +59,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        magnitude = _positive(self.magnitude, "magnitude", zero_ok=True)
-        object.__setattr__(self, "magnitude", magnitude if magnitude else 0.0)
+        object.__setattr__(self, "magnitude", _positive(self.magnitude, "magnitude", zero_ok=True))
         object.__setattr__(self, "seed", _seed_word(self.seed))
 
 
@@ -277,12 +276,14 @@ def sweep(
 ) -> list:
     """Detection reports for every (eta, seed) pair, ordered by (eta, seed).
 
-    The runs go seed by seed, so each seed's noise directions are drawn
-    once and served from the cache to all its magnitudes.
+    etas and seeds may be any iterables, read once each. Every pair is made
+    a NoiseModel before the first run, so an eta or a seed that NoiseModel
+    refuses raises ValueError with no run made; pairs equal as NoiseModels
+    (-0.0 and 0.0, say) run once. The runs go seed by
+    seed, so each seed's noise directions are drawn once and served from
+    the cache to all its magnitudes.
     """
-    out = []
-    for seed in sorted(set(seeds)):
-        for eta in sorted(set(float(e) for e in etas)):
-            noise = NoiseModel(magnitude=eta, seed=seed)
-            out.append(detect_inexactness(obj, x_star, noise, max_iters, x0=x0))
+    noises = {NoiseModel(eta, seed) for seed, eta in itertools.product(seeds, etas)}
+    runs = sorted(noises, key=lambda n: (n.seed, n.magnitude))
+    out = [detect_inexactness(obj, x_star, noise, max_iters, x0=x0) for noise in runs]
     return sorted(out, key=lambda r: (r.eta, r.seed))

@@ -40,7 +40,7 @@ from .objective import (
     _finite,
     newton_reference_minimizer,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, _seed_word
 from .serialize import render_json
 
 KINDS = ("quadratic", "logistic_ridge")
@@ -52,7 +52,12 @@ GROUND_TRUTH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One problem instance: objective, start point and generator seed."""
+    """One problem instance: objective, start point and generator seed.
+
+    x0 must be a finite vector of the objective's dim, and a seed other
+    than None an integer in [0, 2**64), as every seed is (ValueError
+    otherwise).
+    """
 
     objective: Objective
     x0: np.ndarray
@@ -63,6 +68,8 @@ class ProblemSpec:
             raise TypeError(f"no problem kind for {type(self.objective).__name__}")
         x0 = _finite(self.objective._check_vector(self.x0, "x0"), "x0")
         object.__setattr__(self, "x0", x0)
+        if self.seed is not None:
+            _seed_word(self.seed)
 
     @property
     def kind(self) -> str:
@@ -170,8 +177,6 @@ def load_problem(path) -> ProblemSpec:
                     f"declared {name}={declared} disagrees with data-derived bound {derived}"
                 )
     seed = None if doc.get("seed") is None else _number_field(doc, "seed", int)
-    if seed is not None and not 0 <= seed < 2**64:
-        raise ValueError(f"problem file field 'seed' must be in [0, 2**64), got {seed}")
     spec = ProblemSpec(obj, x0, seed)
     # A finite x0 can still be too far out for the solvers: a gradient or
     # gap that overflows would only surface later as nan cells or a false

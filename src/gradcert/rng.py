@@ -46,7 +46,9 @@ tested against.
 Seeds are integers in [0, 2^64), the stream's state space. Every entry
 point that takes a seed refuses any other value with ValueError rather than
 reducing it mod 2^64 or truncating it to an integer, either of which would
-build another seed's draws under the seed it was given.
+build another seed's draws under the seed it was given. Draw counts and
+substream indices are integers >= 0, checked by ``_size`` alike: a bool or
+a float is refused rather than read as 1 or truncated.
 """
 
 from __future__ import annotations
@@ -84,6 +86,17 @@ def _seed_word(seed: int) -> int:
     if isinstance(seed, bool) or not 0 <= word <= _MASK:
         raise ValueError(f"seed must be in [0, 2**64) as an integer, got {seed!r}")
     return word
+
+
+def _size(value, name):
+    """value as an int; ValueError unless an integer >= 0.
+
+    The one check of a draw count and of a substream index: a bool is not
+    a size (True would be 1), and a float is refused even when integral.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -125,11 +138,13 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def gaussian_vector(self, n: int) -> np.ndarray:
-        """n gaussian draws, equal bit for bit to n calls of ``gaussian``."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        g = _gaussians(np.array([self._state], dtype=np.uint64), n)[0]
-        self._state = (self._state + 2 * n * _GAMMA) & _MASK
+        """n gaussian draws, equal bit for bit to n calls of ``gaussian``.
+
+        n is an integer >= 0 (ValueError otherwise, a bool or a float
+        included).
+        """
+        g = _gaussians(np.array([self._state], dtype=np.uint64), _size(n, "n"))[0]
+        self._state = (self._state + 2 * g.size * _GAMMA) & _MASK
         return g
 
     def unit_vector(self, n: int) -> np.ndarray:
@@ -145,9 +160,11 @@ def substream_seed(seed: int, index: int) -> int:
     """Seed for the index-th derived stream of a base seed.
 
     Defined as mix64(seed xor ((index + 1) * 0x9E3779B97F4A7C15 mod 2^64));
-    part of the noise-model determinism contract.
+    part of the noise-model determinism contract. seed is checked as every
+    seed is, and index must be an integer >= 0 (ValueError otherwise, a bool
+    or a float included).
     """
-    return mix64(_seed_word(seed) ^ (((index + 1) * _GAMMA) & _MASK))
+    return mix64(_seed_word(seed) ^ (((_size(index, "index") + 1) * _GAMMA) & _MASK))
 
 
 def substream_gaussians(seed: int, first: int, count: int, n: int) -> np.ndarray:
@@ -156,10 +173,10 @@ def substream_gaussians(seed: int, first: int, count: int, n: int) -> np.ndarray
 
     The count substream seeds are derived in ``uint64`` by the same formula
     as ``substream_seed``, and the rows are drawn with one kernel call.
+    first, count and n must be integers >= 0, and seed a seed (ValueError
+    otherwise, a bool or a float included).
     """
-    seed = _seed_word(seed)
-    if count < 0 or n < 0:
-        raise ValueError(f"count and n must be >= 0, got {count} and {n}")
+    first, count, n = _size(first, "first"), _size(count, "count"), _size(n, "n")
     index = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & _MASK)
-    keys = (index * np.uint64(_GAMMA)) ^ np.uint64(seed)
+    keys = (index * np.uint64(_GAMMA)) ^ np.uint64(_seed_word(seed))
     return _gaussians(_mix(keys + np.uint64(_GAMMA)), n)

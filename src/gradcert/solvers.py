@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGroundTruthError
-from .objective import QuadraticObjective, _count
+from .objective import QuadraticObjective, _count, _finite
 
 # Method -> family: "ag" (accelerated gradient) or "cg".
 METHOD_FAMILY = {"ag": "ag", "cg_classic": "cg", "cg_unified": "cg", "ag_unified": "ag"}
@@ -195,14 +195,15 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
 
 
 def _check_run_args(obj, x0, max_iters):
-    """x0 checked against obj, which must carry its minimizer; max_iters an integer >= 1.
+    """x0 as a finite vector of obj's dim, obj carrying its minimizer; max_iters an integer >= 1.
 
-    The checks of run and of perturb's monitored run.
+    The checks of run and of perturb's monitored run: a nan or infinite x0
+    raises ValueError rather than running to a "diverged" stop.
     """
     _count(max_iters, "max_iters")
     if obj.minimizer is None:
         raise MissingGroundTruthError("run needs the objective's minimizer to stop on its gap")
-    return obj._check_vector(x0, "x0")
+    return _finite(obj._check_vector(x0, "x0"), "x0")
 
 
 def _gap_gate(obj, stop_gap: float) -> float:

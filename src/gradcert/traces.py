@@ -44,6 +44,7 @@ import zipfile
 
 import numpy as np
 
+from .objective import _finite
 from .potential import CHAIN, GAP_BLOCK_ROWS, chain_steps
 from .serialize import fmt_floats
 from .solvers import METHOD_FAMILY, METHODS, Trace, momentum_coefficient
@@ -243,10 +244,10 @@ def read_trace_csv(path) -> dict:
 def read_trace_iterates(csv_path) -> Trace:
     """Load the iterates file written beside a trace CSV, strictly.
 
-    Accepts only a method in METHODS, ``xs`` as a finite 2-D float64 array
-    and, on CG traces, ``alphas`` and ``prev_res_sqs`` as float64 with one
-    entry per iterate. Anything else, an unreadable archive included,
-    raises ValueError. certify() computes the gaps from the iterates, as
+    Accepts only a method in METHODS, ``xs`` as a 2-D float64 array whose
+    entries pass the package's one finite-array check and, on CG traces,
+    ``alphas`` and ``prev_res_sqs`` as float64 with one entry per iterate.
+    Anything else, an unreadable archive included, raises ValueError. certify() computes the gaps from the iterates, as
     it does for a fresh run.
     """
     path = iterates_path(csv_path)
@@ -283,8 +284,9 @@ def read_trace_iterates(csv_path) -> Trace:
         raise ValueError(f"iterates file {path}: unknown method {method!r}")
     method = str(method)
     xs = field("xs")
-    if xs.dtype != np.float64 or xs.ndim != 2 or not np.all(np.isfinite(xs)):
-        raise ValueError(f"iterates file {path}: xs must be a finite 2-D float64 array")
+    if xs.dtype != np.float64 or xs.ndim != 2:
+        raise ValueError(f"iterates file {path}: xs must be a 2-D float64 array")
+    _finite(xs, f"iterates file {path}: xs")
     scalars = {}
     if METHOD_FAMILY[method] == "cg":
         for name in ("alphas", "prev_res_sqs"):

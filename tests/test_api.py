@@ -133,15 +133,24 @@ def test_runtime_loads_numpy_alone(argv):
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
 
 
-@pytest.mark.parametrize(
-    "message", ["must be an integer >= 1", "has non-finite entries", "must be a finite number"]
-)
+# Each input rule's message and the one module that holds it: a count, a
+# finite array and a bound in objective, a seed and a draw size in rng.
+_RULE_HOMES = {
+    "must be an integer >= 1": "objective.py",
+    "has non-finite entries": "objective.py",
+    "must be a finite number": "objective.py",
+    "must be in [0, 2**64)": "rng.py",
+    "must be an integer >= 0": "rng.py",
+}
+
+
+@pytest.mark.parametrize("message", list(_RULE_HOMES))
 def test_each_input_rule_has_one_home(message):
-    # a count, a finite array and a bound are each checked by one function
-    # of objective; a second copy of a rule would bring its message back
+    # each rule is checked by one function; a second copy of a rule would
+    # bring its message back
     homes = [
         path.name
         for path in sorted((SRC / "gradcert").glob("*.py"))
         if message in path.read_text(encoding="utf-8")
     ]
-    assert homes == ["objective.py"]
+    assert homes == [_RULE_HOMES[message]]

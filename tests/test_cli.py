@@ -84,7 +84,7 @@ def test_out_of_stream_seed_in_a_file_is_refused(workdir, problem_file, capsys, 
     out = str(workdir / "bad_seed.csv")
     assert main(["run", "--problem", str(path), "--method", "cg", "--out", out]) == 1
     assert capsys.readouterr().err == (
-        f"error: problem file field 'seed' must be in [0, 2**64), got {seed}\n"
+        f"error: seed must be in [0, 2**64) as an integer, got {seed}\n"
     )
 
 

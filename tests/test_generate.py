@@ -68,7 +68,9 @@ def test_unknown_layout_rejected():
     + [("dim", bad) for bad in (True, np.True_, "3", np.nan, np.inf, -1)]
     + [(field, bad) for field in ("ell", "lip") for bad in (True, np.True_, "3", 0, -1)]
     + [("lip", np.nan)]
-    + [("seed", bad) for bad in (True, np.True_, np.nan, np.inf)],
+    + [("seed", bad) for bad in (True, np.True_, np.nan, np.inf)]
+    # an int beyond float64's range used to raise OverflowError
+    + [pytest.param(field, 10**400, id=f"{field}-10**400") for field in ("ell", "lip")],
 )
 def test_spectrum_spec_refuses_bad_input(field, value):
     # refused up front, not truncated to another seed's or dim's problem or

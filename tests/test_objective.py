@@ -82,7 +82,13 @@ _SCALAR_REFUSALS = {
 
 @pytest.mark.parametrize(
     "entry, value",
-    [(entry, value) for entry, (_, _, values) in _SCALAR_REFUSALS.items() for value in values],
+    [(entry, value) for entry, (_, _, values) in _SCALAR_REFUSALS.items() for value in values]
+    # an int beyond float64's range used to raise OverflowError from float()
+    + [
+        pytest.param(entry, 10**400, id=f"{entry}-10**400")
+        for entry in _SCALAR_REFUSALS
+        if entry != "noise seed"
+    ],
 )
 def test_scalar_arguments_refuse_malformed_values(entry, value):
     # a bool or a string is refused, not read as 1 or left to a TypeError

@@ -146,14 +146,42 @@ def test_detection_rejects_bad_inputs():
             detect_inexactness(obj, x_star, NoiseModel(magnitude=0.0), max_iters, x0=x0)
     with pytest.raises(TypeError):
         detect_inexactness(object(), x_star, NoiseModel(magnitude=0.0), 5, x0=x0)
+    # a nan x0 used to read as noise detected at step 0 under eta 0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            detect_inexactness(obj, x_star, NoiseModel(0.0), 5, x0=np.r_[bad, x0[1:]])
 
 
-def test_sweep_orders_and_dedups():
+def test_sweep_orders_and_dedups(monkeypatch):
     obj, x_star, x0 = _problem(12, 50.0, seed=4)
     reports = sweep(obj, x_star, [1e-3, 0.0, 1e-3], [1, 0, 1], 20, x0=x0)
     keys = [(r.eta, r.seed) for r in reports]
     assert keys == [(0.0, 0), (0.0, 1), (1e-3, 0), (1e-3, 1)]
     assert all(isinstance(r, DetectionReport) for r in reports)
+    # one-shot iterators are read once: etas used to run for the first seed only
+    again = sweep(obj, x_star, iter([1e-3, 0.0, 1e-3]), iter([1, 0, 1]), 20, x0=x0)
+    assert [(r.eta, r.seed) for r in again] == keys
+    # Any eta or seed NoiseModel refuses is refused before the first run:
+    # [True, "0.001"] used to run at eta 1.0 and 0.001, seeds [1, True] to
+    # collapse into one report, and [0, 2.5] to raise after seed 0's runs.
+    runs = []
+    real = perturb.detect_inexactness
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(perturb, "detect_inexactness", counting)
+    for etas, seeds, name in (
+        ([True], [0], "magnitude"),
+        (["0.001"], [0], "magnitude"),
+        ([-1.0], [0], "magnitude"),
+        ([1e-3], [1, True], "seed"),
+        ([1e-3], [0, 2.5], "seed"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            sweep(obj, x_star, etas, seeds, 20, x0=x0)
+    assert runs == []
 
 
 def test_sweep_is_reproducible():

@@ -307,7 +307,7 @@ def test_seed_must_be_an_integer(tmp_path, quad_spec, seed):
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_seed_must_be_in_the_stream(tmp_path, quad_spec, seed):
     # SplitMix64 would reduce it to another seed, and save would write it back
-    with pytest.raises(ValueError, match=r"field 'seed' must be in \[0, 2\*\*64\)"):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\) as an integer"):
         _load_edited(tmp_path, quad_spec, seed=seed)
 
 

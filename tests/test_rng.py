@@ -88,3 +88,27 @@ def test_numpy_integer_seeds_draw_their_value():
     top = 2**64 - 1
     assert SplitMix64(np.uint64(top)).next_uint64() == SplitMix64(top).next_uint64()
     assert substream_seed(np.int64(7), 0) == substream_seed(7, 0)
+    # numpy integer sizes and indices are taken too
+    want = SplitMix64(1).gaussian_vector(3)
+    assert SplitMix64(1).gaussian_vector(np.int64(3)).tobytes() == want.tobytes()
+    assert substream_seed(7, np.uint64(2)) == substream_seed(7, 2)
+    want = substream_gaussians(7, 2, 3, 4)
+    assert substream_gaussians(7, np.int64(2), np.int64(3), np.int64(4)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, 3.0, True, np.True_, "3", None])
+def test_sizes_and_indices_are_integers_at_least_zero(bad):
+    # gaussian_vector(3.0) and substream_seed(0, 2.5) used to raise
+    # TypeError, True drew one gaussian or read as index 1, and
+    # substream_gaussians(0, 0, 2.5, 3) returned 3 rows
+    refusals = {
+        "n": lambda: SplitMix64(0).gaussian_vector(bad),
+        "index": lambda: substream_seed(0, bad),
+        "first": lambda: substream_gaussians(0, bad, 1, 3),
+        "count": lambda: substream_gaussians(0, 0, bad, 3),
+    }
+    for name, call in refusals.items():
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            call()
+    with pytest.raises(ValueError, match="n must be an integer >= 0"):
+        substream_gaussians(0, 0, 1, bad)

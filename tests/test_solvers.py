@@ -272,6 +272,16 @@ def test_run_refuses_a_malformed_step_count(tiny_problem, max_iters):
             run(tiny_problem.obj, method, tiny_problem.x0, max_iters, -math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_refuses_a_non_finite_start(tiny_problem, bad):
+    # a nan x0 used to end as a "diverged" run whose certificate showed no
+    # violation
+    x0 = np.r_[bad, tiny_problem.x0[1:]]
+    for method in METHODS:
+        with pytest.raises(ValueError, match="x0 has non-finite entries"):
+            run(tiny_problem.obj, method, x0, 50, -math.inf)
+
+
 def test_run_takes_numpy_integer_step_counts(tiny_problem):
     trace = run(tiny_problem.obj, "cg_classic", tiny_problem.x0, np.int64(3), -math.inf)
     assert len(trace) == 4
