@@ -33,6 +33,26 @@ def _sigmoid(t):
     return 1.0 / (1.0 + np.exp(np.minimum(-t, 709.0)))
 
 
+# The rounding model: float64's unit roundoff u (round to nearest; 2u =
+# 2**-52 is the spacing of floats at 1). Each tolerance that scales with
+# roundoff reads u here or through _roundoff_scale: potential's chain
+# tolerance and identity battery, and solvers._gap_gate, which derives its
+# bound from u with gamma_n = n u / (1 - n u) (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3).
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _roundoff_scale(obj):
+    """kappa * 2u * dim, relative: the roundoff that CG's chain and gaps drift by.
+
+    The product is taken in that order, (kappa * 2u) * dim with kappa =
+    lip / ell. potential.default_cert_tolerance scales its base with it,
+    and the identity battery stops at the first gap at or below it, times
+    the initial gap.
+    """
+    return (obj.lip / obj.ell) * (2.0 * _UNIT_ROUNDOFF) * obj.dim
+
+
 # The one check of each rule on the package's input; every entry point that
 # takes such a value calls these, and the CLI's argument types call them too.
 
@@ -48,6 +68,21 @@ def _count(value, name):
     return int(value)
 
 
+def _real(value):
+    """Whether value is a real number within float64's range or +-inf.
+
+    An int or float, numpy's included. A bool, a string and nan are not, and
+    neither is a number past float64's range that float() would overflow
+    or round to inf (the int 10**400, a long double). numpy's scalars are
+    compared as Python numbers (a long double stays one): a float32
+    compared with float64's largest value would overflow in the cast.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    value = value.item() if isinstance(value, np.generic) else value
+    return -sys.float_info.max <= value <= sys.float_info.max or value in (-np.inf, np.inf)
+
+
 def _positive(value, name, zero_ok=False):
     """value as a float; ValueError unless a real number, finite and > 0.
 
@@ -56,8 +91,7 @@ def _positive(value, name, zero_ok=False):
     float64's range: the int 10**400, which float() would overflow, or a
     long double that it would round to inf.
     """
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and (0.0 <= value if zero_ok else 0.0 < value) and value <= sys.float_info.max):
+    if not (_real(value) and (0.0 <= value if zero_ok else 0.0 < value) and value < np.inf):
         least = ">= 0" if zero_ok else "> 0"
         raise ValueError(f"{name} must be a finite number {least}, got {value!r}")
     return float(value) + 0.0  # -0.0 + 0.0 is 0.0

@@ -42,7 +42,7 @@ import numpy as np
 
 from .objective import QuadraticObjective, _positive
 from .potential import certify
-from .rng import SplitMix64, _seed_word, substream_gaussians, substream_seed
+from .rng import SplitMix64, _seed_word, _size, substream_gaussians, substream_seed
 from .solvers import STOP_GAP_REL, Trace, _check_run_args, _run_cg
 
 
@@ -113,7 +113,10 @@ def noisy_matvec(obj: QuadraticObjective, noise: NoiseModel, p, call_index: int 
     and kept among the last DIRECTION_CACHE_BLOCKS blocks drawn (at most
     DIRECTION_CACHE_BLOCKS * DIRECTION_BLOCK * dim * 8 bytes); it equals
     ``SplitMix64(substream_seed(noise.seed, call_index)).unit_vector(dim)``.
+    call_index is an integer >= 0 (rng._size, the RNG's rule for a
+    substream index) at every magnitude, 0 included.
     """
+    call_index = _size(call_index, "call_index")
     out = obj.matrix @ np.asarray(p, dtype=float)
     if noise.magnitude == 0.0:
         return out

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGroundTruthError
+from .objective import _UNIT_ROUNDOFF, _roundoff_scale
 from .solvers import METHOD_FAMILY
 
 # Rows per block of _terms, the evaluator behind certify(): a block's
@@ -56,7 +57,7 @@ ENVELOPE_SLACK = 1e-9
 
 # Cap on the chain's tolerance. Unbounded, a tiny declared ell (1e-300)
 # made it about 1e278 and let any trace pass. The cap binds only where
-# kappa eps dim > 1, which no float64 verdict resolves anyway; it stands
+# kappa 2u dim > 1, which no float64 verdict resolves anyway; it stands
 # until the tolerance is derived from an error analysis.
 CERT_TOL_CAP = 2e-9
 
@@ -77,11 +78,11 @@ RHO_ALIGNMENT_TOL = 1e-8  # normalized |w_k . s_k|
 def default_cert_tolerance(obj) -> float:
     """Chain tolerance scaled for conditioning and dimension; certify() uses no other.
 
-    1e-9 covers the test grid comfortably; the kappa * eps * dim term keeps
+    1e-9 covers the test grid comfortably; the kappa * 2u * dim term, the
+    rounding model's objective._roundoff_scale (u the unit roundoff), keeps
     it meaningful at conditioning far beyond it, up to CERT_TOL_CAP.
     """
-    kappa = obj.lip / obj.ell
-    return min(1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim), CERT_TOL_CAP)
+    return min(1e-9 * (1.0 + _roundoff_scale(obj)), CERT_TOL_CAP)
 
 
 def contraction_constant(family: str, ell: float, lip: float) -> float:
@@ -95,6 +96,12 @@ def contraction_constant(family: str, ell: float, lip: float) -> float:
     if family == "ag" and lip > ell:
         return 1.0 + 1.0 / (math.sqrt(lip / ell) - 1.0)
     return 1.0 + math.sqrt(ell / lip)
+
+
+def _rel(lhs, rhs, floor):
+    """|lhs - rhs| / max(|lhs|, |rhs|, floor): an equality's normalized residual."""
+    scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+    return np.abs(lhs - rhs) / scale
 
 
 def chain_steps(psis, c: float, tol: float):
@@ -249,7 +256,9 @@ def certify(trace, obj) -> CertificateReport:
     with multiplicative slack 1 + default_cert_tolerance(obj), which the
     report states as tol_cert; a step with a non-finite psi fails. On CG
     the gap telescoping f(x_k) - f(x_{k+1}) = alpha_{k+1} ||r_k||^2 / 2 is
-    checked to TELESCOPE_TOL: CG's chain has slack, and an iterate the
+    checked to TELESCOPE_TOL: a step passes when its normalized residual
+    (_rel) is at most TELESCOPE_TOL and its right side is finite, so an
+    infinite gap fails. CG's chain has slack, and an iterate the
     recurrence cannot have produced can still contract.
     c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope,
     which decays at the common constant 1 + sqrt(l/L); the Daniel envelope
@@ -275,9 +284,7 @@ def certify(trace, obj) -> CertificateReport:
             lhs = f_gaps[:-1] - f_gaps[1:]
             rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
             floor = TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
-            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-            agree = np.abs(lhs - rhs) <= TELESCOPE_TOL * scale
-            checks[TELESCOPING] = agree & np.isfinite(rhs)
+            checks[TELESCOPING] = (_rel(lhs, rhs, floor) <= TELESCOPE_TOL) & np.isfinite(rhs)
 
     ks = np.arange(len(psis))
     root = math.sqrt(ell / lip)
@@ -344,26 +351,29 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     The terms d, s, the gaps and w come from _terms(), as certify()'s do;
     the battery keeps d, s and w of every row, which rho_alignment reads.
     p' A p is taken as ||r_k||^2 / alpha_{k+1}, the recurrence's own value.
-    Differences of squares are evaluated as (u - v).(u + v) so comparisons
+    Differences of squares are evaluated as (a - b).(a + b) so comparisons
     are not dominated by cancellation; equality residuals are normalized by
-    max(|lhs|, |rhs|, roundoff floor) and compared against TOL_ID. orth and
-    step_rayleigh use the fixed module thresholds, weighted_bound the
-    one-sided absolute slack. rho_alignment, the statement that CG's rho_k
-    minimizes ||w_k||, is normalized by ||s_k|| ||x_0 - x*|| (a stagnant
-    step, or a run started at x_0 = x*, holds vacuously) and compared
-    against RHO_ALIGNMENT_TOL. A residual that overflows (a far-out x0, an
-    extreme ell) is nan or inf, and fails its row at its step, silently.
+    max(|lhs|, |rhs|, roundoff floor) with _rel, as certify()'s telescoping
+    is, and compared against TOL_ID. The roundoff floor is 2u * dim times
+    the row's initial value, with u the unit roundoff of the rounding model
+    (objective._UNIT_ROUNDOFF). orth and step_rayleigh use the fixed module
+    thresholds, weighted_bound the one-sided absolute slack. rho_alignment,
+    the statement that CG's rho_k minimizes ||w_k||, is normalized by
+    ||s_k|| ||x_0 - x*|| (a stagnant step, or a run started at x_0 = x*,
+    holds vacuously) and compared against RHO_ALIGNMENT_TOL. A residual
+    that overflows (a far-out x0, an extreme ell) is nan or inf, and fails
+    its row at its step, silently.
 
     States past k = dim are out of scope: exact CG has terminated by then
     (r_dim = 0) and every identity degenerates to 0/0. For the same reason
     the battery stops at the first state whose exact gap F_k is at or below
-    CG's roundoff floor kappa * eps * dim * F_0 (the scale of
-    default_cert_tolerance): that state is still checked against its
-    predecessor, later ones are not. Like default_cert_tolerance, the
-    floor's scale is capped, at TELESCOPE_FLOOR (the floor of certify()'s
-    telescoping, relative to the initial gap), so that a tiny declared ell
-    cannot put the first state at the floor and leave every row but
-    rho_alignment with nothing to check. The report's n is the states
+    CG's roundoff floor kappa * 2u * dim * F_0 (objective._roundoff_scale,
+    which scales default_cert_tolerance too): that state is still checked
+    against its predecessor, later ones are not. Like default_cert_tolerance,
+    the floor's scale is capped, at TELESCOPE_FLOOR (the floor of
+    certify()'s telescoping, relative to the initial gap), so that a tiny
+    declared ell cannot put the first state at the floor and leave every
+    row but rho_alignment with nothing to check. The report's n is the states
     examined.
     rho_alignment, which involves no difference of gaps, checks every state
     k >= 1 of the trace. The trace must carry its recurred residuals rs,
@@ -378,7 +388,7 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     n = min(len(t.f_gaps), obj.dim + 1)
     f2 = 2.0 * t.f_gaps[:n]
     # Stop at the first state at CG's roundoff floor (see the docstring).
-    floor_rel = min((obj.lip / obj.ell) * 2.0**-52 * obj.dim, TELESCOPE_FLOOR)
+    floor_rel = min(_roundoff_scale(obj), TELESCOPE_FLOOR)
     at_floor = np.flatnonzero(f2 <= floor_rel * f2[0])
     if at_floor.size:
         n = int(at_floor[0]) + 1
@@ -387,13 +397,9 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     p_clean = np.nan_to_num(trace.ps[:n])
     p_sqs = np.einsum("ij,ij->i", p_clean, p_clean)
 
-    eps = 2.0**-52 * obj.dim
+    eps = 2.0 * _UNIT_ROUNDOFF * obj.dim
     floor_f = eps * max(f2[0], 1e-300)
     floor_d = eps * max(t.dist_sqs[0], 1e-300)
-
-    def rel(lhs, rhs, floor):
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
-        return np.abs(lhs - rhs) / scale
 
     a_next = trace.alphas[1:n]
     res_sqs = trace.prev_res_sqs[1:n]
@@ -414,12 +420,12 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     # name -> (normalized residual per entry, tolerance, state of entry 0).
     # A trace too short for a check leaves its slice empty: 0.0, no failure.
     checks = {
-        "gap_drop": (rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), TOL_ID, 0),
+        "gap_drop": (_rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), TOL_ID, 0),
         "dist_drop": (
-            rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), TOL_ID, 0
+            _rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), TOL_ID, 0
         ),
-        "dist_split": (rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
-        "potential_drop": (rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
+        "dist_split": (_rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
+        "potential_drop": (_rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
         # A literal 0.0 where the bound holds (np.maximum can return
         # -0.0), and a nan slack fails.
         "weighted_bound": (np.where(slack >= 0.0, 0.0, -slack), WEIGHTED_BOUND_SLACK, 0),

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGroundTruthError
-from .objective import QuadraticObjective, _count, _finite
+from .objective import _UNIT_ROUNDOFF, QuadraticObjective, _count, _finite, _real
 
 # Method -> family: "ag" (accelerated gradient) or "cg".
 METHOD_FAMILY = {"ag": "ag", "cg_classic": "cg", "cg_unified": "cg", "ag_unified": "ag"}
@@ -174,7 +174,10 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     is below the true curvature, or a CG step's p'A p, which a noisy matvec
     or an x0 near the float64 limit can overflow. Breakdown inside a step
     truncates the trace and is recorded in stop_reason rather than raised.
-    The objective must carry its minimizer. CG runs keep their recurred
+    The objective must carry its minimizer. stop_gap is a real number
+    within float64's range, or +-inf (-inf never stops on the gap, inf
+    stops at x0); a bool, a string, None or nan raises ValueError, as does
+    an int past float64's range. CG runs keep their recurred
     residuals mutually orthogonal, as described in the module docstring.
     An accelerated step allocates only its gradient, and max_iters sizes no
     array (module docstring); the returned trace owns its arrays.
@@ -185,8 +188,8 @@ def run(obj, method: str, x0, max_iters: int, stop_gap: float, *, record_transie
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     x0 = _check_run_args(obj, x0, max_iters)
-    if math.isnan(stop_gap):
-        raise ValueError("stop_gap must not be nan (-inf never stops on the gap)")
+    if not _real(stop_gap):
+        raise ValueError(f"stop_gap must be a real number in float64's range or +-inf, got {stop_gap!r}")
     if METHOD_FAMILY[method] == "ag":
         return _run_ag(obj, method, x0, max_iters, stop_gap)
     if not isinstance(obj, QuadraticObjective):
@@ -210,8 +213,9 @@ def _gap_gate(obj, stop_gap: float) -> float:
     """Largest computed (l/2)||x - x*||^2 at which f_gap(x) <= stop_gap can hold.
 
     On a quadratic whose declared l and L bound the spectrum of A,
-    f_gap(x) = 0.5 d'Ad >= (l/2) d'd with d = x - x*. With unit roundoff u
-    and gamma = dim u / (1 - dim u), the computed d'd is within gamma of
+    f_gap(x) = 0.5 d'Ad >= (l/2) d'd with d = x - x*. With the unit
+    roundoff u of objective's rounding model (objective._UNIT_ROUNDOFF) and
+    gamma = dim u / (1 - dim u), the computed d'd is within gamma of
     its exact value, relative, and the computed d'Ad within
     gamma (2 + gamma) |d|'|A||d| <= err l d'd, err = gamma (2 + gamma)
     sqrt(dim) kappa. So a computed gap at or below stop_gap >= 0 implies a
@@ -224,12 +228,11 @@ def _gap_gate(obj, stop_gap: float) -> float:
     terms cancel in floating point, so it can read <= 0 at d != 0. There,
     and where err >= 1, the gate is always open.
     """
-    u = 2.0**-53
-    gamma = obj.dim * u / (1.0 - obj.dim * u)
+    gamma = obj.dim * _UNIT_ROUNDOFF / (1.0 - obj.dim * _UNIT_ROUNDOFF)
     err = gamma * (2.0 + gamma) * math.sqrt(obj.dim) * obj.lip / obj.ell
     if not isinstance(obj, QuadraticObjective) or err >= 1.0:
         return math.inf
-    return stop_gap * ((1.0 + gamma) / (1.0 - err) + 4.0 * u)
+    return stop_gap * ((1.0 + gamma) / (1.0 - err) + 4.0 * _UNIT_ROUNDOFF)
 
 
 def _gap_reached(obj, stop_gap: float):

@@ -247,8 +247,9 @@ def read_trace_iterates(csv_path) -> Trace:
     Accepts only a method in METHODS, ``xs`` as a 2-D float64 array whose
     entries pass the package's one finite-array check and, on CG traces,
     ``alphas`` and ``prev_res_sqs`` as float64 with one entry per iterate.
-    Anything else, an unreadable archive included, raises ValueError. certify() computes the gaps from the iterates, as
-    it does for a fresh run.
+    Anything else, an unreadable archive included, raises ValueError.
+    certify() computes the gaps from the iterates, as it does for a fresh
+    run.
     """
     path = iterates_path(csv_path)
     try:

@@ -6,6 +6,7 @@ import importlib
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,3 +155,19 @@ def test_each_input_rule_has_one_home(message):
         if message in path.read_text(encoding="utf-8")
     ]
     assert homes == [_RULE_HOMES[message]]
+
+
+# The unit roundoff's spellings. rng.py's 2**-53 is the resolution of a
+# uniform draw, part of the stream's contract, not a roundoff.
+_ROUNDOFF = re.compile(r"2(\.0)?\s*\*\*\s*-5[23]|finfo|float_info\.epsilon")
+
+
+def test_the_rounding_model_has_one_home():
+    # every tolerance reads u from objective's rounding model; a second
+    # spelling would let two tolerances drift apart
+    spelled = [
+        path.name
+        for path in sorted((SRC / "gradcert").glob("*.py"))
+        if _ROUNDOFF.search(path.read_text(encoding="utf-8"))
+    ]
+    assert spelled == ["objective.py", "rng.py"]

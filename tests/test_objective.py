@@ -97,6 +97,14 @@ def test_scalar_arguments_refuse_malformed_values(entry, value):
         build(value)
 
 
+def test_bounds_take_numpy_scalars():
+    # a float32 bound used to warn: comparing it with float64's largest
+    # value overflowed in the cast
+    obj = QuadraticObjective(np.eye(2), np.zeros(2), np.float32(0.5), np.float64(2.0))
+    assert (obj.ell, obj.lip) == (0.5, 2.0)
+    assert NoiseModel(np.float16(0.25)).magnitude == 0.25
+
+
 def test_quadratic_symmetrizes_roundoff():
     a = np.array([[1.0, 0.3 + 1e-15], [0.3, 1.0]])
     obj = QuadraticObjective(a, np.zeros(2), 0.5, 2.0)

@@ -48,6 +48,13 @@ def test_noise_model_validation():
     for seeds in ([1.5], ["3"], [-1]):
         with pytest.raises(ValueError):
             sweep(obj, x_star, [1e-3], seeds, 5, x0=x0)
+    # a call index is the RNG's substream index, at every magnitude: -1 and
+    # 64.0 used to raise naming the RNG's "first", True to run as call 1
+    # and 2.0 to raise IndexError
+    for magnitude in (0.0, 1e-3):
+        for call_index in (-1, True, 2.0, 64.0):
+            with pytest.raises(ValueError, match="call_index must be an integer >= 0"):
+                noisy_matvec(obj, NoiseModel(magnitude, 0), x0, call_index)
 
 
 def test_eta_zero_is_bitwise_passthrough():

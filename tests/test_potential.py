@@ -108,11 +108,10 @@ def test_certify_frozen_values(dim2):
 
 
 def test_default_tolerance_formula(tiny_problem):
+    # bit for bit: the rounding model's home keeps the product's order
     obj = tiny_problem.obj
     kappa = obj.lip / obj.ell
-    assert default_cert_tolerance(obj) == pytest.approx(
-        1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim), rel=1e-12
-    )
+    assert default_cert_tolerance(obj) == 1e-9 * (1.0 + kappa * 2.0**-52 * obj.dim)
 
 
 def test_default_tolerance_is_capped():
@@ -189,11 +188,17 @@ def test_certify_flags_a_corrupted_trace(tiny_problem):
     # nan step sizes zero rho, which the chain cannot see; the telescoping
     # counts each step it cannot check as a violation
     nan_alphas = np.full_like(trace.alphas, np.nan)
+    # a finite iterate whose gap overflows to inf (along the eigenvector of
+    # l, so no product is nan): its two steps used to telescope as
+    # inf <= TELESCOPE_TOL * inf
+    overflowing = trace.xs.copy()
+    overflowing[len(trace) // 2] = obj.minimizer + 1e160 * np.linalg.eigh(obj.matrix)[1][:, 0]
     # (forged trace, whether the gap telescoping must fire)
     forgeries = {
         "bumped_iterate": (dataclasses.replace(trace, xs=bumped), False),
         "scaled_iterate": (dataclasses.replace(trace, xs=scaled), True),
         "nan_alphas": (dataclasses.replace(trace, alphas=nan_alphas), True),
+        "overflowing_iterate": (dataclasses.replace(trace, xs=overflowing), True),
     }
     # a single infinite scalar zeroes its rho just as nan does, and would
     # otherwise pass as inf <= TELESCOPE_TOL * inf

@@ -288,11 +288,14 @@ def test_run_takes_numpy_integer_step_counts(tiny_problem):
 
 
 def test_run_refuses_a_nan_stop_gap(tiny_problem):
-    # a nan stop_gap used to disable the stop silently: CG ran to its floor
+    # a nan stop_gap used to disable the stop silently: CG ran to its floor.
+    # True ran as 1.0, a string or None raised TypeError from math.isnan,
+    # and 10**400 OverflowError.
     obj, x0 = tiny_problem.obj, tiny_problem.x0
     for method in METHODS:
-        with pytest.raises(ValueError, match="stop_gap"):
-            run(obj, method, x0, 50, math.nan)
+        for stop_gap in (math.nan, True, np.True_, "1e-3", None, 10**400):
+            with pytest.raises(ValueError, match="stop_gap"):
+                run(obj, method, x0, 50, stop_gap)
         # the infinities stay valid: -inf never stops on the gap, inf at x0
         assert run(obj, method, x0, 3, -math.inf).stop_reason == "max_iters"
         assert len(run(obj, method, x0, 3, math.inf)) == 1
@@ -373,6 +376,20 @@ def test_ag_gate_passes_every_point_at_its_own_gap():
         below += gap < 0.5 * obj.ell * d.dot(d)
         assert 0.5 * obj.ell * d.dot(d) <= _gap_gate(obj, gap)
     assert below > 0
+
+
+@pytest.mark.parametrize("dim, kappa", [(2, 1.0), (10, 1e2), (50, 1e4), (200, 1e6), (10, 1e16)])
+def test_gap_gate_formula(dim, kappa):
+    # bit for bit against the bound written out, with u = 2**-53 and
+    # gamma_dim = dim u / (1 - dim u); at err >= 1 (the last row) it is open
+    ell, lip = 0.5, 0.5 * kappa
+    obj = QuadraticObjective(np.diag(np.geomspace(ell, lip, dim)), np.ones(dim), ell, lip)
+    u = 2.0**-53
+    gamma = dim * u / (1.0 - dim * u)
+    err = gamma * (2.0 + gamma) * math.sqrt(dim) * lip / ell
+    for stop_gap in (1e-10, 0.5, 3.0, -2.0):
+        want = stop_gap * ((1.0 + gamma) / (1.0 - err) + 4.0 * u) if err < 1.0 else math.inf
+        assert _gap_gate(obj, stop_gap) == want
 
 
 def test_ag_gate_edge_stop_gaps():
