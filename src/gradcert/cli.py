@@ -277,9 +277,16 @@ _COMMANDS = {
 }
 
 
+# Built by the first main() of a process and reused: parse_args keeps no
+# state between calls, and each call starts from a fresh namespace.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GradcertError, OSError, ValueError) as exc:

@@ -10,7 +10,9 @@ The trace CSV formats its floats with ``fmt_float`` ('%.17g'), a column
 at a time: ``fmt_floats`` formats a whole array with one ``map`` over its
 ``tolist()``, and callers patch the non-finite entries through a mask.
 The text is the same as formatting each element with ``fmt_float``; only
-the number of Python calls differs.
+the number of Python calls differs. Where a column repeats its values,
+``traces`` passes each distinct value once, so each distinct value is
+converted once.
 """
 
 from __future__ import annotations

@@ -65,9 +65,12 @@ first iterate.
 An accelerated step allocates one array, the gradient: y_k, x_k - x* and
 s_k are workspaces rewritten in place, and x_k is written into the next
 row of an iterate array that doubles when full, so memory follows the
-steps taken, not max_iters. The arithmetic is the same operations in the
-same order as a loop that allocates a new array for each, so the iterates
-do not depend on this.
+steps taken, not max_iters. The step keeps the row view it wrote as the
+next step's x_k (fetched again only after the array grows), tests the
+gate inline, and makes exactly one obj.grad call, the bound method read
+once per run. The arithmetic is the same operations in the same order as
+a loop that allocates a new array for each, so the iterates do not depend
+on this.
 """
 
 from __future__ import annotations
@@ -253,18 +256,21 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
     # less per-call overhead than an array and a float, to the same bits.
     momentum = np.full(dim, momentum_coefficient(obj.ell, obj.lip))
     inv_lip = np.full(dim, 1.0 / obj.lip)
-    reached = _gap_reached(obj, stop_gap)
+    # The stop test of _gap_reached, inline: f_gap only past the gate.
+    half_ell, gate = 0.5 * obj.ell, _gap_gate(obj, stop_gap)
     x_star = obj.minimizer
 
     # x_k is row k of xs, which doubles when full (module docstring). Each
     # ufunc takes its output as the third positional argument, which numpy
-    # parses faster than out=, and is bound to a local name, which Python
-    # looks up faster than a module attribute.
-    multiply, add, subtract = np.multiply, np.add, np.subtract
+    # parses faster than out=, and every callable of the loop is bound to a
+    # local name, which Python looks up faster than an attribute.
+    multiply, add, subtract, isfinite = np.multiply, np.add, np.subtract, math.isfinite
+    grad, f_gap = obj.grad, obj.f_gap
     xs = x0[None, :].copy()
+    x = xs[0]
     y, d, s = np.empty(dim), np.empty(dim), np.empty(dim)
-    subtract(xs[0], x_star, d)
-    done = reached(xs[0], d.dot(d))
+    subtract(x, x_star, d)
+    done = half_ell * d.dot(d) <= gate and f_gap(x) <= stop_gap
     stop_reason = "gap" if done else "max_iters"
     n = 1
     # A run whose declared L is below the true curvature overflows; its
@@ -275,25 +281,27 @@ def _run_ag(obj, method, x0, max_iters, stop_gap):
                 grown = np.empty((2 * n, dim))
                 grown[:n] = xs
                 xs = grown
-            x, x_next = xs[n - 1], xs[n]
+                x = xs[n - 1]
+            x_next = xs[n]
             if n == 1:
                 np.copyto(y, x)
             else:
                 multiply(momentum, s, y)
                 add(x, y, y)
-            g = obj.grad(y)
+            g = grad(y)
             multiply(g, inv_lip, g)
             subtract(y, g, x_next)
             subtract(x_next, x_star, d)
             dd = d.dot(d)
-            if not math.isfinite(dd):
+            if not isfinite(dd):
                 stop_reason = "diverged"
                 break
             subtract(x_next, x, s)
             n += 1
-            if reached(x_next, dd):
+            if half_ell * dd <= gate and f_gap(x_next) <= stop_gap:
                 stop_reason = "gap"
                 break
+            x = x_next
 
     return Trace(method=method, xs=xs[:n].copy(), stop_reason=stop_reason)
 

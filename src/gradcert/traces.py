@@ -20,7 +20,11 @@ the run's own scalars and the curvature bounds. Alignment rules:
 Floats are written with 17 significant digits and booleans as
 ``true``/``false``, so identical runs serialize byte-identically; the
 writer formats a column of a block of rows in one pass (see
-``serialize.fmt_floats``). ``grad_norm`` is certify()'s
+``serialize.fmt_floats``). Where values repeat, each distinct value is
+converted once: a block of a column with at most half its cells distinct
+(on an AG trace rho, theta, nu and pi) formats each distinct float64 bit
+pattern once, and the reader parses each distinct text of such a column
+once, through the same rule as any other cell. ``grad_norm`` is certify()'s
 ``CertificateReport.grad_norms``: ``||A x_k - b||`` (``||grad f(x_k)||``
 off quadratics) from the stored iterates on every method, never CG's
 recurred residual.
@@ -60,12 +64,20 @@ _EMPTY_AS_NAN = {"": "nan"}
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
-    """Cells of a float column: fmt_float text, empty where nan."""
-    empty = np.isnan(values)
-    if empty.all():
-        return [""] * len(values)
+    """Cells of a float column: fmt_float text, empty where nan.
+
+    When at most half the cells are distinct, each distinct float64 bit
+    pattern is formatted once. The table is keyed on the bits, not the
+    value: 0.0 == -0.0, but their cells are 0 and -0.
+    """
+    bits = values.view(np.uint64)
+    keys = np.unique(bits)
+    if 0 < 2 * len(keys) <= len(values):
+        # keys are distinct, so this call formats them one by one
+        table = _csv_cells(keys.view(np.float64))
+        return list(map(table.__getitem__, np.searchsorted(keys, bits).tolist()))
     cells = fmt_floats(values)
-    for i in np.flatnonzero(empty).tolist():
+    for i in np.flatnonzero(np.isnan(values)).tolist():
         cells[i] = ""
     return cells
 
@@ -226,10 +238,15 @@ def read_trace_csv(path) -> dict:
         if name == "cert_pass":
             values = list(map(_PASS_VALUES.get, column, itertools.repeat(np.nan)))
         else:
-            try:  # float() of every cell, an empty one as nan
-                values = list(map(float, map(_EMPTY_AS_NAN.get, column, column)))
-            except ValueError:  # some cell is no number: it reads nan, refused below
-                values = list(map(_number, column))
+            distinct = set(column)
+            if 2 * len(distinct) <= len(column):  # each distinct text parsed once
+                table = dict(zip(distinct, map(_number, distinct)))
+                values = list(map(table.__getitem__, column))
+            else:
+                try:  # float() of every cell, an empty one as nan
+                    values = list(map(float, map(_EMPTY_AS_NAN.get, column, column)))
+                except ValueError:  # some cell is no number: it reads nan, refused below
+                    values = list(map(_number, column))
         values = columns[name] = np.array(values, dtype=np.float64)
         # Only an empty cell may read nan: one that is no number (in cert_pass,
         # neither true nor false) or spells nan, which the writer leaves empty, fails.

@@ -140,3 +140,33 @@ def write_trace_csv_per_cell(path, trace, obj, report) -> None:
             row = {name: _cell(column[k]) for name, column in columns.items()}
             row["cert_pass"] = "" if np.isnan(passes[k]) else _cell(bool(passes[k]))
             writer.writerow([str(k), *row.values()])
+
+
+def read_trace_csv_per_cell(path) -> dict:
+    """The columns of read_trace_csv, each cell parsed on its own.
+
+    The reference the reader must match, value for value, and in its error
+    for the first cell, column by column, that is not a number (in
+    cert_pass, neither true nor false). It checks nothing else: the header,
+    row shapes and the k column are read_trace_csv's own tests.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    columns = {"k": np.arange(len(rows))}
+    for j, name in enumerate(header[1:], 1):
+        values = []
+        for i, row in enumerate(rows):
+            cell = row[j]
+            if name == "cert_pass":
+                kind, value = "true or false", {"true": 1.0, "false": 0.0, "": np.nan}.get(cell)
+            else:
+                kind = "a number"
+                try:
+                    value = float(cell) if cell else np.nan
+                except ValueError:
+                    value = None
+            if value is None or (cell and np.isnan(value)):
+                raise ValueError(f"row {i}, column {name}: {cell!r} is not {kind}")
+            values.append(value)
+        columns[name] = np.array(values, dtype=np.float64)
+    return columns

@@ -1022,6 +1022,38 @@ def test_each_command_builds_the_objective_once(workdir, monkeypatch):
     assert counts == dict.fromkeys(commands, 1)
 
 
+def test_one_parser_serves_every_call(tmp_path, problem_file, monkeypatch, capsys):
+    # main builds its parser once per process, and no call's arguments leak
+    # into the next: an option left out reads its default again
+    builds, iters = [], []
+    build, solve = cli._build_parser, cli.run
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+
+    def spy(obj, method, x0, max_iters, stop_gap):
+        iters.append(max_iters)
+        return solve(obj, method, x0, max_iters, stop_gap)
+
+    monkeypatch.setattr(cli, "run", spy)
+    trace, report = tmp_path / "t.csv", tmp_path / "report.json"
+    run_ag = ["run", "--problem", str(problem_file), "--method", "ag", "--out", str(trace)]
+    assert main(run_ag + ["--iters", "5"]) == 0
+    assert main(run_ag) == 0
+    assert iters == [5, 1000]
+    certify_ag = ["certify", str(trace), "--problem", str(problem_file)]
+    assert main(certify_ag + ["--out", str(report)]) == 0
+    report.unlink()
+    assert main(certify_ag) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.csv.npz"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--problem", str(problem_file), "--method", "newton"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert main(certify_ag) == 0
+    assert capsys.readouterr().out.startswith("certificate chain holds")
+    assert len(builds) == 1
+
+
 def test_perturb_command(workdir, problem_file, capsys):
     out = workdir / "sweep.json"
     code = main(

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from aids import write_trace_csv_per_cell
-from gradcert.potential import certify
+from aids import read_trace_csv_per_cell, write_trace_csv_per_cell
+from gradcert import SpectrumSpec, generate_with_start, traces
+from gradcert.potential import GAP_BLOCK_ROWS, certify
 from gradcert.problems import make_logistic_problem
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
 from gradcert.traces import (
@@ -229,6 +230,104 @@ def test_writer_matches_oracle_on_nonfinite_cells(tmp_path, tiny_problem):
     assert rows[0][7] == rows[0][8] == ""
 
 
+def test_writer_keys_repeated_cells_on_their_bits(tmp_path, tiny_problem):
+    # A low-cardinality rho (mostly 0, some -0 and nan) and a constant theta
+    # over two blocks: each distinct bit pattern has its own cell, so -0 is
+    # not written as 0, although 0.0 == -0.0.
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    trace = run(obj, "ag", x0, 1499, -math.inf)
+    report = certify(trace, obj)
+    rhos = np.zeros(len(trace))
+    rhos[[3, 700, 1030, 1400]] = -0.0
+    rhos[[5, 1100]] = np.nan
+    lines = _assert_matches_oracle(tmp_path, trace, obj, dataclasses.replace(report, rhos=rhos))
+    col = TRACE_HEADER.split(",").index("rho")
+    cells = [line.split(",")[col] for line in lines[1:]]
+    assert {i for i, cell in enumerate(cells) if cell == "-0"} == {3, 700, 1030, 1400}
+    assert {i for i, cell in enumerate(cells) if cell == ""} == {5, 1100}
+    assert cells.count("0") == len(trace) - 6
+
+
+def _rewritten(tmp_path, lines, col, cells):
+    """The CSV of lines with cells {row: text} put in column col."""
+    out = list(lines)
+    for i, cell in cells.items():
+        row = out[i + 1].split(",")
+        row[col] = cell
+        out[i + 1] = ",".join(row)
+    path = tmp_path / "rewritten.csv"
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    ("cells", "bad_row"),
+    [({2: "+1"}, None), ({2: " 1 "}, None), ({2: "1e0"}, None), ({2: "nan"}, 2),
+     ({2: "banana"}, 2), ({2: "banana", 5: "banana", 9: "banana"}, 2),
+     ({2: "nan", 4: "banana", 6: "nan"}, 2), ({6: "1e0", 8: "banana", 9: "1e0"}, 8),
+     (dict(enumerate(["nan", "banana", "x", "NaN", "-nan", "one", "1..0", "e"] * 2, 2)), 2)],
+    ids=["plus", "spaces", "exponent", "nan", "banana", "banana-thrice", "nan-then-banana",
+         "late-banana", "eight-bad-texts-twice"],
+)
+def test_reader_matches_per_cell_reader_on_repeated_cells(tmp_path, ag_csv, cells, bad_row):
+    # theta holds three texts, so the reader parses each distinct one once;
+    # the values, or the error naming the first bad row, are the per-cell reader's
+    src, *_ = ag_csv
+    lines = src.read_text().splitlines()
+    col = lines[0].split(",").index("theta")
+    path = _rewritten(tmp_path, lines, col, cells)
+    if bad_row is not None:
+        with pytest.raises(ValueError) as expected:
+            read_trace_csv_per_cell(path)
+        assert str(expected.value).startswith(f"row {bad_row}, column theta: ")
+        with pytest.raises(ValueError) as raised:
+            read_trace_csv(path)
+        assert str(raised.value) == str(expected.value)
+        return
+    columns, expected = read_trace_csv(path), read_trace_csv_per_cell(path)
+    assert list(columns) == list(expected)
+    for name, values in expected.items():
+        assert np.array_equal(columns[name], values, equal_nan=True), name
+
+
+def test_repeated_cells_are_converted_once(tmp_path, monkeypatch):
+    # An AG trace of n rows has five columns of distinct values (f_gap to
+    # psi_ratio); rho, theta, nu and pi each hold one value and a few edge
+    # cells per block, and alpha and beta are empty. The writer formats each
+    # distinct value of a block's repeated column once, and the reader parses
+    # each distinct text of a repeated column once.
+    obj, _, x0 = generate_with_start(SpectrumSpec(10, 1.0, 1e6, "log_uniform", seed=0))
+    trace = run(obj, "ag", x0, 40_000, 1e-12 * obj.f_gap(x0))
+    report = certify(trace, obj)
+    assert trace.stop_reason == "gap" and len(trace) > 2 * GAP_BLOCK_ROWS
+    n, blocks = len(trace), math.ceil(len(trace) / GAP_BLOCK_ROWS)
+    formatted, parsed = [], []
+    fmt_floats, number = traces.fmt_floats, traces._number
+
+    def counted_fmt(values):
+        formatted.append(len(values))
+        return fmt_floats(values)
+
+    def counted_number(cell):
+        parsed.append(cell)
+        return number(cell)
+
+    monkeypatch.setattr(traces, "fmt_floats", counted_fmt)
+    monkeypatch.setattr(traces, "_number", counted_number)
+    path = tmp_path / "ag.csv"
+    write_trace_csv(path, trace, obj, report)
+    assert sum(formatted) <= 5 * n + 16 * blocks
+    columns = read_trace_csv(path)
+    for name, values in trace_columns(trace, obj, report).items():
+        assert np.array_equal(columns[name], values, equal_nan=True), name
+    header = TRACE_HEADER.split(",")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    repeated = [{row[header.index(name)] for row in rows}
+                for name in ("alpha", "beta", "rho", "theta", "nu", "pi")]
+    assert max(map(len, repeated)) <= 3
+    assert sorted(parsed) == sorted(cell for texts in repeated for cell in texts)
+
+
 def test_reader_parses_every_column(tmp_path, cg_csv):
     src, *_ = cg_csv
     lines = src.read_text().splitlines()
@@ -267,24 +366,16 @@ def test_reader_takes_any_text_float_reads(tmp_path, cg_csv):
         cell + "e+00",
     ]
 
-    def rewritten(form):
-        row = lines[3].split(",")
-        row[col] = form
-        path = tmp_path / "rewritten.csv"
-        text = "\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n"
-        path.write_text(text, encoding="utf-8")
-        return path
-
     original = read_trace_csv(src)
     for form in forms:
-        path = rewritten(form)
+        path = _rewritten(tmp_path, lines, col, {2: form})
         columns = read_trace_csv(path)
         for name, values in original.items():
             assert np.array_equal(columns[name], values, equal_nan=True), (form, name)
         check_trace_claims(path, columns, trace, obj, report)
     for form in ("x", "nan"):
         with pytest.raises(ValueError, match=f"row 2, column psi: '{form}'"):
-            read_trace_csv(rewritten(form))
+            read_trace_csv(_rewritten(tmp_path, lines, col, {2: form}))
 
 
 def test_writer_rejects_mismatched_report(tmp_path, tiny_problem):
