@@ -24,7 +24,12 @@ writer formats a column of a block of rows in one pass (see
 converted once: a block of a column with at most half its cells distinct
 (on an AG trace rho, theta, nu and pi) formats each distinct float64 bit
 pattern once, and the reader parses each distinct text of such a column
-once, through the same rule as any other cell. ``grad_norm`` is certify()'s
+once, through the same rule as any other cell. The writer counts a block's
+distinct values only when its first rows repeat, so the measured columns
+skip the count. The format has no quoting: lines, after universal-newline
+decoding, of cells split on ``,``. The reader splits the whole file once
+into lines and once into cells, and takes each column as a slice of the
+cells. ``grad_norm`` is certify()'s
 ``CertificateReport.grad_norms``: ``||A x_k - b||`` (``||grad f(x_k)||``
 off quadratics) from the stored iterates on every method, never CG's
 recurred residual.
@@ -40,7 +45,6 @@ stored run with one array comparison per column.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 import tokenize
@@ -61,6 +65,10 @@ _COLUMNS = TRACE_HEADER.split(",")
 _PASS_CELLS = {1.0: "true", 0.0: "false"}
 _PASS_VALUES = {cell: value for value, cell in _PASS_CELLS.items()}
 _EMPTY_AS_NAN = {"": "nan"}
+# Rows of a block the writer looks at before it counts a column's distinct values.
+_PROBE_ROWS = 16
+# Characters of a refused header or cell that an error message shows.
+_ECHO_CHARS = 40
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
@@ -68,14 +76,18 @@ def _csv_cells(values: np.ndarray) -> list[str]:
 
     When at most half the cells are distinct, each distinct float64 bit
     pattern is formatted once. The table is keyed on the bits, not the
-    value: 0.0 == -0.0, but their cells are 0 and -0.
+    value: 0.0 == -0.0, but their cells are 0 and -0. A block whose first
+    _PROBE_ROWS values are more than half distinct is formatted cell by
+    cell without counting the rest; either way every cell is the same.
     """
     bits = values.view(np.uint64)
-    keys = np.unique(bits)
-    if 0 < 2 * len(keys) <= len(values):
-        # keys are distinct, so this call formats them one by one
-        table = _csv_cells(keys.view(np.float64))
-        return list(map(table.__getitem__, np.searchsorted(keys, bits).tolist()))
+    probe = bits[:_PROBE_ROWS].tolist()
+    if 0 < 2 * len(set(probe)) <= len(probe):
+        keys = np.unique(bits)
+        if 2 * len(keys) <= len(values):
+            # keys are distinct, so this call formats them one by one
+            table = _csv_cells(keys.view(np.float64))
+            return list(map(table.__getitem__, np.searchsorted(keys, bits).tolist()))
     cells = fmt_floats(values)
     for i in np.flatnonzero(np.isnan(values)).tolist():
         cells[i] = ""
@@ -145,7 +157,7 @@ def write_trace_csv(path, trace, obj, report) -> None:
             for name, column in columns.items():
                 block = column[lo:hi]
                 if name == "cert_pass":
-                    cells.append([_PASS_CELLS.get(v, "") for v in block.tolist()])
+                    cells.append(list(map(_PASS_CELLS.get, block.tolist(), itertools.repeat(""))))
                 else:
                     cells.append(_csv_cells(block))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
@@ -203,58 +215,73 @@ def _number(cell: str) -> float:
         return np.nan
 
 
+def _echo(text: str) -> str:
+    """repr of a refused text, cut to its first _ECHO_CHARS characters and its length."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... ({len(text)} characters)"
+
+
 def read_trace_csv(path) -> dict:
     """Read a trace CSV back into the arrays trace_columns builds, k first.
 
-    ``k`` is an int array whose cells must read exactly 0, 1, 2, ...;
-    cert_pass reads true as 1.0, false as 0.0 and an empty cell as nan.
-    Every other column is float64: an empty cell reads nan, and any other
-    cell is whatever float() reads from it, so forms the writer never
-    writes (a leading +, surrounding spaces, underscores between digits,
-    non-ASCII decimal digits, an e+00 exponent) read as their value. Any
-    other cell, one spelling nan included, raises ValueError naming its row
-    and column, as does a header or row-shape mismatch or a line the csv
-    module refuses.
+    The format is lines, after universal-newline decoding (so CRLF and CR
+    line ends read as LF), of cells split on ``,``, with no quoting: the
+    header is TRACE_HEADER and each row has its 13 cells. ``k`` is an int
+    array whose cells must read exactly 0, 1, 2, ...; cert_pass reads true
+    as 1.0, false as 0.0 and an empty cell as nan. Every other column is
+    float64: an empty cell reads nan, and any other cell is whatever float()
+    reads from it, so forms the writer never writes (a leading +,
+    surrounding spaces, underscores between digits, non-ASCII decimal
+    digits, an e+00 exponent) read as their value. Any other cell, one
+    spelling nan or in quotes included, raises ValueError naming its row
+    and column, as does a header or row-shape mismatch.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:  # such as a cell past the field limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if not text:
         raise ValueError("trace file is empty")
-    header, *rows = rows
-    if header != _COLUMNS:
-        raise ValueError(f"unexpected trace header {','.join(header)!r}")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} cells, expected {len(header)}")
-    ks, *cells = zip(*rows) if rows else [()] * len(header)
-    if ks != tuple(map(str, range(len(ks)))):
+    header, *rows = text.removesuffix("\n").split("\n")
+    del text  # the file is held once at a time: as text, as lines, as cells
+    if header != TRACE_HEADER:
+        raise ValueError(f"unexpected trace header {_echo(header)}")
+    n, width = len(rows), len(_COLUMNS)
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    if commas.count(width - 1) != n:
+        i = next(i for i, count in enumerate(commas) if count != width - 1)
+        cells = commas[i] + 1 if rows[i] else 0
+        raise ValueError(f"row {i} has {cells} cells, expected {width}")
+    # one split of all rows; column j is every width-th cell from j
+    text = ",".join(rows)
+    del rows
+    flat = text.split(",") if n else []
+    del text
+    if flat[::width] != list(map(str, range(n))):
         raise ValueError("k column must count 0,1,2,... in order")
-    columns = {"k": np.arange(len(ks))}
-    for name, column in zip(_COLUMNS[1:], cells):
+    columns = {"k": np.arange(n)}
+    for j, name in enumerate(_COLUMNS[1:], 1):
+        column = flat[j::width]
         if name == "cert_pass":
-            values = list(map(_PASS_VALUES.get, column, itertools.repeat(np.nan)))
+            values = map(_PASS_VALUES.get, column, itertools.repeat(np.nan))
         else:
             distinct = set(column)
-            if 2 * len(distinct) <= len(column):  # each distinct text parsed once
+            if 2 * len(distinct) <= n:  # each distinct text parsed once
                 table = dict(zip(distinct, map(_number, distinct)))
-                values = list(map(table.__getitem__, column))
-            else:
-                try:  # float() of every cell, an empty one as nan
-                    values = list(map(float, map(_EMPTY_AS_NAN.get, column, column)))
-                except ValueError:  # some cell is no number: it reads nan, refused below
-                    values = list(map(_number, column))
-        values = columns[name] = np.array(values, dtype=np.float64)
+                values = map(table.__getitem__, column)
+            else:  # float() of every cell, an empty one as nan
+                values = map(float, map(_EMPTY_AS_NAN.get, column, column))
+        try:
+            values = np.fromiter(values, dtype=np.float64, count=n)
+        except ValueError:  # some cell is no number: it reads nan, refused below
+            values = np.fromiter(map(_number, column), dtype=np.float64, count=n)
+        columns[name] = values
         # Only an empty cell may read nan: one that is no number (in cert_pass,
         # neither true nor false) or spells nan, which the writer leaves empty, fails.
         nans = np.flatnonzero(np.isnan(values)).tolist()
         if len(nans) != column.count(""):
             i = next(i for i in nans if column[i])
             kind = "true or false" if name == "cert_pass" else "a number"
-            raise ValueError(f"row {i}, column {name}: {column[i]!r} is not {kind}")
+            raise ValueError(f"row {i}, column {name}: {_echo(column[i])} is not {kind}")
     return columns
 
 

@@ -132,6 +132,8 @@ def test_runtime_loads_numpy_alone(argv):
     loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if "|" in line}
     assert {"numpy", "gradcert.objective", "gradcert.solvers"} <= loaded
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+    # the trace CSV is split by str methods, not the csv module
+    assert {"csv", "_csv"} & loaded == set()
 
 
 # Each input rule's message and the one module that holds it: a count, a

@@ -257,6 +257,26 @@ def test_battery_flags_a_nudge_above_the_floor_at_high_kappa():
     assert report.first_failures["gap_drop"] is not None
 
 
+@pytest.mark.parametrize(
+    ("name", "row", "lip", "seed"),
+    [("RQ_SLACK", "step_rayleigh", 1e7, 11), ("WEIGHTED_BOUND_SLACK", "weighted_bound", 1e6, 8)],
+    ids=["RQ_SLACK", "WEIGHTED_BOUND_SLACK"],
+)
+def test_battery_slack_covers_a_clean_rounding_miss(monkeypatch, name, row, lip, seed):
+    # CG for dim steps, as `gradcert identities` runs it, on a clean
+    # two-cluster problem whose row misses its exact bound by rounding alone
+    # (1/alpha_2 4.1e-10 below l, relative; ||w_1||^2 5.9e-11 above F_1 / l):
+    # the row holds at today's slack and alarms at a tenth of it and at 0.
+    # Only that row is pinned: dist_split alarms at state 1 on both problems.
+    spec = SpectrumSpec(dim=10, ell=1.0, lip=lip, layout="two_cluster", seed=seed)
+    obj, _, x0 = generate_with_start(spec)
+    trace = run(obj, "cg_classic", x0, obj.dim, -math.inf)
+    assert hs_identity_battery(trace, obj).first_failures[row] is None
+    for slack in (getattr(potential, name) / 10, 0.0):
+        monkeypatch.setattr(potential, name, slack)
+        assert hs_identity_battery(trace, obj).first_failures[row] is not None, slack
+
+
 IDENTITY_CHECKS = {
     "gap_drop",
     "dist_drop",

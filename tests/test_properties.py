@@ -333,7 +333,7 @@ def test_huge_finite_x0_is_rejected(fuzz_dir, make, entry, overflow):
 
 # Replacement k cells (NEXT stands for the following row's k), and cells of
 # any other column that are empty, a boolean, text float() rejects, nan
-# (which the writer leaves empty), or longer than the csv module's field limit.
+# (which the writer leaves empty), or 200,000 digits long (float() reads inf).
 NEXT = "__next__"
 BAD_KS = ["", "-1", "1.5", "x", "inf", "nan", "true", NEXT]
 NON_NUMBERS = ["", "true", "x", "1e", "0x10", "nan", "1" * 200_000]

@@ -11,6 +11,7 @@ from aids import read_trace_csv_per_cell, write_trace_csv_per_cell
 from gradcert import SpectrumSpec, generate_with_start, traces
 from gradcert.potential import GAP_BLOCK_ROWS, certify
 from gradcert.problems import make_logistic_problem
+from gradcert.serialize import fmt_float
 from gradcert.solvers import METHODS, Trace, momentum_coefficient, run
 from gradcert.traces import (
     TRACE_HEADER,
@@ -39,6 +40,15 @@ def ag_csv(tmp_path, tiny_problem):
     path = tmp_path / "ag.csv"
     write_trace_csv(path, trace, obj, report)
     return path, trace, report, obj
+
+
+@pytest.fixture(scope="module")
+def long_ag():
+    """An AG run longer than two blocks of rows, stopped at its gap."""
+    obj, _, x0 = generate_with_start(SpectrumSpec(10, 1.0, 1e6, "log_uniform", seed=0))
+    trace = run(obj, "ag", x0, 40_000, 1e-12 * obj.f_gap(x0))
+    assert trace.stop_reason == "gap" and len(trace) > 2 * GAP_BLOCK_ROWS
+    return trace, obj, certify(trace, obj)
 
 
 def test_header_is_frozen(cg_csv):
@@ -248,6 +258,57 @@ def test_writer_keys_repeated_cells_on_their_bits(tmp_path, tiny_problem):
     assert cells.count("0") == len(trace) - 6
 
 
+def _signed_zeros():
+    zeros = np.zeros(GAP_BLOCK_ROWS)
+    zeros[::3] = -0.0
+    return zeros
+
+
+def _with_nans():
+    values = np.arange(GAP_BLOCK_ROWS) / 7.0
+    values[::4] = np.nan
+    values[1::8] = -np.nan  # another bit pattern of nan
+    values[2::8] = -0.0
+    return values
+
+
+# Blocks that mislead a look at their first 16 rows, or mix bit patterns
+# that compare equal (0.0 and -0.0) or not at all (nan).
+ADVERSARIAL_BLOCKS = {
+    "distinct-then-repeated": np.r_[np.arange(16) / 7.0, np.full(GAP_BLOCK_ROWS - 16, 0.1)],
+    "equal-then-distinct": np.r_[np.full(16, 0.1), np.arange(GAP_BLOCK_ROWS - 16) / 7.0],
+    "signed-zeros": _signed_zeros(),
+    "nans": _with_nans(),
+}
+
+
+@pytest.mark.parametrize("rows", [0, 1, 10, 16, 17, GAP_BLOCK_ROWS])
+@pytest.mark.parametrize("name", list(ADVERSARIAL_BLOCKS))
+def test_block_cells_match_per_cell_formatting(name, rows):
+    block = ADVERSARIAL_BLOCKS[name][:rows]
+    expected = ["" if math.isnan(v) else fmt_float(v) for v in block.tolist()]
+    assert traces._csv_cells(block) == expected
+
+
+def test_writer_matches_oracle_on_adversarial_blocks(tmp_path, tiny_problem):
+    # one adversarial block per block of rows, in rho and, reversed, in psi
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    blocks = list(ADVERSARIAL_BLOCKS.values())
+    trace = run(obj, "ag", x0, len(blocks) * GAP_BLOCK_ROWS - 1, -math.inf)
+    report = dataclasses.replace(
+        certify(trace, obj), rhos=np.concatenate(blocks), psis=np.concatenate(blocks[::-1])
+    )
+    lines = _assert_matches_oracle(tmp_path, trace, obj, report)
+    col = TRACE_HEADER.split(",").index("rho")
+    assert {"0", "-0", ""} <= {line.split(",")[col] for line in lines[1:]}
+
+
+def _assert_same_columns(columns, expected):
+    assert list(columns) == list(expected)
+    for name, values in expected.items():
+        assert np.array_equal(columns[name], values, equal_nan=True), name
+
+
 def _rewritten(tmp_path, lines, col, cells):
     """The CSV of lines with cells {row: text} put in column col."""
     out = list(lines)
@@ -284,22 +345,16 @@ def test_reader_matches_per_cell_reader_on_repeated_cells(tmp_path, ag_csv, cell
             read_trace_csv(path)
         assert str(raised.value) == str(expected.value)
         return
-    columns, expected = read_trace_csv(path), read_trace_csv_per_cell(path)
-    assert list(columns) == list(expected)
-    for name, values in expected.items():
-        assert np.array_equal(columns[name], values, equal_nan=True), name
+    _assert_same_columns(read_trace_csv(path), read_trace_csv_per_cell(path))
 
 
-def test_repeated_cells_are_converted_once(tmp_path, monkeypatch):
+def test_repeated_cells_are_converted_once(tmp_path, monkeypatch, long_ag):
     # An AG trace of n rows has five columns of distinct values (f_gap to
     # psi_ratio); rho, theta, nu and pi each hold one value and a few edge
     # cells per block, and alpha and beta are empty. The writer formats each
     # distinct value of a block's repeated column once, and the reader parses
     # each distinct text of a repeated column once.
-    obj, _, x0 = generate_with_start(SpectrumSpec(10, 1.0, 1e6, "log_uniform", seed=0))
-    trace = run(obj, "ag", x0, 40_000, 1e-12 * obj.f_gap(x0))
-    report = certify(trace, obj)
-    assert trace.stop_reason == "gap" and len(trace) > 2 * GAP_BLOCK_ROWS
+    trace, obj, report = long_ag
     n, blocks = len(trace), math.ceil(len(trace) / GAP_BLOCK_ROWS)
     formatted, parsed = [], []
     fmt_floats, number = traces.fmt_floats, traces._number
@@ -376,6 +431,61 @@ def test_reader_takes_any_text_float_reads(tmp_path, cg_csv):
     for form in ("x", "nan"):
         with pytest.raises(ValueError, match=f"row 2, column psi: '{form}'"):
             read_trace_csv(_rewritten(tmp_path, lines, col, {2: form}))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_reader_reads_crlf_and_cr_line_ends(tmp_path, cg_csv, ag_csv, newline):
+    for src, *_ in (cg_csv, ag_csv):
+        path = tmp_path / "line_ends.csv"
+        path.write_bytes(src.read_bytes().replace(b"\n", newline.encode()))
+        _assert_same_columns(read_trace_csv(path), read_trace_csv(src))
+
+
+def test_reader_matches_per_cell_reader_on_a_long_trace(tmp_path, long_ag):
+    path = tmp_path / "long.csv"
+    write_trace_csv(path, *long_ag)
+    _assert_same_columns(read_trace_csv(path), read_trace_csv_per_cell(path))
+
+
+@pytest.mark.parametrize(("name", "kind"), [("psi", "a number"), ("cert_pass", "true or false")])
+def test_reader_refuses_a_quoted_cell(tmp_path, cg_csv, name, kind):
+    # the writer never quotes, and the reader does not unquote
+    src, *_ = cg_csv
+    lines = src.read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    quoted = '"' + lines[3].split(",")[col] + '"'
+    path = _rewritten(tmp_path, lines, col, {2: quoted})
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(path)
+    assert str(raised.value) == f"row 2, column {name}: {quoted!r} is not {kind}"
+
+
+def test_reader_refuses_a_blank_line(tmp_path, cg_csv):
+    src, *_ = cg_csv
+    lines = src.read_text().splitlines()
+    lines.insert(3, "")
+    path = tmp_path / "blank.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^row 2 has 0 cells, expected 13$"):
+        read_trace_csv(path)
+
+
+def test_reader_echoes_a_long_text_in_part(tmp_path, cg_csv):
+    # a refused header or cell shows its first 40 characters and its length
+    src, *_ = cg_csv
+    lines = src.read_text().splitlines()
+    col = lines[0].split(",").index("grad_norm")
+    path = _rewritten(tmp_path, lines, col, {2: "x" * 100_000})
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(path)
+    assert str(raised.value) == (
+        f"row 2, column grad_norm: {'x' * 40!r}... (100000 characters) is not a number"
+    )
+    header = "k" * 100_000
+    path.write_text("\n".join([header, *lines[1:]]) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(path)
+    assert str(raised.value) == f"unexpected trace header {'k' * 40!r}... (100000 characters)"
 
 
 def test_writer_rejects_mismatched_report(tmp_path, tiny_problem):
