@@ -10,9 +10,10 @@ trace = run(obj, "cg_classic", x0, 4_000, 1e-10 * obj.f_gap(x0))
 
 report = hs_identity_battery(trace, obj)
 print(f"clean run: {len(trace) - 1} iterations, battery ok={report.ok}")
-print("worst normalized residual per identity:")
+# Each row of the table keeps its normalized residual per step and its tolerance.
+print("worst normalized residual per identity, against its tolerance:")
 for name, value in report.max_violations.items():
-    print(f"  {name:15s} {value:.3e}")
+    print(f"  {name:15s} {value:.3e}  (tol {report.checks[name].tol:g})")
 
 # The rho_alignment row checks that CG's rho_k is the weight minimizing ||w_k||.
 print(f"rho optimal at every step (w_k . s_k = 0): {report.first_failures['rho_alignment'] is None}")
@@ -23,7 +24,8 @@ print(f"rho optimal at every step (w_k . s_k = 0): {report.first_failures['rho_a
 k = len(trace) // 2
 trace.xs[k] *= 1.001
 poisoned = hs_identity_battery(trace, obj)
-print(f"\nafter a 0.1% nudge of x_{k}: battery ok={poisoned.ok}")
+print(f"\nafter a 0.1% nudge of x_{k}: battery ok={poisoned.ok}, "
+      f"{poisoned.failed_check} fails first, at step {poisoned.first_violation}")
 for name, first in poisoned.first_failures.items():
     if first is not None:
         print(f"  {name:15s} first failure at step {first} (residual {poisoned.max_violations[name]:.2e})")

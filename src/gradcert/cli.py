@@ -25,7 +25,7 @@ from .errors import GradcertError
 from .generate import LAYOUTS, SpectrumSpec
 from .objective import _count, _positive
 from .perturb import sweep
-from .potential import TELESCOPING, certify, hs_identity_battery
+from .potential import TELESCOPING, TOL_ID, certify, hs_identity_battery
 from .problems import load_problem, make_quadratic_problem
 from .rng import _seed_word
 from .serialize import write_json
@@ -207,7 +207,7 @@ def cmd_identities(args) -> int:
     battery = hs_identity_battery(trace, obj)
     doc = {
         "iterates": battery.n,
-        "tol_id": battery.tol_id,
+        "tol_id": TOL_ID,
         "ok": battery.ok,
         "max_violations": battery.max_violations,
         "first_failures": battery.first_failures,
@@ -215,13 +215,12 @@ def cmd_identities(args) -> int:
     }
     if args.out is not None:
         write_json(args.out, doc)
-    residuals = dict(battery.max_violations)
-    rho = residuals.pop("rho_alignment")
-    # np.max, unlike max(), reports a nan residual whatever the row order.
-    worst = np.max(list(residuals.values()))
+    # rho_alignment is the table's last row; np.max, unlike max(), reports a
+    # nan residual whatever the row order.
+    *residuals, rho = battery.max_violations.values()
     print(
-        f"{len(trace) - 1} CG steps: worst identity residual {worst:.3e} "
-        f"(tol {battery.tol_id:g}), rho alignment {rho:.3e}"
+        f"{len(trace) - 1} CG steps: worst identity residual {np.max(residuals):.3e} "
+        f"(tol {TOL_ID:g}), rho alignment {rho:.3e}"
     )
     print("identities hold" if battery.ok else "identity violation detected")
     return 0 if battery.ok else 1

@@ -16,17 +16,21 @@ alike.
 
 certify() is the one certifier: a run's warning, a noise detection and the
 CLI's audit of a trace all read its verdict, and the CSV's columns are only
-claims. Its report keeps the per-step checks (the chain of psi at the
-method's constant and, on CG, the gap telescoping) in one table, which
-alone says where the certificate first fails and which check failed.
+claims. The identity battery replays the sharper per-step equalities of CG
+on a quadratic; they fail loudly under inexact arithmetic or a perturbed
+operator, which makes them a self-test. Its gap_drop row is the gap
+identity at TOL_ID, on states up to dim above the roundoff floor;
+certify()'s telescoping audits every step of every CG trace, noisy runs
+included, so TELESCOPE_TOL and TELESCOPE_FLOOR sit far above roundoff and
+stay silent on clean runs.
 
-The identity battery replays the sharper per-step equalities of CG on a
-quadratic, one table of normalized residuals against tolerances; they fail
-loudly under inexact arithmetic or a perturbed operator, which makes them a
-self-test. Its gap_drop row is the gap identity at TOL_ID, on states up to
-dim above the roundoff floor; certify()'s telescoping audits every step of
-every CG trace, noisy runs included, so TELESCOPE_TOL and TELESCOPE_FLOOR
-sit far above roundoff and stay silent on clean runs.
+Both reports keep their checks in one kind of table: checks maps each
+check's name to a _Row of its residual per step, its tolerance, its pass
+array and the step of its first entry. An entry passes when its residual
+is within the tolerance, and a nan fails; only certify()'s chain keeps its
+product-form pass bits beside its residual. One set of readers, the
+_CheckTable properties, says where each check first fails, which check
+fails first and each check's worst residual, for both reports alike.
 
 The reports are in-memory records: the trace CSV belongs to the traces
 module, and the CLI assembles every JSON document it writes.
@@ -121,32 +125,68 @@ def chain_steps(psis, c: float, tol: float):
 CHAIN = "certificate chain"
 TELESCOPING = "gap telescoping"
 
+# One row of a report's checks: the normalized residual of each entry, the
+# tolerance, the pass array and the step of entry 0.
+_Row = namedtuple("_Row", "residuals tol passes first")
 
-def _first_fail(passes, offset=0):
-    """Index (plus offset) of the first False in passes, or None."""
-    bad = np.flatnonzero(~passes)
-    return int(bad[0]) + offset if bad.size else None
+
+def _row(residuals, tol, first=0) -> _Row:
+    """A row whose entry passes when its residual is at most tol; a nan fails."""
+    return _Row(residuals, tol, residuals <= tol, first)
+
+
+class _CheckTable:
+    """The readers of a report's checks, one table of _Row by name in tie order.
+
+    first_failures maps each check to its first failing step (None when it
+    never fails), failed_check names the check failing first (the earlier
+    row wins a tie; None when all pass), first_violation is its step, and
+    max_violations maps each check to its worst residual (nan if any is,
+    0.0 for a row with no entries).
+    """
+
+    @property
+    def first_failures(self) -> dict:
+        bad = {name: (np.flatnonzero(~row.passes), row.first) for name, row in self.checks.items()}
+        return {name: int(k[0]) + first if k.size else None for name, (k, first) in bad.items()}
+
+    @property
+    def failed_check(self) -> str | None:
+        fails = {name: k for name, k in self.first_failures.items() if k is not None}
+        return min(fails, key=fails.get, default=None)
+
+    @property
+    def first_violation(self) -> int | None:
+        return min((k for k in self.first_failures.values() if k is not None), default=None)
+
+    @property
+    def max_violations(self) -> dict:
+        rows = self.checks.items()
+        return {name: float(r.residuals.max()) if r.residuals.size else 0.0 for name, r in rows}
 
 
 @dataclass
-class CertificateReport:
+class CertificateReport(_CheckTable):
     """Vectorized certificate record for a whole trace.
 
     Arrays are indexed by iterate; ratios[k] = psi_k / psi_{k+1} (inf at
-    exact termination). checks maps each per-step check to its pass array,
-    indexed by step, one entry fewer than the iterates: CHAIN, the chain at
-    the method's constant c_value, and on CG TELESCOPING (a non-finite
-    scalar fails). A chain pass at c_value implies one at the never larger
-    common constant 1 + sqrt(l/L), so no second chain is kept. The
-    properties read the table: first_failures maps each check to its first
-    failing step (None when it never fails), first_violation is the
-    earliest of them (None when all pass) and failed_check the check
-    failing there (the chain wins a tie). theorem1_ok and daniel_ok are the
-    envelope verdicts (daniel_ok is None on AG and when L = l); all_ok
-    holds when every check and envelope passes. method is the family, "ag"
-    or "cg". grad_norms[k] is ||grad f(x_k)|| (||A x_k - b|| on a
-    quadratic) measured from the iterate against the exact objective, never
-    CG's recurred residual.
+    exact termination). checks is the table of per-step checks, indexed by
+    step, one entry fewer than the iterates: CHAIN, the chain at the
+    method's constant c_value, and on CG TELESCOPING. The chain's pass bits
+    are chain_steps' product form; its residual is the signed
+    c_k / ratios_k - 1 (c_0 = 1) against tol_cert, which rounding can set a
+    hair apart from the bit, and where the ratio is not finite it reads -1
+    on a passing step (psi_{k+1} = 0: the potential is spent) and nan on a
+    failing one. The telescoping's residual is _rel's normalized residual
+    against TELESCOPE_TOL. A chain pass at c_value implies one at the never
+    larger common constant 1 + sqrt(l/L), so no second chain is kept.
+    first_failures, failed_check (the chain wins a tie), first_violation
+    and max_violations read the table (see _CheckTable). theorem1_ok and
+    daniel_ok are the envelope verdicts (daniel_ok is None on AG and when
+    L = l); all_ok holds when every check and envelope passes. method is
+    the family, "ag" or "cg". grad_norms[k] is ||grad f(x_k)|| (||A x_k -
+    b|| on a quadratic) measured from the iterate against the exact
+    objective, never CG's recurred residual.
     """
 
     method: str
@@ -163,20 +203,6 @@ class CertificateReport:
     theorem1_ok: bool
     daniel_ok: bool | None
     flags: list = field(default_factory=list)
-
-    @property
-    def first_failures(self) -> dict:
-        return {name: _first_fail(passes) for name, passes in self.checks.items()}
-
-    @property
-    def failed_check(self) -> str | None:
-        fails = {name: k for name, k in self.first_failures.items() if k is not None}
-        return min(fails, key=fails.get, default=None)
-
-    @property
-    def first_violation(self) -> int | None:
-        name = self.failed_check
-        return None if name is None else self.first_failures[name]
 
     @property
     def all_ok(self) -> bool:
@@ -257,8 +283,8 @@ def certify(trace, obj) -> CertificateReport:
     report states as tol_cert; a step with a non-finite psi fails. On CG
     the gap telescoping f(x_k) - f(x_{k+1}) = alpha_{k+1} ||r_k||^2 / 2 is
     checked to TELESCOPE_TOL: a step passes when its normalized residual
-    (_rel) is at most TELESCOPE_TOL and its right side is finite, so an
-    infinite gap fails. CG's chain has slack, and an iterate the
+    (_rel) is at most TELESCOPE_TOL, and _rel reads nan, which fails, where
+    either side is nan or infinite. CG's chain has slack, and an iterate the
     recurrence cannot have produced can still contract.
     c0 = (l/2) ||x_0 - x*||^2 + f(x_0) - f* scales the Theorem-1 envelope,
     which decays at the common constant 1 + sqrt(l/L); the Daniel envelope
@@ -278,13 +304,14 @@ def certify(trace, obj) -> CertificateReport:
         f_gaps = t.f_gaps
         psis = t.w_norm_sqs + (2.0 / ell) * f_gaps
         # A single iterate leaves these arrays empty: no step, no violation.
-        ratios, step_passes = chain_steps(psis, c_value, tol)
-        checks = {CHAIN: step_passes}
+        ratios, passes = chain_steps(psis, c_value, tol)
+        cs = np.where(np.arange(len(ratios)) > 0, c_value, 1.0)  # c_0 = 1: psi_1 <= psi_0
+        residuals = np.where(np.isfinite(ratios), cs / ratios - 1.0, np.where(passes, -1.0, np.nan))
+        checks = {CHAIN: _Row(residuals, tol, passes, 0)}
         if family == "cg":
-            lhs = f_gaps[:-1] - f_gaps[1:]
             rhs = 0.5 * trace.alphas[1:] * trace.prev_res_sqs[1:]
             floor = TELESCOPE_FLOOR * max(f_gaps[0], 1e-300)
-            checks[TELESCOPING] = (_rel(lhs, rhs, floor) <= TELESCOPE_TOL) & np.isfinite(rhs)
+            checks[TELESCOPING] = _row(_rel(f_gaps[:-1] - f_gaps[1:], rhs, floor), TELESCOPE_TOL)
 
     ks = np.arange(len(psis))
     root = math.sqrt(ell / lip)
@@ -314,22 +341,26 @@ def certify(trace, obj) -> CertificateReport:
 
 
 @dataclass
-class IdentityReport:
+class IdentityReport(_CheckTable):
     """Result of the CG exactness battery.
 
-    max_violations maps check name to its worst normalized residual (nan if
-    any is); first_failures to the first step whose residual is not within
-    that check's tolerance, nan included (None when none); ok holds when no
-    check fails. min_weighted_bound_slack is the signed minimum of
-    2 f_gap / l - ||w||^2, nonnegative for exact CG.
+    checks is the table of the battery's rows, each a _Row whose first is
+    the state of its entry 0 and whose tol is the row's tolerance (TOL_ID
+    on the four equalities); first_failures, failed_check, first_violation
+    and max_violations read it as they read certify()'s (see _CheckTable),
+    and ok holds when no check fails. n is the states examined.
+    min_weighted_bound_slack is the signed minimum of 2 f_gap / l -
+    ||w||^2, nonnegative for exact CG; the weighted_bound row's residual is
+    clipped at 0 and cannot give it back.
     """
 
-    tol_id: float
     n: int
-    max_violations: dict
-    first_failures: dict
+    checks: dict
     min_weighted_bound_slack: float
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.failed_check is None
 
 
 @np.errstate(all="ignore")
@@ -417,31 +448,19 @@ def hs_identity_battery(trace, obj) -> IdentityReport:
     # x_0 = x* leaves no distance to normalize by; like the other rows,
     # which examine no state when F_0 = 0, this one then holds vacuously.
     align = w_dot_s / np.maximum(s_norms * dist0, 1e-300) if dist0 > 0.0 else w_dot_s[:0]
-    # name -> (normalized residual per entry, tolerance, state of entry 0).
-    # A trace too short for a check leaves its slice empty: 0.0, no failure.
+    # A trace too short for a check leaves its row empty: 0.0, no failure.
     checks = {
-        "gap_drop": (_rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), TOL_ID, 0),
-        "dist_drop": (
-            _rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), TOL_ID, 0
+        "gap_drop": _row(_rel(f2[:-1] - f2[1:], a_next * res_sqs, floor_f), TOL_ID),
+        "dist_drop": _row(
+            _rel(dist_drop, (f2[:-1] + f2[1:]) * p_sqs[1:] * a_next / res_sqs, floor_d), TOL_ID
         ),
-        "dist_split": (_rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
-        "potential_drop": (_rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
+        "dist_split": _row(_rel(dist_split, f2[1:] ** 2 * p_sqs[1:] / res_sqs**2, floor_d), TOL_ID, 1),
+        "potential_drop": _row(_rel(w_drop, -(f2[1:-1] ** 2) / res_sqs[1:], floor_d), TOL_ID, 1),
         # A literal 0.0 where the bound holds (np.maximum can return
         # -0.0), and a nan slack fails.
-        "weighted_bound": (np.where(slack >= 0.0, 0.0, -slack), WEIGHTED_BOUND_SLACK, 0),
-        "orth": (pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
-        "step_rayleigh": (np.maximum(below, above), 0.0, 1),
-        "rho_alignment": (align, RHO_ALIGNMENT_TOL, 1),
+        "weighted_bound": _row(np.where(slack >= 0.0, 0.0, -slack), WEIGHTED_BOUND_SLACK),
+        "orth": _row(pr / np.maximum(np.sqrt(p_sqs[1:]) * trace.r0_norm, 1e-300), ORTH_TOL, 1),
+        "step_rayleigh": _row(np.maximum(below, above), 0.0, 1),
+        "rho_alignment": _row(align, RHO_ALIGNMENT_TOL, 1),
     }
-
-    # v <= tol, not v > tol: a nan residual fails.
-    first_failures = {name: _first_fail(v <= tol, at) for name, (v, tol, at) in checks.items()}
-    worst = {name: float(v.max()) if v.size else 0.0 for name, (v, *_) in checks.items()}
-    return IdentityReport(
-        tol_id=TOL_ID,
-        n=n,
-        max_violations=worst,
-        first_failures=first_failures,
-        min_weighted_bound_slack=float(slack.min()),
-        ok=all(k is None for k in first_failures.values()),
-    )
+    return IdentityReport(n=n, checks=checks, min_weighted_bound_slack=float(slack.min()))

@@ -123,7 +123,7 @@ def trace_columns(trace, obj, report) -> dict:
             "grad_norm": report.grad_norms,
             "psi": report.psis,
             "psi_ratio": np.append(report.ratios, np.nan),
-            "cert_pass": np.append(report.checks[CHAIN], np.nan),
+            "cert_pass": np.append(report.checks[CHAIN].passes, np.nan),
             "alpha": alphas,
             "beta": betas,
             "rho": report.rhos,
@@ -235,7 +235,9 @@ def read_trace_csv(path) -> dict:
     surrounding spaces, underscores between digits, non-ASCII decimal
     digits, an e+00 exponent) read as their value. Any other cell, one
     spelling nan or in quotes included, raises ValueError naming its row
-    and column, as does a header or row-shape mismatch.
+    and column, as does a row-shape mismatch. A header mismatch names its
+    first column that differs from TRACE_HEADER, and its count of columns
+    when that differs.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -244,7 +246,12 @@ def read_trace_csv(path) -> dict:
     header, *rows = text.removesuffix("\n").split("\n")
     del text  # the file is held once at a time: as text, as lines, as cells
     if header != TRACE_HEADER:
-        raise ValueError(f"unexpected trace header {_echo(header)}")
+        names = header.split(",")
+        pairs = enumerate(zip(names, _COLUMNS), 1)
+        faults = [f"column {j} is {_echo(a)}, expected {b!r}" for j, (a, b) in pairs if a != b][:1]
+        if len(names) != len(_COLUMNS):
+            faults.append(f"{len(names)} columns, expected {len(_COLUMNS)}")
+        raise ValueError("unexpected trace header: " + "; ".join(faults))
     n, width = len(rows), len(_COLUMNS)
     commas = list(map(str.count, rows, itertools.repeat(",")))
     if commas.count(width - 1) != n:

@@ -13,6 +13,7 @@ import numpy as np
 
 from gradcert.generate import _reflectors
 from gradcert.objective import QuadraticObjective
+from gradcert.potential import CHAIN, chain_steps
 from gradcert.rng import SplitMix64
 from gradcert.serialize import fmt_float
 from gradcert.traces import _COLUMNS, trace_columns
@@ -171,3 +172,31 @@ def read_trace_csv_per_cell(path) -> dict:
             values.append(value)
         columns[name] = np.array(values, dtype=np.float64)
     return columns
+
+
+def assert_check_table(report):
+    """The invariants of a report's check table (certify()'s or the battery's).
+
+    Every row but certify()'s chain passes exactly where its residual is at
+    most its tolerance, a nan failing; the chain's pass bits are
+    chain_steps' product form. The readers agree with the first-failure
+    rule written out here in plain Python: a row's first failing entry plus
+    the step of its entry 0, and the earliest of those, the earlier row
+    winning a tie.
+    """
+    fails = {}
+    for name, row in report.checks.items():
+        if name == CHAIN:
+            with np.errstate(all="ignore"):  # inf / inf, as under certify()
+                _, passes = chain_steps(report.psis, report.c_value, report.tol_cert)
+            assert np.array_equal(row.passes, passes), name
+        else:
+            assert np.array_equal(row.passes, row.residuals <= row.tol), name
+            assert not row.passes[np.isnan(row.residuals)].any(), name
+        bad = [i for i, ok in enumerate(row.passes.tolist()) if not ok]
+        fails[name] = bad[0] + row.first if bad else None
+    assert report.first_failures == fails
+    first = [(k, name) for name, k in fails.items() if k is not None]
+    step, name = min(first, key=lambda pair: pair[0], default=(None, None))
+    assert (report.first_violation, report.failed_check) == (step, name)
+    return fails

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import gradcert
+from gradcert.potential import CertificateReport, IdentityReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -173,3 +174,12 @@ def test_the_rounding_model_has_one_home():
         if _ROUNDOFF.search(path.read_text(encoding="utf-8"))
     ]
     assert spelled == ["objective.py", "rng.py"]
+
+
+def test_both_reports_read_their_checks_with_one_set_of_readers():
+    # the first-failure rule and the worst residual are read off checks by
+    # one function each; a report with a copy of its own, or a stored
+    # reading, would not be the other report's
+    for name in ("first_failures", "failed_check", "first_violation", "max_violations"):
+        reader = getattr(CertificateReport, name)
+        assert isinstance(reader, property) and reader is getattr(IdentityReport, name), name

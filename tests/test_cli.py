@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aids import assert_check_table
 from gradcert import cli, potential
 from gradcert.cli import _build_parser, main
 from gradcert.objective import QuadraticObjective
 from gradcert.perturb import sweep
-from gradcert.potential import CHAIN, GAP_BLOCK_ROWS, certify
+from gradcert.potential import CHAIN, GAP_BLOCK_ROWS, certify, hs_identity_battery
 from gradcert.problems import ProblemSpec, encode_array, load_problem, make_logistic_problem
 from gradcert.serialize import render_json
 from gradcert.solvers import run
@@ -259,6 +261,7 @@ def test_certify_detects_perturbed_iterate(workdir, problem_file, capsys):
     xs[k] = 1.1 * xs[k]
     tampered = dataclasses.replace(trace, xs=xs)
     report = certify(tampered, obj)
+    assert_check_table(report)
     path = workdir / "tampered.csv"
     write_trace_csv(path, tampered, obj, report)
     out = workdir / "tampered.json"
@@ -332,7 +335,8 @@ def test_certify_bad_k_cell_exits_1(workdir, problem_file, capsys):
 @pytest.mark.parametrize("line", [0, 3], ids=["header", "row"])
 def test_certify_cell_past_the_csv_field_limit_exits_1(workdir, problem_file, capsys, line):
     # a 200,000-character cell, past the csv module's field limit: in the
-    # header it is refused with a short echo of the line and its length; in
+    # header it is named as the column that differs, with a short echo of
+    # the name and its length; in
     # row 2's f_gap, float() reads inf, which the audit refutes
     src = workdir / "long_src.csv"
     argv = ["run", "--problem", str(problem_file), "--method", "cg", "--out", str(src)]
@@ -349,7 +353,10 @@ def test_certify_cell_past_the_csv_field_limit_exits_1(workdir, problem_file, ca
     err = capsys.readouterr().err
     assert len(err) < 200
     if line == 0:
-        assert err == f"error: unexpected trace header {lines[0][:40]!r}... ({len(lines[0])} characters)\n"
+        assert err == (
+            f"error: unexpected trace header: column 2 is {cells[1][:40]!r}... "
+            "(200000 characters), expected 'f_gap'\n"
+        )
     else:
         assert err.startswith(f"error: row 2 of {bad}: f_gap claim inf disagrees with the audit's ")
 
@@ -427,6 +434,7 @@ def test_certify_overflowing_iterate_breaks_the_chain(workdir, capsys):
     xs[5] = 1e160
     forged = dataclasses.replace(trace, xs=xs)
     path = workdir / "overflow.csv"
+    assert assert_check_table(certify(forged, obj)) == {CHAIN: 4}
     write_trace_csv(path, forged, obj, certify(forged, obj))
     row = path.read_text().splitlines()[6].split(",")
     assert "" in row and "inf" in row
@@ -569,6 +577,7 @@ def test_certify_flags_uncheckable_cg_scalars(
     forged[k] = value
     forged = dataclasses.replace(trace, **{scalars: forged})
     path = workdir / "uncheckable_scalars.csv"
+    assert assert_check_table(certify(forged, obj))[potential.TELESCOPING] == step
     write_trace_csv(path, forged, obj, certify(forged, obj))
     out = workdir / "uncheckable_scalars.json"
     assert main(["certify", str(path), "--problem", str(problem_file), "--out", str(out)]) == 1
@@ -587,11 +596,12 @@ def test_certify_names_a_chain_failure(workdir, problem_file, capsys):
     xs[20] += 1.0
     forged = dataclasses.replace(trace, xs=xs)
     report = certify(forged, obj)
+    assert_check_table(report)
     path = workdir / "moved_ag.csv"
     write_trace_csv(path, forged, obj, report)
     capsys.readouterr()
     assert main(["certify", str(path), "--problem", str(problem_file)]) == 1
-    assert not report.checks[CHAIN][report.first_violation]
+    assert not report.checks[CHAIN].passes[report.first_violation]
     assert capsys.readouterr().out == f"certificate chain violated at step {report.first_violation}\n"
 
 
@@ -1125,3 +1135,70 @@ def test_perturb_non_finite_eta_exits_1(workdir, problem_file, capsys, eta):
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _nulled(values: dict) -> dict:
+    """A dict of floats as its JSON reads back: nan as None."""
+    return {name: None if math.isnan(v) else v for name, v in values.items()}
+
+
+@pytest.mark.parametrize("x0_scale", [1.0, 1e150], ids=["clean", "overflowing"])
+def test_report_json_is_read_off_the_check_table(workdir, capsys, x0_scale):
+    # dim 10: the keys of `certify --out` and `identities --out` in their
+    # order, and every value what the reports' shared readers give; at an
+    # x0 of 1e150 three battery rows read nan, written as null
+    path = workdir / f"readers_{x0_scale:g}.json"
+    gen = ["gen", "--dim", "10", "--ell", "1", "--lip", "100", "--seed", "2", "--out", str(path)]
+    assert main(gen) == 0
+    spec = load_problem(path)
+    obj = spec.objective
+    ProblemSpec(obj, spec.x0 * x0_scale, spec.seed).save(path)
+    spec = load_problem(path)
+
+    trace_path = workdir / f"readers_{x0_scale:g}.csv"
+    cert_path = workdir / f"readers_{x0_scale:g}_cert.json"
+    assert main(["run", "--problem", str(path), "--method", "cg", "--out", str(trace_path)]) == 0
+    code = main(["certify", str(trace_path), "--problem", str(path), "--out", str(cert_path)])
+    report = certify(read_trace_iterates(trace_path), obj)
+    assert code == (0 if report.first_violation is None else 1)
+    assert json.loads(cert_path.read_text()) == {
+        "trace": str(trace_path),
+        "problem": str(path),
+        "method": "cg",
+        "iterates": len(report),
+        "C": report.c_value,
+        "tol_cert": report.tol_cert,
+        "first_violation": report.first_violation,
+        "first_telescope_violation": report.first_failures[potential.TELESCOPING],
+        "theorem1_ok": report.theorem1_ok,
+        "daniel_ok": report.daniel_ok,
+    }
+    assert list(json.loads(cert_path.read_text())) == [
+        "trace", "problem", "method", "iterates", "C", "tol_cert",
+        "first_violation", "first_telescope_violation", "theorem1_ok", "daniel_ok",
+    ]
+
+    id_path = workdir / f"readers_{x0_scale:g}_id.json"
+    code = main(["identities", "--problem", str(path), "--out", str(id_path)])
+    battery = hs_identity_battery(run(obj, "cg_classic", spec.x0, obj.dim, -math.inf), obj)
+    assert code == (0 if battery.ok else 1)
+    doc = json.loads(id_path.read_text())
+    assert list(doc) == [
+        "iterates", "tol_id", "ok", "max_violations", "first_failures", "min_weighted_bound_slack",
+    ]
+    # rho_alignment last: the CLI prints it apart from the other rows
+    assert list(doc["max_violations"]) == list(doc["first_failures"]) == list(battery.checks) == [
+        "gap_drop", "dist_drop", "dist_split", "potential_drop",
+        "weighted_bound", "orth", "step_rayleigh", "rho_alignment",
+    ]
+    assert doc == {
+        "iterates": battery.n,
+        "tol_id": battery.checks["gap_drop"].tol,
+        "ok": battery.ok,
+        "max_violations": _nulled(battery.max_violations),
+        "first_failures": battery.first_failures,
+        "min_weighted_bound_slack": battery.min_weighted_bound_slack,
+    }
+    nulls = {name for name, v in doc["max_violations"].items() if v is None}
+    assert nulls == (set() if x0_scale == 1.0 else {"dist_drop", "dist_split", "potential_drop"})
+    capsys.readouterr()

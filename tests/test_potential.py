@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
-from aids import materialize_orthogonal
+from aids import assert_check_table, materialize_orthogonal
 from conftest import assert_close
 from gradcert import (
     QuadraticObjective,
@@ -146,6 +146,7 @@ def test_tiny_declared_ell_does_not_certify_a_forgery(ell, first_violation):
     forged[100] += 10.0
     declared = QuadraticObjective(obj.matrix, obj.rhs, ell, obj.lip).with_minimizer(x_star)
     report = certify(dataclasses.replace(trace, xs=forged), declared)
+    assert_check_table(report)
     assert report.tol_cert <= CERT_TOL_CAP
     assert report.first_violation == first_violation
     assert report.failed_check == "certificate chain"
@@ -168,6 +169,7 @@ def test_tiny_declared_ell_does_not_empty_the_battery(ell):
     clean = battery(declared, 0.0)
     assert clean.ok and clean.n == battery(obj, 0.0).n == 6
     noisy = battery(declared, 1e-2)
+    assert_check_table(noisy)
     assert not noisy.ok and noisy.first_failures["gap_drop"] is not None
 
 
@@ -213,6 +215,7 @@ def test_certify_flags_a_corrupted_trace(tiny_problem):
                 )
     for name, (forged, telescopes) in forgeries.items():
         poisoned = certify(forged, obj)
+        assert_check_table(poisoned)
         assert poisoned.first_violation is not None, name
         if telescopes:
             telescoping_at = poisoned.first_failures[TELESCOPING]
@@ -226,6 +229,7 @@ def test_battery_flags_a_corrupted_trace(tiny_problem):
     assert hs_identity_battery(trace, obj).ok
     trace.xs[len(trace) // 2] *= 1.001
     report = hs_identity_battery(trace, obj)
+    assert_check_table(report)
     assert not report.ok
     assert report.first_failures["gap_drop"] is not None
 
@@ -253,6 +257,7 @@ def test_battery_flags_a_nudge_above_the_floor_at_high_kappa():
     n = hs_identity_battery(trace, obj).n
     trace.xs[n // 2] *= 1.001
     report = hs_identity_battery(trace, obj)
+    assert_check_table(report)
     assert not report.ok
     assert report.first_failures["gap_drop"] is not None
 
@@ -339,6 +344,7 @@ def test_rho_alignment_flags_a_scaled_step_size(k):
     assert hs_identity_battery(trace, obj).first_failures["rho_alignment"] is None
     trace.alphas[k] *= 1.001
     report = hs_identity_battery(trace, obj)
+    assert_check_table(report)
     assert not report.ok
     assert report.first_failures["rho_alignment"] == k
     assert report.max_violations["rho_alignment"] > 1e-6
@@ -385,9 +391,9 @@ def test_all_ok_is_every_check(tiny_problem):
         assert report.all_ok, method
         assert (report.daniel_ok is None) == (method == "ag")
         assert not dataclasses.replace(report, theorem1_ok=False).all_ok
-        chain = report.checks[CHAIN].copy()
-        chain[1] = False
-        failing = {**report.checks, "certificate chain": chain}
+        passes = report.checks[CHAIN].passes.copy()
+        passes[1] = False
+        failing = {**report.checks, "certificate chain": report.checks[CHAIN]._replace(passes=passes)}
         assert not dataclasses.replace(report, checks=failing).all_ok
         if method == "cg_classic":
             assert not dataclasses.replace(report, daniel_ok=False).all_ok
@@ -395,6 +401,7 @@ def test_all_ok_is_every_check(tiny_problem):
         xs = trace.xs.copy()
         xs[len(trace) // 2] += 1.0
         moved = certify(dataclasses.replace(trace, xs=xs), obj)
+        assert_check_table(moved)
         assert moved.first_violation is not None and not moved.all_ok, method
 
 
@@ -553,8 +560,8 @@ def test_the_check_table_names_the_first_failure(tiny_problem):
         (2, 2, 2, "certificate chain"),
     ]:
         checks = {
-            "certificate chain": failing_at(chain_at),
-            "gap telescoping": failing_at(telescoping_at),
+            "certificate chain": report.checks[CHAIN]._replace(passes=failing_at(chain_at)),
+            "gap telescoping": report.checks[TELESCOPING]._replace(passes=failing_at(telescoping_at)),
         }
         forged = dataclasses.replace(report, checks=checks)
         assert (forged.first_violation, forged.failed_check) == (step, name)
@@ -576,8 +583,98 @@ def test_battery_fails_overflowing_residuals_without_warning():
         warnings.simplefilter("error")
         trace = run(obj, "cg_classic", spec.x0 * 1e150, obj.dim, -math.inf)
         battery = hs_identity_battery(trace, obj)
-    failed = {name: k for name, k in battery.first_failures.items() if k is not None}
+    failed = {name: k for name, k in assert_check_table(battery).items() if k is not None}
     assert failed == {"dist_drop": 0, "dist_split": 1, "potential_drop": 1}
     assert not battery.ok
     for name, worst in battery.max_violations.items():
         assert math.isnan(worst) == (name in failed), name
+
+
+@pytest.mark.parametrize("method", ["cg_classic", "cg_unified", "ag", "ag_unified"])
+def test_both_reports_are_one_check_table(tiny_problem, method):
+    # every row is a residual per entry, a tolerance and a pass array; the
+    # battery's rows and certify()'s are read by the same readers
+    obj, x0 = tiny_problem.obj, tiny_problem.x0
+    trace = run(obj, method, x0, 200, 1e-10 * obj.f_gap(x0))
+    report = certify(trace, obj)
+    assert assert_check_table(report) == dict.fromkeys(report.checks)
+    chain = report.checks[CHAIN]
+    assert chain.tol == report.tol_cert and chain.first == 0
+    # the chain's residual is c_k / ratios_k - 1, with c_0 = 1
+    cs = np.full(len(report) - 1, report.c_value)
+    cs[0] = 1.0
+    assert np.array_equal(chain.residuals, cs / report.ratios - 1.0)
+    assert report.max_violations[CHAIN] == chain.residuals.max() <= report.tol_cert
+    if method.startswith("cg"):
+        telescoping = report.checks[TELESCOPING]
+        assert telescoping.tol == potential.TELESCOPE_TOL
+        assert report.max_violations[TELESCOPING] == telescoping.residuals.max()
+        battery = hs_identity_battery(trace, obj)
+        assert assert_check_table(battery) == dict.fromkeys(IDENTITY_CHECKS)
+        assert battery.ok and battery.failed_check is None and battery.first_violation is None
+
+
+def test_the_chain_residual_reads_no_nan_on_a_passing_step(tiny_problem):
+    # a trace resting at x* has every psi 0: each step passes as 0 <= 0 and
+    # its ratio is 0/0; the residual reads -1, as any step to psi_{k+1} = 0
+    # does
+    obj = tiny_problem.obj
+    report = certify(Trace("ag", np.tile(obj.minimizer, (4, 1))), obj)
+    assert np.all(report.psis == 0.0) and np.all(np.isnan(report.ratios))
+    chain = report.checks[CHAIN]
+    assert chain.passes.all() and np.array_equal(chain.residuals, [-1.0, -1.0, -1.0])
+    assert report.max_violations == {CHAIN: -1.0} and report.first_violation is None
+    # a psi_0 past float64 fails step 0 by the product form, and its
+    # residual reads nan, not the -1 of its infinite ratio (at L = l, AG's
+    # rho is 0, so psi_1 does not see x_0)
+    flat = QuadraticObjective(np.diag([2.0, 2.0]), np.array([2.0, -2.0]), 2.0, 2.0)
+    flat = flat.with_minimizer(np.array([1.0, -1.0]))
+    forged = certify(Trace("ag", np.array([[1e200, 0.0], [1.5, -1.0], [1.2, -1.0]])), flat)
+    assert forged.ratios[0] == np.inf and not forged.checks[CHAIN].passes[0]
+    assert math.isnan(forged.checks[CHAIN].residuals[0])
+    assert math.isnan(forged.max_violations[CHAIN]) and forged.first_violation == 0
+
+
+def _clean_cg_for_dim_steps():
+    spec = SpectrumSpec(dim=10, ell=1.0, lip=100.0, layout="log_uniform", seed=0)
+    obj, _, x0 = generate_with_start(spec)
+    return obj, run(obj, "cg_classic", x0, obj.dim, -math.inf)
+
+
+def _nudge_orth(trace, obj, k, residual):
+    # a component of r_k along p_k moves p_k' r_k by residual ||p_k|| ||r_0||
+    p = trace.ps[k]
+    trace.rs[k] += residual * trace.r0_norm * p / np.linalg.norm(p)
+
+
+def _nudge_alignment(trace, obj, k, residual):
+    # x_k moved by eps s_k: to first order w_k . s_k moves by
+    # eps (1 + rho_k) ||s_k||^2, while f(x_k) moves by eps^2 only
+    s = trace.xs[k] - trace.xs[k - 1]
+    rho = certify(trace, obj).rhos[k]
+    dist0 = np.linalg.norm(trace.xs[0] - obj.minimizer)
+    trace.xs[k] += residual * dist0 / (np.linalg.norm(s) * (1.0 + rho)) * s
+
+
+# (row, nudge, the tolerance's value today): written out, not read from
+# potential, so that a tolerance ten times looser or tighter fails here.
+_PINNED_ROWS = {
+    "ORTH_TOL": ("orth", _nudge_orth, 1e-10),
+    "RHO_ALIGNMENT_TOL": ("rho_alignment", _nudge_alignment, 1e-8),
+}
+
+
+@pytest.mark.parametrize("times", [3.0, 0.3], ids=["3x", "0.3x"])
+@pytest.mark.parametrize("name", list(_PINNED_ROWS))
+def test_battery_row_fires_at_three_times_its_tolerance(name, times):
+    # a forged clean CG trace whose row reads about 3x the tolerance at
+    # state 4 fires there; at 0.3x the row stays silent
+    row, nudge, tol = _PINNED_ROWS[name]
+    obj, trace = _clean_cg_for_dim_steps()
+    assert hs_identity_battery(trace, obj).max_violations[row] < 1e-3 * tol
+    k = 4
+    nudge(trace, obj, k, times * tol)
+    report = hs_identity_battery(trace, obj)
+    checked = report.checks[row]
+    assert checked.residuals[k - checked.first] == pytest.approx(times * tol, rel=0.1)
+    assert report.first_failures[row] == (k if times > 1.0 else None)

@@ -485,7 +485,40 @@ def test_reader_echoes_a_long_text_in_part(tmp_path, cg_csv):
     path.write_text("\n".join([header, *lines[1:]]) + "\n")
     with pytest.raises(ValueError) as raised:
         read_trace_csv(path)
-    assert str(raised.value) == f"unexpected trace header {'k' * 40!r}... (100000 characters)"
+    assert str(raised.value) == (
+        f"unexpected trace header: column 1 is {'k' * 40!r}... (100000 characters), "
+        "expected 'k'; 1 columns, expected 13"
+    )
+
+
+_HEADER = TRACE_HEADER.split(",")
+
+
+@pytest.mark.parametrize(
+    ("names", "message"),
+    [
+        (_HEADER[:-1] + ["px"], "column 13 is 'px', expected 'pi'"),
+        (_HEADER[:4] + _HEADER[5:], "column 5 is 'psi_ratio', expected 'psi'; 12 columns, expected 13"),
+        (_HEADER[:-1], "12 columns, expected 13"),
+        (_HEADER + ["extra"], "14 columns, expected 13"),
+        (_HEADER + ["x" * 9] * 20_000, "20013 columns, expected 13"),
+        (
+            _HEADER[:1] + ["f" * 200_000] + _HEADER[2:],
+            f"column 2 is {'f' * 40!r}... (200000 characters), expected 'f_gap'",
+        ),
+    ],
+    ids=["renamed", "missing", "missing_last", "extra", "long_extra", "long_column"],
+)
+def test_reader_names_the_first_header_column_that_differs(tmp_path, cg_csv, names, message):
+    # the first column that differs from TRACE_HEADER, and the count when
+    # columns are missing or extra; an echoed name stays bounded
+    src, *_ = cg_csv
+    lines = src.read_text().splitlines()
+    path = tmp_path / "header.csv"
+    path.write_text("\n".join([",".join(names), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_trace_csv(path)
+    assert str(raised.value) == f"unexpected trace header: {message}"
 
 
 def test_writer_rejects_mismatched_report(tmp_path, tiny_problem):
